@@ -1,6 +1,6 @@
 //! `solver_scaling` — the per-source SSSP solver comparison benchmark.
 //!
-//! Sweeps the [`SolverKind`] axis {dijkstra, delta:auto, stepping, auto}
+//! Sweeps the [`SolverKind`] axis {dijkstra, delta:auto, auto}
 //! through `ParAPSP` (via [`Runner`]/[`ApspEngine`], 4 threads) over
 //! graph classes chosen to separate the solvers: the paper's
 //! narrow-weight Barabási–Albert / Erdős–Rényi / Watts–Strogatz trio,
@@ -32,11 +32,10 @@ const WIDE: WeightSpec = WeightSpec::Uniform { lo: 1, hi: 1000 };
 /// scaling axis, is under test here).
 const THREADS: usize = 4;
 
-fn solvers() -> [(&'static str, SolverKind); 4] {
+fn solvers() -> [(&'static str, SolverKind); 3] {
     [
         ("dijkstra", SolverKind::Dijkstra),
         ("delta:auto", SolverKind::Delta { delta: None }),
-        ("stepping", SolverKind::Stepping),
         ("auto", SolverKind::Auto),
     ]
 }

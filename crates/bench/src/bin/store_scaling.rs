@@ -1,7 +1,8 @@
 //! `store_scaling` — the tiered distance-matrix storage benchmark.
 //!
 //! Sweeps the [`StoreSpec`] axis {dense, delta, mmap} through `ParAPSP`
-//! (via [`Runner`]/[`StoreApspEngine`]) on a Barabási–Albert replica and
+//! (via [`Runner`]/[`ApspEngine`] with a [`StoreRunOutput`], which keeps
+//! the live store) on a Barabási–Albert replica and
 //! records, per backend:
 //!
 //! * **bytes/row**: payload bytes of the completed store divided by the
@@ -36,7 +37,7 @@
 
 use std::time::Instant;
 
-use parapsp_core::engine::{RunConfig, Runner, StoreApspEngine};
+use parapsp_core::engine::{ApspEngine, RunConfig, Runner, StoreRunOutput};
 use parapsp_core::{Store, StoreSpec};
 use parapsp_graph::generate::{barabasi_albert, WeightSpec};
 
@@ -89,7 +90,7 @@ fn measure(spec_raw: &str, n: usize, threads: usize) -> ! {
     let graph = build_graph(n);
     let runner = Runner::new(RunConfig::par_apsp(threads).with_store(spec.clone()));
     let start = Instant::now();
-    let out = runner.run(StoreApspEngine::new(), &graph);
+    let out = runner.run(ApspEngine::<StoreRunOutput>::default(), &graph);
     let ms = start.elapsed().as_secs_f64() * 1e3;
     let sum = checksum(&out.store);
     let c = &out.counters;

@@ -110,9 +110,8 @@ apsp options:
   --solver <s>               per-source SSSP solver: dijkstra (default; the
                              paper's modified Dijkstra) | delta[:<width>]
                              (Δ-stepping, width from the mean weight when
-                             omitted) | stepping (bucket-fusion spans) |
-                             auto (probe the graph, pick solver + Δ, and
-                             fill unset --schedule/--relax); same
+                             omitted) | auto (probe the graph, pick solver +
+                             Δ, and fill unset --schedule/--relax); same
                              algorithms as --relax; distances are
                              bit-identical under every solver
   --schedule <s>             source-sweep loop schedule for par-apsp |
@@ -1205,7 +1204,11 @@ mod tests {
         let dir = std::env::temp_dir().join("parapsp-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.txt");
-        std::fs::write(&path, "# demo\n1 2\n2 3\n3 1\n3 4\n4 5\n").unwrap();
+        // Tests run in parallel and all share this file: write a private
+        // copy and rename it into place, so a reader never sees it torn.
+        let staged = dir.join(format!("sample.txt.{:?}", std::thread::current().id()));
+        std::fs::write(&staged, "# demo\n1 2\n2 3\n3 1\n3 4\n4 5\n").unwrap();
+        std::fs::rename(&staged, &path).unwrap();
         path.to_string_lossy().into_owned()
     }
 
@@ -1356,14 +1359,7 @@ mod tests {
         let file = sample_file();
         // Every spelling the parser accepts, on both a parallel and a
         // sequential kernel engine.
-        for solver in [
-            "dijkstra",
-            "delta",
-            "delta:auto",
-            "delta:3",
-            "stepping",
-            "auto",
-        ] {
+        for solver in ["dijkstra", "delta", "delta:auto", "delta:3", "auto"] {
             for algorithm in ["par-apsp", "seq-optimized"] {
                 apsp(&args(&[
                     "apsp",
@@ -1391,12 +1387,20 @@ mod tests {
         ]))
         .unwrap();
         // Malformed specs are rejected with the parser's explanation.
-        for bad in ["warp", "delta:0", "delta:wide", "stepping:2", "auto:1"] {
-            let err = apsp(&args(&["apsp", &file, "--solver", bad]))
-                .unwrap_err()
-                .to_string();
-            assert!(err.contains("--solver"), "{bad}: {err}");
+        for bad in ["warp", "delta:0", "delta:wide", "stepping", "auto:1"] {
+            let err = apsp(&args(&["apsp", &file, "--solver", bad])).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{bad}: {err}");
+            assert!(err.to_string().contains("--solver"), "{bad}: {err}");
         }
+        // The removed bucket-fusion solver is an unknown value, and the
+        // rejection lists the ones that remain.
+        let err = apsp(&args(&["apsp", &file, "--solver", "stepping"]))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("possible values") && err.contains("delta") && err.contains("auto"),
+            "{err}"
+        );
         // Algorithms that never touch the row kernel reject the flag,
         // naming the ones that do.
         for algorithm in ["dist", "floyd-warshall", "blocked-fw", "dijkstra"] {

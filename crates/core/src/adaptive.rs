@@ -19,7 +19,8 @@ use std::time::Instant;
 use parapsp_graph::{degree, CsrGraph};
 use parapsp_parfor::{PerThread, Schedule, ThreadPool};
 
-use crate::kernel::{modified_dijkstra, KernelOptions, Workspace};
+use crate::kernel::{KernelOptions, Workspace};
+use crate::solver::RowSolver;
 use crate::stats::{ApspOutput, Counters, PhaseTimings};
 use crate::store::{Store, StoreSpec};
 
@@ -58,6 +59,7 @@ pub fn par_adaptive(graph: &CsrGraph, threads: usize, config: AdaptiveConfig) ->
     let mut global_credit = vec![0u64; n];
     let mut remaining: Vec<u32> = (0..n as u32).collect();
     let options = KernelOptions::default();
+    let solver = RowSolver::resolve(graph, options);
 
     let t_sssp = Instant::now();
     while !remaining.is_empty() {
@@ -80,7 +82,7 @@ pub fn par_adaptive(graph: &CsrGraph, threads: usize, config: AdaptiveConfig) ->
             let (ws, counters, credit) = unsafe { locals.get_mut(tid) };
             // Each wave source appears exactly once across all waves, so
             // the unique-row-owner contract holds.
-            modified_dijkstra(graph, s, store_ref, ws, options, counters, Some(credit));
+            solver.solve_row(graph, s, store_ref, ws, options, counters, Some(credit));
         });
 
         // Fold per-thread credit into the global ranking signal. The slots

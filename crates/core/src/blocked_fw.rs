@@ -9,7 +9,7 @@
 //! dense graphs, the O(n^2.4)-empirical ParAPSP takes over quickly.
 //!
 //! The algorithm lives in [`BlockedFwEngine`], driven by the unified
-//! [`Runner`] pipeline with *pivot iterations* as its work units; it is
+//! [`Runner`](crate::engine::Runner) pipeline with *pivot iterations* as its work units; it is
 //! not a row-checkpointing engine (see [`Engine::row_checkpoints`]) —
 //! until the last pivot finishes every cell may still shrink, so periodic
 //! checkpoints are skipped and an interrupted run's checkpoint has zero

@@ -37,6 +37,7 @@
 //! assert_eq!(out.algorithm, "ParAPSP");
 //! ```
 
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -187,7 +188,7 @@ impl EngineKind {
     }
 
     /// Whether the algorithm keeps its distance matrix in a
-    /// [`Store`](crate::store::Store) and therefore honours `--store`.
+    /// [`Store`] and therefore honours `--store`.
     /// True for the row engines (published rows go straight into the
     /// selected backend) and the dist driver (the gather target is a
     /// store); the baselines and the blocked Floyd–Warshall mutate dense
@@ -959,12 +960,27 @@ impl Runner {
 /// publication protocol.
 ///
 /// Pair with the `RunConfig::par_*` constructors to reproduce the paper's
-/// drivers (ParAlg1, ParAlg2, ParBuckets, ParMax, ParAPSP).
-#[derive(Default)]
-pub struct ApspEngine {
+/// drivers (ParAlg1, ParAlg2, ParBuckets, ParMax, ParAPSP). The type
+/// parameter picks the output: [`ApspOutput`] (the default, from
+/// [`ApspEngine::new`]) collapses the store into a dense matrix, while
+/// `ApspEngine::<StoreRunOutput>::default()` hands back the live
+/// [`Store`] — an out-of-core run never materializes the O(n²) matrix.
+pub struct ApspEngine<O = ApspOutput> {
     store: Option<Store>,
     locals: Option<PerThread<(Workspace, Counters, Duration)>>,
     solver: Option<RowSolver>,
+    output: PhantomData<fn() -> O>,
+}
+
+impl<O> Default for ApspEngine<O> {
+    fn default() -> Self {
+        ApspEngine {
+            store: None,
+            locals: None,
+            solver: None,
+            output: PhantomData,
+        }
+    }
 }
 
 impl ApspEngine {
@@ -974,8 +990,101 @@ impl ApspEngine {
     }
 }
 
-impl Engine for ApspEngine {
-    type Output = ApspOutput;
+/// What a row engine's run can hand back: built from the completed
+/// store, the merged counters, per-thread busy times and the run summary.
+pub trait FromStore {
+    /// Assembles the output of a completed run.
+    fn from_store(
+        store: Store,
+        counters: Counters,
+        thread_busy: Vec<Duration>,
+        summary: RunSummary,
+    ) -> Self;
+}
+
+impl FromStore for ApspOutput {
+    fn from_store(
+        store: Store,
+        counters: Counters,
+        thread_busy: Vec<Duration>,
+        summary: RunSummary,
+    ) -> Self {
+        ApspOutput {
+            dist: store.into_matrix(),
+            timings: summary.timings,
+            counters,
+            threads: summary.threads,
+            algorithm: summary.label,
+            thread_busy,
+        }
+    }
+}
+
+/// A completed run with the store still in its configured backend, plus
+/// the usual run report fields. The `store_scaling` bench and the
+/// bounded-memory smoke use it to measure per-backend residency.
+pub struct StoreRunOutput {
+    /// The completed distance matrix, resident in the selected backend.
+    pub store: Store,
+    /// Ordering / sweep / total phase wall times.
+    pub timings: PhaseTimings,
+    /// Merged kernel counters.
+    pub counters: Counters,
+    /// Worker threads the run used.
+    pub threads: usize,
+    /// Report label.
+    pub algorithm: String,
+}
+
+impl FromStore for StoreRunOutput {
+    fn from_store(
+        store: Store,
+        counters: Counters,
+        _thread_busy: Vec<Duration>,
+        summary: RunSummary,
+    ) -> Self {
+        StoreRunOutput {
+            store,
+            timings: summary.timings,
+            counters,
+            threads: summary.threads,
+            algorithm: summary.label,
+        }
+    }
+}
+
+/// Allocates a row engine's store. A resumed run pre-publishes the
+/// checkpoint's completed rows and sweeps only the rest, in the same order
+/// a fresh run would visit them. Returns the store, the units left to
+/// run, and the completed flags.
+fn open_store(
+    n: usize,
+    order: Vec<u32>,
+    resume: Option<Checkpoint>,
+    spec: &StoreSpec,
+) -> (Store, Vec<u32>, Vec<bool>) {
+    match resume {
+        Some(checkpoint) => {
+            let (dist, completed) = checkpoint.into_parts();
+            let units = order
+                .into_iter()
+                .filter(|&s| !completed[s as usize])
+                .collect();
+            (Store::from_parts(dist, &completed, spec), units, completed)
+        }
+        None => (Store::new(n, spec), order, vec![false; n]),
+    }
+}
+
+/// Folds the store's pinned-byte high-water mark into `counters`: it
+/// lives in the store's cache, not in any per-thread counter.
+fn with_pinned_peak(mut counters: Counters, store: &Store) -> Counters {
+    counters.pinned_bytes_peak = counters.pinned_bytes_peak.max(store.pinned_bytes_peak());
+    counters
+}
+
+impl<O: FromStore> Engine for ApspEngine<O> {
+    type Output = O;
 
     fn name(&self) -> &str {
         "ParApsp"
@@ -995,21 +1104,7 @@ impl Engine for ApspEngine {
         let ordering = t_order.elapsed();
         debug_assert_eq!(order.len(), n);
 
-        // A resumed run pre-publishes the checkpoint's completed rows and
-        // sweeps only the rest, in the same order a fresh run would visit
-        // them.
-        let (store, units) = match resume {
-            Some(checkpoint) => {
-                let (dist, completed) = checkpoint.into_parts();
-                let units: Vec<u32> = order
-                    .iter()
-                    .copied()
-                    .filter(|&s| !completed[s as usize])
-                    .collect();
-                (Store::from_parts(dist, &completed, config.store()), units)
-            }
-            None => (Store::new(n, config.store()), order),
-        };
+        let (store, units, _) = open_store(n, order, resume, config.store());
         self.store = Some(store);
         self.locals = Some(PerThread::from_fn(pool.num_threads(), |_| {
             (Workspace::new(n), Counters::default(), Duration::ZERO)
@@ -1078,7 +1173,7 @@ impl Engine for ApspEngine {
         }
     }
 
-    fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> ApspOutput {
+    fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> O {
         let store = self.store.expect("prepare() not called");
         debug_assert_eq!(store.published_count(), store.n());
         let mut counters = Counters::default();
@@ -1087,17 +1182,8 @@ impl Engine for ApspEngine {
             counters.merge(&c);
             thread_busy.push(busy);
         }
-        // The pinned high-water mark lives in the store's cache, not in
-        // any per-thread counter; fold it in before the store is consumed.
-        counters.pinned_bytes_peak = counters.pinned_bytes_peak.max(store.pinned_bytes_peak());
-        ApspOutput {
-            dist: store.into_matrix(),
-            timings: summary.timings,
-            counters,
-            threads: summary.threads,
-            algorithm: summary.label,
-            thread_busy,
-        }
+        let counters = with_pinned_peak(counters, &store);
+        O::from_store(store, counters, thread_busy, summary)
     }
 }
 
@@ -1196,22 +1282,7 @@ impl Engine for SeqEngine {
             SeqMode::Adaptive { .. } => (0..n as u32).collect(),
         };
         let ordering = t_order.elapsed();
-        let (store, units, done) = match resume {
-            Some(checkpoint) => {
-                let (dist, completed) = checkpoint.into_parts();
-                let units: Vec<u32> = order
-                    .iter()
-                    .copied()
-                    .filter(|&s| !completed[s as usize])
-                    .collect();
-                (
-                    Store::from_parts(dist, &completed, config.store()),
-                    units,
-                    completed,
-                )
-            }
-            None => (Store::new(n, config.store()), order, vec![false; n]),
-        };
+        let (store, units, done) = open_store(n, order, resume, config.store());
         self.store = Some(store);
         self.ws = Some(Workspace::new(n));
         self.solver = Some(RowSolver::resolve(graph, config.kernel()));
@@ -1319,111 +1390,12 @@ impl Engine for SeqEngine {
     fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> ApspOutput {
         let store = self.store.expect("prepare() not called");
         debug_assert_eq!(store.published_count(), store.n());
-        let mut counters = self.counters;
-        counters.pinned_bytes_peak = counters.pinned_bytes_peak.max(store.pinned_bytes_peak());
-        ApspOutput {
-            dist: store.into_matrix(),
-            timings: summary.timings,
-            counters,
+        let counters = with_pinned_peak(self.counters, &store);
+        let summary = RunSummary {
             threads: 1,
-            algorithm: summary.label,
-            thread_busy: vec![self.busy],
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// StoreApspEngine — ApspEngine, keeping the store alive
-// ---------------------------------------------------------------------------
-
-/// [`ApspEngine`] whose [`Engine::finish`] hands back the live [`Store`]
-/// instead of collapsing it into a dense [`DistanceMatrix`]
-/// (which would momentarily materialize the full O(n²) matrix and defeat
-/// an out-of-core run). The `store_scaling` bench and the bounded-memory
-/// smoke use this to measure per-backend residency; regular callers want
-/// [`ApspEngine`].
-///
-/// [`DistanceMatrix`]: crate::DistanceMatrix
-#[derive(Default)]
-pub struct StoreApspEngine {
-    inner: ApspEngine,
-}
-
-impl StoreApspEngine {
-    /// A fresh engine; all behaviour comes from the [`RunConfig`].
-    pub fn new() -> Self {
-        StoreApspEngine::default()
-    }
-}
-
-/// What a completed [`StoreApspEngine`] run yields: the store still in its
-/// configured backend, plus the usual run report fields.
-pub struct StoreRunOutput {
-    /// The completed distance matrix, resident in the selected backend.
-    pub store: Store,
-    /// Ordering / sweep / total phase wall times.
-    pub timings: PhaseTimings,
-    /// Merged kernel counters.
-    pub counters: Counters,
-    /// Worker threads the run used.
-    pub threads: usize,
-    /// Report label.
-    pub algorithm: String,
-}
-
-impl Engine for StoreApspEngine {
-    type Output = StoreRunOutput;
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn prepare(
-        &mut self,
-        graph: &CsrGraph,
-        config: &RunConfig,
-        pool: &ThreadPool,
-        resume: Option<Checkpoint>,
-    ) -> Plan {
-        self.inner.prepare(graph, config, pool, resume)
-    }
-
-    fn run_rows(&mut self, graph: &CsrGraph, units: &[u32], ctx: &RowsCtx<'_>) -> RowsOutcome {
-        self.inner.run_rows(graph, units, ctx)
-    }
-
-    fn snapshot(&self) -> Checkpoint {
-        self.inner.snapshot()
-    }
-
-    fn into_snapshot(self) -> Checkpoint {
-        self.inner.into_snapshot()
-    }
-
-    fn visit_rows(&self, units: &[u32], visit: &mut dyn FnMut(u32, &[u32])) {
-        self.inner.visit_rows(units, visit);
-    }
-
-    fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> StoreRunOutput {
-        let store = self.inner.store.expect("prepare() not called");
-        debug_assert_eq!(store.published_count(), store.n());
-        let mut counters = Counters::default();
-        for (_, c, _) in self
-            .inner
-            .locals
-            .expect("prepare() not called")
-            .into_inner()
-        {
-            counters.merge(&c);
-        }
-        counters.pinned_bytes_peak = counters.pinned_bytes_peak.max(store.pinned_bytes_peak());
-        StoreRunOutput {
-            store,
-            timings: summary.timings,
-            counters,
-            threads: summary.threads,
-            algorithm: summary.label,
-        }
+            ..summary
+        };
+        ApspOutput::from_store(store, counters, vec![self.busy], summary)
     }
 }
 

@@ -9,19 +9,29 @@
 //! any continuation of a path through a flagged vertex is already covered
 //! by that vertex's complete row).
 //!
-//! The kernel writes into a caller-supplied row and reads other rows
-//! through the publication protocol of the [`crate::store`] backends,
-//! which makes the very same code the engine of the sequential *and*
-//! parallel algorithms, against any storage tier.
+//! [`modified_dijkstra`] is the workspace's only Alg. 1 loop. It computes
+//! one row into a caller-owned `&mut [u32]` and reads other sources'
+//! completed rows through the [`CompletedRows`] seam, which has three
+//! implementations:
+//!
+//! * [`Store`] — row leases on every storage tier (the row engines);
+//! * the subset engine's slot map ([`crate::subset`]);
+//! * [`HeldRows`] — a `parapsp-dist` node's own and received rows.
+//!
+//! An optional [`PredSink`] records predecessors for route reconstruction
+//! ([`crate::paths`]); every other caller passes [`NoPred`], which
+//! compiles to nothing. Both are generic parameters, so each caller gets
+//! its own monomorphised loop and the dense-store path pays no dispatch.
 
 use std::collections::VecDeque;
+use std::ops::Deref;
 
 use parapsp_graph::{CsrGraph, INF};
 use parapsp_parfor::BitSet;
 
 use crate::relax::{relax_row, RelaxImpl};
 use crate::stats::Counters;
-use crate::store::{LeaseOrigin, Store};
+use crate::store::{LeaseOrigin, RowLease, Store};
 
 /// Tuning/ablation switches for the kernel. The defaults reproduce the
 /// paper; the switches exist so the benchmark harness can quantify each
@@ -34,7 +44,7 @@ pub struct KernelOptions {
     /// Skip enqueueing a vertex that is already queued (the standard SPFA
     /// guard; the paper's pseudocode enqueues unconditionally).
     pub dedup_queue: bool,
-    /// Distance cap: pairs farther than this stay at [`INF`](parapsp_graph::INF).
+    /// Distance cap: pairs farther than this stay at [`INF`].
     /// Bounded-horizon APSP ("k-hop neighborhoods") does much less work on
     /// small-world graphs while remaining exact within the cap: any path of
     /// total length ≤ cap decomposes into segments that are themselves
@@ -66,16 +76,16 @@ impl Default for KernelOptions {
 /// performs no allocation in the steady state.
 ///
 /// Every [`crate::solver`] variant shares this one structure: the FIFO
-/// kernel uses `queue`/`in_queue`, the bucketed solvers additionally use
-/// the cyclic [`BucketRing`] plus the `removed`/`scratch` staging lists.
+/// kernel uses `queue`/`in_queue`, Δ-stepping additionally uses the
+/// cyclic `BucketRing` plus the `removed`/`scratch` staging lists.
 /// Sharing matters for the no-alloc guarantee — each solver borrows the
 /// same warmed capacities instead of allocating per source.
-pub(crate) struct Workspace {
+pub struct Workspace {
     pub(crate) queue: VecDeque<u32>,
     /// Packed "is queued" bitmap: `n/8` bytes instead of `n`, so frontier
     /// bookkeeping stays cache-resident while rows stream through.
     pub(crate) in_queue: BitSet,
-    /// Cyclic bucket array for the Δ-stepping / stepping solvers.
+    /// Cyclic bucket array for the Δ-stepping solver.
     pub(crate) buckets: BucketRing,
     /// Vertices removed from the current bucket, staged for the
     /// heavy-edge phase (Δ-stepping only).
@@ -94,7 +104,8 @@ pub(crate) struct Workspace {
 }
 
 impl Workspace {
-    pub(crate) fn new(n: usize) -> Self {
+    /// Scratch space for solving rows of an `n`-vertex graph.
+    pub fn new(n: usize) -> Self {
         Workspace {
             queue: VecDeque::with_capacity(64),
             in_queue: BitSet::new(n),
@@ -178,50 +189,186 @@ impl BucketRing {
     }
 }
 
-/// Runs the modified Dijkstra from source `s`, filling row `s` of `store`
-/// and publishing it on completion.
+/// Read access to the completed rows a source may reuse: Alg. 1's
+/// `flag[t]` test plus the row itself. See the module docs for the three
+/// implementations.
+pub trait CompletedRows {
+    /// A borrowed completed row.
+    type Row<'a>: Deref<Target = [u32]>
+    where
+        Self: 'a;
+
+    /// Look-ahead hint for the next reuse candidate; a no-op by default.
+    #[inline]
+    fn prefetch(&self, _t: u32) {}
+
+    /// `t`'s completed row and how it was served, or `None` while `t` has
+    /// none. A lent row must be final: the kernel relaxes through it whole.
+    fn lease(&self, t: u32) -> Option<(Self::Row<'_>, LeaseOrigin)>;
+}
+
+/// Row reuse fires on *every* backend through [`Store::lease_row`]: dense
+/// rows are lent at zero cost, delta/mmap rows are pinned in the hot-row
+/// cache for the duration of the relaxation pass (decoding on a miss),
+/// and the queue-front [`Store::prefetch_row`] hint turns into a
+/// decode-ahead that hides that decode behind the current row's work.
+impl CompletedRows for Store {
+    type Row<'a> = RowLease<'a>;
+
+    #[inline]
+    fn prefetch(&self, t: u32) {
+        self.prefetch_row(t);
+    }
+
+    #[inline]
+    fn lease(&self, t: u32) -> Option<(RowLease<'_>, LeaseOrigin)> {
+        self.lease_row(t).map(|lease| {
+            let origin = lease.origin();
+            (lease, origin)
+        })
+    }
+}
+
+/// Completed rows held privately by one `parapsp-dist` node: the rows it
+/// computed itself and copies received from peers, indexed by source.
+/// Own rows lease as [`LeaseOrigin::Lent`] and received ones as
+/// [`LeaseOrigin::CacheMiss`] (they had to cross the wire), so the
+/// kernel's `lease_hits`/`lease_misses` split is the node's local/remote
+/// reuse split.
+pub struct HeldRows {
+    rows: Vec<Option<(Vec<u32>, LeaseOrigin)>>,
+}
+
+impl HeldRows {
+    /// Holds no rows yet, for an `n`-vertex graph.
+    pub fn new(n: usize) -> Self {
+        HeldRows {
+            rows: vec![None; n],
+        }
+    }
+
+    /// Keeps row `s` that this node computed, replacing any received copy.
+    pub fn keep_own(&mut self, s: u32, row: Vec<u32>) -> &[u32] {
+        &self.rows[s as usize].insert((row, LeaseOrigin::Lent)).0
+    }
+
+    /// Keeps a copy of row `s` received from a peer, unless this node
+    /// computed `s` itself.
+    pub fn keep_received(&mut self, s: u32, row: Vec<u32>) {
+        if self.own(s).is_none() {
+            self.rows[s as usize] = Some((row, LeaseOrigin::CacheMiss));
+        }
+    }
+
+    /// The row this node computed for `s`, if any.
+    pub fn own(&self, s: u32) -> Option<&[u32]> {
+        match &self.rows[s as usize] {
+            Some((row, LeaseOrigin::Lent)) => Some(row),
+            _ => None,
+        }
+    }
+}
+
+impl CompletedRows for HeldRows {
+    type Row<'a> = &'a [u32];
+
+    #[inline]
+    fn lease(&self, t: u32) -> Option<(&[u32], LeaseOrigin)> {
+        let (row, origin) = self.rows[t as usize].as_ref()?;
+        Some((row, *origin))
+    }
+}
+
+/// Where the kernel reports predecessors. Only [`crate::paths`] records
+/// them; everyone else passes [`NoPred`].
+pub trait PredSink {
+    /// Edge `t → v` improved `v`.
+    fn edge(&mut self, t: u32, v: u32);
+
+    /// Relaxes `row` through `t`'s completed row `t_row` at distance `dt`
+    /// (entries beyond `cap` stay put), recording the predecessor of every
+    /// vertex it improves, and returns the improvement count. `None`
+    /// leaves the pass to the vectorized [`relax_row`].
+    fn reuse(&mut self, row: &mut [u32], t: u32, t_row: &[u32], dt: u32, cap: u32) -> Option<u64>;
+}
+
+/// The predecessor sink of every distance-only caller: records nothing.
+pub struct NoPred;
+
+impl PredSink for NoPred {
+    #[inline(always)]
+    fn edge(&mut self, _t: u32, _v: u32) {}
+
+    #[inline(always)]
+    fn reuse(&mut self, _: &mut [u32], _: u32, _: &[u32], _: u32, _: u32) -> Option<u64> {
+        None
+    }
+}
+
+/// Alg. 1 lines 6–11 for dequeued vertex `t` at distance `dt`: lease `t`'s
+/// completed row, count the lease into `tally`, and relax `row` through
+/// it. Returns `false` when `t` has no completed row yet. Every solver
+/// reuses rows through here; it is the one caller of [`relax_row`].
 ///
-/// # Safety contract (enforced by callers)
+/// `tally` is the solver's per-row local copy of the counters, flushed
+/// once per row: a per-element write to the caller's `&mut Counters`
+/// inside the reuse loop is a loop-carried memory dependence that blocks
+/// vectorization.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn reuse_row<R: CompletedRows, P: PredSink>(
+    rows: &R,
+    t: u32,
+    dt: u32,
+    row: &mut [u32],
+    relax: RelaxImpl,
+    cap: u32,
+    pred: &mut P,
+    tally: &mut Counters,
+) -> bool {
+    let Some((t_row, origin)) = rows.lease(t) else {
+        return false;
+    };
+    tally.row_reuses += 1;
+    match origin {
+        LeaseOrigin::CacheMiss => tally.lease_misses += 1,
+        LeaseOrigin::DecodeAhead => {
+            tally.lease_hits += 1;
+            tally.decode_ahead_hits += 1;
+        }
+        LeaseOrigin::Lent | LeaseOrigin::CacheHit => tally.lease_hits += 1,
+    }
+    tally.relaxations += match pred.reuse(row, t, &t_row, dt, cap) {
+        Some(improved) => improved,
+        None => relax_row(relax, row, &t_row, dt, cap),
+    };
+    true
+}
+
+/// Runs the modified Dijkstra from source `s` into `row`, reusing the
+/// completed rows `rows` lends.
 ///
-/// The caller must guarantee that it is the unique task running source `s`
-/// (see [`Store::try_row_mut`]). Every APSP driver in this crate iterates
-/// a permutation of the sources, which provides that guarantee.
-///
-/// On store backends that lend rows the solve happens in place; otherwise
-/// it is staged in `ws.row_buf` and handed over via
-/// [`Store::publish_from`]. Row reuse fires on *every* backend through
-/// [`Store::lease_row`]: dense rows are lent at zero cost, delta/mmap
-/// rows are pinned in the hot-row cache for the duration of the
-/// relaxation pass (decoding on a miss), and the queue-front
-/// [`Store::prefetch_row`] hint turns into a decode-ahead that hides that
-/// decode behind the current row's work.
+/// `row` must be all-[`INF`] on entry; on return it holds `s`'s exact
+/// (capped) SSSP row. Publishing it — Alg. 1 line 21, `flag[s] = 1` — is
+/// the caller's job, so `rows` never lends an unfinished `s`.
 ///
 /// Optional `intermediate_credit`: incremented at `t` whenever expanding
 /// `t`'s edges improved some other vertex — the signal Peng's *adaptive*
 /// ordering feeds back into source selection.
-pub(crate) fn modified_dijkstra(
+#[allow(clippy::too_many_arguments)]
+pub fn modified_dijkstra<R: CompletedRows, P: PredSink>(
     graph: &CsrGraph,
     s: u32,
-    store: &Store,
+    row: &mut [u32],
+    rows: &R,
     ws: &mut Workspace,
     options: KernelOptions,
     counters: &mut Counters,
     mut intermediate_credit: Option<&mut [u64]>,
+    pred: &mut P,
 ) {
-    let n = store.n();
-    debug_assert_eq!(graph.vertex_count(), n);
+    debug_assert_eq!(graph.vertex_count(), row.len());
     debug_assert!(ws.in_queue.none_set(), "dirty workspace");
-
-    // SAFETY: the caller guarantees unique ownership of row `s` and that it
-    // is unpublished; the borrow ends before publication below.
-    let (row, staged) = match unsafe { store.try_row_mut(s) } {
-        Some(row) => (row, false),
-        None => {
-            let buf = ws.row_buf.as_mut_slice();
-            buf.fill(INF);
-            (buf, true)
-        }
-    };
     row[s as usize] = 0;
 
     ws.queue.push_back(s);
@@ -231,46 +378,29 @@ pub(crate) fn modified_dijkstra(
 
     let cap = options.max_distance.unwrap_or(u32::MAX);
     // Resolve the dispatch once per source, not once per dequeued row.
-    let relax_impl = options.relax.resolve();
-    // Counter updates are hoisted into locals and flushed once on return:
-    // a per-element write to a `&mut Counters` field inside the row-reuse
-    // loop is a loop-carried memory dependence that blocks vectorization.
-    let mut queue_pops = 0u64;
-    let mut relaxations = 0u64;
-    let mut row_reuses = 0u64;
-    let mut lease_hits = 0u64;
-    let mut lease_misses = 0u64;
-    let mut decode_ahead_hits = 0u64;
+    let relax = options.relax.resolve();
+    let mut tally = Counters {
+        sources: 1,
+        ..Counters::default()
+    };
 
     while let Some(t) = ws.queue.pop_front() {
-        queue_pops += 1;
+        tally.queue_pops += 1;
         if options.dedup_queue {
             ws.in_queue.clear(t as usize);
         }
         let dt = row[t as usize];
 
         // Alg. 1 lines 6–11: a flagged vertex contributes its whole row.
-        // `t != s` always holds for published rows (row `s` is published
-        // only after this function returns), so no aliasing with `row`.
         if options.row_reuse {
             // Overlap the latency of the *next* reuse candidate with the
             // work on `t`: on dense its row head starts travelling toward
             // the cache now; on delta/mmap the decode-ahead worker starts
             // materializing it into the hot-row cache.
             if let Some(&next) = ws.queue.front() {
-                store.prefetch_row(next);
+                rows.prefetch(next);
             }
-            if let Some(t_row) = store.lease_row(t) {
-                row_reuses += 1;
-                match t_row.origin() {
-                    LeaseOrigin::CacheMiss => lease_misses += 1,
-                    LeaseOrigin::DecodeAhead => {
-                        lease_hits += 1;
-                        decode_ahead_hits += 1;
-                    }
-                    LeaseOrigin::Lent | LeaseOrigin::CacheHit => lease_hits += 1,
-                }
-                relaxations += relax_row(relax_impl, row, &t_row, dt, cap);
+            if reuse_row(rows, t, dt, row, relax, cap, pred, &mut tally) {
                 continue;
             }
         }
@@ -281,7 +411,8 @@ pub(crate) fn modified_dijkstra(
             let alt = dt.saturating_add(w);
             if alt < row[v as usize] && alt <= cap {
                 row[v as usize] = alt;
-                relaxations += 1;
+                pred.edge(t, v);
+                tally.relaxations += 1;
                 improved_someone = true;
                 if !options.dedup_queue || !ws.in_queue.get(v as usize) {
                     ws.queue.push_back(v);
@@ -298,31 +429,43 @@ pub(crate) fn modified_dijkstra(
         }
     }
 
-    counters.queue_pops += queue_pops;
-    counters.relaxations += relaxations;
-    counters.row_reuses += row_reuses;
-    counters.lease_hits += lease_hits;
-    counters.lease_misses += lease_misses;
-    counters.decode_ahead_hits += decode_ahead_hits;
-    counters.sources += 1;
-    // Alg. 1 line 21: flag[s] = 1 — i.e. publish the completed row.
-    if staged {
-        store.publish_from(s, row);
-    } else {
-        store.publish(s);
-    }
-
-    if !options.dedup_queue {
-        // Without the guard the bitmap was never written, nothing to clean.
-        debug_assert!(ws.in_queue.none_set());
-    }
+    counters.merge(&tally);
+    // Without the dedup guard the bitmap was never written.
+    debug_assert!(ws.in_queue.none_set());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::StoreSpec;
+    use crate::subset::SubsetState;
     use parapsp_graph::{CsrGraph, Direction, INF};
+
+    /// The row engines' sequence around the kernel, minus the in-place
+    /// borrow: solve row `s` into scratch, then publish it.
+    fn solve(
+        graph: &CsrGraph,
+        s: u32,
+        store: &Store,
+        ws: &mut Workspace,
+        options: KernelOptions,
+        counters: &mut Counters,
+        credit: Option<&mut [u64]>,
+    ) {
+        let mut row = vec![INF; store.n()];
+        modified_dijkstra(
+            graph,
+            s,
+            &mut row,
+            store,
+            ws,
+            options,
+            counters,
+            credit,
+            &mut NoPred,
+        );
+        store.publish_from(s, &row);
+    }
 
     fn run_all_sources_on(
         graph: &CsrGraph,
@@ -334,7 +477,7 @@ mod tests {
         let mut ws = Workspace::new(n);
         let mut counters = Counters::default();
         for s in 0..n as u32 {
-            modified_dijkstra(graph, s, &store, &mut ws, options, &mut counters, None);
+            solve(graph, s, &store, &mut ws, options, &mut counters, None);
         }
         assert_eq!(counters.sources, n as u64);
         store.into_matrix()
@@ -474,7 +617,12 @@ mod tests {
                 },
                 &spec,
             );
-            assert_eq!(reference.first_difference(&without), None, "{}", spec.label());
+            assert_eq!(
+                reference.first_difference(&without),
+                None,
+                "{}",
+                spec.label()
+            );
         }
     }
 
@@ -505,7 +653,7 @@ mod tests {
         let mut ws = Workspace::new(10);
         let mut counters = Counters::default();
         for s in 0..10u32 {
-            modified_dijkstra(
+            solve(
                 &g,
                 s,
                 &store,
@@ -535,7 +683,7 @@ mod tests {
             let mut ws = Workspace::new(12);
             let mut counters = Counters::default();
             for s in 0..12u32 {
-                modified_dijkstra(
+                solve(
                     &g,
                     s,
                     &store,
@@ -584,7 +732,7 @@ mod tests {
             let mut ws = Workspace::new(90);
             let mut counters = Counters::default();
             for s in 0..90u32 {
-                modified_dijkstra(&g, s, &store, &mut ws, options, &mut counters, None);
+                solve(&g, s, &store, &mut ws, options, &mut counters, None);
             }
             (store.into_matrix(), counters)
         };
@@ -638,7 +786,7 @@ mod tests {
             ..KernelOptions::default()
         };
         for s in 0..8u32 {
-            modified_dijkstra(
+            solve(
                 &g,
                 s,
                 &store,
@@ -650,5 +798,111 @@ mod tests {
         }
         assert!(credit[0] > 0, "the hub must collect intermediate credit");
         assert!(credit[1..].iter().all(|&c| c == 0), "leaves never relay");
+    }
+
+    #[test]
+    fn every_completed_row_lookup_runs_the_same_kernel() {
+        // One fixed, non-identity source order through the three lookups:
+        // the store, the subset slot map over every vertex, and a dist
+        // node holding every row locally. Same rows in, same rows and
+        // same work out.
+        let g = parapsp_graph::generate::erdos_renyi_gnm(
+            80,
+            400,
+            Direction::Directed,
+            parapsp_graph::generate::WeightSpec::Uniform { lo: 1, hi: 9 },
+            23,
+        )
+        .unwrap();
+        let n = 80usize;
+        let order: Vec<u32> = (0..n as u32).map(|i| i * 37 % n as u32).collect();
+        let all: Vec<u32> = (0..n as u32).collect();
+        for max_distance in [None, Some(7)] {
+            let options = KernelOptions {
+                max_distance,
+                ..KernelOptions::default()
+            };
+            let store = Store::new(n, &StoreSpec::dense());
+            let subset = SubsetState::new(n, &all);
+            let mut held = HeldRows::new(n);
+            let mut ws = Workspace::new(n);
+            let mut counts = [Counters::default(); 3];
+            for &s in &order {
+                let mut row = vec![INF; n];
+                modified_dijkstra(
+                    &g,
+                    s,
+                    &mut row,
+                    &store,
+                    &mut ws,
+                    options,
+                    &mut counts[0],
+                    None,
+                    &mut NoPred,
+                );
+                store.publish_from(s, &row);
+
+                // SAFETY: slot `s` is unpublished and owned by this loop.
+                let slot_row = unsafe { subset.row_mut(s) };
+                modified_dijkstra(
+                    &g,
+                    s,
+                    slot_row,
+                    &subset,
+                    &mut ws,
+                    options,
+                    &mut counts[1],
+                    None,
+                    &mut NoPred,
+                );
+                subset.publish(s);
+
+                let mut held_row = vec![INF; n];
+                modified_dijkstra(
+                    &g,
+                    s,
+                    &mut held_row,
+                    &held,
+                    &mut ws,
+                    options,
+                    &mut counts[2],
+                    None,
+                    &mut NoPred,
+                );
+                let held_row = held.keep_own(s, held_row);
+
+                assert_eq!(held_row, &row[..], "held row {s}, cap {max_distance:?}");
+                assert_eq!(
+                    subset.published_row_of_vertex(s),
+                    Some(&row[..]),
+                    "subset row {s}, cap {max_distance:?}"
+                );
+            }
+            let work = |c: &Counters| (c.queue_pops, c.relaxations, c.row_reuses, c.sources);
+            assert!(counts[0].row_reuses > 0, "the order must exercise reuse");
+            assert_eq!(
+                work(&counts[0]),
+                work(&counts[1]),
+                "subset, cap {max_distance:?}"
+            );
+            assert_eq!(
+                work(&counts[0]),
+                work(&counts[2]),
+                "held, cap {max_distance:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn held_rows_split_own_from_received() {
+        let mut held = HeldRows::new(3);
+        held.keep_received(0, vec![0, 1, 2]);
+        assert!(held.own(0).is_none());
+        assert_eq!(held.lease(0).map(|(_, o)| o), Some(LeaseOrigin::CacheMiss));
+        held.keep_own(0, vec![0, 1, 1]);
+        held.keep_received(0, vec![0, 5, 5]); // never clobbers an own row
+        assert_eq!(held.own(0), Some(&[0u32, 1, 1][..]));
+        assert_eq!(held.lease(0).map(|(_, o)| o), Some(LeaseOrigin::Lent));
+        assert!(held.lease(1).is_none());
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! * [`RunConfig::seq_basic`](engine::RunConfig::seq_basic) — Alg. 2: run
 //!   the kernel from every source in index order (drive a
-//!   [`SeqEngine`](engine::SeqEngine) with it).
+//!   [`SeqEngine`] with it).
 //! * [`RunConfig::seq_optimized`](engine::RunConfig::seq_optimized) —
 //!   Alg. 3: visit sources in descending degree order so hub rows are
 //!   reusable early (2–4× faster on scale-free graphs).
@@ -23,7 +23,7 @@
 //!   contribution **ParAPSP** (MultiLists ordering + dynamic-cyclic
 //!   scheduling), plus every intermediate variant, all configurable by
 //!   ordering procedure and loop schedule (drive an
-//!   [`ApspEngine`](engine::ApspEngine)).
+//!   [`ApspEngine`]).
 //! * [`baselines`] — Floyd–Warshall, binary-heap Dijkstra APSP (sequential
 //!   and parallel), Bellman–Ford and BFS, used for cross-validation and
 //!   the background comparisons in the paper's §2.
@@ -63,8 +63,8 @@ pub mod subset;
 
 pub use dist::DistanceMatrix;
 pub use engine::{
-    ApspEngine, BlockedFwEngine, CheckpointFormat, Engine, EngineKind, RunConfig, Runner,
-    SeqEngine, StoreApspEngine, StoreRunOutput, SubsetEngine, ValueEnum,
+    ApspEngine, BlockedFwEngine, CheckpointFormat, Engine, EngineKind, FromStore, RunConfig,
+    Runner, SeqEngine, StoreRunOutput, SubsetEngine, ValueEnum,
 };
 pub use outcome::RunOutcome;
 pub use persist::{FsyncPolicy, RowLedger};

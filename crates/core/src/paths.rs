@@ -3,24 +3,24 @@
 //!
 //! The paper's algorithms return the distance matrix; applications like the
 //! transportation studies cited in its related work (§6) also need the
-//! routes. This module extends the modified-Dijkstra kernel with a
-//! predecessor matrix sharing the same row-publication protocol — when a
-//! published row of `t` relaxes `v`, the predecessor of `v` on the
-//! composed path `s ⇝ t ⇝ v` is exactly `t`'s recorded predecessor of `v`,
-//! so reuse composes for predecessors just as it does for distances.
+//! routes. This module runs the shared Alg. 1 kernel with a predecessor
+//! sink ([`PredSink`]): when a published row of `t` relaxes `v`, the
+//! predecessor of `v` on the composed path `s ⇝ t ⇝ v` is exactly `t`'s
+//! recorded predecessor of `v`, so reuse composes for predecessors just as
+//! it does for distances.
 //!
 //! Memory cost: a second n × n `u32` matrix.
 
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use parapsp_graph::{degree, CsrGraph, INF};
+use parapsp_graph::{degree, CsrGraph};
 use parapsp_order::OrderingProcedure;
-use parapsp_parfor::{PerThread, Schedule, ThreadPool};
+use parapsp_parfor::{ParSlice, PerThread, Schedule, ThreadPool};
 
 use crate::dist::DistanceMatrix;
+use crate::kernel::{modified_dijkstra, KernelOptions, PredSink, Workspace};
+use crate::stats::Counters;
+use crate::store::{Store, StoreSpec};
 
 /// Sentinel in the predecessor matrix: no predecessor (self or unreachable).
 pub const NO_PRED: u32 = u32::MAX;
@@ -90,131 +90,48 @@ pub struct ApspPaths {
     pub elapsed: std::time::Duration,
 }
 
-/// Shared distance + predecessor state with one publication flag per row
-/// pair. Same memory model as `SharedDistState` (see `crate::shared`): the
-/// flag is stored with `Release` after *both* rows are final, and loaded
-/// with `Acquire` before either is read.
-struct SharedPathState {
+/// The kernel's predecessor sink for one source `s`. Predecessor rows
+/// carry no flags of their own: the owner of `s` writes row `s` before it
+/// publishes distance row `s` in the [`Store`], and a reader touches row
+/// `t` only while it holds a lease of distance row `t` — so the store's
+/// Release/Acquire publication flag orders both matrices.
+struct PathSink<'a> {
+    preds: &'a ParSlice<'a, u32>,
     n: usize,
-    dist: Box<[UnsafeCell<u32>]>,
-    pred: Box<[UnsafeCell<u32>]>,
-    flags: Box<[AtomicBool]>,
-}
-
-// SAFETY: identical protocol to `SharedDistState`; both matrices are
-// guarded by the same flag.
-unsafe impl Sync for SharedPathState {}
-
-impl SharedPathState {
-    fn new(n: usize) -> Self {
-        let len = n.checked_mul(n).expect("matrix size overflow");
-        let dist: Box<[u32]> = vec![INF; len].into_boxed_slice();
-        let pred: Box<[u32]> = vec![NO_PRED; len].into_boxed_slice();
-        // SAFETY: UnsafeCell<u32> is repr(transparent) over u32.
-        let dist = unsafe { Box::from_raw(Box::into_raw(dist) as *mut [UnsafeCell<u32>]) };
-        let pred = unsafe { Box::from_raw(Box::into_raw(pred) as *mut [UnsafeCell<u32>]) };
-        let flags = (0..n).map(|_| AtomicBool::new(false)).collect();
-        SharedPathState {
-            n,
-            dist,
-            pred,
-            flags,
-        }
-    }
-
-    /// # Safety
-    /// Caller must be the unique owner of row `s` (unpublished).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn rows_mut(&self, s: u32) -> (&mut [u32], &mut [u32]) {
-        let start = s as usize * self.n;
-        // SAFETY: forwarded from the caller; dist and pred are distinct
-        // allocations so the two borrows never alias.
-        unsafe {
-            (
-                std::slice::from_raw_parts_mut(self.dist[start].get(), self.n),
-                std::slice::from_raw_parts_mut(self.pred[start].get(), self.n),
-            )
-        }
-    }
-
-    fn publish(&self, s: u32) {
-        self.flags[s as usize].store(true, Ordering::Release);
-    }
-
-    fn published_rows(&self, t: u32) -> Option<(&[u32], &[u32])> {
-        if self.flags[t as usize].load(Ordering::Acquire) {
-            let start = t as usize * self.n;
-            // SAFETY: Acquire pairs with the owner's Release; rows are
-            // final after publication.
-            Some(unsafe {
-                (
-                    std::slice::from_raw_parts(self.dist[start].get() as *const u32, self.n),
-                    std::slice::from_raw_parts(self.pred[start].get() as *const u32, self.n),
-                )
-            })
-        } else {
-            None
-        }
-    }
-
-    fn into_matrices(self) -> (DistanceMatrix, PredecessorMatrix) {
-        let n = self.n;
-        // SAFETY: inverse transmute of `new`.
-        let dist: Box<[u32]> = unsafe { Box::from_raw(Box::into_raw(self.dist) as *mut [u32]) };
-        let pred: Box<[u32]> = unsafe { Box::from_raw(Box::into_raw(self.pred) as *mut [u32]) };
-        (
-            DistanceMatrix::from_raw(n, dist),
-            PredecessorMatrix { n, data: pred },
-        )
-    }
-}
-
-/// The modified Dijkstra with predecessor tracking, from source `s`.
-///
-/// Safety contract identical to the distance-only kernel: the caller is the
-/// unique task for source `s`.
-fn kernel_with_pred(
-    graph: &CsrGraph,
     s: u32,
-    state: &SharedPathState,
-    queue: &mut VecDeque<u32>,
-    in_queue: &mut [bool],
-) {
-    // SAFETY: unique ownership of row `s` is the caller's contract.
-    let (dist, pred) = unsafe { state.rows_mut(s) };
-    dist[s as usize] = 0;
-    queue.push_back(s);
-    in_queue[s as usize] = true;
-    while let Some(t) = queue.pop_front() {
-        in_queue[t as usize] = false;
-        let dt = dist[t as usize];
-        if let Some((t_dist, t_pred)) = state.published_rows(t) {
-            for v in 0..state.n {
-                let alt = dt.saturating_add(t_dist[v]);
-                if alt < dist[v] {
-                    dist[v] = alt;
-                    // Composition: the predecessor of v inside t's tree is
-                    // also its predecessor on the s ⇝ t ⇝ v path; for
-                    // v == t's direct successors this is t itself, which is
-                    // what t_pred records. v == t never improves (alt == dt).
-                    pred[v] = if t_pred[v] == NO_PRED { t } else { t_pred[v] };
-                }
-            }
-            continue;
-        }
-        for (v, w) in graph.out_edges(t) {
-            let alt = dt.saturating_add(w);
-            if alt < dist[v as usize] {
-                dist[v as usize] = alt;
-                pred[v as usize] = t;
-                if !in_queue[v as usize] {
-                    queue.push_back(v);
-                    in_queue[v as usize] = true;
-                }
-            }
-        }
+}
+
+impl PredSink for PathSink<'_> {
+    #[inline]
+    fn edge(&mut self, t: u32, v: u32) {
+        // SAFETY: predecessor row `s` belongs to this task until it
+        // publishes distance row `s`.
+        unsafe { self.preds.write(self.s as usize * self.n + v as usize, t) };
     }
-    state.publish(s);
+
+    fn reuse(&mut self, row: &mut [u32], t: u32, t_row: &[u32], dt: u32, cap: u32) -> Option<u64> {
+        let (mine, theirs) = (self.s as usize * self.n, t as usize * self.n);
+        let mut improved = 0;
+        for v in 0..row.len() {
+            let alt = dt.saturating_add(t_row[v]);
+            if alt < row[v] && alt <= cap {
+                row[v] = alt;
+                // Composition: the predecessor of v inside t's tree is also
+                // its predecessor on the s ⇝ t ⇝ v path; for t's direct
+                // successors that is t itself. v == t never improves.
+                // SAFETY: the kernel holds a lease of distance row `t`, so
+                // its owner has finished predecessor row `t`; row `s` is
+                // this task's.
+                unsafe {
+                    let via = self.preds.read(theirs + v);
+                    self.preds
+                        .write(mine + v, if via == NO_PRED { t } else { via });
+                }
+                improved += 1;
+            }
+        }
+        Some(improved)
+    }
 }
 
 /// ParAPSP with route reconstruction: MultiLists ordering, dynamic-cyclic
@@ -225,22 +142,34 @@ pub fn par_apsp_with_paths(graph: &CsrGraph, threads: usize) -> ApspPaths {
     let start = Instant::now();
     let degrees = degree::out_degrees(graph);
     let order = OrderingProcedure::multi_lists().compute(&degrees, &pool);
-    let state = SharedPathState::new(n);
-    let locals: PerThread<(VecDeque<u32>, Vec<bool>)> =
-        PerThread::from_fn(pool.num_threads(), |_| (VecDeque::new(), vec![false; n]));
-    let order_ref = &order;
-    let state_ref = &state;
-    pool.parallel_for(n, Schedule::dynamic_cyclic(), |tid, k| {
-        let s = order_ref[k];
-        // SAFETY: one slot per pool thread.
-        let (queue, in_queue) = unsafe { locals.get_mut(tid) };
-        // `order` is a permutation: source `s` is uniquely owned here.
-        kernel_with_pred(graph, s, state_ref, queue, in_queue);
+    let store = Store::new(n, &StoreSpec::dense());
+    let mut pred = vec![NO_PRED; n * n];
+    let preds = ParSlice::new(&mut pred);
+    let locals = PerThread::from_fn(pool.num_threads(), |_| {
+        (Workspace::new(n), Counters::default())
     });
-    let (dist, pred) = state.into_matrices();
+    pool.parallel_for(n, Schedule::dynamic_cyclic(), |tid, k| {
+        let s = order[k];
+        // SAFETY: one slot per pool thread.
+        let (ws, counters) = unsafe { locals.get_mut(tid) };
+        // SAFETY: `order` is a permutation, so this iteration uniquely
+        // owns row `s` until it publishes.
+        let row = unsafe { store.try_row_mut(s) }.expect("the dense store lends rows");
+        let mut sink = PathSink {
+            preds: &preds,
+            n,
+            s,
+        };
+        let opts = KernelOptions::default();
+        modified_dijkstra(graph, s, row, &store, ws, opts, counters, None, &mut sink);
+        store.publish(s);
+    });
     ApspPaths {
-        dist,
-        pred,
+        dist: store.into_matrix(),
+        pred: PredecessorMatrix {
+            n,
+            data: pred.into_boxed_slice(),
+        },
         elapsed: start.elapsed(),
     }
 }
@@ -249,7 +178,7 @@ pub fn par_apsp_with_paths(graph: &CsrGraph, threads: usize) -> ApspPaths {
 mod tests {
     use super::*;
     use parapsp_graph::generate::{barabasi_albert, erdos_renyi_gnm, WeightSpec};
-    use parapsp_graph::Direction;
+    use parapsp_graph::{Direction, INF};
 
     /// Checks that every reconstructed path is a real edge walk whose
     /// weights sum to the reported distance.

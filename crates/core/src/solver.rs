@@ -4,7 +4,7 @@
 //! module the *how* was hard-wired to the modified Dijkstra in
 //! [`crate::kernel`]. The seam here makes the row solver a run-time
 //! choice while everything around it — the kernel's `Workspace` scratch, the
-//! vectorized [`relax_row`] pass, the distance cap, the Release/Acquire
+//! vectorized row-reuse pass, the distance cap, the Release/Acquire
 //! row publication — stays shared:
 //!
 //! * [`SolverKind::Dijkstra`] — the paper's FIFO label-correcting kernel
@@ -13,11 +13,6 @@
 //!   for complex networks by Kranjčević, Palossi & Pintarelli): vertices
 //!   bucketed by `⌊tent/Δ⌋`, light edges (`w ≤ Δ`) relaxed to a fixpoint
 //!   per bucket, heavy edges once per removed vertex.
-//! * [`SolverKind::Stepping`] — a bucket-fusion stepping variant in the
-//!   Dong–Gu–Sun style: consecutive buckets are fused into one span
-//!   (up to a batch budget) and the span is settled by a FIFO
-//!   sub-frontier, trading Δ-stepping's strict bucket granularity for
-//!   wider batches and no light/heavy split.
 //! * [`SolverKind::Auto`] — probe the graph once ([`probe`]) and let
 //!   [`autotune`] pick solver, Δ, schedule and relax implementation.
 //!
@@ -43,32 +38,20 @@
 //! buckets aliasing one slot loses entries — that is where bucketed
 //! relaxation makes naive reuse illegal).
 //!
-//! The fused-span stepping solver *declines* reuse via its capability
-//! flag ([`SolverKind::supports_row_reuse`], mirroring the
-//! [`EngineKind`](crate::EngineKind) capability tables): its span
-//! extraction treats "no live entry at the vertex's current bucket" as
-//! "settled and fully expanded", an invariant reuse breaks by improving
-//! without inserting; keeping it legal would need a row re-application
-//! on every span a reused vertex re-enters — an O(n) pass per re-entry
-//! that forfeits exactly the batching the fusion buys (see DESIGN.md
-//! §12 and EXPERIMENTS.md).
-//!
-//! Reuse rows are read through [`Store::lease_row`] (a [`RowLease`]
-//! guard), so the trick fires identically on every store backend: dense
-//! lends the row, delta/mmap pin a hot-cache entry for the relaxation
-//! pass while [`Store::prefetch_row`] decode-ahead hints keep the next
-//! candidate warm. `supports_row_reuse` composes with leases the obvious
-//! way: a solver that declines reuse never calls `lease_row` at all.
-//!
-//! [`RowLease`]: crate::store::RowLease
+//! Reuse rows are read through the kernel's shared lease → counters →
+//! [`relax_row`](crate::relax::relax_row) helper, so the trick fires
+//! identically on every store backend: dense lends the row, delta/mmap
+//! pin a hot-cache entry for the relaxation pass while
+//! [`Store::prefetch_row`] decode-ahead hints keep the next candidate
+//! warm.
 
-use parapsp_graph::CsrGraph;
+use parapsp_graph::{CsrGraph, INF};
 use parapsp_parfor::{spec, Schedule};
 
-use crate::kernel::{modified_dijkstra, KernelOptions, Workspace};
-use crate::relax::{relax_row, RelaxImpl};
+use crate::kernel::{modified_dijkstra, reuse_row, KernelOptions, NoPred, Workspace};
+use crate::relax::RelaxImpl;
 use crate::stats::Counters;
-use crate::store::{LeaseOrigin, Store};
+use crate::store::Store;
 
 // ---------------------------------------------------------------------------
 // SolverKind — the CLI-facing choice
@@ -79,7 +62,7 @@ use crate::store::{LeaseOrigin, Store};
 /// All variants produce bit-identical distances; they differ in how they
 /// order relaxations, which is a (graph-class-dependent) performance
 /// choice. CLI spellings: `dijkstra`, `delta`, `delta:auto`, `delta:<Δ>`,
-/// `stepping`, `auto`.
+/// `auto`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
     /// The paper's modified Dijkstra (FIFO label-correcting + row reuse).
@@ -90,25 +73,21 @@ pub enum SolverKind {
         /// Bucket width; `None` picks Δ from the mean edge weight.
         delta: Option<u32>,
     },
-    /// Bucket-fusion stepping (fused spans, no light/heavy split).
-    Stepping,
     /// Probe the graph once and pick a concrete solver ([`autotune`]).
     Auto,
 }
 
 impl SolverKind {
     /// Every CLI spelling, for self-describing rejection messages.
-    pub const POSSIBLE: &'static [&'static str] =
-        &["dijkstra", "delta[:<Δ>|:auto]", "stepping", "auto"];
+    pub const POSSIBLE: &'static [&'static str] = &["dijkstra", "delta[:<Δ>|:auto]", "auto"];
 
-    /// Stable label: `dijkstra`, `delta:auto`, `delta:<Δ>`, `stepping`,
-    /// `auto`. Round-trips through [`SolverKind::parse`].
+    /// Stable label: `dijkstra`, `delta:auto`, `delta:<Δ>`, `auto`.
+    /// Round-trips through [`SolverKind::parse`].
     pub fn label(self) -> String {
         match self {
             SolverKind::Dijkstra => "dijkstra".to_owned(),
             SolverKind::Delta { delta: None } => "delta:auto".to_owned(),
             SolverKind::Delta { delta: Some(d) } => format!("delta:{d}"),
-            SolverKind::Stepping => "stepping".to_owned(),
             SolverKind::Auto => "auto".to_owned(),
         }
     }
@@ -118,11 +97,8 @@ impl SolverKind {
     pub fn parse(raw: &str) -> Result<SolverKind, String> {
         let (name, param) = spec::split_spec(raw);
         match name {
-            "dijkstra" | "stepping" | "auto" if param.is_some() => {
-                Err(spec::reject_param("solver", name))
-            }
+            "dijkstra" | "auto" if param.is_some() => Err(spec::reject_param("solver", name)),
             "dijkstra" => Ok(SolverKind::Dijkstra),
-            "stepping" => Ok(SolverKind::Stepping),
             "auto" => Ok(SolverKind::Auto),
             "delta" => match param {
                 None | Some("auto") => Ok(SolverKind::Delta { delta: None }),
@@ -137,14 +113,6 @@ impl SolverKind {
             },
             _ => Err(spec::reject_unknown("solver", raw, Self::POSSIBLE)),
         }
-    }
-
-    /// Capability flag: whether this solver may apply the paper's
-    /// row-reuse trick (see the module docs for why the stepping solver
-    /// declines). `Auto` reports `true` because resolution always picks
-    /// a concrete solver, which then answers for itself.
-    pub fn supports_row_reuse(self) -> bool {
-        !matches!(self, SolverKind::Stepping)
     }
 }
 
@@ -301,11 +269,6 @@ pub fn auto_delta(weight_mean: f64) -> u32 {
 /// * otherwise → `dijkstra` (including sparse wide graphs: the FIFO
 ///   kernel's relaxation count is near-optimal there and its lower
 ///   per-edge overhead keeps it ahead — measured, not assumed).
-///
-/// The tuner never picks `stepping`: across every class measured it
-/// loses end-to-end, chiefly because its span extraction forfeits the
-/// row-reuse trick (module docs). It stays independently selectable for
-/// exactly that kind of honest comparison.
 pub fn autotune(graph: &CsrGraph) -> AutoChoice {
     let p = probe(graph);
     let uniform = p.weight_min == p.weight_max;
@@ -337,18 +300,10 @@ pub fn autotune(graph: &CsrGraph) -> AutoChoice {
 // RowSolver — the resolved, per-run solver
 // ---------------------------------------------------------------------------
 
-/// Span batch target for the stepping solver: fuse buckets until the
-/// extracted span holds at least this many vertices.
-const STEPPING_RHO: usize = 64;
-/// Most consecutive buckets one stepping span may fuse (bounds the
-/// cyclic ring window).
-const STEPPING_FUSE_MAX: u64 = 8;
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Resolved {
     Dijkstra,
     Delta,
-    Stepping,
 }
 
 /// Light/heavy adjacency partition for Δ-stepping, built once per run at
@@ -458,24 +413,17 @@ impl RowSolver {
                     partition: Some(LightHeavy::build(graph, delta)),
                 }
             }
-            SolverKind::Stepping => {
-                let (_, maxw, meanw) = weight_stats(graph);
-                let delta = auto_delta(meanw);
-                RowSolver {
-                    kind: Resolved::Stepping,
-                    delta,
-                    ring: (maxw as u64).div_ceil(delta as u64) as usize
-                        + STEPPING_FUSE_MAX as usize
-                        + 2,
-                    partition: None,
-                }
-            }
             SolverKind::Auto => unreachable!("autotune returns a concrete solver"),
         }
     }
 
-    /// Computes row `s`, publishing it on completion. Same contract as
-    /// [`modified_dijkstra`]: the caller is the unique owner of row `s`.
+    /// Computes row `s` of `store` and publishes it (Alg. 1 line 21).
+    ///
+    /// The caller must be the unique task running source `s` (see
+    /// [`Store::try_row_mut`]); every APSP driver in this crate iterates a
+    /// permutation of the sources, which provides that guarantee. On
+    /// backends that lend rows the solve happens in place; otherwise it is
+    /// staged in `ws.row_buf` and handed over via [`Store::publish_from`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_row(
         &self,
@@ -485,32 +433,40 @@ impl RowSolver {
         ws: &mut Workspace,
         options: KernelOptions,
         counters: &mut Counters,
-        intermediate_credit: Option<&mut [u64]>,
+        credit: Option<&mut [u64]>,
     ) {
-        match self.kind {
-            Resolved::Dijkstra => {
-                modified_dijkstra(graph, s, store, ws, options, counters, intermediate_credit)
+        let mut staged = None;
+        // SAFETY: the caller guarantees unique ownership of unpublished
+        // row `s`; the borrow ends before publication below.
+        let row = match unsafe { store.try_row_mut(s) } {
+            Some(row) => row,
+            None => {
+                let buf = staged.insert(std::mem::take(&mut ws.row_buf));
+                buf.fill(INF);
+                buf.as_mut_slice()
             }
-            Resolved::Delta => delta_row(
-                self,
+        };
+        match self.kind {
+            Resolved::Dijkstra => modified_dijkstra(
                 graph,
                 s,
+                row,
                 store,
                 ws,
                 options,
                 counters,
-                intermediate_credit,
+                credit,
+                &mut NoPred,
             ),
-            Resolved::Stepping => stepping_row(
-                self,
-                graph,
-                s,
-                store,
-                ws,
-                options,
-                counters,
-                intermediate_credit,
-            ),
+            Resolved::Delta => delta_row(self, graph, s, row, store, ws, options, counters, credit),
+        }
+        // Alg. 1 line 21: flag[s] = 1.
+        match staged {
+            Some(row) => {
+                store.publish_from(s, &row);
+                ws.row_buf = row;
+            }
+            None => store.publish(s),
         }
     }
 }
@@ -545,43 +501,27 @@ fn delta_row(
     solver: &RowSolver,
     graph: &CsrGraph,
     s: u32,
+    row: &mut [u32],
     store: &Store,
     ws: &mut Workspace,
     options: KernelOptions,
     counters: &mut Counters,
-    mut intermediate_credit: Option<&mut [u64]>,
+    mut credit: Option<&mut [u64]>,
 ) {
-    let n = store.n();
-    debug_assert_eq!(graph.vertex_count(), n);
+    debug_assert_eq!(graph.vertex_count(), row.len());
     let delta = solver.delta as u64;
     let part = solver
         .partition
         .as_ref()
         .expect("delta resolved with a light/heavy partition");
-
-    // SAFETY: the caller guarantees unique ownership of row `s` and that
-    // it is unpublished; the borrow ends before publication below.
-    let (row, staged) = match unsafe { store.try_row_mut(s) } {
-        Some(row) => (row, false),
-        None => {
-            let buf = ws.row_buf.as_mut_slice();
-            buf.fill(parapsp_graph::INF);
-            (buf, true)
-        }
-    };
     row[s as usize] = 0;
 
     let cap = options.max_distance.unwrap_or(u32::MAX);
-    let relax_impl = options.relax.resolve();
-    // Δ-stepping keeps the reuse discipline complete (module docs), so the
-    // kernel option alone decides.
-    let reuse = options.row_reuse;
-    let mut queue_pops = 0u64;
-    let mut relaxations = 0u64;
-    let mut row_reuses = 0u64;
-    let mut lease_hits = 0u64;
-    let mut lease_misses = 0u64;
-    let mut decode_ahead_hits = 0u64;
+    let relax = options.relax.resolve();
+    let mut tally = Counters {
+        sources: 1,
+        ..Counters::default()
+    };
 
     ws.buckets.reset(solver.ring);
     ws.buckets.push(0, s);
@@ -612,26 +552,17 @@ fn delta_row(
                 if dv as u64 / delta != b {
                     continue; // stale entry: a fresher one exists or it settled
                 }
-                queue_pops += 1;
-                if reuse {
+                tally.queue_pops += 1;
+                if options.row_reuse {
                     // Decode-ahead for the next drained entry, mirroring
                     // the FIFO kernel's queue-front prefetch: its row is
                     // being materialized while this one relaxes.
                     if let Some(&next) = ws.scratch.get(i + 1) {
                         store.prefetch_row(next);
                     }
-                    if let Some(v_row) = store.lease_row(v) {
-                        row_reuses += 1;
-                        match v_row.origin() {
-                            LeaseOrigin::CacheMiss => lease_misses += 1,
-                            LeaseOrigin::DecodeAhead => {
-                                lease_hits += 1;
-                                decode_ahead_hits += 1;
-                            }
-                            LeaseOrigin::Lent | LeaseOrigin::CacheHit => lease_hits += 1,
-                        }
-                        relaxations += relax_row(relax_impl, row, &v_row, dv, cap);
-                        continue; // row covers light *and* heavy continuations
+                    // The row covers light *and* heavy continuations.
+                    if reuse_row(store, v, dv, row, relax, cap, &mut NoPred, &mut tally) {
+                        continue;
                     }
                 }
                 if !ws.in_removed.get(v as usize) {
@@ -643,13 +574,13 @@ fn delta_row(
                     let alt = dv.saturating_add(w);
                     if alt < row[u as usize] && alt <= cap {
                         row[u as usize] = alt;
-                        relaxations += 1;
+                        tally.relaxations += 1;
                         improved_someone = true;
                         ws.buckets.push(alt as u64 / delta, u);
                     }
                 }
                 if improved_someone && v != s {
-                    if let Some(credit) = intermediate_credit.as_deref_mut() {
+                    if let Some(credit) = credit.as_deref_mut() {
                         credit[v as usize] += 1;
                     }
                 }
@@ -666,13 +597,13 @@ fn delta_row(
                 let alt = dv.saturating_add(w);
                 if alt < row[u as usize] && alt <= cap {
                     row[u as usize] = alt;
-                    relaxations += 1;
+                    tally.relaxations += 1;
                     improved_someone = true;
                     ws.buckets.push(alt as u64 / delta, u);
                 }
             }
             if improved_someone && v != s {
-                if let Some(credit) = intermediate_credit.as_deref_mut() {
+                if let Some(credit) = credit.as_deref_mut() {
                     credit[v as usize] += 1;
                 }
             }
@@ -683,145 +614,7 @@ fn delta_row(
         ws.removed.clear();
         cur = b + 1;
     }
-
-    counters.queue_pops += queue_pops;
-    counters.relaxations += relaxations;
-    counters.row_reuses += row_reuses;
-    counters.lease_hits += lease_hits;
-    counters.lease_misses += lease_misses;
-    counters.decode_ahead_hits += decode_ahead_hits;
-    counters.sources += 1;
-    if staged {
-        store.publish_from(s, row);
-    } else {
-        store.publish(s);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bucket-fusion stepping
-// ---------------------------------------------------------------------------
-
-/// Bucket-fusion stepping from source `s`.
-///
-/// Buckets share the Δ-stepping ring, but instead of settling one
-/// bucket at a time the solver *fuses* up to [`STEPPING_FUSE_MAX`]
-/// consecutive buckets (stopping early once the span holds
-/// [`STEPPING_RHO`] vertices) and settles the whole span with a FIFO
-/// sub-frontier: improvements below the span threshold re-enter the
-/// FIFO, improvements at or above it go back to the buckets (always
-/// beyond the fused range, so processed spans never reopen). There is
-/// no light/heavy split — the span threshold plays Δ's role
-/// adaptively. Row reuse is gated off by capability (module docs).
-#[allow(clippy::too_many_arguments)]
-fn stepping_row(
-    solver: &RowSolver,
-    graph: &CsrGraph,
-    s: u32,
-    store: &Store,
-    ws: &mut Workspace,
-    options: KernelOptions,
-    counters: &mut Counters,
-    mut intermediate_credit: Option<&mut [u64]>,
-) {
-    let n = store.n();
-    debug_assert_eq!(graph.vertex_count(), n);
-    debug_assert!(ws.in_queue.none_set(), "dirty workspace");
-    let delta = solver.delta as u64;
-
-    // SAFETY: as in `delta_row`.
-    let (row, staged) = match unsafe { store.try_row_mut(s) } {
-        Some(row) => (row, false),
-        None => {
-            let buf = ws.row_buf.as_mut_slice();
-            buf.fill(parapsp_graph::INF);
-            (buf, true)
-        }
-    };
-    row[s as usize] = 0;
-
-    let cap = options.max_distance.unwrap_or(u32::MAX);
-    let mut queue_pops = 0u64;
-    let mut relaxations = 0u64;
-
-    ws.buckets.reset(solver.ring);
-    ws.buckets.push(0, s);
-    let mut cur: u64 = 0;
-
-    while ws.buckets.live() > 0 {
-        let mut b = cur;
-        for k in 0..solver.ring as u64 {
-            if !ws.buckets.slot_is_empty(cur + k) {
-                b = cur + k;
-                break;
-            }
-        }
-        debug_assert!(!ws.buckets.slot_is_empty(b), "live() > 0 but no slot found");
-
-        // Fuse buckets b, b+1, … into one span until the batch budget is
-        // met, seeding the FIFO with every current (non-stale) member.
-        let mut last = b;
-        let mut batch = 0usize;
-        for off in 0..STEPPING_FUSE_MAX {
-            let abs = b + off;
-            last = abs;
-            ws.scratch.clear();
-            ws.buckets.drain_into(abs, &mut ws.scratch);
-            for &v in ws.scratch.iter() {
-                if row[v as usize] as u64 / delta == abs && !ws.in_queue.get(v as usize) {
-                    ws.queue.push_back(v);
-                    ws.in_queue.set(v as usize);
-                    batch += 1;
-                }
-            }
-            if batch >= STEPPING_RHO {
-                break;
-            }
-        }
-        // Everything strictly below this threshold is settled in-span.
-        let threshold = (last + 1) * delta;
-
-        while let Some(v) = ws.queue.pop_front() {
-            ws.in_queue.clear(v as usize);
-            queue_pops += 1;
-            let dv = row[v as usize];
-            debug_assert!((dv as u64) < threshold, "span member above threshold");
-            let mut improved_someone = false;
-            for (u, w) in graph.out_edges(v) {
-                let alt = dv.saturating_add(w);
-                if alt < row[u as usize] && alt <= cap {
-                    row[u as usize] = alt;
-                    relaxations += 1;
-                    improved_someone = true;
-                    if (alt as u64) < threshold {
-                        if !ws.in_queue.get(u as usize) {
-                            ws.queue.push_back(u);
-                            ws.in_queue.set(u as usize);
-                        }
-                    } else {
-                        // Beyond the span: always a bucket > `last`, so
-                        // processed spans never reopen.
-                        ws.buckets.push(alt as u64 / delta, u);
-                    }
-                }
-            }
-            if improved_someone && v != s {
-                if let Some(credit) = intermediate_credit.as_deref_mut() {
-                    credit[v as usize] += 1;
-                }
-            }
-        }
-        cur = last + 1;
-    }
-
-    counters.queue_pops += queue_pops;
-    counters.relaxations += relaxations;
-    counters.sources += 1;
-    if staged {
-        store.publish_from(s, row);
-    } else {
-        store.publish(s);
-    }
+    counters.merge(&tally);
 }
 
 #[cfg(test)]
@@ -859,7 +652,6 @@ mod tests {
             SolverKind::Dijkstra,
             SolverKind::Delta { delta: None },
             SolverKind::Delta { delta: Some(3) },
-            SolverKind::Stepping,
             SolverKind::Auto,
         ]
     }
@@ -919,26 +711,18 @@ mod tests {
             "delta:12".parse(),
             Ok(SolverKind::Delta { delta: Some(12) })
         );
-        assert_eq!("stepping".parse(), Ok(SolverKind::Stepping));
         assert_eq!("auto".parse(), Ok(SolverKind::Auto));
     }
 
     #[test]
     fn parse_rejects_malformed_specs_with_possible_values() {
-        for bad in [
-            "",
-            "djkstra",
-            "delta:0",
-            "delta:wide",
-            "stepping:4",
-            "auto:1",
-        ] {
+        for bad in ["", "djkstra", "delta:0", "delta:wide", "stepping", "auto:1"] {
             let err = bad.parse::<SolverKind>().unwrap_err();
             assert!(err.contains("solver"), "{bad}: {err}");
         }
         let err = "warp".parse::<SolverKind>().unwrap_err();
         assert!(
-            err.contains("possible values") && err.contains("stepping"),
+            err.contains("possible values") && err.contains("delta"),
             "{err}"
         );
     }
@@ -948,15 +732,6 @@ mod tests {
         for kind in all_solver_kinds() {
             assert_eq!(kind.label().parse(), Ok(kind), "{}", kind.label());
         }
-    }
-
-    #[test]
-    fn row_reuse_capability_is_gated_only_for_stepping() {
-        assert!(SolverKind::Dijkstra.supports_row_reuse());
-        assert!(SolverKind::Delta { delta: None }.supports_row_reuse());
-        assert!(SolverKind::Delta { delta: Some(4) }.supports_row_reuse());
-        assert!(SolverKind::Auto.supports_row_reuse());
-        assert!(!SolverKind::Stepping.supports_row_reuse());
     }
 
     #[test]
@@ -1153,11 +928,7 @@ mod tests {
         )
         .unwrap();
         let n = graph.vertex_count();
-        for kind in [
-            SolverKind::Dijkstra,
-            SolverKind::Delta { delta: None },
-            SolverKind::Stepping,
-        ] {
+        for kind in [SolverKind::Dijkstra, SolverKind::Delta { delta: None }] {
             let options = KernelOptions {
                 solver: kind,
                 ..KernelOptions::default()

@@ -204,7 +204,7 @@ impl StoreSpec {
     }
 
     /// Checks that the hot-row cache budget can hold the lease working
-    /// set at matrix size `n`: at least [`MIN_CACHE_ROWS`] decoded rows
+    /// set at matrix size `n`: at least `MIN_CACHE_ROWS` decoded rows
     /// (one pinned by a live [`RowLease`] plus one incoming decode).
     /// Rejecting this up front turns what would otherwise be mid-run
     /// thrash or a mid-run panic into a self-describing build error that

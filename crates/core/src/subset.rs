@@ -3,15 +3,15 @@
 //! The paper's hard limit is the O(n²) result matrix (its sx-superuser run
 //! needs 160 GB, §5.1). Many analyses don't need all rows: landmark-based
 //! distance estimation, closeness sampling, or per-community probes use
-//! k ≪ n sources. This module runs the modified Dijkstra from exactly
-//! those sources, with row reuse **among the subset** (a completed subset
-//! row accelerates the remaining subset runs exactly as in full ParAPSP),
-//! in O(k·n) memory.
+//! k ≪ n sources. This module runs the shared Alg. 1 kernel
+//! ([`modified_dijkstra`]) from exactly those sources, with row reuse
+//! **among the subset** (a completed subset row accelerates the remaining
+//! subset runs exactly as in full ParAPSP), in O(k·n) memory.
 //!
 //! The algorithm-specific parts live in [`SubsetEngine`], driven by the
-//! unified [`Runner`] pipeline — which is how the subset path gained
-//! resume, periodic checkpoints, `max_distance` caps, and relax selection
-//! for free:
+//! unified [`Runner`](crate::engine::Runner) pipeline — which is how the
+//! subset path gained resume, periodic checkpoints, `max_distance` caps,
+//! and relax selection for free:
 //!
 //! ```
 //! use parapsp_core::engine::{RunConfig, Runner, SubsetEngine};
@@ -23,19 +23,20 @@
 //! ```
 
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use parapsp_graph::{degree, CsrGraph, INF};
 use parapsp_order::seq_bucket::seq_bucket_sort;
 use parapsp_order::OrderingProcedure;
-use parapsp_parfor::{BitSet, CancelStatus, PerThread, ThreadPool};
+use parapsp_parfor::{CancelStatus, PerThread, ThreadPool};
 
 use crate::dist::DistanceMatrix;
 use crate::engine::{Engine, Plan, RowsCtx, RowsOutcome, RunConfig, RunSummary};
+use crate::kernel::{modified_dijkstra, CompletedRows, NoPred, Workspace};
 use crate::persist::Checkpoint;
-use crate::relax::relax_row;
+use crate::stats::Counters;
+use crate::store::LeaseOrigin;
 
 /// Distance rows for a chosen set of sources, in O(k·n) memory.
 #[derive(Debug)]
@@ -74,8 +75,9 @@ impl SubsetRows {
 }
 
 /// Shared k × n state: the same Release/Acquire publication protocol as the
-/// full matrix, with a vertex → slot indirection.
-struct SubsetState {
+/// full matrix, with a vertex → slot indirection. It is the kernel's
+/// [`CompletedRows`] lookup for subset runs.
+pub(crate) struct SubsetState {
     n: usize,
     /// slot_of[v] = row slot of v when v is a subset source, else u32::MAX.
     slot_of: Vec<u32>,
@@ -88,7 +90,7 @@ struct SubsetState {
 unsafe impl Sync for SubsetState {}
 
 impl SubsetState {
-    fn new(n: usize, sources: &[u32]) -> Self {
+    pub(crate) fn new(n: usize, sources: &[u32]) -> Self {
         let mut slot_of = vec![u32::MAX; n];
         for (slot, &s) in sources.iter().enumerate() {
             assert!(
@@ -116,13 +118,13 @@ impl SubsetState {
     /// # Safety
     /// Caller must be the unique task for slot `slot`, pre-publication.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn row_mut(&self, slot: u32) -> &mut [u32] {
+    pub(crate) unsafe fn row_mut(&self, slot: u32) -> &mut [u32] {
         let start = slot as usize * self.n;
         // SAFETY: forwarded to the caller.
         unsafe { std::slice::from_raw_parts_mut(self.cells[start].get(), self.n) }
     }
 
-    fn published_row_of_vertex(&self, v: u32) -> Option<&[u32]> {
+    pub(crate) fn published_row_of_vertex(&self, v: u32) -> Option<&[u32]> {
         let slot = self.slot_of[v as usize];
         if slot == u32::MAX {
             return None;
@@ -138,24 +140,34 @@ impl SubsetState {
         }
     }
 
-    fn publish(&self, slot: u32) {
+    pub(crate) fn publish(&self, slot: u32) {
         self.flags[slot as usize].store(true, Ordering::Release);
     }
 }
 
-/// The subset-of-sources engine: modified Dijkstra (SPFA form) from `k`
-/// chosen sources into a k × n row store, with row reuse among the subset.
+impl CompletedRows for SubsetState {
+    type Row<'a> = &'a [u32];
+
+    #[inline]
+    fn lease(&self, t: u32) -> Option<(&[u32], LeaseOrigin)> {
+        self.published_row_of_vertex(t)
+            .map(|row| (row, LeaseOrigin::Lent))
+    }
+}
+
+/// The subset-of-sources engine: the Alg. 1 kernel from `k` chosen
+/// sources into a k × n row store, with row reuse among the subset.
 ///
 /// Work units are *slot indices* into the source list. Through the
-/// [`Runner`] it supports everything the full-matrix engines do — resume
-/// from a vertex-keyed checkpoint, periodic checkpointing, distance caps,
-/// and relax-implementation selection via the [`RunConfig`] kernel
+/// [`Runner`](crate::engine::Runner) it supports everything the
+/// full-matrix engines do — resume from a vertex-keyed checkpoint,
+/// periodic checkpointing, distance caps, and the [`RunConfig`] kernel
 /// options. With [`OrderingProcedure::Identity`] slots run in list order;
 /// any other ordering visits subset sources in descending degree order.
 pub struct SubsetEngine {
     sources: Vec<u32>,
     state: Option<SubsetState>,
-    locals: Option<PerThread<(VecDeque<u32>, BitSet)>>,
+    locals: Option<PerThread<(Workspace, Counters)>>,
 }
 
 impl SubsetEngine {
@@ -230,7 +242,7 @@ impl Engine for SubsetEngine {
         };
         self.state = Some(state);
         self.locals = Some(PerThread::from_fn(pool.num_threads(), |_| {
-            (VecDeque::new(), BitSet::new(n))
+            (Workspace::new(n), Counters::default())
         }));
         Plan { units, ordering }
     }
@@ -239,42 +251,18 @@ impl Engine for SubsetEngine {
         let state = self.state.as_ref().expect("prepare() not called");
         let locals = self.locals.as_ref().expect("prepare() not called");
         let sources = &self.sources;
-        let kernel = ctx.config.kernel();
-        let cap = kernel.max_distance.unwrap_or(u32::MAX);
-        let relax_impl = kernel.relax.resolve();
+        let opts = ctx.config.kernel();
         let trace = ctx.trace;
         let body = |tid: usize, k: usize| {
             let slot = units[k];
             let s = sources[slot as usize];
             // SAFETY: one scratch slot per pool thread.
-            let (queue, in_queue) = unsafe { locals.get_mut(tid) };
+            let (ws, counters) = unsafe { locals.get_mut(tid) };
             let t0 = Instant::now();
             // SAFETY: `units` is drawn from a permutation of slots, so this
             // task is the unique owner of `slot`.
             let row = unsafe { state.row_mut(slot) };
-            row[s as usize] = 0;
-            queue.push_back(s);
-            in_queue.set(s as usize);
-            while let Some(t) = queue.pop_front() {
-                in_queue.clear(t as usize);
-                let dt = row[t as usize];
-                if t != s {
-                    if let Some(t_row) = state.published_row_of_vertex(t) {
-                        relax_row(relax_impl, row, t_row, dt, cap);
-                        continue;
-                    }
-                }
-                for (v, w) in graph.out_edges(t) {
-                    let alt = dt.saturating_add(w);
-                    if alt < row[v as usize] && alt <= cap {
-                        row[v as usize] = alt;
-                        if !in_queue.get(v as usize) {
-                            queue.push_back(v);
-                            in_queue.set(v as usize);
-                        }
-                    }
-                }
-            }
+            modified_dijkstra(graph, s, row, state, ws, opts, counters, None, &mut NoPred);
             state.publish(slot);
             if let Some(view) = trace {
                 // SAFETY: as above, the trace slot of `s` belongs

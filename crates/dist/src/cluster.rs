@@ -29,7 +29,7 @@ use crossbeam::channel::unbounded;
 
 use parapsp_core::engine::{Engine, Plan, RowsCtx, RowsOutcome, RunConfig, RunSummary, ValueEnum};
 use parapsp_core::persist::{mint_run_id, Checkpoint, FsyncPolicy, RowLedger};
-use parapsp_core::{DistanceMatrix, RunOutcome, Store, StoreKind, StoreSpec, INF};
+use parapsp_core::{DistanceMatrix, RunOutcome, Store, StoreKind, StoreSpec};
 use parapsp_graph::{degree, CsrGraph};
 use parapsp_order::OrderingProcedure;
 use parapsp_parfor::{CancelStatus, CancelToken, ThreadPool};
@@ -421,7 +421,8 @@ impl DistApspOutput {
     }
 }
 
-/// The simulated-cluster driver as a [`Runner`]-drivable [`Engine`].
+/// The simulated-cluster driver as a
+/// [`Runner`](parapsp_core::engine::Runner)-drivable [`Engine`].
 ///
 /// The whole distributed run — source partitioning, hub broadcasting,
 /// streaming gather, crash recovery — is one indivisible work unit, so the
@@ -434,7 +435,7 @@ impl DistApspOutput {
 /// The cluster's own ordering is always MultiLists over the global degree
 /// order (the distributed analogue of ParAPSP), so the [`RunConfig`]'s
 /// ordering procedure and schedule are ignored; `max_distance` is honoured
-/// as an exact post-filter on the gathered matrix.
+/// inside every node's kernel, exactly as in the shared-memory engines.
 ///
 /// The graph is replicated on every node (standard practice for
 /// source-partitioned APSP: the O(n + m) structure is negligible next to
@@ -463,7 +464,6 @@ impl DistApspOutput {
 pub struct DistEngine {
     cluster: ClusterConfig,
     n: usize,
-    cap: Option<u32>,
     result: Option<DistApspOutput>,
     stopped: Option<Checkpoint>,
     resume: Option<Checkpoint>,
@@ -475,7 +475,6 @@ impl DistEngine {
         DistEngine {
             cluster,
             n: 0,
-            cap: None,
             result: None,
             stopped: None,
             resume: None,
@@ -518,7 +517,6 @@ impl Engine for DistEngine {
         // configured ledger replays.
         self.resume = resume;
         self.n = graph.vertex_count();
-        self.cap = config.kernel().max_distance;
         // The engine-agnostic `--store` selection reaches the cluster here:
         // the driver's gather target uses the run config's backend.
         self.cluster.store = config.store().clone();
@@ -531,7 +529,14 @@ impl Engine for DistEngine {
     }
 
     fn run_rows(&mut self, graph: &CsrGraph, _units: &[u32], ctx: &RowsCtx<'_>) -> RowsOutcome {
-        match run_cluster(graph, self.cluster.clone(), ctx.token, self.resume.take()) {
+        let cap = ctx.config.kernel().max_distance;
+        match run_cluster(
+            graph,
+            self.cluster.clone(),
+            ctx.token,
+            self.resume.take(),
+            cap,
+        ) {
             RunOutcome::Complete(output) => {
                 self.result = Some(output);
                 CancelStatus::Continue
@@ -556,19 +561,6 @@ impl Engine for DistEngine {
 
     fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> DistApspOutput {
         let mut output = self.result.expect("run_rows() did not complete");
-        if let Some(cap) = self.cap {
-            let n = output.dist.n();
-            let full = std::mem::replace(&mut output.dist, DistanceMatrix::new_infinite(0));
-            let mut data = full.into_raw();
-            for i in 0..n {
-                for j in 0..n {
-                    if i != j && data[i * n + j] > cap {
-                        data[i * n + j] = INF;
-                    }
-                }
-            }
-            output.dist = DistanceMatrix::from_raw(n, data);
-        }
         output.elapsed = summary.timings.total;
         output
     }
@@ -642,11 +634,13 @@ fn open_prior(
     (Some(ledger), prior, run_id, epoch)
 }
 
+/// Runs the whole cluster; every node's kernel caps its rows at `cap`.
 fn run_cluster(
     graph: &CsrGraph,
     config: ClusterConfig,
     token: Option<&CancelToken>,
     resume: Option<Checkpoint>,
+    cap: Option<u32>,
 ) -> RunOutcome<DistApspOutput> {
     if let Err(error) = config.validate_shape() {
         panic!("{error}");
@@ -716,12 +710,12 @@ fn run_cluster(
 
     match config.transport.clone() {
         TransportSpec::InProcess => {
-            run_cluster_channels(graph, &config, token, n, &is_hub, &owned, driver, start)
+            run_cluster_channels(graph, &config, token, cap, &is_hub, &owned, driver, start)
         }
         TransportSpec::Socket(socket) => {
             let identity = (run_id, epoch);
             run_cluster_socket(
-                graph, &config, &socket, token, n, &is_hub, &owned, driver, identity, start,
+                graph, &config, &socket, token, cap, &is_hub, &owned, driver, identity, start,
             )
         }
     }
@@ -833,12 +827,13 @@ fn run_cluster_channels(
     graph: &CsrGraph,
     config: &ClusterConfig,
     token: Option<&CancelToken>,
-    n: usize,
+    cap: Option<u32>,
     is_hub: &[bool],
     owned: &[Vec<u32>],
     mut driver: Driver,
     start: Instant,
 ) -> RunOutcome<DistApspOutput> {
+    let n = graph.vertex_count();
     let nodes = config.nodes;
     let mut control_senders = Vec::with_capacity(nodes);
     let mut control_receivers = Vec::with_capacity(nodes);
@@ -884,6 +879,7 @@ fn run_cluster_channels(
                             plan,
                             retry,
                             token,
+                            cap,
                             Duration::ZERO,
                             &mut io,
                         ),
@@ -929,13 +925,14 @@ fn run_cluster_socket(
     config: &ClusterConfig,
     socket: &SocketConfig,
     token: Option<&CancelToken>,
-    n: usize,
+    cap: Option<u32>,
     is_hub: &[bool],
     owned: &[Vec<u32>],
     mut driver: Driver,
     identity: (u64, u32),
     start: Instant,
 ) -> RunOutcome<DistApspOutput> {
+    let n = graph.vertex_count();
     let nodes = config.nodes;
     let (run_id, epoch) = identity;
     let hubs: Vec<u32> = (0..n as u32).filter(|&v| is_hub[v as usize]).collect();
@@ -948,6 +945,7 @@ fn run_cluster_socket(
             heartbeat_ms: u64::try_from(socket.heartbeat_interval.as_millis()).unwrap_or(u64::MAX),
             row_batch: socket.row_batch as u32,
             retry: config.retry,
+            max_distance: cap,
             hubs: hubs.clone(),
             owned: owned[k].clone(),
             faults: config.faults.clone(),
@@ -1142,7 +1140,10 @@ impl Driver {
         }
     }
 
-    /// Handles one gather message from node `k`.
+    /// Handles one gather message from node `k`. A row that names no
+    /// vertex, has the wrong length or fails its checksum is rejected —
+    /// the socket transport forwards decoded frames verbatim, so nothing
+    /// upstream has vetted it.
     fn on_row<S: ControlSink>(&mut self, k: usize, message: RowMessage, sink: &mut S) {
         let now = Instant::now();
         let gap = now.duration_since(self.last_seen[k]);
@@ -1152,9 +1153,15 @@ impl Driver {
         }
         self.gaps[k].push(gap);
         self.gather_bytes += message.wire_bytes();
-        if !message.verify() {
+        let n = self.got.len();
+        let s = message.source as usize;
+        if s >= n {
+            // Names no vertex: nothing to accept, nothing to re-request.
             self.gather_rejected += 1;
-            let s = message.source as usize;
+            return;
+        }
+        if message.row.len() != n || !message.verify() {
+            self.gather_rejected += 1;
             if !self.got[s] {
                 self.reject_count[s] += 1;
                 if self.reject_count[s] <= self.retry.max_resends
@@ -1168,7 +1175,6 @@ impl Driver {
             }
             return;
         }
-        let s = message.source as usize;
         if self.got[s] {
             return;
         }
@@ -1297,6 +1303,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
     plan: &FaultPlan,
     retry: &RetryPolicy,
     token: Option<&CancelToken>,
+    cap: Option<u32>,
     source_delay: Duration,
     io: &mut IO,
 ) -> NodeStats {
@@ -1304,7 +1311,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
     let crash_after = plan.crash_after(k);
     let stall = plan.stall_after(k);
     let mut stalled = false;
-    let mut state = NodeState::new(n, initial);
+    let mut state = NodeState::new(n, cap);
     let mut pending: VecDeque<u32> = initial.iter().copied().collect();
     let mut stats = NodeStats::default();
     // Delivery attempt per source, so re-sends draw fresh fault decisions.
@@ -1388,7 +1395,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
             // integration tests can kill it deterministically mid-run.
             std::thread::sleep(source_delay);
         }
-        let row = state.run_source(graph, s).to_vec();
+        let row = state.run_source(graph, s);
         completed += 1;
         stats.sources += 1;
         if is_hub[s as usize] {
@@ -1398,7 +1405,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
                 }
                 // The clone is the network copy; the sender pays for the
                 // bytes whether or not the wire eats the message.
-                let mut message = RowMessage::new(s, row.clone());
+                let mut message = RowMessage::new(s, row.to_vec());
                 stats.bytes_sent += message.wire_bytes();
                 if plan.drops_broadcast(k as u64, peer as u64, s) {
                     continue;
@@ -1409,7 +1416,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
                 io.send_hub(peer, message);
             }
         }
-        io.send_row(seal_gather_row(k, s, &row, attempts[s as usize], plan));
+        io.send_row(seal_gather_row(k, s, row, attempts[s as usize], plan));
     }
 
     stats.local_reuses = state.local_reuses;
@@ -1444,16 +1451,14 @@ fn handle_control<IO: NodeIo>(
             // the assignment instead would leave the driver waiting on a
             // row nobody intends to send.
             if let Some(row) = state.row_for(s) {
-                let row = row.to_vec();
                 attempts[s as usize] += 1;
-                io.send_row(seal_gather_row(k, s, &row, attempts[s as usize], plan));
+                io.send_row(seal_gather_row(k, s, row, attempts[s as usize], plan));
                 io.flush();
                 return false;
             }
             if pending.contains(&s) {
                 return false;
             }
-            state.assign(s);
             pending.push_back(s);
             stats.reassigned_sources += 1;
             false
@@ -1475,11 +1480,10 @@ fn handle_control<IO: NodeIo>(
             }
             let row = state
                 .row_for(s)
-                .expect("driver requested a re-send of a row this node never sent")
-                .to_vec();
+                .expect("driver requested a re-send of a row this node never sent");
             // Flush immediately: the driver is actively waiting on this
             // row, batching it would add a round of latency for nothing.
-            io.send_row(seal_gather_row(k, s, &row, attempt, plan));
+            io.send_row(seal_gather_row(k, s, row, attempt, plan));
             io.flush();
             false
         }
@@ -1502,6 +1506,7 @@ mod tests {
     use super::*;
     use parapsp_core::baselines::apsp_dijkstra;
     use parapsp_core::engine::Runner;
+    use parapsp_core::INF;
     use parapsp_graph::generate::{barabasi_albert, erdos_renyi_gnm, WeightSpec};
     use parapsp_graph::Direction;
 
@@ -1960,12 +1965,12 @@ mod tests {
     }
 
     #[test]
-    fn dist_engine_runs_through_runner_with_cap_post_filter() {
+    fn dist_engine_runs_through_runner_with_an_in_kernel_cap() {
         let g = barabasi_albert(120, 3, WeightSpec::Uniform { lo: 1, hi: 9 }, 44).unwrap();
         let reference = apsp_dijkstra(&g);
         let out = Runner::new(RunConfig::new(1)).run(DistEngine::new(ClusterConfig::default()), &g);
         assert_eq!(reference.first_difference(&out.dist), None);
-        // A capped run equals the exact matrix post-filtered at the cap.
+        // A capped run equals the exact matrix filtered at the cap.
         let cap = 3;
         let capped = Runner::new(RunConfig::new(1).with_max_distance(cap))
             .run(DistEngine::new(ClusterConfig::default()), &g);
@@ -2294,6 +2299,41 @@ mod tests {
         // Resend either — the row is already home.
         driver.on_row(1, corrupted_row(0, 2), &mut sink);
         assert!(sink.0.is_empty());
+    }
+
+    #[test]
+    fn rows_naming_no_vertex_or_of_the_wrong_length_are_rejected() {
+        let g = barabasi_albert(30, 3, WeightSpec::Uniform { lo: 1, hi: 9 }, 12).unwrap();
+        let n = 30usize;
+        let reference = apsp_dijkstra(&g);
+        let owned = vec![(0..15).collect(), (15..30).collect()];
+        let mut driver = Driver::new(2, owned, n, RetryPolicy::default());
+        let mut node = NodeState::new(n, None);
+        let mut sink = RecordingSink(Vec::new());
+        // Both frames carry valid checksums: only the shape checks stand
+        // between them and an out-of-range index or a short kernel row.
+        for bad in [
+            RowMessage::new(n as u32, vec![0; n]),
+            RowMessage::new(4, vec![0; n - 1]),
+        ] {
+            node.accept(bad.clone());
+            driver.on_row(0, bad, &mut sink);
+        }
+        assert_eq!(node.rows_rejected, 2);
+        assert_eq!(driver.gather_rejected, 2);
+        // A short row of a real source is re-requested like a corrupted
+        // one; a row naming no vertex has nothing to re-request.
+        assert!(matches!(sink.0.as_slice(), [(0, NodeControl::Resend(4))]));
+        assert_eq!(driver.gathered, 0);
+
+        // The run still completes, bit-identical to the reference.
+        for s in 0..n as u32 {
+            let row = node.run_source(&g, s).to_vec();
+            driver.on_row(0, RowMessage::new(s, row), &mut sink);
+        }
+        assert_eq!(driver.gathered, n);
+        let store = std::mem::replace(&mut driver.store, Store::new(0, &StoreSpec::dense()));
+        assert_eq!(reference.first_difference(&store.into_matrix()), None);
     }
 
     #[test]

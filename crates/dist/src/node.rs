@@ -1,19 +1,16 @@
-//! The per-node worker: private rows, a local modified-Dijkstra kernel,
-//! and the hub-row mailbox.
+//! The per-node worker state: private rows and the hub-row mailbox, run
+//! through the shared Alg. 1 kernel of `parapsp-core`.
 //!
-//! Unlike the shared-memory kernel in `parapsp-core`, a node is
-//! single-threaded over its own memory, so everything here is safe code —
-//! the distributed setting trades the publication protocol for explicit
+//! A node is single-threaded over its own memory, so the distributed
+//! setting trades the shared-memory publication protocol for explicit
 //! messages. Every row that crosses the simulated wire carries an FNV-1a
 //! checksum; receivers verify it and discard rows that fail, so a
 //! corrupted payload can never poison the reuse pools or the gathered
 //! matrix.
 
-use std::collections::VecDeque;
-
-use parapsp_core::relax::{relax_row, RelaxImpl};
+use parapsp_core::kernel::{modified_dijkstra, HeldRows, KernelOptions, NoPred, Workspace};
+use parapsp_core::Counters;
 use parapsp_graph::{CsrGraph, INF};
-use parapsp_parfor::BitSet;
 
 /// FNV-1a over the source id and the row payload. This is the very same
 /// function the run ledger stamps on its records, so a row journaled by
@@ -55,151 +52,86 @@ impl RowMessage {
     }
 }
 
-/// Private per-node state: the rows this node owns plus whatever remote
-/// hub rows have arrived.
+/// Private per-node state: the rows this node computed plus whatever
+/// remote hub rows have arrived, and the kernel scratch to compute more.
 pub(crate) struct NodeState {
     n: usize,
-    /// Sources this node is responsible for, in assignment order.
-    owned: Vec<u32>,
-    /// `local_rows[i]` is the row of the i-th *owned* source (dense local
-    /// indexing); `None` until computed.
-    local_rows: Vec<Option<Vec<u32>>>,
-    /// Maps a global vertex to its local row slot, or `u32::MAX`.
-    local_slot: Vec<u32>,
-    /// Remote rows received from other nodes, indexed by global source.
-    remote_rows: Vec<Option<Vec<u32>>>,
-    /// Scratch: SPFA queue and in-queue bitmap.
-    queue: VecDeque<u32>,
-    in_queue: BitSet,
-    /// Local reuse counters (reported through `NodeStats`).
+    rows: HeldRows,
+    ws: Workspace,
+    options: KernelOptions,
+    /// Reuse events against the node's own rows and against received ones
+    /// (reported through `NodeStats`).
     pub(crate) local_reuses: u64,
     pub(crate) remote_reuses: u64,
-    /// Received rows discarded for failing their checksum.
+    /// Received rows discarded for failing their checksum, naming no
+    /// vertex, or having the wrong length.
     pub(crate) rows_rejected: u64,
 }
 
 impl NodeState {
-    pub(crate) fn new(n: usize, owned_sources: &[u32]) -> Self {
-        let mut local_slot = vec![u32::MAX; n];
-        for (slot, &s) in owned_sources.iter().enumerate() {
-            local_slot[s as usize] = slot as u32;
-        }
+    /// A node of an `n`-vertex graph whose rows are capped at
+    /// `max_distance` (the run's `--cap`).
+    pub(crate) fn new(n: usize, max_distance: Option<u32>) -> Self {
         NodeState {
             n,
-            owned: owned_sources.to_vec(),
-            local_rows: vec![None; owned_sources.len()],
-            local_slot,
-            remote_rows: vec![None; n],
-            queue: VecDeque::new(),
-            in_queue: BitSet::new(n),
+            rows: HeldRows::new(n),
+            ws: Workspace::new(n),
+            options: KernelOptions {
+                max_distance,
+                ..KernelOptions::default()
+            },
             local_reuses: 0,
             remote_reuses: 0,
             rows_rejected: 0,
         }
     }
 
-    /// Takes ownership of an additional source at runtime (recovery: the
-    /// driver re-deals a crashed node's remaining work). No-op if the
-    /// source is already owned.
-    pub(crate) fn assign(&mut self, source: u32) {
-        if self.local_slot[source as usize] != u32::MAX {
-            return;
-        }
-        self.local_slot[source as usize] = self.local_rows.len() as u32;
-        self.local_rows.push(None);
-        self.owned.push(source);
-    }
-
-    /// Stores a received remote row after verifying its checksum; a
-    /// corrupted row is counted and dropped.
+    /// Stores a received remote row after checking that it names a
+    /// vertex, has one entry per vertex and matches its checksum; any
+    /// other row is counted and dropped.
     pub(crate) fn accept(&mut self, message: RowMessage) {
-        debug_assert_eq!(message.row.len(), self.n);
-        if !message.verify() {
+        if message.source as usize >= self.n || message.row.len() != self.n || !message.verify() {
             self.rows_rejected += 1;
             return;
         }
-        self.remote_rows[message.source as usize] = Some(message.row);
+        self.rows.keep_received(message.source, message.row);
     }
 
-    /// The stored row of owned source `s`, if already computed (used to
-    /// re-send a gather row the driver rejected).
+    /// The row this node computed for `s`, if any (used to re-send a
+    /// gather row the driver rejected).
     pub(crate) fn row_for(&self, s: u32) -> Option<&[u32]> {
-        let slot = self.local_slot[s as usize];
-        if slot == u32::MAX {
-            return None;
-        }
-        self.local_rows[slot as usize].as_deref()
+        self.rows.own(s)
     }
 
-    /// A completed row for `t`, if this node has one (own or remote).
-    fn completed_row(&self, t: u32) -> Option<(&[u32], bool)> {
-        let slot = self.local_slot[t as usize];
-        if slot != u32::MAX {
-            if let Some(row) = self.local_rows[slot as usize].as_deref() {
-                return Some((row, true));
-            }
-        }
-        self.remote_rows[t as usize]
-            .as_deref()
-            .map(|row| (row, false))
-    }
-
-    /// Runs the modified Dijkstra for owned source `s`, storing the row
-    /// locally and returning a reference to it.
+    /// Runs the kernel for source `s`, reusing every row this node holds,
+    /// and keeps the row locally.
     pub(crate) fn run_source(&mut self, graph: &CsrGraph, s: u32) -> &[u32] {
-        let n = self.n;
-        let mut row = vec![INF; n];
-        row[s as usize] = 0;
-        // Local counters sidestep the borrow of `self` held by
-        // `completed_row` inside the loop.
-        let mut local_reuses = 0u64;
-        let mut remote_reuses = 0u64;
-        let relax_impl = RelaxImpl::Auto.resolve();
-        self.queue.push_back(s);
-        self.in_queue.set(s as usize);
-        while let Some(t) = self.queue.pop_front() {
-            self.in_queue.clear(t as usize);
-            let dt = row[t as usize];
-            if t != s {
-                if let Some((t_row, local)) = self.completed_row(t) {
-                    if local {
-                        local_reuses += 1;
-                    } else {
-                        remote_reuses += 1;
-                    }
-                    relax_row(relax_impl, &mut row, t_row, dt, u32::MAX);
-                    continue;
-                }
-            }
-            for (v, w) in graph.out_edges(t) {
-                let alt = dt.saturating_add(w);
-                if alt < row[v as usize] {
-                    row[v as usize] = alt;
-                    if !self.in_queue.get(v as usize) {
-                        self.queue.push_back(v);
-                        self.in_queue.set(v as usize);
-                    }
-                }
-            }
-        }
-        self.local_reuses += local_reuses;
-        self.remote_reuses += remote_reuses;
-        let slot = self.local_slot[s as usize];
-        debug_assert_ne!(slot, u32::MAX, "run_source on a non-owned source");
-        let slot = slot as usize;
-        self.local_rows[slot] = Some(row);
-        self.local_rows[slot].as_deref().expect("just stored")
+        let mut row = vec![INF; self.n];
+        // Own rows lease as hits and received rows as misses.
+        let mut counters = Counters::default();
+        modified_dijkstra(
+            graph,
+            s,
+            &mut row,
+            &self.rows,
+            &mut self.ws,
+            self.options,
+            &mut counters,
+            None,
+            &mut NoPred,
+        );
+        self.local_reuses += counters.lease_hits;
+        self.remote_reuses += counters.lease_misses;
+        self.rows.keep_own(s, row)
     }
 
     /// Consumes the node, yielding `(global_source, row)` pairs for every
-    /// *computed* owned source. The cluster driver streams rows instead;
-    /// this stays for direct inspection in tests.
+    /// row it computed, by source. The cluster driver streams rows
+    /// instead; this stays for direct inspection in tests.
     #[cfg(test)]
     pub(crate) fn into_rows(self) -> Vec<(u32, Vec<u32>)> {
-        self.owned
-            .iter()
-            .zip(self.local_rows)
-            .filter_map(|(&s, row)| row.map(|row| (s, row)))
+        (0..self.n as u32)
+            .filter_map(|s| self.rows.own(s).map(|row| (s, row.to_vec())))
             .collect()
     }
 }
@@ -213,8 +145,7 @@ mod tests {
     #[test]
     fn single_node_computes_exact_rows() {
         let g = path_graph(5, Direction::Undirected);
-        let owned: Vec<u32> = (0..5).collect();
-        let mut node = NodeState::new(5, &owned);
+        let mut node = NodeState::new(5, None);
         for s in 0..5u32 {
             node.run_source(&g, s);
         }
@@ -230,8 +161,8 @@ mod tests {
     #[test]
     fn remote_rows_are_reused() {
         let g = parapsp_graph::generate::complete_graph(6);
-        // Node owns only source 3; receives row of 0 from "elsewhere".
-        let mut node = NodeState::new(6, &[3]);
+        // Node runs only source 3; receives row of 0 from "elsewhere".
+        let mut node = NodeState::new(6, None);
         let mut remote = vec![1u32; 6];
         remote[0] = 0;
         node.accept(RowMessage::new(0, remote));
@@ -245,7 +176,7 @@ mod tests {
     #[test]
     fn corrupted_remote_row_is_rejected_not_reused() {
         let g = parapsp_graph::generate::complete_graph(6);
-        let mut node = NodeState::new(6, &[3]);
+        let mut node = NodeState::new(6, None);
         let mut remote = vec![1u32; 6];
         remote[0] = 0;
         let mut message = RowMessage::new(0, remote);
@@ -257,18 +188,38 @@ mod tests {
     }
 
     #[test]
-    fn runtime_assignment_extends_ownership() {
+    fn rows_run_in_any_order_and_stay_retrievable() {
         let g = path_graph(4, Direction::Undirected);
-        let mut node = NodeState::new(4, &[0]);
-        node.assign(2);
-        node.assign(2); // idempotent
-        node.run_source(&g, 0);
+        let mut node = NodeState::new(4, None);
         node.run_source(&g, 2);
+        node.run_source(&g, 0);
         assert_eq!(node.row_for(2), Some(&[2u32, 1, 0, 1][..]));
-        let mut rows = node.into_rows();
-        rows.sort_by_key(|&(s, _)| s);
+        assert_eq!(node.row_for(1), None);
+        let rows = node.into_rows();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1].0, 2);
+    }
+
+    #[test]
+    fn rows_are_capped_in_the_kernel() {
+        let g = path_graph(6, Direction::Undirected);
+        let mut node = NodeState::new(6, Some(2));
+        assert_eq!(node.run_source(&g, 0), &[0, 1, 2, INF, INF, INF][..]);
+        // Reusing the capped row of 0 keeps row 1 exact within the cap.
+        assert_eq!(node.run_source(&g, 1), &[1, 0, 1, 2, INF, INF][..]);
+        assert_eq!(node.local_reuses, 1);
+    }
+
+    #[test]
+    fn rows_naming_no_vertex_or_of_the_wrong_length_are_rejected() {
+        let g = parapsp_graph::generate::complete_graph(6);
+        let mut node = NodeState::new(6, None);
+        // Valid checksums, untrustworthy shapes: neither may panic.
+        node.accept(RowMessage::new(6, vec![0; 6]));
+        node.accept(RowMessage::new(0, vec![0; 3]));
+        assert_eq!(node.rows_rejected, 2);
+        assert_eq!(node.run_source(&g, 3), &[1, 1, 1, 0, 1, 1][..]);
+        assert_eq!(node.remote_reuses, 0, "rejected rows must not be reused");
     }
 
     #[test]

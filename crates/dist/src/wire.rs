@@ -29,8 +29,9 @@ pub(crate) const MAGIC: u8 = 0xA5;
 /// Bumped on any incompatible change to the frame layout; the driver
 /// rejects workers announcing a different version during the handshake.
 /// Version 2 added the run-id/epoch fields to `Hello` and `Setup` for
-/// driver-restart re-handshakes.
-pub(crate) const PROTOCOL_VERSION: u16 = 2;
+/// driver-restart re-handshakes; version 3 added the distance cap to
+/// `Setup`.
+pub(crate) const PROTOCOL_VERSION: u16 = 3;
 
 /// Upper bound on a single frame payload (defense against a corrupt or
 /// hostile length prefix allocating unbounded memory).
@@ -70,6 +71,8 @@ pub(crate) struct WorkerSetup {
     pub row_batch: u32,
     /// Re-send pacing, identical to the driver's.
     pub retry: RetryPolicy,
+    /// The run's distance cap, applied inside the worker's kernel.
+    pub max_distance: Option<u32>,
     /// Sources whose completed rows are broadcast cluster-wide.
     pub hubs: Vec<u32>,
     /// Sources this worker owns initially, in assignment order.
@@ -286,6 +289,9 @@ impl Frame {
                 out.extend_from_slice(&setup.retry.max_resends.to_le_bytes());
                 out.extend_from_slice(&setup.retry.base_ms.to_le_bytes());
                 out.extend_from_slice(&setup.retry.cap_ms.to_le_bytes());
+                // u32::MAX stands for "uncapped": the kernel treats a cap
+                // of u32::MAX and no cap alike.
+                out.extend_from_slice(&setup.max_distance.unwrap_or(u32::MAX).to_le_bytes());
                 put_u32_vec(&mut out, &setup.hubs);
                 put_u32_vec(&mut out, &setup.owned);
                 setup.faults.encode(&mut out);
@@ -348,6 +354,7 @@ impl Frame {
                     base_ms: take_u64(buf)?,
                     cap_ms: take_u64(buf)?,
                 },
+                max_distance: Some(take_u32(buf)?).filter(|&cap| cap != u32::MAX),
                 hubs: take_u32_vec(buf)?,
                 owned: take_u32_vec(buf)?,
                 faults: FaultPlan::decode(buf)?,
@@ -534,6 +541,7 @@ mod tests {
             heartbeat_ms: 25,
             row_batch: 8,
             retry: RetryPolicy::default(),
+            max_distance: Some(17),
             hubs: vec![3, 1, 4],
             owned: vec![2, 6, 10],
             faults: FaultPlan::seeded(9)
@@ -553,6 +561,7 @@ mod tests {
         assert_eq!(decoded.heartbeat_ms, 25);
         assert_eq!(decoded.row_batch, 8);
         assert_eq!(decoded.retry, setup.retry);
+        assert_eq!(decoded.max_distance, Some(17));
         assert_eq!(decoded.hubs, setup.hubs);
         assert_eq!(decoded.owned, setup.owned);
         assert_eq!(decoded.faults, setup.faults);
@@ -565,6 +574,16 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
+
+        // An uncapped run stays uncapped across the wire.
+        let uncapped = WorkerSetup {
+            max_distance: None,
+            ..setup
+        };
+        let Frame::Setup(decoded) = roundtrip(&Frame::Setup(Box::new(uncapped))) else {
+            panic!("setup decoded as a different kind");
+        };
+        assert_eq!(decoded.max_distance, None);
     }
 
     #[test]

@@ -305,6 +305,7 @@ pub fn run_worker(addr: &str, options: WorkerOptions) -> Result<WorkerOutcome, S
         &setup.faults,
         &setup.retry,
         None,
+        setup.max_distance,
         options.source_delay,
         &mut io,
     );

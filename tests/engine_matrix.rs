@@ -12,7 +12,7 @@ use parapsp::core::{
     ApspEngine, BlockedFwEngine, DistanceMatrix, RunConfig, Runner, SeqEngine, SolverKind,
     StoreSpec, SubsetEngine, INF,
 };
-use parapsp::dist::{ClusterConfig, DistEngine};
+use parapsp::dist::{BindSpec, ClusterConfig, DistEngine, SocketConfig, TransportSpec, WorkerMode};
 use parapsp::graph::generate::{
     barabasi_albert, erdos_renyi_gnm, grid_graph, path_graph, star_graph, watts_strogatz,
     WeightSpec,
@@ -128,6 +128,27 @@ fn every_engine_matches_seq_basic_on_every_fixture() {
             let out = Runner::new(with_cap(RunConfig::new(1))).run(cluster, &graph);
             assert_matrix("dist", fixture, cap, &full, &out.dist);
 
+            // The same cluster over Unix sockets: the cap crosses the wire
+            // in the worker setup and is applied inside every node's kernel.
+            #[cfg(unix)]
+            if cap.is_some() {
+                let socket = SocketConfig {
+                    bind: BindSpec::Unix(std::env::temp_dir().join(format!(
+                        "parapsp-matrix-{fixture}-{}.sock",
+                        std::process::id()
+                    ))),
+                    workers: WorkerMode::Threads,
+                    ..SocketConfig::default()
+                };
+                let cluster = DistEngine::new(ClusterConfig {
+                    nodes: 2,
+                    transport: TransportSpec::Socket(socket),
+                    ..Default::default()
+                });
+                let out = Runner::new(with_cap(RunConfig::new(1))).run(cluster, &graph);
+                assert_matrix("dist[unix]", fixture, cap, &full, &out.dist);
+            }
+
             // Subset engine over every source: each row must equal the
             // corresponding full-matrix row.
             let sources: Vec<u32> = (0..graph.vertex_count() as u32).collect();
@@ -194,7 +215,6 @@ fn every_solver_matches_seq_basic_on_every_fixture() {
         SolverKind::Dijkstra,
         SolverKind::Delta { delta: None },
         SolverKind::Delta { delta: Some(4) },
-        SolverKind::Stepping,
         SolverKind::Auto,
     ];
     for (fixture, graph) in fixtures() {

@@ -253,6 +253,43 @@ proptest! {
     }
 
     #[test]
+    fn path_runs_are_exact_and_reconstruct_edge_walks_of_that_weight(
+        graph in arb_graph(30, 150),
+    ) {
+        use parapsp::core::engine::SeqEngine;
+        use parapsp::core::paths::par_apsp_with_paths;
+        let reference = Runner::new(RunConfig::seq_basic())
+            .run(SeqEngine::ordered(), &graph)
+            .dist;
+        let n = graph.vertex_count() as u32;
+        for threads in [1, 2] {
+            let out = par_apsp_with_paths(&graph, threads);
+            prop_assert_eq!(reference.first_difference(&out.dist), None, "{} threads", threads);
+            for s in 0..n {
+                for v in 0..n {
+                    let d = out.dist.get(s, v);
+                    let Some(path) = out.pred.path(s, v) else {
+                        prop_assert_eq!(d, INF, "no route {} -> {} at distance {}", s, v, d);
+                        continue;
+                    };
+                    prop_assert_eq!((path.first(), path.last()), (Some(&s), Some(&v)));
+                    let mut total = 0u32;
+                    for pair in path.windows(2) {
+                        let w = graph
+                            .out_edges(pair[0])
+                            .filter(|&(t, _)| t == pair[1])
+                            .map(|(_, w)| w)
+                            .min();
+                        prop_assert!(w.is_some(), "{} -> {} is not an edge", pair[0], pair[1]);
+                        total += w.unwrap_or(0);
+                    }
+                    prop_assert_eq!(total, d, "route weight {} -> {}", s, v);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn landmark_bounds_bracket_exact_distances(
         n in 5usize..40,
         edges in proptest::collection::vec((0u32..40, 0u32..40), 0..120),
