@@ -18,8 +18,9 @@
 //!   the O(n²) matrix, so it holds even for out-of-core runs.
 //!
 //! Each cell also records the lease-layer telemetry (`row_reuses`,
-//! `lease_hits` / `lease_misses`, `decode_ahead_hits`,
-//! `pinned_bytes_peak`) so the JSON shows *why* a tier is fast or slow,
+//! `lease_hits` / `lease_misses`, `pinned_bytes_peak`, and the schema's
+//! `decode_ahead_hits`, which reads 0 since the stores have no
+//! decode-ahead thread) so the JSON shows *why* a tier is fast or slow,
 //! not just that it is.
 //!
 //! Emits `BENCH_store.json` at the workspace root (override with
@@ -318,7 +319,7 @@ fn main() {
     for r in &results {
         println!(
             "  {:<16}  {:>9.3} ms  {:>12} stored bytes  {:>8.1} B/row  peak RSS {:>7} KiB  \
-             {} reuses ({} hits / {} misses, {} decode-ahead, pinned peak {} B)",
+             {} reuses ({} hits / {} misses, pinned peak {} B)",
             r.store,
             r.ms,
             r.stored_bytes,
@@ -327,7 +328,6 @@ fn main() {
             r.row_reuses,
             r.lease_hits,
             r.lease_misses,
-            r.decode_ahead_hits,
             r.pinned_bytes_peak,
         );
         assert_eq!(

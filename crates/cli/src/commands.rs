@@ -950,7 +950,7 @@ fn run_algorithm(
     };
     let summary = format!(
         "{} ({} threads): ordering {:?}, sssp {:?}, total {:?}; {} relaxations, {} row reuses \
-         ({} lease hits / {} misses, {} decode-ahead, pinned peak {} B)",
+         ({} lease hits / {} misses, pinned peak {} B)",
         out.algorithm,
         out.threads,
         out.timings.ordering,
@@ -960,7 +960,6 @@ fn run_algorithm(
         out.counters.row_reuses,
         out.counters.lease_hits,
         out.counters.lease_misses,
-        out.counters.decode_ahead_hits,
         out.counters.pinned_bytes_peak
     );
     Ok(RunStatus::Done(out.dist, summary))

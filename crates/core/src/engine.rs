@@ -39,6 +39,7 @@
 
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 use parapsp_graph::{degree, CsrGraph};
@@ -876,30 +877,16 @@ impl Runner {
             trace,
         };
         let t_sssp = Instant::now();
-        let status = match (&self.config.checkpoint, &mut ledger_state) {
-            (Some(policy), Some((ledger, logged))) => {
-                // Between batches no row owner is active, so every row the
-                // engine reports completed is final — append it once.
-                let mut status = CancelStatus::Continue;
-                for chunk in plan.units.chunks(policy.every) {
-                    status = engine.run_rows(graph, chunk, &ctx);
-                    engine.visit_rows(chunk, &mut |s, row| {
-                        if !logged[s as usize] {
-                            ledger.append(s, row).unwrap_or_else(|err| {
-                                panic!("run ledger {}: {err}", policy.path.display())
-                            });
-                            logged[s as usize] = true;
-                        }
-                    });
-                    ledger.commit().unwrap_or_else(|err| {
-                        panic!("run ledger {}: {err}", policy.path.display())
-                    });
-                    if status.is_stop() {
-                        break;
-                    }
-                }
-                status
-            }
+        let status = match (&self.config.checkpoint, ledger_state) {
+            (Some(policy), Some((ledger, logged))) => run_ledgered(
+                &mut engine,
+                graph,
+                &plan.units,
+                &ctx,
+                policy,
+                ledger,
+                logged,
+            ),
             (Some(policy), None) if engine.row_checkpoints() => {
                 // Between batches no row owner is active, so a snapshot of
                 // the published rows is a consistent checkpoint.
@@ -916,11 +903,6 @@ impl Runner {
             }
             _ => engine.run_rows(graph, &plan.units, &ctx),
         };
-        if let Some((ledger, _)) = ledger_state {
-            ledger
-                .finish()
-                .unwrap_or_else(|err| panic!("run ledger: {err}"));
-        }
         let sssp = t_sssp.elapsed();
 
         if status.is_stop() {
@@ -928,8 +910,9 @@ impl Runner {
             // the published rows form a consistent partial result. The
             // engine is consumed so row engines can move their store into
             // the checkpoint instead of cloning the whole matrix — the
-            // ledger branch above has already appended the stopping
-            // chunk's completed rows, so nothing else reads the engine.
+            // ledger writer has already appended and committed the
+            // stopping chunk's completed rows, so nothing else reads the
+            // engine.
             return RunOutcome::from_stop(status, engine.into_snapshot());
         }
 
@@ -947,6 +930,87 @@ impl Runner {
             label,
         };
         RunOutcome::Complete(engine.finish(graph, summary))
+    }
+}
+
+/// A message to the ledger writer thread of [`run_ledgered`].
+enum LedgerMsg {
+    /// A completed row to append, in a buffer the writer hands back.
+    Row(u32, Vec<u32>),
+    /// The batch is over: commit (and fsync, per policy) what came before.
+    Commit,
+}
+
+/// Runs `units` in batches of `policy.every` and journals every batch's
+/// completed rows to `ledger`, which the replay in `logged` has already
+/// recovered.
+///
+/// Between batches no row owner is active, so every row the engine
+/// reports completed is final. The batch's `visit_rows` callback only
+/// copies each row not yet logged into a recycled buffer and sends it to
+/// a writer thread that owns the ledger; the writer appends (checksums)
+/// the rows and commits at the batch marker while the pool computes the
+/// next batch. The channel is about one batch deep, so the ledger trails
+/// the sweep by at most one batch plus the rows in flight. The writer is
+/// joined before this returns — after the last batch, after a stop, and
+/// on unwind, when dropping the sender ends it — so a stopped run's
+/// ledger holds exactly its completed rows.
+///
+/// # Panics
+///
+/// Re-raises an engine panic, and panics with `run ledger <path>: <err>`
+/// when the writer fails to append, commit or close the ledger.
+fn run_ledgered<E: Engine>(
+    engine: &mut E,
+    graph: &CsrGraph,
+    units: &[u32],
+    ctx: &RowsCtx<'_>,
+    policy: &CheckpointPolicy,
+    mut ledger: RowLedger,
+    mut logged: Vec<bool>,
+) -> RowsOutcome {
+    let (tx, rx) = sync_channel::<LedgerMsg>(policy.every + 1);
+    let (spare_tx, spare_rx) = sync_channel::<Vec<u32>>(policy.every + 1);
+    let (status, written) = std::thread::scope(|scope| {
+        let writer = scope.spawn(move || {
+            for msg in rx {
+                match msg {
+                    LedgerMsg::Row(s, row) => {
+                        ledger.append(s, &row)?;
+                        let _ = spare_tx.try_send(row);
+                    }
+                    LedgerMsg::Commit => ledger.commit()?,
+                }
+            }
+            ledger.finish()
+        });
+        // Whether the writer still receives; once it has failed, the
+        // sweep stops at the end of the batch and its error is raised.
+        let mut open = true;
+        let mut status = CancelStatus::Continue;
+        for chunk in units.chunks(policy.every) {
+            status = engine.run_rows(graph, chunk, ctx);
+            engine.visit_rows(chunk, &mut |s, row| {
+                if open && !logged[s as usize] {
+                    let mut buf = spare_rx.try_recv().unwrap_or_default();
+                    buf.clear();
+                    buf.extend_from_slice(row);
+                    open = tx.send(LedgerMsg::Row(s, buf)).is_ok();
+                    logged[s as usize] = true;
+                }
+            });
+            open = open && tx.send(LedgerMsg::Commit).is_ok();
+            if status.is_stop() || !open {
+                break;
+            }
+        }
+        drop(tx);
+        (status, writer.join())
+    });
+    match written {
+        Ok(Ok(())) => status,
+        Ok(Err(err)) => panic!("run ledger {}: {err}", policy.path.display()),
+        Err(panic) => std::panic::resume_unwind(panic),
     }
 }
 
@@ -1568,29 +1632,39 @@ mod tests {
         assert_eq!(stopped.checkpoint().unwrap().completed_count(), 0);
     }
 
-    /// Tentpole: the run ledger is an O(row) drop-in for the O(n²)
-    /// checkpoint rewrite — a cancelled ledger run resumes from its own
+    /// The run ledger is an O(row) drop-in for the O(n²) checkpoint
+    /// rewrite — a cancelled ledger run resumes from its own
     /// ledger (no separate `--resume` artifact needed) and lands on the
-    /// bit-identical final matrix, having recomputed only the missing rows.
+    /// bit-identical final matrix, having recomputed only the missing
+    /// rows, on every store tier and fsync policy.
     #[test]
     fn ledger_runs_resume_from_their_own_file_bit_identically() {
         const BUDGET: u64 = 20;
         const EVERY: usize = 8;
+        const N: usize = 90;
         let dir = std::env::temp_dir().join("parapsp-engine-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let g = barabasi_albert(90, 3, WeightSpec::Uniform { lo: 1, hi: 9 }, 5).unwrap();
+        let g = barabasi_albert(N, 3, WeightSpec::Uniform { lo: 1, hi: 9 }, 5).unwrap();
         let reference = seq_basic(&g);
 
-        for (name, fsync) in [
+        let stores = [
+            StoreSpec::dense(),
+            StoreSpec::delta(4),
+            StoreSpec::mmap(3 * 4 * N as u64),
+        ];
+        let policies = [
             ("always", FsyncPolicy::Always),
             ("commit", FsyncPolicy::Commit),
             ("never", FsyncPolicy::Never),
-        ] {
+        ];
+        for (store, (fsync_name, fsync)) in stores.iter().flat_map(|st| policies.map(|p| (st, p))) {
+            let name = format!("{}-{fsync_name}", store.label());
             let path = dir.join(format!("run-{name}.ledger"));
             std::fs::remove_file(&path).ok();
             let config = RunConfig::par_apsp(2)
                 .with_ordering(OrderingProcedure::Identity)
                 .with_threads(1)
+                .with_store(store.clone())
                 .with_ledger(&path, EVERY)
                 .with_fsync(fsync);
             let token = CancelToken::with_poll_budget(BUDGET);
@@ -1614,6 +1688,115 @@ mod tests {
                 None,
                 "{name}"
             );
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// An engine that fails in its third batch, in one of two ways.
+    struct FailsMidRun {
+        inner: ApspEngine,
+        batches: usize,
+        /// Hand the ledger a short row instead of panicking itself.
+        short_row: bool,
+    }
+
+    impl Engine for FailsMidRun {
+        type Output = ApspOutput;
+
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn prepare(
+            &mut self,
+            graph: &CsrGraph,
+            config: &RunConfig,
+            pool: &ThreadPool,
+            resume: Option<Checkpoint>,
+        ) -> Plan {
+            self.inner.prepare(graph, config, pool, resume)
+        }
+
+        fn run_rows(&mut self, graph: &CsrGraph, units: &[u32], ctx: &RowsCtx<'_>) -> RowsOutcome {
+            self.batches += 1;
+            if self.batches == 3 && !self.short_row {
+                panic!("engine failed in batch 3");
+            }
+            self.inner.run_rows(graph, units, ctx)
+        }
+
+        fn snapshot(&self) -> Checkpoint {
+            self.inner.snapshot()
+        }
+
+        fn visit_rows(&self, units: &[u32], visit: &mut dyn FnMut(u32, &[u32])) {
+            self.inner.visit_rows(units, &mut |s, row| {
+                let cut = if self.batches == 3 && self.short_row {
+                    1
+                } else {
+                    0
+                };
+                visit(s, &row[cut..]);
+            });
+        }
+
+        fn finish(self, graph: &CsrGraph, summary: RunSummary) -> ApspOutput {
+            self.inner.finish(graph, summary)
+        }
+    }
+
+    /// A run that fails mid-sweep — in the engine, or in the
+    /// ledger writer — re-raises that panic on the Runner's thread instead
+    /// of hanging on the writer join, and its ledger replays exactly the
+    /// two whole batches that completed, bit-exact.
+    #[test]
+    fn failing_ledger_runs_propagate_the_panic_and_keep_whole_rows() {
+        const EVERY: usize = 8;
+        let dir = std::env::temp_dir().join("parapsp-engine-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = barabasi_albert(60, 3, WeightSpec::Uniform { lo: 1, hi: 9 }, 4).unwrap();
+        let reference = seq_basic(&g);
+        for (name, short_row, message) in [
+            ("engine", false, "engine failed in batch 3"),
+            ("writer", true, "ledger rows are full n-length rows"),
+        ] {
+            let path = dir.join(format!("fails-in-{name}.ledger"));
+            std::fs::remove_file(&path).ok();
+            let config = RunConfig::par_apsp(1)
+                .with_ordering(OrderingProcedure::Identity)
+                .with_ledger(&path, EVERY)
+                .with_fsync(FsyncPolicy::Never);
+            let engine = FailsMidRun {
+                inner: ApspEngine::new(),
+                batches: 0,
+                short_row,
+            };
+            let graph = g.clone();
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    Runner::new(config).run(engine, &graph)
+                }));
+                let _ = done_tx.send(run.err());
+            });
+            let payload = done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{name}: the failed run hung"))
+                .unwrap_or_else(|| panic!("{name}: the failed run completed"));
+            let got = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic");
+            assert!(got.contains(message), "{name}: {got}");
+
+            let cp = persist::load_checkpoint(&path).unwrap();
+            assert_eq!(cp.completed_count(), 2 * EVERY, "{name}");
+            for s in 0..g.vertex_count() as u32 {
+                if cp.completed()[s as usize] {
+                    assert_eq!(cp.matrix().row(s), reference.dist.row(s), "{name} row {s}");
+                }
+            }
             std::fs::remove_file(&path).ok();
         }
     }

@@ -209,9 +209,9 @@ pub trait CompletedRows {
 
 /// Row reuse fires on *every* backend through [`Store::lease_row`]: dense
 /// rows are lent at zero cost, delta/mmap rows are pinned in the hot-row
-/// cache for the duration of the relaxation pass (decoding on a miss),
-/// and the queue-front [`Store::prefetch_row`] hint turns into a
-/// decode-ahead that hides that decode behind the current row's work.
+/// cache for the duration of the relaxation pass (decoding on a miss).
+/// The queue-front [`Store::prefetch_row`] hint is a hardware prefetch on
+/// dense and a no-op on the cached tiers.
 impl CompletedRows for Store {
     type Row<'a> = RowLease<'a>;
 
@@ -332,10 +332,6 @@ pub(crate) fn reuse_row<R: CompletedRows, P: PredSink>(
     tally.row_reuses += 1;
     match origin {
         LeaseOrigin::CacheMiss => tally.lease_misses += 1,
-        LeaseOrigin::DecodeAhead => {
-            tally.lease_hits += 1;
-            tally.decode_ahead_hits += 1;
-        }
         LeaseOrigin::Lent | LeaseOrigin::CacheHit => tally.lease_hits += 1,
     }
     tally.relaxations += match pred.reuse(row, t, &t_row, dt, cap) {
@@ -395,8 +391,7 @@ pub fn modified_dijkstra<R: CompletedRows, P: PredSink>(
         if options.row_reuse {
             // Overlap the latency of the *next* reuse candidate with the
             // work on `t`: on dense its row head starts travelling toward
-            // the cache now; on delta/mmap the decode-ahead worker starts
-            // materializing it into the hot-row cache.
+            // the cache now.
             if let Some(&next) = ws.queue.front() {
                 rows.prefetch(next);
             }
@@ -704,11 +699,7 @@ mod tests {
                 "{}: every reuse is a lease hit or miss",
                 spec.label()
             );
-            assert!(
-                counters.decode_ahead_hits <= counters.lease_hits,
-                "{}: decode-ahead hits are a subset of hits",
-                spec.label()
-            );
+            assert_eq!(counters.decode_ahead_hits, 0, "{}", spec.label());
             let got = store.into_matrix();
             assert_eq!(expect.first_difference(&got), None, "{}", spec.label());
         }

@@ -92,11 +92,9 @@ impl RelaxImpl {
 /// A pure hint for the row-reuse fast path: the kernel calls it on the
 /// head of the next reuse-candidate row so the line is (ideally) already
 /// in cache when [`relax_row`] starts streaming it, and the hardware
-/// prefetcher takes over from there. This is the dense half of
-/// `Store::prefetch_row`; on delta/mmap backends the same hint becomes a
-/// *decode-ahead* — a worker thread materializes the row into the
-/// hot-row cache — so both tiers hide the next row's latency behind the
-/// current row's relaxation. Compiles to nothing off x86_64, and
+/// prefetcher takes over from there. This is all of
+/// `Store::prefetch_row`, which is a no-op on the cached delta/mmap
+/// tiers. Compiles to nothing off x86_64, and
 /// is always sound to issue — architecturally a prefetch performs no
 /// memory access, so even a dangling address cannot fault.
 #[inline(always)]

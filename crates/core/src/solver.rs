@@ -40,10 +40,9 @@
 //!
 //! Reuse rows are read through the kernel's shared lease → counters →
 //! [`relax_row`](crate::relax::relax_row) helper, so the trick fires
-//! identically on every store backend: dense lends the row, delta/mmap
-//! pin a hot-cache entry for the relaxation pass while
-//! [`Store::prefetch_row`] decode-ahead hints keep the next candidate
-//! warm.
+//! identically on every store backend: dense lends the row (with a
+//! [`Store::prefetch_row`] hint for the next candidate), delta/mmap pin a
+//! hot-cache entry for the relaxation pass.
 
 use parapsp_graph::{CsrGraph, INF};
 use parapsp_parfor::{spec, Schedule};
@@ -554,9 +553,8 @@ fn delta_row(
                 }
                 tally.queue_pops += 1;
                 if options.row_reuse {
-                    // Decode-ahead for the next drained entry, mirroring
-                    // the FIFO kernel's queue-front prefetch: its row is
-                    // being materialized while this one relaxes.
+                    // Prefetch the next drained entry's row, mirroring
+                    // the FIFO kernel's queue-front prefetch.
                     if let Some(&next) = ws.scratch.get(i + 1) {
                         store.prefetch_row(next);
                     }

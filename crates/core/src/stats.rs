@@ -22,13 +22,15 @@ pub struct Counters {
     /// `lease_hits + lease_misses`.
     pub row_reuses: u64,
     /// Row leases served without paying a decode: dense/reference-row
-    /// lends, hot-cache hits, and decode-ahead hits.
+    /// lends and hot-cache hits.
     pub lease_hits: u64,
     /// Row leases that decoded (or `pread`) the row on demand.
     pub lease_misses: u64,
-    /// Lease hits served from a row the decode-ahead worker populated —
-    /// the subset of `lease_hits` that exists because of
-    /// `Store::prefetch_row` (always 0 on the dense backend).
+    /// Always 0. It counted lease hits on rows a decode-ahead thread had
+    /// loaded into the delta/mmap hot-row cache; that thread is gone (on
+    /// hosts with as many cores as kernel threads it cost more CPU than
+    /// the misses it saved), and the field stays so reports and benches
+    /// that read it keep their schema.
     pub decode_ahead_hits: u64,
     /// High-water mark of hot-cache bytes pinned by live leases
     /// (merged by `max`, not sum; 0 on the dense backend).

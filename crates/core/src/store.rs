@@ -43,12 +43,14 @@
 //!   self-describing error instead of thrashing, and
 //!   [`StoreSpec::validate_for`] rejects such budgets at construction.
 //!
-//! [`Store::prefetch_row`] is the matching look-ahead: a hardware
-//! prefetch on dense, and a *decode-ahead* on delta/mmap — a hint to a
-//! lazily spawned worker thread that decodes the row into the cache while
-//! the caller is still relaxing the current row, so the next
-//! `lease_row` hits warm. This is how the paper's row-reuse optimization
-//! fires identically on all three backends (DESIGN.md §14).
+//! This is how the paper's row-reuse optimization fires identically on
+//! all three backends (DESIGN.md §14). A cache miss loads the row in the
+//! leasing thread, into a row buffer an earlier eviction freed, so a full
+//! cache serves misses without touching the allocator.
+//! [`Store::prefetch_row`] is a hardware prefetch on dense and a no-op on
+//! the cached tiers: a helper thread loading rows ahead would take CPU
+//! from the kernel threads on hosts with as many cores as kernel threads
+//! (DESIGN.md §14 has the measurement).
 //!
 //! # Publication memory ordering
 //!
@@ -72,9 +74,7 @@ use std::ops::Deref;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
 
 use parapsp_graph::INF;
 use parapsp_parfor::spec;
@@ -130,12 +130,10 @@ const REF_MARKER: u8 = 0xFF;
 /// make the pin-aware eviction thrash or fail, so construction rejects
 /// them ([`StoreSpec::validate_for`]).
 const MIN_CACHE_ROWS: u64 = 2;
-/// Bounded queue depth of decode-ahead hints; hints past a full queue are
-/// dropped (a dropped hint is just a future cache miss, never an error).
-const DECODE_AHEAD_QUEUE: usize = 64;
-/// Stack size of the decode-ahead worker thread — deliberately tiny so
-/// the extra thread stays invisible under `ulimit -v` smoke runs.
-const DECODE_AHEAD_STACK: usize = 128 << 10;
+/// Evicted row buffers a hot-row cache keeps for the next misses to load
+/// into — one per concurrently missing kernel thread on small hosts;
+/// buffers evicted past this are freed.
+const SPARE_ROWS: usize = 4;
 
 /// A parsed `--store` specification: backend plus its tuning parameter.
 ///
@@ -295,9 +293,6 @@ pub enum LeaseOrigin {
     CacheHit,
     /// Decoded on demand (the lease paid the full decode / pread).
     CacheMiss,
-    /// Served from an entry the decode-ahead worker populated — a cache
-    /// hit that exists *because* of a [`Store::prefetch_row`] hint.
-    DecodeAhead,
 }
 
 /// A borrowed `&[u32]` view of one published row (via `Deref`).
@@ -461,8 +456,8 @@ impl Store {
     pub fn n(&self) -> usize {
         match &self.inner {
             Inner::Dense(state) => state.n(),
-            Inner::Delta(store) => store.inner.n,
-            Inner::Mmap(store) => store.inner.n,
+            Inner::Delta(store) => store.n,
+            Inner::Mmap(store) => store.n,
         }
     }
 
@@ -507,8 +502,8 @@ impl Store {
                 unsafe { state.row_mut(s).copy_from_slice(row) };
                 state.publish(s);
             }
-            Inner::Delta(store) => store.inner.publish_from(s, row),
-            Inner::Mmap(store) => store.inner.publish_from(s, row),
+            Inner::Delta(store) => store.publish_from(s, row),
+            Inner::Mmap(store) => store.publish_from(s, row),
         }
     }
 
@@ -525,8 +520,8 @@ impl Store {
                 origin: LeaseOrigin::Lent,
                 backing: LeaseBacking::Borrowed(PhantomData),
             }),
-            Inner::Delta(store) => store.inner.lease_row(t),
-            Inner::Mmap(store) => store.inner.lease_row(t),
+            Inner::Delta(store) => store.lease_row(t),
+            Inner::Mmap(store) => store.lease_row(t),
         }
     }
 
@@ -542,19 +537,13 @@ impl Store {
     }
 
     /// Look-ahead hint for row `t`: a hardware prefetch of the row's
-    /// first cache lines on dense, and a *decode-ahead* on delta/mmap —
-    /// the row is decoded into the hot cache by a worker thread while the
-    /// caller keeps relaxing the current row, so the next
-    /// [`Store::lease_row`] hits warm. Cheap and safe to call
-    /// speculatively: unpublished, already-cached, and zero-cost-lendable
-    /// rows are filtered out without taking the cache lock, and hints
-    /// past the worker's bounded queue are dropped.
+    /// first cache lines on dense, a no-op on delta/mmap (a miss there
+    /// loads the row when it is leased). Safe to call speculatively, on
+    /// published and unpublished rows alike.
     #[inline]
     pub fn prefetch_row(&self, t: u32) {
-        match &self.inner {
-            Inner::Dense(state) => state.prefetch_row(t),
-            Inner::Delta(store) => store.prefetch(t),
-            Inner::Mmap(store) => store.prefetch(t),
+        if let Inner::Dense(state) = &self.inner {
+            state.prefetch_row(t);
         }
     }
 
@@ -563,8 +552,8 @@ impl Store {
     pub fn is_published(&self, s: u32) -> bool {
         match &self.inner {
             Inner::Dense(state) => state.published_row(s).is_some(),
-            Inner::Delta(store) => store.inner.flags[s as usize].load(Ordering::Acquire),
-            Inner::Mmap(store) => store.inner.flags[s as usize].load(Ordering::Acquire),
+            Inner::Delta(store) => store.flags[s as usize].load(Ordering::Acquire),
+            Inner::Mmap(store) => store.flags[s as usize].load(Ordering::Acquire),
         }
     }
 
@@ -572,8 +561,8 @@ impl Store {
     pub fn published_count(&self) -> usize {
         match &self.inner {
             Inner::Dense(state) => state.published_count(),
-            Inner::Delta(store) => count_flags(&store.inner.flags),
-            Inner::Mmap(store) => count_flags(&store.inner.flags),
+            Inner::Delta(store) => count_flags(&store.flags),
+            Inner::Mmap(store) => count_flags(&store.flags),
         }
     }
 
@@ -582,8 +571,8 @@ impl Store {
     pub fn with_row<R>(&self, s: u32, f: impl FnOnce(&[u32]) -> R) -> Option<R> {
         match &self.inner {
             Inner::Dense(state) => state.published_row(s).map(f),
-            Inner::Delta(store) => store.inner.lease_row(s).map(|lease| f(&lease)),
-            Inner::Mmap(store) => store.inner.lease_row(s).map(|lease| f(&lease)),
+            Inner::Delta(store) => store.lease_row(s).map(|lease| f(&lease)),
+            Inner::Mmap(store) => store.lease_row(s).map(|lease| f(&lease)),
         }
     }
 
@@ -601,8 +590,8 @@ impl Store {
                 }
                 None => false,
             },
-            Inner::Delta(store) => store.inner.read_row_into(s, out),
-            Inner::Mmap(store) => store.inner.read_row_into(s, out),
+            Inner::Delta(store) => store.read_row_into(s, out),
+            Inner::Mmap(store) => store.read_row_into(s, out),
         }
     }
 
@@ -652,8 +641,8 @@ impl Store {
     pub fn stored_bytes(&self) -> u64 {
         match &self.inner {
             Inner::Dense(state) => 4 * (state.n() as u64) * (state.n() as u64),
-            Inner::Delta(store) => store.inner.bytes.load(Ordering::Relaxed),
-            Inner::Mmap(store) => store.inner.bytes.load(Ordering::Relaxed),
+            Inner::Delta(store) => store.bytes.load(Ordering::Relaxed),
+            Inner::Mmap(store) => store.bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -663,19 +652,8 @@ impl Store {
     pub fn pinned_bytes_peak(&self) -> u64 {
         match &self.inner {
             Inner::Dense(_) => 0,
-            Inner::Delta(store) => store.inner.cache_pinned_peak(),
-            Inner::Mmap(store) => store.inner.cache_pinned_peak(),
-        }
-    }
-
-    /// Rows the decode-ahead worker has decoded into the hot cache so
-    /// far (0 on dense). The observable effect of
-    /// [`Store::prefetch_row`] on non-dense backends.
-    pub fn decode_ahead_rows(&self) -> u64 {
-        match &self.inner {
-            Inner::Dense(_) => 0,
-            Inner::Delta(store) => store.inner.decode_ahead_rows.load(Ordering::Relaxed),
-            Inner::Mmap(store) => store.inner.decode_ahead_rows.load(Ordering::Relaxed),
+            Inner::Delta(store) => pinned_peak(&store.cache),
+            Inner::Mmap(store) => pinned_peak(&store.cache),
         }
     }
 }
@@ -759,9 +737,6 @@ struct CacheEntry {
     /// keeps the lease's raw pointer valid (`Box` heap data is stable
     /// even when the map rehashes).
     pins: u32,
-    /// Set when the decode-ahead worker inserted this entry; consumed by
-    /// the first pin so the kernel can attribute the hit.
-    prefetched: bool,
     /// Recency stamp ([`RowCache::tick`] at the last pin/insert). The
     /// eviction queue stores the stamp each entry was queued with;
     /// `last_used > queued stamp` means the queue position is stale.
@@ -792,14 +767,13 @@ struct RowCache {
     order: VecDeque<(u32, u64)>,
     /// Monotonic recency clock for `CacheEntry::last_used`.
     tick: u64,
-    /// Lock-free mirror of `map`'s keys, shared with the backend so the
-    /// prefetch fast path can skip already-cached rows without taking
-    /// this cache's lock.
-    present: Arc<Vec<AtomicBool>>,
+    /// Buffers of evicted rows (at most [`SPARE_ROWS`]), handed to the
+    /// next misses so a full cache loads rows without allocating.
+    spare: Vec<Box<[u32]>>,
 }
 
 impl RowCache {
-    fn new(label: &'static str, budget: u64, present: Arc<Vec<AtomicBool>>) -> RowCache {
+    fn new(label: &'static str, budget: u64) -> RowCache {
         RowCache {
             label,
             budget,
@@ -809,15 +783,14 @@ impl RowCache {
             map: HashMap::new(),
             order: VecDeque::new(),
             tick: 0,
-            present,
+            spare: Vec::with_capacity(SPARE_ROWS),
         }
     }
 
-    /// Pins row `s` if cached, returning its data pointer/len and whether
-    /// this consumed a decode-ahead `prefetched` mark. Also bumps `s` to
-    /// most-recently-used (O(1): just the recency stamp; the queue is
-    /// reconciled lazily at eviction time).
-    fn pin(&mut self, s: u32) -> Option<(*const u32, usize, bool)> {
+    /// Pins row `s` if cached, returning its data pointer/len. Also bumps
+    /// `s` to most-recently-used (O(1): just the recency stamp; the queue
+    /// is reconciled lazily at eviction time).
+    fn pin(&mut self, s: u32) -> Option<(*const u32, usize)> {
         self.tick += 1;
         let tick = self.tick;
         let entry = self.map.get_mut(&s)?;
@@ -827,9 +800,7 @@ impl RowCache {
             self.pinned_bytes += 4 * entry.data.len() as u64;
             self.pinned_bytes_peak = self.pinned_bytes_peak.max(self.pinned_bytes);
         }
-        let prefetched = std::mem::take(&mut entry.prefetched);
-        let out = (entry.data.as_ptr(), entry.data.len(), prefetched);
-        Some(out)
+        Some((entry.data.as_ptr(), entry.data.len()))
     }
 
     /// Releases one pin on row `s`.
@@ -843,26 +814,19 @@ impl RowCache {
         }
     }
 
-    /// Inserts a decoded row, evicting least-recently-used *unpinned*
-    /// entries (other than the new one) until the budget holds. If the
-    /// pinned working set leaves no room even after evicting everything
-    /// evictable, panics with a message naming the minimum budget —
-    /// never evicts a pinned row, never thrashes.
-    fn insert(&mut self, s: u32, row: Box<[u32]>, prefetched: bool) {
-        if !self.insert_inner(s, row, prefetched, true) {
-            unreachable!("required insert reported failure instead of panicking");
+    /// Keeps `buf` for a later miss, or frees it when enough are kept.
+    fn recycle(&mut self, buf: Box<[u32]>) {
+        if self.spare.len() < SPARE_ROWS {
+            self.spare.push(buf);
         }
     }
 
-    /// [`RowCache::insert`] that gives up (returns `false`) instead of
-    /// panicking when the pinned working set leaves no room — the
-    /// decode-ahead worker uses this, since a dropped prefetch is just a
-    /// future cache miss.
-    fn try_insert(&mut self, s: u32, row: Box<[u32]>, prefetched: bool) -> bool {
-        self.insert_inner(s, row, prefetched, false)
-    }
-
-    fn insert_inner(&mut self, s: u32, row: Box<[u32]>, prefetched: bool, required: bool) -> bool {
+    /// Inserts a decoded row, evicting least-recently-used *unpinned*
+    /// entries (other than the new one) until the budget holds; evicted
+    /// buffers are recycled. If the pinned working set leaves no room even
+    /// after evicting everything evictable, panics with a message naming
+    /// the minimum budget — never evicts a pinned row, never thrashes.
+    fn insert(&mut self, s: u32, row: Box<[u32]>) {
         self.tick += 1;
         let tick = self.tick;
         if let Some(entry) = self.map.get_mut(&s) {
@@ -870,24 +834,20 @@ impl RowCache {
             // through a live lease. Refresh recency and keep the old row
             // (published rows are immutable, the bytes are identical).
             entry.last_used = tick;
-            return true;
+            self.recycle(row);
+            return;
         }
         let incoming = 4 * row.len() as u64;
         self.bytes += incoming;
-        if let Some(flag) = self.present.get(s as usize) {
-            flag.store(true, Ordering::Relaxed);
-        }
-        self.tick += 1;
         self.map.insert(
             s,
             CacheEntry {
                 data: row,
                 pins: 0,
-                prefetched,
-                last_used: self.tick,
+                last_used: tick,
             },
         );
-        self.order.push_back((s, self.tick));
+        self.order.push_back((s, tick));
         // Evict LRU-first, skipping pinned entries and the new row, and
         // lazily re-queueing entries whose stamp went stale (touched
         // since they were queued). Terminates: `last_used` is frozen
@@ -911,9 +871,7 @@ impl RowCache {
             }
             if let Some(old) = self.map.remove(&victim) {
                 self.bytes -= 4 * old.data.len() as u64;
-                if let Some(flag) = self.present.get(victim as usize) {
-                    flag.store(false, Ordering::Relaxed);
-                }
+                self.recycle(old.data);
             }
         }
         if self.bytes > self.budget && self.pinned_bytes + incoming > self.budget {
@@ -922,84 +880,62 @@ impl RowCache {
             // future read, and evicting would dangle a live lease.
             let live: usize = self.map.values().filter(|e| e.pins > 0).count();
             let min = self.pinned_bytes + incoming;
-            if required {
-                panic!(
-                    "{} hot-row cache budget of {} bytes cannot hold the pinned lease \
-                     working set: {} bytes pinned by {live} live row lease(s) plus a \
-                     {incoming}-byte decoded row; raise the budget to at least {min} \
-                     bytes (`--store {}:{min}`)",
-                    self.label, self.budget, self.pinned_bytes, self.label,
-                );
-            }
-            // Roll the speculative insert back.
-            if let Some(entry) = self.map.remove(&s) {
-                debug_assert_eq!(entry.pins, 0, "fresh insert cannot be pinned");
-                self.bytes -= 4 * entry.data.len() as u64;
-                if let Some(flag) = self.present.get(s as usize) {
-                    flag.store(false, Ordering::Relaxed);
-                }
-            }
-            if let Some(pos) = self.order.iter().position(|&(k, _)| k == s) {
-                self.order.remove(pos);
-            }
-            return false;
+            panic!(
+                "{} hot-row cache budget of {} bytes cannot hold the pinned lease \
+                 working set: {} bytes pinned by {live} live row lease(s) plus a \
+                 {incoming}-byte decoded row; raise the budget to at least {min} \
+                 bytes (`--store {}:{min}`)",
+                self.label, self.budget, self.pinned_bytes, self.label,
+            );
         }
-        true
     }
 }
 
-// ---------------------------------------------------------------------------
-// Decode-ahead worker (shared by the delta and mmap backends)
-// ---------------------------------------------------------------------------
+/// High-water mark of the bytes `cache` has had pinned.
+fn pinned_peak(cache: &Mutex<RowCache>) -> u64 {
+    cache
+        .lock()
+        .map(|cache| cache.pinned_bytes_peak)
+        .unwrap_or(0)
+}
 
-/// A lazily spawned worker thread that turns [`Store::prefetch_row`]
-/// hints into hot-cache entries: the decode / pread runs on this thread
-/// while the kernel thread keeps relaxing the current row — the
-/// non-dense analogue of the dense backend's hardware prefetch.
+/// The pinned-lease path shared by delta and mmap: pin a cached entry,
+/// or materialize the row with `load`, insert, and pin. The
+/// just-inserted/pinned entry cannot be evicted or replaced while the
+/// lease lives, so the returned raw pointer stays valid (`Box` heap data
+/// does not move when the map rehashes).
 ///
-/// Hints go through a small bounded queue; `try_send` drops hints past a
-/// full queue (a dropped hint is a future cache miss, never an error).
-/// Dropping the handle closes the queue and joins the worker.
-struct DecodeAhead {
-    tx: Option<SyncSender<u32>>,
-    worker: Option<JoinHandle<()>>,
-}
-
-impl DecodeAhead {
-    fn spawn(label: &'static str, decode: impl Fn(u32) + Send + 'static) -> DecodeAhead {
-        let (tx, rx) = sync_channel::<u32>(DECODE_AHEAD_QUEUE);
-        let worker = std::thread::Builder::new()
-            .name(format!("parapsp-decode-{label}"))
-            .stack_size(DECODE_AHEAD_STACK)
-            .spawn(move || {
-                while let Ok(s) = rx.recv() {
-                    decode(s);
-                }
-            })
-            .ok();
-        // If the spawn failed (thread limit), drop the sender so every
-        // hint becomes a cheap no-op.
-        DecodeAhead {
-            tx: worker.is_some().then_some(tx),
-            worker,
-        }
+/// `load` must overwrite every cell of the slice it is given: on a full
+/// cache that slice is an evicted row's recycled buffer, still holding
+/// the old row's distances.
+fn pin_or_decode<'a>(
+    cache: &'a Mutex<RowCache>,
+    s: u32,
+    n: usize,
+    load: impl FnOnce(&mut [u32]),
+) -> Option<RowLease<'a>> {
+    let lease = |(ptr, len), origin| RowLease {
+        ptr,
+        len,
+        origin,
+        backing: LeaseBacking::Pinned { cache, row: s },
+    };
+    let mut guard = cache.lock().expect("cache mutex");
+    if let Some(pinned) = guard.pin(s) {
+        return Some(lease(pinned, LeaseOrigin::CacheHit));
     }
-
-    #[inline]
-    fn hint(&self, s: u32) {
-        if let Some(tx) = &self.tx {
-            let _ = tx.try_send(s);
-        }
-    }
-}
-
-impl Drop for DecodeAhead {
-    fn drop(&mut self) {
-        self.tx = None;
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
+    let recycled = guard.spare.pop();
+    drop(guard);
+    // Miss: materialize outside the lock so concurrent leases of other
+    // rows keep moving. If someone else inserted `s` meanwhile, `insert`
+    // keeps their entry and recycles ours — `pin` then serves whichever
+    // buffer is resident.
+    let mut row = recycled.unwrap_or_else(|| vec![0; n].into_boxed_slice());
+    load(&mut row);
+    let mut guard = cache.lock().expect("cache mutex");
+    guard.insert(s, row);
+    let pinned = guard.pin(s).expect("row just inserted");
+    Some(lease(pinned, LeaseOrigin::CacheMiss))
 }
 
 // ---------------------------------------------------------------------------
@@ -1034,16 +970,7 @@ type EncodedSlot = UnsafeCell<Option<Box<[u8]>>>;
 /// first `max_refs` published rows become the reference set — under the
 /// hub-first source orderings the engines use, those are the highest-
 /// degree hubs, the same vertices landmark triangulation would pick.
-///
-/// The decode-ahead worker holds an `Arc` of [`DeltaInner`];
-/// `decode_ahead` is declared first so it drops (and joins the worker)
-/// before this handle's `Arc` goes away.
 struct DeltaStore {
-    decode_ahead: OnceLock<DecodeAhead>,
-    inner: Arc<DeltaInner>,
-}
-
-struct DeltaInner {
     n: usize,
     max_refs: usize,
     /// Append-only reference set; publishers briefly lock to clone the
@@ -1056,62 +983,28 @@ struct DeltaInner {
     slots: Box<[EncodedSlot]>,
     flags: Box<[AtomicBool]>,
     cache: Mutex<RowCache>,
-    /// Lock-free mirror of the cache's resident set (see
-    /// [`RowCache::present`]).
-    cached: Arc<Vec<AtomicBool>>,
     bytes: AtomicU64,
-    decode_ahead_rows: AtomicU64,
 }
 
 // SAFETY: each slot is written exactly once, by the unique owner of its
 // row, strictly before the `Release` store of its flag; readers load the
 // flag with `Acquire` first. Reference rows are guarded by the mutex and
 // immutable once inserted (behind `Arc`).
-unsafe impl Sync for DeltaInner {}
+unsafe impl Sync for DeltaStore {}
 
 impl DeltaStore {
     fn new(n: usize, max_refs: usize, cache_bytes: u64) -> DeltaStore {
-        let cached: Arc<Vec<AtomicBool>> =
-            Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
         DeltaStore {
-            decode_ahead: OnceLock::new(),
-            inner: Arc::new(DeltaInner {
-                n,
-                max_refs: max_refs.clamp(1, MAX_DELTA_REFS),
-                refs: Mutex::new(Arc::new(Vec::new())),
-                slots: (0..n).map(|_| UnsafeCell::new(None)).collect(),
-                flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
-                cache: Mutex::new(RowCache::new("delta", cache_bytes, Arc::clone(&cached))),
-                cached,
-                bytes: AtomicU64::new(0),
-                decode_ahead_rows: AtomicU64::new(0),
-            }),
+            n,
+            max_refs: max_refs.clamp(1, MAX_DELTA_REFS),
+            refs: Mutex::new(Arc::new(Vec::new())),
+            slots: (0..n).map(|_| UnsafeCell::new(None)).collect(),
+            flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            cache: Mutex::new(RowCache::new("delta", cache_bytes)),
+            bytes: AtomicU64::new(0),
         }
     }
 
-    /// Decode-ahead hint: enqueue `t` for the worker unless the row is
-    /// unpublished, already cached, or a reference row (those lease
-    /// zero-copy — there is nothing to decode).
-    fn prefetch(&self, t: u32) {
-        let inner = &self.inner;
-        if !inner.flags[t as usize].load(Ordering::Acquire) {
-            return;
-        }
-        if inner.cached[t as usize].load(Ordering::Relaxed) {
-            return;
-        }
-        if inner.payload(t)[0] == REF_MARKER {
-            return;
-        }
-        let worker = self.decode_ahead.get_or_init(|| {
-            let inner = Arc::clone(&self.inner);
-            DecodeAhead::spawn("delta", move |s| inner.decode_ahead(s))
-        });
-        worker.hint(t);
-    }
-}
-
-impl DeltaInner {
     fn publish_from(&self, s: u32, row: &[u32]) {
         debug_assert!(
             !self.flags[s as usize].load(Ordering::Relaxed),
@@ -1152,8 +1045,8 @@ impl DeltaInner {
         unsafe { (*self.slots[s as usize].get()).as_deref() }.expect("published row has a payload")
     }
 
-    /// Decodes published row `s` into `out`. Caller must have observed
-    /// the `Acquire` flag.
+    /// Decodes published row `s` into `out`, overwriting every cell.
+    /// Caller must have observed the `Acquire` flag.
     fn decode_into(&self, s: u32, out: &mut [u32]) {
         // The refs guard is released at the end of this statement — it
         // is never held while the cache lock is taken (no lock cycle).
@@ -1189,81 +1082,8 @@ impl DeltaInner {
                 backing: LeaseBacking::Refs(refs),
             });
         }
-        pin_or_decode(&self.cache, s, |out| self.decode_into(s, out), self.n)
+        pin_or_decode(&self.cache, s, self.n, |out| self.decode_into(s, out))
     }
-
-    /// Worker-side decode of one hinted row into the cache.
-    fn decode_ahead(&self, s: u32) {
-        if self.cached[s as usize].load(Ordering::Relaxed) {
-            return;
-        }
-        // Decode outside the cache lock — this overlap with the kernel
-        // thread's relaxation is the whole point of the worker.
-        let mut row = vec![INF; self.n].into_boxed_slice();
-        self.decode_into(s, &mut row);
-        let inserted = match self.cache.lock() {
-            Ok(mut cache) => cache.try_insert(s, row, true),
-            Err(_) => return,
-        };
-        if inserted {
-            self.decode_ahead_rows.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn cache_pinned_peak(&self) -> u64 {
-        self.cache
-            .lock()
-            .map(|cache| cache.pinned_bytes_peak)
-            .unwrap_or(0)
-    }
-}
-
-/// The pinned-lease slow path shared by delta and mmap: pin a cached
-/// entry, or materialize the row with `load`, insert, and pin. The
-/// just-inserted/pinned entry cannot be evicted or replaced while the
-/// lease lives, so the returned raw pointer stays valid (`Box` heap data
-/// does not move when the map rehashes).
-fn pin_or_decode<'a>(
-    cache: &'a Mutex<RowCache>,
-    s: u32,
-    load: impl FnOnce(&mut [u32]),
-    n: usize,
-) -> Option<RowLease<'a>> {
-    let mut guard = cache.lock().expect("cache mutex");
-    if let Some((ptr, len, prefetched)) = guard.pin(s) {
-        let origin = if prefetched {
-            LeaseOrigin::DecodeAhead
-        } else {
-            LeaseOrigin::CacheHit
-        };
-        return Some(RowLease {
-            ptr,
-            len,
-            origin,
-            backing: LeaseBacking::Pinned { cache, row: s },
-        });
-    }
-    drop(guard);
-    // Miss: materialize outside the lock so concurrent leases of other
-    // rows (and the decode-ahead worker) keep moving. If someone else
-    // inserted `s` meanwhile, `insert` keeps their entry and ours is
-    // discarded — `pin` then serves whichever buffer is resident.
-    let mut row = vec![INF; n].into_boxed_slice();
-    load(&mut row);
-    let mut guard = cache.lock().expect("cache mutex");
-    guard.insert(s, row, false);
-    let (ptr, len, prefetched) = guard.pin(s).expect("row just inserted");
-    let origin = if prefetched {
-        LeaseOrigin::DecodeAhead
-    } else {
-        LeaseOrigin::CacheMiss
-    };
-    Some(RowLease {
-        ptr,
-        len,
-        origin,
-        backing: LeaseBacking::Pinned { cache, row: s },
-    })
 }
 
 /// Zig-zag encoding: small magnitudes (either sign) become small codes.
@@ -1412,30 +1232,38 @@ static STORE_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Rows in fixed-size file shards under a scratch directory.
 ///
 /// Shard `k` holds rows `k·rows_per_shard ..`, each at byte offset
-/// `(s mod rows_per_shard) · 4n`, written little-endian with one `pwrite`
-/// and read back with one `pread`. Row writes land at disjoint offsets,
-/// so concurrent publishers need no lock; shard files are created lazily
-/// through a `OnceLock`. The directory is removed when the last handle
-/// drops (best effort) — `decode_ahead` is declared first so the worker
-/// joins before this handle's `Arc` goes away, keeping the removal
-/// prompt and deterministic.
+/// `(s mod rows_per_shard) · 4n`, written with one `pwrite` straight from
+/// the row and read back with one `pread` straight into the caller's
+/// slice. The cells are stored in the host's byte order: shards are
+/// private scratch of one process, never a file another process or host
+/// reads (checkpoints and ledgers are the portable, little-endian
+/// formats). Row writes land at disjoint offsets, so concurrent
+/// publishers need no lock; shard files are created lazily through a
+/// `OnceLock`. The directory is removed on drop (best effort).
 struct MmapStore {
-    decode_ahead: OnceLock<DecodeAhead>,
-    inner: Arc<MmapInner>,
-}
-
-struct MmapInner {
     n: usize,
     dir: PathBuf,
     rows_per_shard: usize,
     shards: Box<[OnceLock<File>]>,
     flags: Box<[AtomicBool]>,
     cache: Mutex<RowCache>,
-    /// Lock-free mirror of the cache's resident set (see
-    /// [`RowCache::present`]).
-    cached: Arc<Vec<AtomicBool>>,
     bytes: AtomicU64,
-    decode_ahead_rows: AtomicU64,
+}
+
+/// The bytes of a row of cells, in the host's byte order.
+fn cell_bytes(row: &[u32]) -> &[u8] {
+    // SAFETY: `u32` has no padding and `u8` no alignment requirement, so
+    // the row's memory is exactly `4 · len` initialized bytes; the shared
+    // borrow of `row` is carried over to the result.
+    unsafe { std::slice::from_raw_parts(row.as_ptr().cast(), std::mem::size_of_val(row)) }
+}
+
+/// [`cell_bytes`] for writing: every byte pattern is a valid `u32`, so
+/// any bytes stored through the view leave valid cells behind.
+fn cell_bytes_mut(row: &mut [u32]) -> &mut [u8] {
+    // SAFETY: as in `cell_bytes`, and the exclusive borrow of `row` is
+    // carried over to the result.
+    unsafe { std::slice::from_raw_parts_mut(row.as_mut_ptr().cast(), std::mem::size_of_val(row)) }
 }
 
 impl MmapStore {
@@ -1450,43 +1278,17 @@ impl MmapStore {
         ));
         std::fs::create_dir_all(&dir)
             .unwrap_or_else(|err| panic!("creating store shard dir {}: {err}", dir.display()));
-        let cached: Arc<Vec<AtomicBool>> =
-            Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
         MmapStore {
-            decode_ahead: OnceLock::new(),
-            inner: Arc::new(MmapInner {
-                n,
-                dir,
-                rows_per_shard,
-                shards: (0..shard_count).map(|_| OnceLock::new()).collect(),
-                flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
-                cache: Mutex::new(RowCache::new("mmap", cache_bytes, Arc::clone(&cached))),
-                cached,
-                bytes: AtomicU64::new(0),
-                decode_ahead_rows: AtomicU64::new(0),
-            }),
+            n,
+            dir,
+            rows_per_shard,
+            shards: (0..shard_count).map(|_| OnceLock::new()).collect(),
+            flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            cache: Mutex::new(RowCache::new("mmap", cache_bytes)),
+            bytes: AtomicU64::new(0),
         }
     }
 
-    /// Decode-ahead hint: enqueue `t` for the worker unless the row is
-    /// unpublished or already cached.
-    fn prefetch(&self, t: u32) {
-        let inner = &self.inner;
-        if !inner.flags[t as usize].load(Ordering::Acquire) {
-            return;
-        }
-        if inner.cached[t as usize].load(Ordering::Relaxed) {
-            return;
-        }
-        let worker = self.decode_ahead.get_or_init(|| {
-            let inner = Arc::clone(&self.inner);
-            DecodeAhead::spawn("mmap", move |s| inner.decode_ahead(s))
-        });
-        worker.hint(t);
-    }
-}
-
-impl MmapInner {
     fn shard(&self, index: usize) -> &File {
         self.shards[index].get_or_init(|| {
             let path = self.dir.join(format!("shard-{index}.rows"));
@@ -1512,29 +1314,22 @@ impl MmapInner {
             !self.flags[s as usize].load(Ordering::Relaxed),
             "row {s} published twice"
         );
-        let mut buf = vec![0u8; 4 * self.n];
-        for (chunk, &d) in buf.chunks_exact_mut(4).zip(row) {
-            chunk.copy_from_slice(&d.to_le_bytes());
-        }
+        let bytes = cell_bytes(row);
         let (shard, offset) = self.location(s);
         self.shard(shard)
-            .write_all_at(&buf, offset)
+            .write_all_at(bytes, offset)
             .unwrap_or_else(|err| panic!("writing store shard row {s}: {err}"));
-        self.bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        self.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.flags[s as usize].store(true, Ordering::Release);
     }
 
-    /// Reads published row `s` from its shard. Caller must have observed
-    /// the `Acquire` flag.
+    /// Reads published row `s` from its shard, overwriting every cell of
+    /// `out`. Caller must have observed the `Acquire` flag.
     fn read_into(&self, s: u32, out: &mut [u32]) {
-        let mut buf = vec![0u8; 4 * self.n];
         let (shard, offset) = self.location(s);
         self.shard(shard)
-            .read_exact_at(&mut buf, offset)
+            .read_exact_at(cell_bytes_mut(out), offset)
             .unwrap_or_else(|err| panic!("reading store shard row {s}: {err}"));
-        for (chunk, slot) in buf.chunks_exact(4).zip(out.iter_mut()) {
-            *slot = u32::from_le_bytes(chunk.try_into().expect("chunk of 4"));
-        }
     }
 
     fn read_row_into(&self, s: u32, out: &mut [u32]) -> bool {
@@ -1549,34 +1344,11 @@ impl MmapInner {
         if !self.flags[s as usize].load(Ordering::Acquire) {
             return None;
         }
-        pin_or_decode(&self.cache, s, |out| self.read_into(s, out), self.n)
-    }
-
-    /// Worker-side pread of one hinted row into the cache.
-    fn decode_ahead(&self, s: u32) {
-        if self.cached[s as usize].load(Ordering::Relaxed) {
-            return;
-        }
-        let mut row = vec![INF; self.n].into_boxed_slice();
-        self.read_into(s, &mut row);
-        let inserted = match self.cache.lock() {
-            Ok(mut cache) => cache.try_insert(s, row, true),
-            Err(_) => return,
-        };
-        if inserted {
-            self.decode_ahead_rows.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn cache_pinned_peak(&self) -> u64 {
-        self.cache
-            .lock()
-            .map(|cache| cache.pinned_bytes_peak)
-            .unwrap_or(0)
+        pin_or_decode(&self.cache, s, self.n, |out| self.read_into(s, out))
     }
 }
 
-impl Drop for MmapInner {
+impl Drop for MmapStore {
     fn drop(&mut self) {
         // Best effort: shard files are scratch, never a durability
         // artifact (that's what checkpoints and ledgers are for).
@@ -1587,7 +1359,6 @@ impl Drop for MmapInner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::{Duration, Instant};
 
     /// Deterministic pseudo-random distances (splitmix64) with ~1/8
     /// INF cells, so encode/decode sees both signs and saturation.
@@ -1764,49 +1535,6 @@ mod tests {
         }
     }
 
-    /// Satellite: `prefetch_row` must do something observable on every
-    /// backend — a decode-ahead counter bump plus a warm next lease on
-    /// delta/mmap (previously a silent no-op), a harmless hardware
-    /// prefetch on dense.
-    #[test]
-    fn prefetch_row_decodes_ahead_on_non_dense_backends() {
-        let n = 32;
-        let rows = fixture_rows(n, 17);
-        for spec in all_specs() {
-            let store = Store::new(n, &spec);
-            for (s, row) in rows.iter().enumerate() {
-                store.publish_from(s as u32, row);
-            }
-            // Row 20 is a plain (non-reference) row on every backend.
-            let t = 20u32;
-            store.prefetch_row(t);
-            if spec.kind() == StoreKind::Dense {
-                assert_eq!(store.decode_ahead_rows(), 0, "dense has no worker");
-                continue;
-            }
-            // The worker is asynchronous: wait for the observable bump.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while store.decode_ahead_rows() == 0 {
-                assert!(
-                    Instant::now() < deadline,
-                    "{}: decode-ahead worker never populated the cache",
-                    spec.label()
-                );
-                std::thread::yield_now();
-            }
-            let lease = store.lease_row(t).expect("published row leases");
-            assert_eq!(
-                lease.origin(),
-                LeaseOrigin::DecodeAhead,
-                "{}: the prefetched row must lease warm",
-                spec.label()
-            );
-            assert_eq!(&lease[..], &rows[t as usize][..], "{}", spec.label());
-            // Prefetching an unpublished row is a harmless no-op.
-            drop(lease);
-        }
-    }
-
     #[test]
     fn pinned_rows_survive_eviction_sweeps() {
         let n = 64; // 256 bytes per row
@@ -1835,10 +1563,10 @@ mod tests {
             let got = store.with_row(s as u32, |r| r.to_vec()).unwrap();
             assert_eq!(&got, row);
         }
-        let Inner::Mmap(outer) = &store.inner else {
+        let Inner::Mmap(mmap) = &store.inner else {
             panic!("mmap spec built a non-mmap store")
         };
-        let cache = outer.inner.cache.lock().unwrap();
+        let cache = mmap.cache.lock().unwrap();
         assert!(
             cache.bytes <= cache.budget,
             "cache over budget after unpin: {} > {}",
@@ -1975,10 +1703,10 @@ mod tests {
                 assert_eq!(&got, row, "pass {pass} row {s}");
             }
         }
-        let Inner::Mmap(outer) = &store.inner else {
+        let Inner::Mmap(mmap) = &store.inner else {
             panic!("mmap spec built a non-mmap store")
         };
-        let cache = outer.inner.cache.lock().unwrap();
+        let cache = mmap.cache.lock().unwrap();
         assert!(
             cache.bytes <= cache.budget,
             "cache over budget: {} > {}",
@@ -1986,14 +1714,41 @@ mod tests {
             cache.budget
         );
         assert!(cache.map.len() <= 3);
-        // The lock-free mirror matches the resident set.
-        for s in 0..n {
-            assert_eq!(
-                cache.present[s].load(Ordering::Relaxed),
-                cache.map.contains_key(&(s as u32)),
-                "present bitmap out of sync at row {s}"
-            );
+        assert!(cache.spare.len() <= SPARE_ROWS);
+    }
+
+    /// Once the mmap cache is full, a lease miss loads into an evicted
+    /// row's buffer and `publish_from` writes straight from the caller's
+    /// row: neither touches the allocator.
+    #[test]
+    fn full_mmap_cache_misses_and_publishes_without_allocating() {
+        let n = 64;
+        let rows = fixture_rows(n, 37);
+        let store = Store::new(n, &StoreSpec::mmap(3 * 4 * n as u64));
+        let half = n as u32 / 2;
+        // Open the shard file and churn the cache until its map, queue
+        // and spare list have reached their steady-state sizes.
+        for s in 0..half {
+            store.publish_from(s, &rows[s as usize]);
         }
+        for _ in 0..2 {
+            for s in 0..half {
+                drop(store.lease_row(s).expect("published row leases"));
+            }
+        }
+        let before = crate::alloc_counter::count();
+        for s in half..n as u32 {
+            store.publish_from(s, &rows[s as usize]);
+        }
+        let mut misses = 0;
+        for s in half..n as u32 {
+            let lease = store.lease_row(s).expect("published row leases");
+            misses += u32::from(lease.origin() == LeaseOrigin::CacheMiss);
+            assert_eq!(&lease[..], &rows[s as usize][..], "row {s}");
+        }
+        let allocations = crate::alloc_counter::count() - before;
+        assert_eq!(misses, half);
+        assert_eq!(allocations, 0, "full-cache misses and publishes allocated");
     }
 
     #[test]
@@ -2062,14 +1817,11 @@ mod tests {
         let dir = {
             let store = Store::new(32, &StoreSpec::mmap(1 << 20));
             store.publish_from(0, &[0u32; 32]);
-            // Wake the decode-ahead worker so drop also exercises the
-            // join-before-teardown path.
-            store.prefetch_row(0);
-            let Inner::Mmap(outer) = &store.inner else {
+            let Inner::Mmap(mmap) = &store.inner else {
                 panic!("mmap spec built a non-mmap store")
             };
-            assert!(outer.inner.dir.exists());
-            outer.inner.dir.clone()
+            assert!(mmap.dir.exists());
+            mmap.dir.clone()
         };
         assert!(!dir.exists(), "drop must remove {}", dir.display());
     }

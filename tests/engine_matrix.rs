@@ -4,9 +4,9 @@
 //!
 //! Capped runs are compared against the *post-filtered* exact matrix:
 //! because every capped entry is either the exact distance (≤ cap) or
-//! unreachable, applying the cap inside the kernel, as a finish-time
-//! post-filter (BlockedFW, Dist), or to the finished exact matrix all
-//! produce identical bits.
+//! unreachable, applying the cap inside the kernel (the row engines and
+//! every Dist node), as a finish-time post-filter (BlockedFW), or to the
+//! finished exact matrix all produce identical bits.
 
 use parapsp::core::{
     ApspEngine, BlockedFwEngine, DistanceMatrix, RunConfig, Runner, SeqEngine, SolverKind,
