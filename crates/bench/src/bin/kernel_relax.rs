@@ -1,29 +1,36 @@
-//! `kernel_relax` — the row-relaxation microbenchmark and the first entry
-//! in the repo's machine-readable perf trajectory.
-//!
-//! Measures, for every [`RelaxImpl`]:
-//!
-//! * **ns/row**: one dense min-plus pass (`row = min(row, dt ⊕ t_row)`)
-//!   over rows of n ∈ {1024, 4096, 16384} entries, amortized over a batch
-//!   of published rows the way the APSP kernel consumes them;
-//! * **end-to-end**: full `ParAPSP` wall time on a Barabási–Albert graph,
-//!   where the row-reuse pass is the dominant cost.
+//! `kernel_relax` — the row-relaxation microbenchmark. For every
+//! [`RelaxImpl`] it measures **ns/row** (`"kind": "row"` cells: one dense
+//! min-plus pass `row = min(row, dt ⊕ t_row)` over rows of
+//! n ∈ {1024, 4096, 16384} entries, amortized over a batch of published
+//! rows the way the APSP kernel consumes them) and **end-to-end** wall
+//! time (`"kind": "end_to_end"` cells: the whole `ParAPSP` [`Runner`]
+//! call on a Barabási–Albert graph, where row reuse dominates).
 //!
 //! Emits `BENCH_kernel.json` at the workspace root (override with
-//! `--out <path>`). Flags: `--iters <N>` measurement repetitions
-//! (default 200), `--quick` shrinks the end-to-end graph for CI smoke
-//! runs, `--threads <N>` for the end-to-end sweep (default 4).
-//!
-//! All implementations run on identical inputs and the final rows are
-//! asserted bit-identical, so every published number doubles as a
-//! differential check.
+//! `--out <path>`). Flags: `--iters <N>` interleaved passes over the row
+//! cells (default 200; each cell reports the median), `--quick` shrinks
+//! the end-to-end graph and takes one end-to-end pass (three otherwise),
+//! `--threads <N>` for the end-to-end cells (default 4). Every row sample
+//! must equal the scalar implementation's and every end-to-end matrix
+//! seq-basic's, so every published number doubles as a differential check.
 
-use std::time::Instant;
-
+use parapsp_bench::harness::{self, Arg, Bench, Cell, Sample, Value};
+use parapsp_bench::time;
 use parapsp_core::engine::{ApspEngine, RunConfig, Runner};
 use parapsp_core::relax::{avx2_available, relax_row, RelaxImpl};
 use parapsp_graph::generate::{barabasi_albert, WeightSpec};
 use parapsp_graph::INF;
+
+const BENCH: Bench = Bench {
+    name: "kernel_relax",
+    file: "BENCH_kernel.json",
+    flags: &[
+        ("--iters", "N", Arg::Count),
+        ("--threads", "N", Arg::Count),
+        ("--quick", "", Arg::Switch),
+        ("--out", "PATH", Arg::Text),
+    ],
+};
 
 /// Row sizes swept by the microbenchmark (entries, i.e. vertices).
 const ROW_SIZES: [usize; 3] = [1024, 4096, 16384];
@@ -55,244 +62,122 @@ fn synth_row(n: usize, seed: u64) -> Vec<u32> {
 }
 
 /// The implementations to measure: the concrete ones that exist on this
-/// machine (Auto is reported via the `resolved` field instead of a row).
+/// machine (Auto is reported via the `auto_resolves_to` param instead of
+/// a row cell).
 fn measured_impls() -> Vec<RelaxImpl> {
-    let mut imps = vec![RelaxImpl::Scalar, RelaxImpl::Portable];
-    if avx2_available() {
-        imps.push(RelaxImpl::Avx2);
-    }
-    imps
+    let all = [RelaxImpl::Scalar, RelaxImpl::Portable, RelaxImpl::Avx2];
+    let exists = |imp: &RelaxImpl| *imp != RelaxImpl::Avx2 || avx2_available();
+    all.into_iter().filter(exists).collect()
 }
 
-struct RowResult {
-    imp: RelaxImpl,
-    n: usize,
-    ns_per_row: f64,
+/// One row size's input: the pristine row, the batch of published rows
+/// it consumes, and the oracle — the scalar implementation's final row
+/// and improved-lane count.
+struct RowInput {
+    pristine: Vec<u32>,
+    published: Vec<Vec<u32>>,
+    expected: (Vec<u32>, u64),
 }
 
-/// One measurement: reset `row` from the pristine copy, then consume the
-/// whole batch of published rows — the same row state evolution for every
-/// implementation, so outputs are comparable bit-for-bit.
-fn bench_rows(imp: RelaxImpl, n: usize, iters: usize) -> (RowResult, Vec<u32>, u64) {
+/// Consumes the whole batch of published rows into `row`, returning the
+/// number of improved lanes.
+fn relax_batch(imp: RelaxImpl, row: &mut [u32], published: &[Vec<u32>]) -> u64 {
+    published
+        .iter()
+        .enumerate()
+        .map(|(i, t_row)| relax_row(imp, row, t_row, (i as u32) * 3 + 1, u32::MAX))
+        .sum()
+}
+
+fn row_input(n: usize) -> RowInput {
     let pristine = synth_row(n, 0xA11CE ^ n as u64);
     let published: Vec<Vec<u32>> = (0..BATCH)
         .map(|i| synth_row(n, 0xB0B ^ (i as u64) << 32 ^ n as u64))
         .collect();
     let mut row = pristine.clone();
-    let mut improved_total = 0u64;
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        row.copy_from_slice(&pristine);
-        improved_total = 0;
-        let start = Instant::now();
-        for (i, t_row) in published.iter().enumerate() {
-            let dt = (i as u32) * 3 + 1;
-            improved_total += relax_row(imp, &mut row, t_row, dt, u32::MAX);
-        }
-        let elapsed = start.elapsed().as_nanos() as f64;
-        // Best-of-iters: the least-disturbed measurement of a fixed
-        // workload (the paper's average-of-10 targets end-to-end noise;
-        // a microbenchmark wants the mode, which best-of approximates).
-        best = best.min(elapsed / BATCH as f64);
+    let improved = relax_batch(RelaxImpl::Scalar, &mut row, &published);
+    RowInput {
+        pristine,
+        published,
+        expected: (row, improved),
     }
-    (
-        RowResult {
-            imp,
-            n,
-            ns_per_row: best,
-        },
-        row,
-        improved_total,
-    )
-}
-
-struct EndToEnd {
-    imp: RelaxImpl,
-    graph: String,
-    threads: usize,
-    ms: f64,
-    row_reuses: u64,
-    relaxations: u64,
-}
-
-fn bench_end_to_end(
-    imp: RelaxImpl,
-    graph: &parapsp_graph::CsrGraph,
-    label: &str,
-    threads: usize,
-    runs: usize,
-) -> EndToEnd {
-    let runner = Runner::new(RunConfig::par_apsp(threads).with_relax(imp));
-    let mut best = f64::INFINITY;
-    let mut counters = parapsp_core::Counters::default();
-    for _ in 0..runs {
-        let out = runner.run(ApspEngine::new(), graph);
-        best = best.min(out.timings.total.as_secs_f64() * 1e3);
-        counters = out.counters;
-    }
-    EndToEnd {
-        imp,
-        graph: label.to_string(),
-        threads,
-        ms: best,
-        row_reuses: counters.row_reuses,
-        relaxations: counters.relaxations,
-    }
-}
-
-fn json_escape_free(name: &str) -> &str {
-    // All labels in this file are ASCII identifiers; assert rather than
-    // carry an escaper.
-    assert!(
-        name.chars()
-            .all(|c| c.is_ascii_alphanumeric() || "_-.".contains(c)),
-        "label {name:?} needs JSON escaping"
-    );
-    name
-}
-
-fn write_json(
-    path: &std::path::Path,
-    iters: usize,
-    rows: &[RowResult],
-    e2e: &[EndToEnd],
-) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"kernel_relax\",\n");
-    out.push_str("  \"schema_version\": 1,\n");
-    out.push_str(&format!("  \"avx2_available\": {},\n", avx2_available()));
-    out.push_str(&format!(
-        "  \"auto_resolves_to\": \"{}\",\n",
-        json_escape_free(RelaxImpl::Auto.resolve().name())
-    ));
-    out.push_str(&format!("  \"iters\": {iters},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"impl\": \"{}\", \"n\": {}, \"ns_per_row\": {:.1}}}{}\n",
-            json_escape_free(r.imp.name()),
-            r.n,
-            r.ns_per_row,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"end_to_end\": [\n");
-    for (i, e) in e2e.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"impl\": \"{}\", \"graph\": \"{}\", \"threads\": {}, \"ms\": {:.3}, \
-             \"row_reuses\": {}, \"relaxations\": {}}}{}\n",
-            json_escape_free(e.imp.name()),
-            json_escape_free(&e.graph),
-            e.threads,
-            e.ms,
-            e.row_reuses,
-            e.relaxations,
-            if i + 1 < e2e.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(out.as_bytes())
-}
-
-/// Default output location: `BENCH_kernel.json` at the workspace root.
-fn default_out_path() -> std::path::PathBuf {
-    let base = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| {
-            std::path::PathBuf::from(d)
-                .parent()
-                .and_then(|p| p.parent())
-                .map(|p| p.to_path_buf())
-                .unwrap_or_else(|| std::path::PathBuf::from("."))
-        })
-        .unwrap_or_else(|_| std::path::PathBuf::from("."));
-    base.join("BENCH_kernel.json")
 }
 
 fn main() {
-    let mut iters = 200usize;
-    let mut threads = 4usize;
-    let mut quick = false;
-    let mut out_path = default_out_path();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--iters" => {
-                iters = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--iters needs a positive integer");
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a positive integer");
-            }
-            "--quick" => quick = true,
-            "--out" => {
-                out_path = args.next().expect("--out needs a path").into();
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                eprintln!("usage: kernel_relax [--iters N] [--threads N] [--quick] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-    assert!(iters > 0 && threads > 0);
-
+    let args = BENCH.parse_env();
+    let iters = args.get("--iters").unwrap_or(200);
+    let threads = args.get("--threads").unwrap_or(4);
+    let quick = args.switch("--quick");
     println!(
         "kernel_relax: avx2_available={}, auto={}, iters={iters}",
         avx2_available(),
         RelaxImpl::Auto.resolve().name()
     );
 
-    // Microbenchmark: ns per dense row-relaxation pass.
-    let mut rows = Vec::new();
-    for &n in &ROW_SIZES {
-        let mut reference: Option<(Vec<u32>, u64)> = None;
+    // Microbenchmark: one sample resets the row and consumes the whole
+    // batch, the same row state evolution for every implementation, so
+    // each sample is checked bit-for-bit against the scalar result.
+    let inputs: Vec<RowInput> = ROW_SIZES.iter().map(|&n| row_input(n)).collect();
+    let mut specs = Vec::new();
+    let mut cells = Vec::new();
+    for (k, &n) in ROW_SIZES.iter().enumerate() {
         for imp in measured_impls() {
-            let (result, final_row, improved) = bench_rows(imp, n, iters);
-            match &reference {
-                None => reference = Some((final_row, improved)),
-                Some((ref_row, ref_improved)) => {
-                    assert_eq!(*ref_row, final_row, "{} differs at n={n}", imp.name());
-                    assert_eq!(*ref_improved, improved, "{} count at n={n}", imp.name());
-                }
-            }
-            println!(
-                "  n={n:>6}  {:<8}  {:>10.1} ns/row  ({:.2} elems/ns)",
-                result.imp.name(),
-                result.ns_per_row,
-                n as f64 / result.ns_per_row
-            );
-            rows.push(result);
+            specs.push((k, imp));
+            cells.push(Cell::new(vec![
+                ("kind", "row".into()),
+                ("impl", imp.name().into()),
+                ("n", n.into()),
+            ]));
         }
     }
+    let mut row = Vec::new();
+    harness::sample_interleaved(&mut cells, iters, |i, cell| {
+        let (k, imp) = specs[i];
+        let input = &inputs[k];
+        row.clone_from(&input.pristine);
+        let (improved, elapsed) = time(|| relax_batch(imp, &mut row, &input.published));
+        assert!(
+            (&row, improved) == (&input.expected.0, input.expected.1),
+            "{}: relaxed row differs from the scalar implementation's",
+            cell.label()
+        );
+        let ns_per_row = elapsed.as_nanos() as f64 / BATCH as f64;
+        let counters = vec![
+            ("ns_per_row", ns_per_row.into()),
+            ("improved", improved.into()),
+        ];
+        Sample::new(elapsed, counters)
+    });
 
-    // End-to-end: ParAPSP on a scale-free graph, where row reuse dominates.
-    let (ba_n, e2e_runs) = if quick { (600, 1) } else { (3000, 3) };
+    // End-to-end: ParAPSP on a scale-free graph, where row reuse
+    // dominates; every run's matrix is checked against seq-basic.
+    let (ba_n, passes) = if quick { (600, 1) } else { (3000, 3) };
     let graph = barabasi_albert(ba_n, 4, WeightSpec::Unit, 42).expect("BA generation");
-    let label = format!("ba_n{ba_n}_m4");
-    let mut e2e = Vec::new();
+    let graphs = [(format!("ba_n{ba_n}_m4"), graph)];
     let mut e2e_impls = measured_impls();
     e2e_impls.push(RelaxImpl::Auto);
-    for imp in e2e_impls {
-        let result = bench_end_to_end(imp, &graph, &label, threads, e2e_runs);
-        println!(
-            "  end-to-end {}  {:<8}  {:>9.3} ms  ({} row reuses)",
-            result.graph,
-            result.imp.name(),
-            result.ms,
-            result.row_reuses
-        );
-        e2e.push(result);
-    }
+    let configs: Vec<_> = e2e_impls
+        .into_iter()
+        .map(|imp| {
+            let config = vec![("kind", "end_to_end".into()), ("impl", imp.name().into())];
+            (config, imp)
+        })
+        .collect();
+    cells.extend(harness::sweep(&graphs, &configs, passes, |graph, &imp| {
+        let runner = Runner::new(RunConfig::par_apsp(threads).with_relax(imp));
+        let (out, elapsed) = time(|| runner.run(ApspEngine::new(), graph));
+        let counters = vec![
+            ("row_reuses", out.counters.row_reuses.into()),
+            ("relaxations", out.counters.relaxations.into()),
+        ];
+        (out.dist, Sample::new(elapsed, counters))
+    }));
 
-    write_json(&out_path, iters, &rows, &e2e).expect("writing benchmark JSON");
-    println!("wrote {}", out_path.display());
+    let params = vec![
+        ("iters", iters.into()),
+        ("threads", threads.into()),
+        ("avx2_available", Value::Bool(avx2_available())),
+        ("auto_resolves_to", RelaxImpl::Auto.resolve().name().into()),
+    ];
+    BENCH.finish(&BENCH.out_path(&args), &params, &cells);
 }

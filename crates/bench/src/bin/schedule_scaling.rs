@@ -8,20 +8,29 @@
 //! pop/steal counters for each configuration.
 //!
 //! Emits `BENCH_schedule.json` at the workspace root (override with
-//! `--out <path>`). Flags: `--iters <N>` measurement repetitions per
-//! configuration (default 3, best-of), `--quick` shrinks the graphs for
-//! CI smoke runs, `--n <V>` overrides the vertex count.
-//!
-//! Every configuration's distance matrix is asserted bit-identical to the
-//! sequential baseline, so every published number doubles as a
-//! differential check of schedule invariance.
+//! `--out <path>`). Flags: `--iters <N>` interleaved passes (default 3;
+//! each cell reports the median), `--quick` shrinks the graphs and takes
+//! one pass for CI smoke runs, `--n <V>` overrides the vertex count.
+//! Every run's matrix must equal seq-basic's, so every published number
+//! doubles as a differential check of schedule invariance.
 
-use std::time::Instant;
-
-use parapsp_core::{ApspEngine, DistanceMatrix, RunConfig, Runner, SeqEngine};
+use parapsp_bench::harness::{self, Arg, Bench, Sample};
+use parapsp_bench::time;
+use parapsp_core::{ApspEngine, RunConfig, Runner};
 use parapsp_graph::generate::{barabasi_albert, erdos_renyi_gnm, watts_strogatz, WeightSpec};
 use parapsp_graph::{CsrGraph, Direction};
 use parapsp_parfor::{Schedule, ThreadPool};
+
+const BENCH: Bench = Bench {
+    name: "schedule_scaling",
+    file: "BENCH_schedule.json",
+    flags: &[
+        ("--iters", "N", Arg::Count),
+        ("--n", "V", Arg::Count),
+        ("--quick", "", Arg::Switch),
+        ("--out", "PATH", Arg::Text),
+    ],
+};
 
 const WEIGHTS: WeightSpec = WeightSpec::Uniform { lo: 1, hi: 9 };
 
@@ -56,196 +65,41 @@ fn graphs(n: usize) -> Vec<(String, CsrGraph)> {
     ]
 }
 
-struct Measurement {
-    graph: String,
-    sched: Schedule,
-    schedule: &'static str,
-    threads: usize,
-    ms: f64,
-    pops: u64,
-    steals: u64,
-    failed_steals: u64,
-}
-
-/// One timed run of a (graph, schedule, threads) cell, with the pool's
-/// counters and a bit-identity check against the sequential reference.
-/// Folds the result into the cell's best-of accumulator.
-///
-/// Cells are *interleaved* across iterations by the caller (round-robin,
-/// not back-to-back) so slow environmental drift — thermal throttling,
-/// CPU-quota exhaustion on shared runners — spreads evenly over every
-/// cell instead of penalizing whichever configuration happens to run
-/// last. Best-of-iters then picks each cell's least-disturbed sample.
-fn run_cell_once(graph: &CsrGraph, reference: &DistanceMatrix, cell: &mut Measurement) {
-    let runner = Runner::new(RunConfig::par_apsp(cell.threads).with_schedule(cell.sched));
-    let pool = ThreadPool::new(cell.threads);
-    let start = Instant::now();
-    let out = runner.run_with_pool(ApspEngine::new(), graph, &pool);
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    let stats = pool.take_schedule_stats();
-    assert_eq!(
-        out.dist.as_slice(),
-        reference.as_slice(),
-        "{} {} t={}: distances differ from seq-basic",
-        cell.graph,
-        cell.schedule,
-        cell.threads
-    );
-    if ms < cell.ms {
-        cell.ms = ms;
-        cell.pops = stats.pops;
-        cell.steals = stats.steals;
-        cell.failed_steals = stats.failed_steals;
-    }
-}
-
-fn json_escape_free(name: &str) -> &str {
-    // All labels in this file are ASCII identifiers; assert rather than
-    // carry an escaper.
-    assert!(
-        name.chars()
-            .all(|c| c.is_ascii_alphanumeric() || "_-.:".contains(c)),
-        "label {name:?} needs JSON escaping"
-    );
-    name
-}
-
-fn write_json(
-    path: &std::path::Path,
-    n: usize,
-    iters: usize,
-    results: &[Measurement],
-) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"schedule_scaling\",\n");
-    out.push_str("  \"schema_version\": 1,\n");
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str(&format!("  \"iters\": {iters},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"graph\": \"{}\", \"schedule\": \"{}\", \"threads\": {}, \"ms\": {:.3}, \
-             \"pops\": {}, \"steals\": {}, \"failed_steals\": {}}}{}\n",
-            json_escape_free(&r.graph),
-            json_escape_free(r.schedule),
-            r.threads,
-            r.ms,
-            r.pops,
-            r.steals,
-            r.failed_steals,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(out.as_bytes())
-}
-
-/// Default output location: `BENCH_schedule.json` at the workspace root.
-fn default_out_path() -> std::path::PathBuf {
-    let base = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| {
-            std::path::PathBuf::from(d)
-                .parent()
-                .and_then(|p| p.parent())
-                .map(|p| p.to_path_buf())
-                .unwrap_or_else(|| std::path::PathBuf::from("."))
-        })
-        .unwrap_or_else(|_| std::path::PathBuf::from("."));
-    base.join("BENCH_schedule.json")
-}
-
 fn main() {
-    let mut iters = 3usize;
-    let mut n: Option<usize> = None;
-    let mut quick = false;
-    let mut out_path = default_out_path();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--iters" => {
-                iters = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--iters needs a positive integer");
-            }
-            "--n" => {
-                n = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--n needs a positive integer"),
-                );
-            }
-            "--quick" => quick = true,
-            "--out" => {
-                out_path = args.next().expect("--out needs a path").into();
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                eprintln!("usage: schedule_scaling [--iters N] [--n V] [--quick] [--out PATH]");
-                std::process::exit(2);
-            }
+    let args = BENCH.parse_env();
+    let quick = args.switch("--quick");
+    let n = args.get("--n").unwrap_or(if quick { 400 } else { 3000 });
+    let iters = if quick {
+        1
+    } else {
+        args.get("--iters").unwrap_or(3)
+    };
+    println!("schedule_scaling: n={n}, iters={iters} (median)");
+
+    let mut configs = Vec::new();
+    for (label, schedule) in schedules() {
+        for threads in THREADS {
+            let config = vec![("schedule", label.into()), ("threads", threads.into())];
+            configs.push((config, (schedule, threads)));
         }
     }
-    let n = n.unwrap_or(if quick { 400 } else { 3000 });
-    if quick {
-        iters = 1;
-    }
-    assert!(iters > 0 && n > 0);
-
-    println!("schedule_scaling: n={n}, iters={iters} (best-of)");
-
-    // Materialize every (graph, schedule, threads) cell up front, each
-    // with its sequential reference (the invariance oracle), so the
-    // measurement loop can round-robin over them.
-    let inputs: Vec<(String, CsrGraph, DistanceMatrix)> = graphs(n)
-        .into_iter()
-        .map(|(label, graph)| {
-            let reference = Runner::new(RunConfig::seq_basic())
-                .run(SeqEngine::ordered(), &graph)
-                .dist;
-            (label, graph, reference)
-        })
-        .collect();
-    let mut results: Vec<Measurement> = Vec::new();
-    for (label, _, _) in &inputs {
-        for (sched_label, schedule) in schedules() {
-            for threads in THREADS {
-                results.push(Measurement {
-                    graph: label.clone(),
-                    sched: schedule,
-                    schedule: sched_label,
-                    threads,
-                    ms: f64::INFINITY,
-                    pops: 0,
-                    steals: 0,
-                    failed_steals: 0,
-                });
-            }
-        }
-    }
-    let cells_per_graph = results.len() / inputs.len();
-    // Rotate the starting cell by a stride coprime with the cell count
-    // each pass: a fixed visiting order can alias with periodic host
-    // throttling (CPU-quota cycles), systematically penalizing whichever
-    // cells sit at the slow phase of every pass.
-    for it in 0..iters {
-        let offset = (it * 11) % results.len();
-        for j in 0..results.len() {
-            let i = (j + offset) % results.len();
-            let (_, graph, reference) = &inputs[i / cells_per_graph];
-            run_cell_once(graph, reference, &mut results[i]);
-        }
-    }
-    for m in &results {
-        println!(
-            "  {:<16}  {:<16}  t={}  {:>9.3} ms  (pops {}, steals {}, failed {})",
-            m.graph, m.schedule, m.threads, m.ms, m.pops, m.steals, m.failed_steals
-        );
-    }
-
-    write_json(&out_path, n, iters, &results).expect("writing benchmark JSON");
-    println!("wrote {}", out_path.display());
+    let cells = harness::sweep(
+        &graphs(n),
+        &configs,
+        iters,
+        |graph, &(schedule, threads)| {
+            let runner = Runner::new(RunConfig::par_apsp(threads).with_schedule(schedule));
+            let pool = ThreadPool::new(threads);
+            let (out, elapsed) = time(|| runner.run_with_pool(ApspEngine::new(), graph, &pool));
+            let stats = pool.take_schedule_stats();
+            let counters = vec![
+                ("pops", stats.pops.into()),
+                ("steals", stats.steals.into()),
+                ("failed_steals", stats.failed_steals.into()),
+            ];
+            (out.dist, Sample::new(elapsed, counters))
+        },
+    );
+    let params = vec![("n", n.into()), ("iters", iters.into())];
+    BENCH.finish(&BENCH.out_path(&args), &params, &cells);
 }

@@ -1,12 +1,14 @@
-//! Shared harness utilities for the benchmark suite and the `reproduce`
-//! binary that regenerates every table and figure of the paper.
+//! Shared utilities for the benchmark bins and the `reproduce` binary
+//! that regenerates every table and figure of the paper.
 //!
 //! The experiments print the same rows/series the paper reports and also
-//! write CSV files under `results/`, so EXPERIMENTS.md can cite both.
+//! write CSV files under `results/`, so EXPERIMENTS.md can cite both. The
+//! `BENCH_*.json` bins share [`harness`].
 
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod harness;
 pub mod plot;
 pub mod report;
 pub mod timing;

@@ -1,6 +1,6 @@
-//! Minimal timing helpers for the experiment harness (criterion is used by
-//! the `benches/`; the `reproduce` binary needs coarser one-shot numbers,
-//! matching the paper's average-of-10-runs methodology).
+//! Minimal timing helpers for the `reproduce` experiments (coarse
+//! one-shot or median-of-runs numbers, after the paper's average-of-10-runs
+//! methodology) and the `BENCH_*.json` bins.
 
 use std::time::{Duration, Instant};
 
