@@ -14,7 +14,7 @@ pub struct Args {
     flags: Vec<String>,
 }
 
-/// Options that take a value; everything else starting with `--` is a flag.
+/// Options that take a value.
 const VALUED: &[&str] = &[
     "--threads",
     "--algorithm",
@@ -35,7 +35,6 @@ const VALUED: &[&str] = &[
     "--store",
     "--schedule",
     "--partition",
-    "--checkpoint",
     "--checkpoint-every",
     "--resume",
     "--fault-seed",
@@ -61,6 +60,10 @@ const VALUED: &[&str] = &[
     "--ledger-fsync",
 ];
 
+/// Options that take no value. A `--name` in neither list is rejected,
+/// so a typo or a removed option fails loudly instead of being ignored.
+const FLAGS: &[&str] = &["--directed", "--undirected", "--external", "--help"];
+
 impl Args {
     /// Parses raw arguments (excluding the program name).
     pub fn parse(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
@@ -73,8 +76,10 @@ impl Args {
                         .next()
                         .ok_or_else(|| format!("option {token} needs a value"))?;
                     args.options.insert(name.to_string(), value);
-                } else {
+                } else if FLAGS.contains(&token.as_str()) {
                     args.flags.push(name.to_string());
+                } else {
+                    return Err(format!("unknown option {token} (try `parapsp help`)"));
                 }
             } else if args.command.is_empty() {
                 args.command = token;
@@ -187,6 +192,20 @@ mod tests {
     fn missing_value_is_an_error() {
         let err = Args::parse(["x".to_string(), "--threads".to_string()]).unwrap_err();
         assert!(err.contains("--threads"));
+    }
+
+    #[test]
+    fn unknown_options_are_rejected() {
+        for tokens in [
+            ["apsp", "g.txt", "--ledgr", "run.ledger"],
+            // `--ledger` is the one durability option: a run asking for
+            // any other must fail, not run silently without durability.
+            ["apsp", "g.txt", "--checkpoint", "x"],
+        ] {
+            let err = Args::parse(tokens.iter().map(|s| s.to_string())).unwrap_err();
+            assert!(err.contains(tokens[2]), "{err}");
+        }
+        assert!(parse(&["--help"]).flag("help"));
     }
 
     #[test]

@@ -14,8 +14,8 @@ use parapsp_core::engine::{
 use parapsp_core::paths::par_apsp_with_paths;
 use parapsp_core::{autotune, ApspOutput, DistanceMatrix, RelaxImpl, RunOutcome, SolverKind};
 use parapsp_dist::{
-    run_worker, BindSpec, ClusterConfig, DistEngine, FaultPlan, LedgerSpec, SocketConfig,
-    SourcePartition, TransportSpec, WorkerMode, WorkerOptions, WorkerOutcome,
+    run_worker, BindSpec, ClusterConfig, DistEngine, FaultPlan, SocketConfig, SourcePartition,
+    TransportSpec, WorkerMode, WorkerOptions, WorkerOutcome,
 };
 use parapsp_graph::io::{read_edge_list_file, LoadedGraph, ParseOptions};
 use parapsp_graph::{degree, transform, CsrGraph, Direction};
@@ -131,28 +131,26 @@ apsp options:
                              every backend
   --out <file>               save the distance matrix (.tsv/.txt = text,
                              anything else = compact binary)
-  --checkpoint <file>        write completed rows to <file> periodically
-                             (par-apsp | par-alg1 | par-alg2 | seq-basic |
-                             seq-optimized | seq-adaptive)
-  --checkpoint-every <K>     rows between checkpoint writes (default: 64)
-  --resume <file>            load a checkpoint OR a run ledger and compute
-                             only the missing rows (row engines and dist)
   --ledger <file>            journal every completed row to a crash-safe
-                             append-only ledger: O(row) incremental
-                             durability instead of the checkpoint's O(n²)
-                             rewrite; restartable with --resume <file>
-                             (row engines and dist; excludes --checkpoint)
+                             append-only ledger (O(row) bytes per row);
+                             restartable with --resume <file> (par-apsp |
+                             par-alg1 | par-alg2 | seq-basic |
+                             seq-optimized | seq-adaptive | dist)
+  --checkpoint-every <K>     rows between ledger commits (default: 64;
+                             needs --ledger)
   --ledger-fsync <policy>    when ledger appends reach the disk: always |
                              commit (default) | never
+  --resume <file>            load a run ledger OR a checkpoint and compute
+                             only the missing rows (row engines and dist)
   --deadline <secs>          stop once the wall-clock budget expires,
                              write a checkpoint, exit 124
   --on-interrupt <mode>      checkpoint (default): SIGINT/SIGTERM stop at
                              a row boundary, write a checkpoint, exit 130;
                              abort: die immediately (OS default)
                              (cancellable: everything except par-adaptive,
-                             floyd-warshall, dijkstra; the stop checkpoint
-                             goes to --checkpoint's path or
-                             <file>.interrupt.ckpt)
+                             floyd-warshall, dijkstra; a --ledger run's
+                             rows are already in its ledger, any other
+                             stop writes <file>.interrupt.ckpt)
 
 dist transport (default: in-process channels):
   --transport <t>            channel | tcp | unix — tcp/unix run the
@@ -519,56 +517,52 @@ fn cancellation_setup(
     Ok(Some((token, checkpoint_on_interrupt)))
 }
 
-/// Writes the stop checkpoint and reports how to resume. The checkpoint
-/// lands on `--checkpoint`'s path when given (the periodic and final
-/// checkpoints are the same format) or `<graph-file>.interrupt.ckpt`.
-/// A `--ledger` run skips the rewrite entirely — every completed row is
-/// already durable in the ledger, and a v2 file on the same path would
-/// clobber it.
-fn write_stop_checkpoint(
+/// Settles a run: a completed one yields its matrix and summary line; a
+/// stopped one (interrupt: exit 130, deadline: exit 124) reports how to
+/// resume. A `--ledger` run's completed rows are already durable in the
+/// ledger, so it writes nothing; any other stop writes its checkpoint to
+/// `<graph-file>.interrupt.ckpt`.
+fn settle(
     args: &Args,
-    checkpoint: &parapsp_core::persist::Checkpoint,
-    why: &str,
-    code: i32,
+    outcome: RunOutcome<(DistanceMatrix, String)>,
 ) -> Result<RunStatus, CliError> {
+    let (checkpoint, why, code) = match outcome {
+        RunOutcome::Complete((dist, summary)) => return Ok(RunStatus::Done(dist, summary)),
+        RunOutcome::Cancelled { checkpoint } => (checkpoint, "interrupted", 130),
+        RunOutcome::DeadlineExceeded { checkpoint } => (checkpoint, "deadline exceeded", 124),
+    };
+    let (done, n) = (checkpoint.completed_count(), checkpoint.n());
     if let Some(path) = args.get("ledger") {
         eprintln!(
-            "{why}: {} of {} rows already durable in the ledger \
-             (resume with --resume {path} --ledger {path})",
-            checkpoint.completed_count(),
-            checkpoint.n()
+            "{why}: {done} of {n} rows already durable in the ledger \
+             (resume with --resume {path} --ledger {path})"
         );
         return Ok(RunStatus::Stopped { code });
     }
-    let path = match args.get("checkpoint") {
-        Some(p) => p.to_string(),
-        None => format!("{}.interrupt.ckpt", args.positional(0).unwrap_or("apsp")),
-    };
-    parapsp_core::persist::save_checkpoint(checkpoint, &path)
+    let path = format!("{}.interrupt.ckpt", args.positional(0).unwrap_or("apsp"));
+    parapsp_core::persist::save_checkpoint(&checkpoint, &path)
         .map_err(|e| CliError::failure(format!("writing stop checkpoint {path}: {e}")))?;
     eprintln!(
-        "{why}: {} of {} rows complete; checkpoint written to {path} \
-         (resume with --resume {path})",
-        checkpoint.completed_count(),
-        checkpoint.n()
+        "{why}: {done} of {n} rows complete; checkpoint written to {path} \
+         (resume with --resume {path})"
     );
     Ok(RunStatus::Stopped { code })
 }
 
-/// Loads `--resume`'s checkpoint (validated against the graph) and drives
-/// `engine` through the [`Runner`], with or without a cancel token. All
-/// six row-engine algorithms (`par-*`, `seq-*`) funnel through here.
-fn drive_row_engine<E: Engine<Output = ApspOutput>>(
+/// Loads `--resume`'s checkpoint or ledger (validated against the graph)
+/// and drives `engine` through the [`Runner`], with or without a cancel
+/// token. Every Runner-driven algorithm funnels through here.
+fn drive<E: Engine>(
     runner: &Runner,
     engine: E,
     graph: &CsrGraph,
     args: &Args,
     token: Option<&CancelToken>,
-) -> Result<RunOutcome<ApspOutput>, String> {
-    match args.get("resume") {
+) -> Result<RunOutcome<E::Output>, String> {
+    let resume = match args.get("resume") {
+        None => None,
         Some(path) => {
-            use parapsp_core::persist;
-            let cp = persist::load_checkpoint(path)
+            let cp = parapsp_core::persist::load_checkpoint(path)
                 .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
             if cp.n() != graph.vertex_count() {
                 return Err(format!(
@@ -582,16 +576,61 @@ fn drive_row_engine<E: Engine<Output = ApspOutput>>(
                 cp.completed_count(),
                 cp.n()
             );
-            Ok(match token {
-                Some(token) => runner.run_resumed_with_token(engine, graph, cp, token),
-                None => RunOutcome::Complete(runner.run_resumed(engine, graph, cp)),
-            })
+            Some(cp)
         }
-        None => Ok(match token {
-            Some(token) => runner.run_with_token(engine, graph, token),
-            None => RunOutcome::Complete(runner.run(engine, graph)),
-        }),
-    }
+    };
+    Ok(match (token, resume) {
+        (Some(token), Some(cp)) => runner.run_resumed_with_token(engine, graph, cp, token),
+        (Some(token), None) => runner.run_with_token(engine, graph, token),
+        (None, Some(cp)) => RunOutcome::Complete(runner.run_resumed(engine, graph, cp)),
+        (None, None) => RunOutcome::Complete(runner.run(engine, graph)),
+    })
+}
+
+/// The summary line of a row-engine run.
+fn row_summary(out: ApspOutput) -> (DistanceMatrix, String) {
+    let summary = format!(
+        "{} ({} threads): ordering {:?}, sssp {:?}, total {:?}; {} relaxations, {} row reuses \
+         ({} lease hits / {} misses, pinned peak {} B)",
+        out.algorithm,
+        out.threads,
+        out.timings.ordering,
+        out.timings.sssp,
+        out.timings.total,
+        out.counters.relaxations,
+        out.counters.row_reuses,
+        out.counters.lease_hits,
+        out.counters.lease_misses,
+        out.counters.pinned_bytes_peak
+    );
+    (out.dist, summary)
+}
+
+/// The summary line of a dist run over `nodes` nodes.
+fn dist_summary(out: parapsp_dist::DistApspOutput, nodes: usize) -> (DistanceMatrix, String) {
+    let sum =
+        |field: fn(&parapsp_dist::NodeStats) -> u64| out.node_stats.iter().map(field).sum::<u64>();
+    let summary = format!(
+        "distributed ({} nodes, {} crashed): {:?}; computed {} rows, replayed {} rows, \
+         broadcast {} KiB, gather {} KiB, \
+         remote reuses {}, rows rejected {} (+{} at gather), retries {}, reassigned {}, \
+         reconnects {}, heartbeat misses {}",
+        nodes,
+        out.crashed_nodes(),
+        out.elapsed,
+        sum(|s| s.sources),
+        out.replayed_rows,
+        out.total_broadcast_bytes() / 1024,
+        out.gather_bytes / 1024,
+        sum(|s| s.remote_reuses),
+        sum(|s| s.rows_rejected),
+        out.gather_rejected,
+        sum(|s| s.retries),
+        sum(|s| s.reassigned_sources),
+        sum(|s| s.reconnects),
+        sum(|s| s.heartbeat_misses),
+    );
+    (out.dist, summary)
 }
 
 fn run_algorithm(
@@ -611,19 +650,10 @@ fn run_algorithm(
     };
     // Row-relaxation implementation (the vectorized kernel ablation switch).
     let relax = args.get_enum("relax", RelaxImpl::Auto)?;
-    // Periodic checkpoints, the run ledger, and --resume need rows that
-    // are final mid-run; the dist driver gathers exactly such rows, so it
-    // joins the row engines for the ledger and resume (but not for the
-    // periodic full rewrite). --relax needs the modified-Dijkstra kernel.
+    // The run ledger and --resume need rows that are final mid-run; the
+    // dist driver gathers exactly such rows, so it joins the row engines.
+    // --relax needs the modified-Dijkstra kernel.
     let row_durable = kind.row_checkpoints() || kind == EngineKind::Dist;
-    if args.get("checkpoint").is_some() && !kind.row_checkpoints() {
-        return Err(format!(
-            "--checkpoint works with {} (got `{}`)",
-            kinds_where(EngineKind::row_checkpoints),
-            kind.value_name()
-        )
-        .into());
-    }
     if (args.get("ledger").is_some() || args.get("resume").is_some()) && !row_durable {
         return Err(format!(
             "--ledger/--resume work with {}, dist (got `{}`)",
@@ -632,16 +662,11 @@ fn run_algorithm(
         )
         .into());
     }
-    if args.get("ledger").is_some() && args.get("checkpoint").is_some() {
-        return Err(
-            "--ledger and --checkpoint are mutually exclusive (one durability sink per run)"
-                .to_string()
-                .into(),
-        );
-    }
     let ledger_fsync = args.get_enum("ledger-fsync", parapsp_core::FsyncPolicy::default())?;
-    if args.get("ledger-fsync").is_some() && args.get("ledger").is_none() {
-        return Err("--ledger-fsync needs --ledger".to_string().into());
+    for option in ["ledger-fsync", "checkpoint-every"] {
+        if args.get(option).is_some() && args.get("ledger").is_none() {
+            return Err(format!("--{option} needs --ledger").into());
+        }
     }
     if args.get("relax").is_some() && !kind.uses_kernel() {
         return Err(format!(
@@ -729,7 +754,7 @@ fn run_algorithm(
         return Err("--checkpoint-every must be at least 1".to_string().into());
     }
     // Every Runner-driven algorithm shares the same config plumbing: cap,
-    // relax implementation, and checkpoint policy land in one RunConfig.
+    // relax implementation, store and ledger policy land in one RunConfig.
     let configure = |mut config: RunConfig| -> RunConfig {
         if let Some(cap) = cap {
             config = config.with_max_distance(cap);
@@ -740,9 +765,6 @@ fn run_algorithm(
         if let Some(schedule) = schedule {
             config = config.with_schedule(schedule);
         }
-        if let Some(path) = args.get("checkpoint") {
-            config = config.with_checkpoint(path, checkpoint_every);
-        }
         if let Some(path) = args.get("ledger") {
             config = config
                 .with_ledger(path, checkpoint_every)
@@ -750,102 +772,58 @@ fn run_algorithm(
         }
         config
     };
+    // The six row engines: the parallel drivers and the sequential family.
+    let par = |config| {
+        drive(
+            &Runner::new(configure(config)),
+            ApspEngine::new(),
+            graph,
+            args,
+            token,
+        )
+    };
+    let seq = |config, engine| drive(&Runner::new(configure(config)), engine, graph, args, token);
     let outcome = match kind {
-        EngineKind::ParApsp => drive_row_engine(
-            &Runner::new(configure(RunConfig::par_apsp(threads))),
-            ApspEngine::new(),
-            graph,
-            args,
-            token,
-        )?,
-        EngineKind::ParAlg1 => drive_row_engine(
-            &Runner::new(configure(RunConfig::par_alg1(threads))),
-            ApspEngine::new(),
-            graph,
-            args,
-            token,
-        )?,
-        EngineKind::ParAlg2 => drive_row_engine(
-            &Runner::new(configure(RunConfig::par_alg2(threads))),
-            ApspEngine::new(),
-            graph,
-            args,
-            token,
-        )?,
-        EngineKind::SeqBasic => drive_row_engine(
-            &Runner::new(configure(RunConfig::seq_basic())),
-            SeqEngine::ordered(),
-            graph,
-            args,
-            token,
-        )?,
-        EngineKind::SeqOptimized => drive_row_engine(
-            &Runner::new(configure(RunConfig::seq_optimized(1.0))),
-            SeqEngine::ordered(),
-            graph,
-            args,
-            token,
-        )?,
+        EngineKind::ParApsp => par(RunConfig::par_apsp(threads))?.map(row_summary),
+        EngineKind::ParAlg1 => par(RunConfig::par_alg1(threads))?.map(row_summary),
+        EngineKind::ParAlg2 => par(RunConfig::par_alg2(threads))?.map(row_summary),
+        EngineKind::SeqBasic => seq(RunConfig::seq_basic(), SeqEngine::ordered())?.map(row_summary),
+        EngineKind::SeqOptimized => {
+            seq(RunConfig::seq_optimized(1.0), SeqEngine::ordered())?.map(row_summary)
+        }
         EngineKind::SeqAdaptive => {
             let weight = args.get_parsed("credit-weight", 10u64)?;
-            drive_row_engine(
-                &Runner::new(configure(RunConfig::seq_adaptive(weight))),
-                SeqEngine::adaptive(weight),
-                graph,
-                args,
-                token,
-            )?
+            seq(RunConfig::seq_adaptive(weight), SeqEngine::adaptive(weight))?.map(row_summary)
         }
-        EngineKind::ParAdaptive => {
-            RunOutcome::Complete(par_adaptive(graph, threads, AdaptiveConfig::default()))
-        }
+        EngineKind::ParAdaptive => RunOutcome::Complete(row_summary(par_adaptive(
+            graph,
+            threads,
+            AdaptiveConfig::default(),
+        ))),
         EngineKind::FloydWarshall => {
             let start = std::time::Instant::now();
             let dist = baselines::floyd_warshall(graph);
-            return Ok(RunStatus::Done(
-                dist,
-                format!("floyd-warshall: {:?}", start.elapsed()),
-            ));
+            let summary = format!("floyd-warshall: {:?}", start.elapsed());
+            RunOutcome::Complete((dist, summary))
         }
         EngineKind::Dijkstra => {
             let pool = ThreadPool::new(threads);
             let start = std::time::Instant::now();
             let dist = baselines::par_apsp_dijkstra(graph, &pool);
-            return Ok(RunStatus::Done(
-                dist,
-                format!("parallel heap-dijkstra: {:?}", start.elapsed()),
-            ));
+            let summary = format!("parallel heap-dijkstra: {:?}", start.elapsed());
+            RunOutcome::Complete((dist, summary))
         }
         EngineKind::BlockedFw => {
             let block = args.get_parsed("block", 64usize)?;
             let runner = Runner::new(configure(RunConfig::new(threads)));
             let start = std::time::Instant::now();
-            let dist = match token {
-                Some(token) => {
-                    match runner.run_with_token(BlockedFwEngine::new(block), graph, token) {
-                        RunOutcome::Complete(dist) => dist,
-                        RunOutcome::Cancelled { checkpoint } => {
-                            return write_stop_checkpoint(args, &checkpoint, "interrupted", 130)
-                        }
-                        RunOutcome::DeadlineExceeded { checkpoint } => {
-                            return write_stop_checkpoint(
-                                args,
-                                &checkpoint,
-                                "deadline exceeded",
-                                124,
-                            )
-                        }
-                    }
-                }
-                None => runner.run(BlockedFwEngine::new(block), graph),
-            };
-            return Ok(RunStatus::Done(
-                dist,
-                format!(
+            drive(&runner, BlockedFwEngine::new(block), graph, args, token)?.map(|dist| {
+                let summary = format!(
                     "blocked floyd-warshall ({threads} threads, {block}-tile): {:?}",
                     start.elapsed()
-                ),
-            ));
+                );
+                (dist, summary)
+            })
         }
         EngineKind::Dist => {
             let nodes = args.get_parsed("nodes", 4usize)?;
@@ -853,17 +831,12 @@ fn run_algorithm(
             let partition = args.get_enum("partition", SourcePartition::default())?;
             let faults = parse_fault_plan(args)?;
             let transport = parse_transport(args)?;
-            let ledger = args.get("ledger").map(|path| LedgerSpec {
-                path: std::path::PathBuf::from(path),
-                fsync: ledger_fsync,
-            });
             let cluster = ClusterConfig {
                 nodes,
                 hub_fraction,
                 partition,
                 faults,
                 transport,
-                ledger,
                 ..ClusterConfig::default()
             };
             // Degenerate configurations (zero nodes, more nodes than
@@ -875,94 +848,12 @@ fn run_algorithm(
             // A restarted driver resumes from its own ledger (or any
             // checkpoint): prior rows pre-seed the gather and only the
             // missing sources are dealt to the workers.
-            let resume = match args.get("resume") {
-                None => None,
-                Some(path) => {
-                    let cp = parapsp_core::persist::load_checkpoint(path)
-                        .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
-                    if cp.n() != graph.vertex_count() {
-                        return Err(format!(
-                            "checkpoint {path} is for {} vertices but the graph has {}",
-                            cp.n(),
-                            graph.vertex_count()
-                        )
-                        .into());
-                    }
-                    println!(
-                        "resuming: {} of {} rows already complete",
-                        cp.completed_count(),
-                        cp.n()
-                    );
-                    Some(cp)
-                }
-            };
             let runner = Runner::new(configure(RunConfig::new(1)));
-            let engine = DistEngine::new(cluster);
-            let outcome = match (token, resume) {
-                (Some(token), Some(cp)) => runner.run_resumed_with_token(engine, graph, cp, token),
-                (Some(token), None) => runner.run_with_token(engine, graph, token),
-                (None, Some(cp)) => RunOutcome::Complete(runner.run_resumed(engine, graph, cp)),
-                (None, None) => RunOutcome::Complete(runner.run(engine, graph)),
-            };
-            let out = match outcome {
-                RunOutcome::Complete(out) => out,
-                RunOutcome::Cancelled { checkpoint } => {
-                    return write_stop_checkpoint(args, &checkpoint, "interrupted", 130)
-                }
-                RunOutcome::DeadlineExceeded { checkpoint } => {
-                    return write_stop_checkpoint(args, &checkpoint, "deadline exceeded", 124)
-                }
-            };
-            let sum = |field: fn(&parapsp_dist::NodeStats) -> u64| {
-                out.node_stats.iter().map(field).sum::<u64>()
-            };
-            let summary = format!(
-                "distributed ({} nodes, {} crashed): {:?}; computed {} rows, replayed {} rows, \
-                 broadcast {} KiB, gather {} KiB, \
-                 remote reuses {}, rows rejected {} (+{} at gather), retries {}, reassigned {}, \
-                 reconnects {}, heartbeat misses {}",
-                nodes,
-                out.crashed_nodes(),
-                out.elapsed,
-                sum(|s| s.sources),
-                out.replayed_rows,
-                out.total_broadcast_bytes() / 1024,
-                out.gather_bytes / 1024,
-                sum(|s| s.remote_reuses),
-                sum(|s| s.rows_rejected),
-                out.gather_rejected,
-                sum(|s| s.retries),
-                sum(|s| s.reassigned_sources),
-                sum(|s| s.reconnects),
-                sum(|s| s.heartbeat_misses),
-            );
-            return Ok(RunStatus::Done(out.dist, summary));
+            drive(&runner, DistEngine::new(cluster), graph, args, token)?
+                .map(|out| dist_summary(out, nodes))
         }
     };
-    let out = match outcome {
-        RunOutcome::Complete(out) => out,
-        RunOutcome::Cancelled { checkpoint } => {
-            return write_stop_checkpoint(args, &checkpoint, "interrupted", 130)
-        }
-        RunOutcome::DeadlineExceeded { checkpoint } => {
-            return write_stop_checkpoint(args, &checkpoint, "deadline exceeded", 124)
-        }
-    };
-    let summary = format!(
-        "{} ({} threads): ordering {:?}, sssp {:?}, total {:?}; {} relaxations, {} row reuses \
-         ({} lease hits / {} misses, pinned peak {} B)",
-        out.algorithm,
-        out.threads,
-        out.timings.ordering,
-        out.timings.sssp,
-        out.timings.total,
-        out.counters.relaxations,
-        out.counters.row_reuses,
-        out.counters.lease_hits,
-        out.counters.lease_misses,
-        out.counters.pinned_bytes_peak
-    );
-    Ok(RunStatus::Done(out.dist, summary))
+    settle(args, outcome)
 }
 
 /// `parapsp apsp <file>` (alias `run`) — run one algorithm and report.
@@ -1492,33 +1383,35 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_and_resume_via_cli() {
+    fn ledger_every_and_resume_via_cli() {
         let dir = std::env::temp_dir().join("parapsp-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let file = sample_file();
-        let ckpt = dir.join("cli.ckpt").to_string_lossy().into_owned();
+        let ledger = dir.join("every.ledger").to_string_lossy().into_owned();
+        std::fs::remove_file(&ledger).ok();
         apsp(&args(&[
             "apsp",
             &file,
-            "--checkpoint",
-            &ckpt,
+            "--ledger",
+            &ledger,
             "--checkpoint-every",
             "2",
         ]))
         .unwrap();
-        let cp = parapsp_core::persist::load_checkpoint(&ckpt).unwrap();
+        let cp = parapsp_core::persist::load_checkpoint(&ledger).unwrap();
         assert!(cp.is_complete());
-        // Resuming from a complete checkpoint recomputes nothing and succeeds.
-        apsp(&args(&["apsp", &file, "--resume", &ckpt])).unwrap();
-        // The sequential engines are row engines too: checkpoint one and
-        // resume on it (checkpoints are engine-agnostic).
+        // Resuming from a complete ledger recomputes nothing and succeeds.
+        apsp(&args(&["apsp", &file, "--resume", &ledger])).unwrap();
+        std::fs::remove_file(&ledger).ok();
+        // The sequential engines are row engines too: journal one and
+        // resume another on it (ledgers are engine-agnostic).
         apsp(&args(&[
             "apsp",
             &file,
             "--algorithm",
             "seq-basic",
-            "--checkpoint",
-            &ckpt,
+            "--ledger",
+            &ledger,
             "--checkpoint-every",
             "2",
         ]))
@@ -1529,35 +1422,20 @@ mod tests {
             "--algorithm",
             "seq-optimized",
             "--resume",
-            &ckpt,
+            &ledger,
         ]))
         .unwrap();
-        // Engines whose rows are not final mid-run reject the flags.
-        for algorithm in ["dist", "blocked-fw", "floyd-warshall"] {
-            assert!(
-                apsp(&args(&[
-                    "apsp",
-                    &file,
-                    "--algorithm",
-                    algorithm,
-                    "--checkpoint",
-                    &ckpt
-                ]))
-                .is_err(),
-                "{algorithm} must reject --checkpoint"
-            );
-        }
         assert!(apsp(&args(&[
             "apsp",
             &file,
-            "--checkpoint",
-            &ckpt,
+            "--ledger",
+            &ledger,
             "--checkpoint-every",
             "0"
         ]))
         .is_err());
         assert!(apsp(&args(&["apsp", &file, "--resume", "/no/such/checkpoint"])).is_err());
-        std::fs::remove_file(ckpt).ok();
+        std::fs::remove_file(ledger).ok();
     }
 
     #[test]
@@ -1617,12 +1495,12 @@ mod tests {
     #[test]
     fn ledger_flag_combinations_are_validated() {
         let file = sample_file();
-        // --ledger-fsync without --ledger, unknown fsync policy, and
-        // mixing the two durability sinks are all usage errors (exit 2).
+        // --ledger-fsync or --checkpoint-every without --ledger, and an
+        // unknown fsync policy, are all usage errors (exit 2).
         for bad in [
             vec!["--ledger-fsync", "never"],
+            vec!["--checkpoint-every", "8"],
             vec!["--ledger", "/tmp/x.ledger", "--ledger-fsync", "eventually"],
-            vec!["--ledger", "/tmp/x.ledger", "--checkpoint", "/tmp/x.ckpt"],
         ] {
             let mut tokens = vec!["apsp", file.as_str()];
             tokens.extend_from_slice(&bad);
@@ -1798,33 +1676,39 @@ mod tests {
         let dir = std::env::temp_dir().join("parapsp-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let file = sample_file();
-        let ckpt = dir.join("deadline.ckpt").to_string_lossy().into_owned();
-        // A zero deadline expires before the first row; the stop checkpoint
-        // must land on the --checkpoint path and load back.
+        let ledger = dir.join("deadline.ledger").to_string_lossy().into_owned();
+        std::fs::remove_file(&ledger).ok();
+        // A zero deadline expires before the first row; the ledger is the
+        // stop checkpoint and must load back.
         let code = apsp(&args(&[
             "apsp",
             &file,
             "--deadline",
             "0",
-            "--checkpoint",
-            &ckpt,
+            "--ledger",
+            &ledger,
         ]))
         .unwrap();
         assert_eq!(code, 124);
-        let cp = parapsp_core::persist::load_checkpoint(&ckpt).unwrap();
+        let cp = parapsp_core::persist::load_checkpoint(&ledger).unwrap();
         assert_eq!(cp.n(), 5);
-        // The checkpoint resumes to a normal, complete run.
-        let code = apsp(&args(&["apsp", &file, "--resume", &ckpt])).unwrap();
+        // The ledger resumes to a normal, complete run.
+        let code = apsp(&args(&[
+            "apsp", &file, "--resume", &ledger, "--ledger", &ledger,
+        ]))
+        .unwrap();
         assert_eq!(code, 0);
-        std::fs::remove_file(&ckpt).ok();
+        assert!(parapsp_core::persist::load_checkpoint(&ledger)
+            .unwrap()
+            .is_complete());
+        std::fs::remove_file(&ledger).ok();
     }
 
     #[test]
     fn deadline_works_for_every_cancellable_algorithm() {
-        let dir = std::env::temp_dir().join("parapsp-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
         let file = sample_file();
-        for (i, algorithm) in [
+        let snapshot = format!("{file}.interrupt.ckpt");
+        for algorithm in [
             "par-alg1",
             "par-alg2",
             "seq-basic",
@@ -1832,36 +1716,27 @@ mod tests {
             "seq-adaptive",
             "blocked-fw",
             "dist",
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let ckpt = dir
-                .join(format!("deadline-{i}.ckpt"))
-                .to_string_lossy()
-                .into_owned();
-            let tokens: [&str; 8] = [
+        ] {
+            // Without --ledger every stop writes the derived
+            // <file>.interrupt.ckpt snapshot.
+            std::fs::remove_file(&snapshot).ok();
+            let code = apsp(&args(&[
                 "apsp",
-                file.as_str(),
+                &file,
                 "--algorithm",
                 algorithm,
                 "--deadline",
                 "0",
-                "--checkpoint",
-                ckpt.as_str(),
-            ];
-            // --checkpoint applies to the row engines; the others fall back
-            // to the derived <file>.interrupt.ckpt path.
-            let row_engine = algorithm.starts_with("par-alg") || algorithm.starts_with("seq-");
-            let code = if row_engine {
-                apsp(&args(&tokens)).unwrap()
-            } else {
-                apsp(&args(&tokens[..6])).unwrap()
-            };
+            ]))
+            .unwrap();
             assert_eq!(code, 124, "{algorithm}");
-            std::fs::remove_file(&ckpt).ok();
+            let cp = parapsp_core::persist::load_checkpoint(&snapshot).unwrap();
+            assert_eq!(cp.n(), 5, "{algorithm}");
         }
-        std::fs::remove_file(format!("{file}.interrupt.ckpt")).ok();
+        // The version-2 snapshot resumes to a normal, complete run.
+        let code = apsp(&args(&["apsp", &file, "--resume", &snapshot])).unwrap();
+        assert_eq!(code, 0);
+        std::fs::remove_file(&snapshot).ok();
         // A generous deadline completes normally.
         let code = apsp(&args(&["apsp", &file, "--deadline", "3600"])).unwrap();
         assert_eq!(code, 0);

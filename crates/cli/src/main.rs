@@ -12,6 +12,11 @@
 //!                                 seq-adaptive | blocked-fw |
 //!                                 floyd-warshall | dijkstra | dist
 //!       --threads <N>             threads (default 4)
+//!       --ledger <file>           journal completed rows to a crash-safe
+//!                                 run ledger (row engines and dist)
+//!       --checkpoint-every <K>    rows per ledger commit (default 64)
+//!       --resume <file>           compute only the rows a ledger or
+//!                                 checkpoint is missing
 //!       --deadline <secs>         stop with a checkpoint when the wall-clock
 //!                                 budget expires (exit code 124)
 //!       --on-interrupt <mode>     checkpoint (default) | abort: SIGINT and
@@ -33,6 +38,9 @@
 //!   --directed | --undirected     edge interpretation (default undirected)
 //!   --format <snap|konect>        comment style (default snap)
 //! ```
+//!
+//! An option outside the ones `parapsp help` lists is a usage error
+//! (exit 2).
 
 mod args;
 mod commands;

@@ -5,7 +5,7 @@
 //! O(engines) change. This module factors the shared lifecycle out once:
 //!
 //! * [`RunConfig`] — every knob (threads, schedule, ordering, kernel
-//!   options, relax implementation, distance cap, checkpoint policy,
+//!   options, relax implementation, distance cap, ledger policy,
 //!   label) in a single builder-style value.
 //! * [`Engine`] — what is *specific* to an algorithm: how to plan its work
 //!   units ([`Engine::prepare`]), how to execute a batch of units
@@ -13,9 +13,9 @@
 //!   ([`Engine::snapshot`]), and how to assemble its output
 //!   ([`Engine::finish`]).
 //! * [`Runner`] — owns everything else, exactly once: thread-pool
-//!   acquisition, resume validation, the periodic [`CheckpointSink`]
-//!   flush, cancellation plumbing, per-row trace collection, phase
-//!   timing, and [`RunOutcome`] assembly.
+//!   acquisition, resume validation, the run ledger's batched appends,
+//!   cancellation plumbing, per-row trace collection, phase timing, and
+//!   [`RunOutcome`] assembly.
 //!
 //! The five engine families all implement the trait: [`ApspEngine`] (the
 //! shared-memory parallel drivers), [`SeqEngine`] (Peng's sequential
@@ -38,7 +38,7 @@
 //! ```
 
 use std::marker::PhantomData;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
@@ -157,7 +157,7 @@ impl EngineKind {
     }
 
     /// Whether completed rows are final mid-run, i.e. the engine supports
-    /// periodic row checkpoints and `--resume`.
+    /// a run ledger and `--resume`.
     pub fn row_checkpoints(self) -> bool {
         matches!(
             self,
@@ -237,36 +237,21 @@ impl ValueEnum for EngineKind {
 // RunConfig
 // ---------------------------------------------------------------------------
 
-/// On-disk shape of a run's durability artifact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointFormat {
-    /// A version-2 checkpoint, atomically rewritten whole on every flush:
-    /// O(n²) bytes per flush, but the file is always a complete snapshot.
-    #[default]
-    Full,
-    /// A version-3 append-only run ledger ([`RowLedger`]): O(row) bytes
-    /// per completed row, recovered by replaying the longest valid
-    /// prefix. The file only ever grows during a run.
-    Ledger,
-}
-
-/// Where, how often, and in which format a run persists its progress.
+/// Where and how often a run journals its completed rows to a
+/// [`RowLedger`], and when the appends are fsynced.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
-    /// Destination file of the periodic checkpoint or ledger.
+    /// The run ledger: created fresh, or recovered when it exists.
     pub path: PathBuf,
-    /// Completed work units between flushes (must be ≥ 1).
+    /// Completed work units between ledger commits (must be ≥ 1).
     pub every: usize,
-    /// Full-rewrite checkpoint or append-only ledger.
-    pub format: CheckpointFormat,
-    /// When ledger appends are fsynced (ignored by [`CheckpointFormat::Full`],
-    /// which always fsyncs its atomic rewrite).
+    /// When ledger appends reach the disk.
     pub fsync: FsyncPolicy,
 }
 
 /// Every knob of an APSP run in one builder-style value: thread count,
 /// loop schedule, source ordering, kernel ablation switches (row reuse,
-/// queue dedup, distance cap, relax implementation), checkpoint policy,
+/// queue dedup, distance cap, relax implementation), ledger policy,
 /// and report label.
 ///
 /// Named constructors pin the paper's algorithm configurations; `with_*`
@@ -287,7 +272,7 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// A bare config: identity ordering, block schedule, default kernel,
-    /// no checkpoint, engine-chosen label.
+    /// no ledger, engine-chosen label.
     pub fn new(threads: usize) -> Self {
         RunConfig {
             threads,
@@ -426,44 +411,22 @@ impl RunConfig {
         self
     }
 
-    /// Periodically persists progress: after every `every` completed work
-    /// units the [`Runner`] writes a version-2 checkpoint (atomically —
-    /// temp file + rename + fsync) to `path`. A run killed between writes
-    /// loses at most `every` rows of work.
-    ///
-    /// Checkpointing inserts a barrier every `every` units, so small
-    /// values trade sweep parallelism for durability. Engines whose rows
-    /// are not final mid-run ([`Engine::row_checkpoints`] is `false`)
-    /// skip the periodic writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `every` is zero, and later — during the run — if a
-    /// checkpoint write fails (durability was explicitly requested; a
-    /// silently unwritable checkpoint would defeat it).
-    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>, every: usize) -> Self {
-        assert!(every > 0, "checkpoint interval must be at least 1 source");
-        self.checkpoint = Some(CheckpointPolicy {
-            path: path.into(),
-            every,
-            format: CheckpointFormat::Full,
-            fsync: FsyncPolicy::default(),
-        });
-        self
-    }
-
-    /// Like [`RunConfig::with_checkpoint`], but persists through an
-    /// append-only [`RowLedger`]: after every `every` completed work units
-    /// the [`Runner`] appends the newly completed rows (O(row) bytes each)
-    /// instead of rewriting an O(n²) checkpoint. The ledger is opened with
-    /// crash recovery — a torn tail from a previous incarnation is
-    /// truncated and its valid rows are folded into the resume state, so
-    /// pointing a run at its own ledger after a crash resumes it.
+    /// Persists progress through an append-only [`RowLedger`] at `path`:
+    /// after every `every` completed work units the [`Runner`] appends the
+    /// newly completed rows (O(row) bytes each) and commits them. The
+    /// ledger is opened with crash recovery — a torn tail from a previous
+    /// incarnation is truncated and its valid rows are folded into the
+    /// resume state, so pointing a run at its own ledger after a crash
+    /// resumes it. Engines whose rows are not final mid-run
+    /// ([`Engine::row_checkpoints`] is `false`) write no ledger, except the
+    /// dist driver, which journals its gather itself.
     ///
     /// # Panics
     ///
-    /// Panics when `every` is zero, and later — during the run — if the
-    /// ledger cannot be opened or appended to.
+    /// Panics when `every` is zero, and later — during the run — with
+    /// `run ledger <path>: <err>` if the ledger cannot be opened or
+    /// appended to (durability was explicitly requested; a silently
+    /// unwritable ledger would defeat it).
     pub fn with_ledger(mut self, path: impl Into<PathBuf>, every: usize) -> Self {
         assert!(
             every > 0,
@@ -472,7 +435,6 @@ impl RunConfig {
         self.checkpoint = Some(CheckpointPolicy {
             path: path.into(),
             every,
-            format: CheckpointFormat::Ledger,
             fsync: FsyncPolicy::default(),
         });
         self
@@ -482,12 +444,12 @@ impl RunConfig {
     ///
     /// # Panics
     ///
-    /// Panics when no checkpoint/ledger destination was configured first.
+    /// Panics when no ledger was configured first.
     pub fn with_fsync(mut self, fsync: FsyncPolicy) -> Self {
         let policy = self
             .checkpoint
             .as_mut()
-            .expect("configure a checkpoint or ledger before its fsync policy");
+            .expect("configure a ledger before its fsync policy");
         policy.fsync = fsync;
         self
     }
@@ -523,7 +485,7 @@ impl RunConfig {
         &self.store
     }
 
-    /// Configured checkpoint policy, if any.
+    /// Configured ledger policy, if any.
     pub fn checkpoint(&self) -> Option<&CheckpointPolicy> {
         self.checkpoint.as_ref()
     }
@@ -583,9 +545,9 @@ pub struct RunSummary {
 ///
 /// Implementations own their mutable state (distance matrix, scratch
 /// space, counters) across the hook calls; the `Runner` owns the
-/// lifecycle — it validates resume checkpoints, chunks units for periodic
-/// checkpointing, persists through the [`CheckpointSink`], and wraps
-/// early stops into [`RunOutcome`]s.
+/// lifecycle — it validates resume checkpoints, batches units for the
+/// run ledger, journals completed rows through it, and wraps early stops
+/// into [`RunOutcome`]s.
 pub trait Engine {
     /// What a completed run yields.
     type Output;
@@ -595,9 +557,9 @@ pub trait Engine {
     fn name(&self) -> &str;
 
     /// Whether rows completed mid-run are final, making periodic
-    /// checkpoints and resume meaningful. Engines like Floyd–Warshall —
+    /// ledger appends and resume meaningful. Engines like Floyd–Warshall —
     /// where every cell may still shrink until the last pivot — return
-    /// `false`, and the [`Runner`] skips periodic checkpointing for them.
+    /// `false`, and the [`Runner`] opens no ledger for them.
     fn row_checkpoints(&self) -> bool {
         true
     }
@@ -620,9 +582,9 @@ pub trait Engine {
     /// [`Engine::snapshot`]).
     fn run_rows(&mut self, graph: &CsrGraph, units: &[u32], ctx: &RowsCtx<'_>) -> RowsOutcome;
 
-    /// A consistent version-2 checkpoint of all completed work. Called by
-    /// the [`Runner`] between batches (periodic persistence) and after an
-    /// early stop.
+    /// A consistent version-2 checkpoint of all completed work: the stop
+    /// snapshot of a cancelled run (through [`Engine::into_snapshot`]) and
+    /// the source of the default [`Engine::visit_rows`].
     fn snapshot(&self) -> Checkpoint;
 
     /// Visits completed rows for incremental (ledger) persistence: called
@@ -661,44 +623,6 @@ pub trait Engine {
     fn finish(self, graph: &CsrGraph, summary: RunSummary) -> Self::Output
     where
         Self: Sized;
-}
-
-// ---------------------------------------------------------------------------
-// CheckpointSink
-// ---------------------------------------------------------------------------
-
-/// The one place progress checkpoints are written from.
-///
-/// Before the unification every engine carried its own copy of the
-/// flush-and-panic block; the [`Runner`] now owns a single sink. Writes
-/// are atomic (temp file + rename + fsync) via
-/// [`persist::save_checkpoint`].
-#[derive(Debug, Clone)]
-pub struct CheckpointSink {
-    path: PathBuf,
-}
-
-impl CheckpointSink {
-    /// A sink writing to `path`.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        CheckpointSink { path: path.into() }
-    }
-
-    /// The destination path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Persists `checkpoint`, replacing any previous file atomically.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the write fails: durability was explicitly requested,
-    /// and a silently unwritable checkpoint would defeat it.
-    pub fn flush(&self, checkpoint: &Checkpoint) {
-        persist::save_checkpoint(checkpoint, &self.path)
-            .unwrap_or_else(|err| panic!("writing checkpoint {}: {err}", self.path.display()));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -834,40 +758,24 @@ impl Runner {
         // `prepare`, so rows replayed from the torn-tail recovery join the
         // resume state, and rows only the `--resume` artifact knows about
         // are backfilled into the ledger.
-        let mut ledger_state: Option<(RowLedger, Vec<bool>)> = None;
-        let resume = match &self.config.checkpoint {
-            Some(policy)
-                if policy.format == CheckpointFormat::Ledger && engine.row_checkpoints() =>
-            {
-                let fail = |err: persist::PersistError| -> ! {
-                    panic!("run ledger {}: {err}", policy.path.display())
-                };
-                let (mut ledger, replayed) =
-                    RowLedger::open(&policy.path, graph.vertex_count(), policy.fsync)
-                        .unwrap_or_else(|err| fail(err));
-                let merged = match resume {
-                    Some(cp) => {
-                        let (mut dist, mut completed) = cp.into_parts();
-                        for (s, done) in completed.iter_mut().enumerate() {
-                            if replayed.completed()[s] && !*done {
-                                dist.copy_row_from(s as u32, replayed.matrix().row(s as u32));
-                                *done = true;
-                            } else if *done && !replayed.completed()[s] {
-                                ledger
-                                    .append(s as u32, dist.row(s as u32))
-                                    .unwrap_or_else(|err| fail(err));
-                            }
-                        }
-                        ledger.commit().unwrap_or_else(|err| fail(err));
-                        Checkpoint::new(dist, completed)
-                    }
-                    None => replayed,
-                };
+        let policy = self
+            .config
+            .checkpoint
+            .as_ref()
+            .filter(|_| engine.row_checkpoints());
+        let (ledger, resume) = match policy {
+            Some(policy) => {
+                let (ledger, merged) = RowLedger::open_merged(
+                    &policy.path,
+                    graph.vertex_count(),
+                    policy.fsync,
+                    resume,
+                )
+                .unwrap_or_else(|err| persist::ledger_panic(&policy.path, err));
                 let logged = merged.completed().to_vec();
-                ledger_state = Some((ledger, logged));
-                Some(merged)
+                (Some((policy, ledger, logged)), Some(merged))
             }
-            _ => resume,
+            None => (None, resume),
         };
         let plan = engine.prepare(graph, &self.config, pool, resume);
         let ctx = RowsCtx {
@@ -877,8 +785,8 @@ impl Runner {
             trace,
         };
         let t_sssp = Instant::now();
-        let status = match (&self.config.checkpoint, ledger_state) {
-            (Some(policy), Some((ledger, logged))) => run_ledgered(
+        let status = match ledger {
+            Some((policy, ledger, logged)) => run_ledgered(
                 &mut engine,
                 graph,
                 &plan.units,
@@ -887,21 +795,7 @@ impl Runner {
                 ledger,
                 logged,
             ),
-            (Some(policy), None) if engine.row_checkpoints() => {
-                // Between batches no row owner is active, so a snapshot of
-                // the published rows is a consistent checkpoint.
-                let sink = CheckpointSink::new(&policy.path);
-                let mut status = CancelStatus::Continue;
-                for chunk in plan.units.chunks(policy.every) {
-                    status = engine.run_rows(graph, chunk, &ctx);
-                    sink.flush(&engine.snapshot());
-                    if status.is_stop() {
-                        break;
-                    }
-                }
-                status
-            }
-            _ => engine.run_rows(graph, &plan.units, &ctx),
+            None => engine.run_rows(graph, &plan.units, &ctx),
         };
         let sssp = t_sssp.elapsed();
 
@@ -1009,7 +903,7 @@ fn run_ledgered<E: Engine>(
     });
     match written {
         Ok(Ok(())) => status,
-        Ok(Err(err)) => panic!("run ledger {}: {err}", policy.path.display()),
+        Ok(Err(err)) => persist::ledger_panic(&policy.path, err),
         Err(panic) => std::panic::resume_unwind(panic),
     }
 }
@@ -1562,39 +1456,40 @@ mod tests {
         assert_eq!(full.dist.first_difference(&resumed.dist), None);
     }
 
-    /// Satellite: `--checkpoint-every` boundaries must produce identical
-    /// version-2 files across engines. With one thread, identity order,
-    /// and a poll budget of `BUDGET`, every row engine completes exactly
-    /// rows `0..BUDGET` — and since published rows are exact, the final
-    /// flushed checkpoint must be byte-identical across par, seq, and
-    /// subset.
+    /// `--checkpoint-every` batch boundaries journal the same rows across
+    /// engines. With one thread, identity order, and a poll budget of
+    /// `BUDGET`, every row engine completes exactly rows `0..BUDGET` — and
+    /// since published rows are exact, the stopped ledgers must replay
+    /// the same checkpoint across par, seq, and subset. (The files differ
+    /// in their bytes: each ledger header carries a fresh run id.)
     #[test]
-    fn checkpoint_every_boundaries_produce_identical_v2_files_across_engines() {
+    fn ledger_batch_boundaries_replay_identically_across_engines() {
         const BUDGET: u64 = 20;
-        const EVERY: usize = 8; // not a divisor of BUDGET: exercises a mid-chunk stop
+        const EVERY: usize = 8; // not a divisor of BUDGET: exercises a mid-batch stop
         let dir = std::env::temp_dir().join("parapsp-engine-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let g = barabasi_albert(90, 3, WeightSpec::Uniform { lo: 1, hi: 9 }, 5).unwrap();
 
-        let mut files: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut replays: Vec<(String, Checkpoint)> = Vec::new();
         let mut record = |name: &str, run: &mut dyn FnMut(&std::path::Path, &CancelToken)| {
-            let path = dir.join(format!("{name}.ckpt"));
+            let path = dir.join(format!("stopped-{name}.ledger"));
+            std::fs::remove_file(&path).ok();
             let token = CancelToken::with_poll_budget(BUDGET);
             run(&path, &token);
-            let bytes = std::fs::read(&path).unwrap();
+            let replay = persist::load_checkpoint(&path).unwrap();
             std::fs::remove_file(&path).ok();
-            files.push((name.to_owned(), bytes));
+            replays.push((name.to_owned(), replay));
         };
 
         record("par", &mut |path, token| {
             let config = RunConfig::par_apsp(1)
                 .with_ordering(OrderingProcedure::Identity)
-                .with_checkpoint(path, EVERY);
+                .with_ledger(path, EVERY);
             let outcome = Runner::new(config).run_with_token(ApspEngine::new(), &g, token);
             assert!(!outcome.is_complete());
         });
         record("seq", &mut |path, token| {
-            let config = RunConfig::seq_basic().with_checkpoint(path, EVERY);
+            let config = RunConfig::seq_basic().with_ledger(path, EVERY);
             let outcome = Runner::new(config).run_with_token(SeqEngine::ordered(), &g, token);
             assert!(!outcome.is_complete());
         });
@@ -1602,41 +1497,39 @@ mod tests {
             let sources: Vec<u32> = (0..90).collect();
             let config = RunConfig::subset(1)
                 .with_ordering(OrderingProcedure::Identity)
-                .with_checkpoint(path, EVERY);
+                .with_ledger(path, EVERY);
             let outcome = Runner::new(config).run_with_token(SubsetEngine::new(sources), &g, token);
             assert!(!outcome.is_complete());
         });
 
-        let (first_name, first) = &files[0];
-        for (name, bytes) in &files[1..] {
-            assert_eq!(bytes, first, "{name} vs {first_name}");
+        let (first_name, first) = &replays[0];
+        for (name, replay) in &replays[1..] {
+            assert_eq!(replay, first, "{name} vs {first_name}");
         }
-        // The shared file holds exactly the budgeted rows.
-        let cp = persist::read_checkpoint(first.as_slice()).unwrap();
-        assert_eq!(cp.completed_count() as u64, BUDGET);
-        assert!(cp.completed()[..BUDGET as usize].iter().all(|&done| done));
+        // The shared replay holds exactly the budgeted rows.
+        assert_eq!(first.completed_count() as u64, BUDGET);
+        assert!(first.completed()[..BUDGET as usize]
+            .iter()
+            .all(|&done| done));
 
         // Blocked FW is not a row-checkpointing engine: a run with a
-        // checkpoint policy must not write periodic files, and its stop
-        // checkpoint has zero completed rows by design.
-        let fw_path = dir.join("fw.ckpt");
-        let config = RunConfig::new(2).with_checkpoint(&fw_path, EVERY);
+        // ledger policy must not write a ledger, and its stop snapshot has
+        // zero completed rows by design.
+        let fw_path = dir.join("fw.ledger");
+        std::fs::remove_file(&fw_path).ok();
+        let config = RunConfig::new(2).with_ledger(&fw_path, EVERY);
         let out = Runner::new(config.clone()).run(BlockedFwEngine::new(32), &g);
         assert_eq!(out.n(), 90);
-        assert!(
-            !fw_path.exists(),
-            "non-row engine must skip periodic writes"
-        );
         let token = CancelToken::with_poll_budget(1);
         let stopped = Runner::new(config).run_with_token(BlockedFwEngine::new(32), &g, &token);
         assert_eq!(stopped.checkpoint().unwrap().completed_count(), 0);
+        assert!(!fw_path.exists(), "non-row engine must not write a ledger");
     }
 
-    /// The run ledger is an O(row) drop-in for the O(n²) checkpoint
-    /// rewrite — a cancelled ledger run resumes from its own
-    /// ledger (no separate `--resume` artifact needed) and lands on the
-    /// bit-identical final matrix, having recomputed only the missing
-    /// rows, on every store tier and fsync policy.
+    /// A cancelled ledger run resumes from its own ledger (no separate
+    /// `--resume` artifact needed) and lands on the bit-identical final
+    /// matrix, having recomputed only the missing rows, on every store
+    /// tier and fsync policy.
     #[test]
     fn ledger_runs_resume_from_their_own_file_bit_identically() {
         const BUDGET: u64 = 20;
@@ -1875,19 +1768,6 @@ mod tests {
             let config = RunConfig::subset(2).with_ledger(path, 8);
             Runner::new(config).run(SubsetEngine::new(sources), &g);
         });
-    }
-
-    #[test]
-    fn checkpoint_sink_reports_its_path_and_flushes() {
-        let dir = std::env::temp_dir().join("parapsp-engine-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sink.ckpt");
-        let sink = CheckpointSink::new(&path);
-        assert_eq!(sink.path(), path.as_path());
-        let cp = Checkpoint::new(crate::DistanceMatrix::new_infinite(3), vec![false; 3]);
-        sink.flush(&cp);
-        assert_eq!(persist::load_checkpoint(&path).unwrap(), cp);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

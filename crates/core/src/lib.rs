@@ -63,8 +63,8 @@ pub mod subset;
 
 pub use dist::DistanceMatrix;
 pub use engine::{
-    ApspEngine, BlockedFwEngine, CheckpointFormat, Engine, EngineKind, FromStore, RunConfig,
-    Runner, SeqEngine, StoreRunOutput, SubsetEngine, ValueEnum,
+    ApspEngine, BlockedFwEngine, Engine, EngineKind, FromStore, RunConfig, Runner, SeqEngine,
+    StoreRunOutput, SubsetEngine, ValueEnum,
 };
 pub use outcome::RunOutcome;
 pub use persist::{FsyncPolicy, RowLedger};

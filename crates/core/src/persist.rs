@@ -15,11 +15,11 @@
 //! * **run ledger, version 3** — same magic, version 3, `n`, a run id and
 //!   driver epoch, then one *appended* framed record per completed row
 //!   (source id, row length, payload, FNV-1a checksum). Unlike the
-//!   checkpoint — which is rewritten whole on every flush — the ledger
-//!   grows by O(row) per completed row, and recovery
-//!   ([`RowLedger::open`]) truncates a torn tail and replays the longest
-//!   valid prefix, so a crash mid-append loses at most the record being
-//!   written.
+//!   checkpoint — a whole snapshot, written once when a run stops — the
+//!   ledger grows by O(row) per completed row while the run goes, and
+//!   recovery ([`RowLedger::open`]) truncates a torn tail and replays the
+//!   longest valid prefix, so a crash mid-append loses at most the record
+//!   being written.
 //! * **TSV** — human-readable rows, `INF` spelled as `inf`; intended for
 //!   spreadsheets and ad-hoc scripts on small matrices.
 //!
@@ -440,17 +440,16 @@ pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint, PersistErro
 
 /// When ledger appends reach the platter.
 ///
-/// The checkpoint format fsyncs on every flush because it rewrites the
-/// whole file; the ledger appends tiny records, so the caller chooses the
-/// durability/throughput point.
+/// A checkpoint is written once and fsynced whole; the ledger appends
+/// tiny records, so the caller chooses the durability/throughput point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
     /// Fsync after every appended record: a crash loses nothing that
     /// [`RowLedger::append`] returned `Ok` for.
     Always,
     /// Fsync on [`RowLedger::commit`] (the `Runner` commits once per
-    /// checkpoint chunk) and on [`RowLedger::finish`]. The default: a
-    /// crash loses at most one uncommitted chunk.
+    /// batch of the policy's `every` rows) and on [`RowLedger::finish`].
+    /// The default: a crash loses at most one uncommitted batch.
     #[default]
     Commit,
     /// Never fsync explicitly; the OS flushes the page cache on its own
@@ -553,7 +552,7 @@ fn replay_ledger_body<R: Read>(
 /// A crash-safe append-only run ledger: one framed record per completed
 /// row, recovered by replaying the longest valid prefix.
 ///
-/// Where [`save_checkpoint`] rewrites O(n²) bytes per flush, the ledger
+/// Where [`save_checkpoint`] writes O(n²) bytes at once, the ledger
 /// appends O(n) bytes per completed row — the per-source decomposition
 /// makes every completed row independently final, so appending it once is
 /// all the durability a restart needs. The header carries a `run_id`
@@ -706,6 +705,40 @@ impl RowLedger {
         Ok((ledger, checkpoint))
     }
 
+    /// Opens the run ledger at `path` like [`RowLedger::open`] and merges
+    /// it with an explicit `resume` checkpoint: rows only the ledger
+    /// replayed join the checkpoint, and rows only the checkpoint holds
+    /// are appended to the ledger and committed. After this the ledger
+    /// alone is the durable record of the run; the returned checkpoint is
+    /// the run's prior state (the replay itself when `resume` is `None`).
+    /// `resume` must be an `n`-vertex checkpoint.
+    ///
+    /// Fails like [`RowLedger::open`], or when a backfill append or its
+    /// commit fails.
+    pub fn open_merged(
+        path: impl Into<PathBuf>,
+        n: usize,
+        policy: FsyncPolicy,
+        resume: Option<Checkpoint>,
+    ) -> Result<(RowLedger, Checkpoint), PersistError> {
+        let (mut ledger, replayed) = RowLedger::open(path, n, policy)?;
+        let Some(resume) = resume else {
+            return Ok((ledger, replayed));
+        };
+        let (mut dist, mut completed) = resume.into_parts();
+        for (s, done) in completed.iter_mut().enumerate() {
+            let source = s as u32;
+            if replayed.completed()[s] && !*done {
+                dist.copy_row_from(source, replayed.matrix().row(source));
+                *done = true;
+            } else if *done && !replayed.completed()[s] {
+                ledger.append(source, dist.row(source))?;
+            }
+        }
+        ledger.commit()?;
+        Ok((ledger, Checkpoint::new(dist, completed)))
+    }
+
     /// Appends one completed row. With [`FsyncPolicy::Always`] the record
     /// is durable when this returns; otherwise it becomes durable at the
     /// next [`RowLedger::commit`] (or when the OS flushes).
@@ -776,6 +809,13 @@ impl RowLedger {
     pub fn records(&self) -> u64 {
         self.records
     }
+}
+
+/// Raises a run-ledger failure: panics with `run ledger <path>: <err>`.
+/// Durability was explicitly requested, so a run must not go on without
+/// the ledger it was told to keep.
+pub fn ledger_panic(path: &Path, err: PersistError) -> ! {
+    panic!("run ledger {}: {err}", path.display())
 }
 
 /// Writes a tab-separated text dump (`inf` for unreachable pairs), one

@@ -22,13 +22,14 @@
 //! bit-identical to the fault-free one as long as one node survives.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::unbounded;
 
-use parapsp_core::engine::{Engine, Plan, RowsCtx, RowsOutcome, RunConfig, RunSummary, ValueEnum};
-use parapsp_core::persist::{mint_run_id, Checkpoint, FsyncPolicy, RowLedger};
+use parapsp_core::engine::{
+    CheckpointPolicy, Engine, Plan, RowsCtx, RowsOutcome, RunConfig, RunSummary, ValueEnum,
+};
+use parapsp_core::persist::{self, mint_run_id, Checkpoint, RowLedger};
 use parapsp_core::{DistanceMatrix, RunOutcome, Store, StoreKind, StoreSpec};
 use parapsp_graph::{degree, CsrGraph};
 use parapsp_order::OrderingProcedure;
@@ -144,32 +145,6 @@ impl Default for WatchdogConfig {
     }
 }
 
-/// Where the driver journals gathered rows, and how hard it fsyncs.
-///
-/// With a ledger configured the driver appends every accepted gather row
-/// to a crash-safe append-only log ([`RowLedger`]) as it is acked, and a
-/// restarted driver pointed at the same file replays the valid prefix and
-/// re-deals only the missing sources to its (re-dialing) workers. The
-/// ledger also carries the run's identity — `run_id` and `epoch` — used
-/// in the worker handshake to fence off strangers and stale incarnations.
-#[derive(Debug, Clone)]
-pub struct LedgerSpec {
-    /// The ledger file; created fresh, or recovered when it exists.
-    pub path: PathBuf,
-    /// When appended rows reach the platter.
-    pub fsync: FsyncPolicy,
-}
-
-impl LedgerSpec {
-    /// A ledger at `path` with the default (per-commit) fsync policy.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        LedgerSpec {
-            path: path.into(),
-            fsync: FsyncPolicy::default(),
-        }
-    }
-}
-
 /// Configuration of the simulated cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -195,10 +170,6 @@ pub struct ClusterConfig {
     /// How driver and nodes exchange rows: in-process channels (the
     /// default) or length-prefix-framed sockets to worker processes.
     pub transport: TransportSpec,
-    /// Incremental driver-side durability: `None` (the default) keeps the
-    /// PR-6 behaviour (rows survive only in stop checkpoints); `Some`
-    /// journals every accepted row and makes the driver restartable.
-    pub ledger: Option<LedgerSpec>,
     /// Adversarial network conditions injected between the nodes' event
     /// streams and the driver; `None` (the default) injects nothing.
     pub chaos: Option<ChaosPlan>,
@@ -221,7 +192,6 @@ impl Default for ClusterConfig {
             retry: RetryPolicy::default(),
             watchdog: None,
             transport: TransportSpec::InProcess,
-            ledger: None,
             chaos: None,
             store: StoreSpec::dense(),
         }
@@ -426,11 +396,15 @@ impl DistApspOutput {
 ///
 /// The whole distributed run — source partitioning, hub broadcasting,
 /// streaming gather, crash recovery — is one indivisible work unit, so the
-/// engine reports a single-unit plan and does not support periodic row
-/// checkpoints ([`Engine::row_checkpoints`] is `false`). Cancellation still
-/// works: the cluster driver polls the token every scheduling round, and a
-/// stop yields a checkpoint of all gathered rows, resumable on any
-/// shared-memory engine.
+/// engine reports a single-unit plan ([`Engine::row_checkpoints`] is
+/// `false`, so the [`Runner`](parapsp_core::engine::Runner) journals
+/// nothing itself). The [`RunConfig`]'s ledger policy
+/// ([`RunConfig::with_ledger`]) is honoured by the driver instead: it
+/// appends every accepted gather row and commits once per scheduling
+/// round, and a restarted driver pointed at the same file replays it and
+/// re-deals only the missing sources. Cancellation works too: the cluster
+/// driver polls the token every scheduling round, and a stop yields a
+/// checkpoint of all gathered rows, resumable on any shared-memory engine.
 ///
 /// The cluster's own ordering is always MultiLists over the global degree
 /// order (the distributed analogue of ParAPSP), so the [`RunConfig`]'s
@@ -466,7 +440,10 @@ pub struct DistEngine {
     n: usize,
     result: Option<DistApspOutput>,
     stopped: Option<Checkpoint>,
-    resume: Option<Checkpoint>,
+    /// Rows final before the run: the resume checkpoint merged with the
+    /// ledger's replay.
+    prior: Option<Checkpoint>,
+    ledger: Option<RowLedger>,
 }
 
 impl DistEngine {
@@ -477,7 +454,8 @@ impl DistEngine {
             n: 0,
             result: None,
             stopped: None,
-            resume: None,
+            prior: None,
+            ledger: None,
         }
     }
 
@@ -505,18 +483,11 @@ impl Engine for DistEngine {
         _pool: &ThreadPool,
         resume: Option<Checkpoint>,
     ) -> Plan {
-        if let Some(resume) = &resume {
-            assert_eq!(
-                resume.n(),
-                graph.vertex_count(),
-                "the resume checkpoint is for a different graph size"
-            );
-        }
-        // Resumed rows pre-seed the driver's gather: they are marked got,
-        // excluded from every node's share, and merged with whatever a
-        // configured ledger replays.
-        self.resume = resume;
         self.n = graph.vertex_count();
+        // Resumed rows pre-seed the driver's gather: they are marked got,
+        // excluded from every node's share, and merged with whatever the
+        // run config's ledger replays.
+        (self.ledger, self.prior) = open_prior(config.checkpoint(), self.n, resume);
         // The engine-agnostic `--store` selection reaches the cluster here:
         // the driver's gather target uses the run config's backend.
         self.cluster.store = config.store().clone();
@@ -534,7 +505,8 @@ impl Engine for DistEngine {
             graph,
             self.cluster.clone(),
             ctx.token,
-            self.resume.take(),
+            self.prior.take(),
+            self.ledger.take(),
             cap,
         ) {
             RunOutcome::Complete(output) => {
@@ -589,57 +561,32 @@ pub(crate) fn dist_apsp_cancellable(
     )
 }
 
-/// Opens (or creates) the configured ledger and folds its replayed rows
-/// into the run's prior checkpoint. Explicit-resume rows missing from the
-/// ledger are backfilled into it, so after this the ledger alone is the
-/// durable record of the run. Returns the ledger handle (if configured),
-/// the merged prior rows (if any), and the run identity for handshakes.
+/// Opens (or creates) the ledger `policy` names and folds its replayed
+/// rows into the run's resume checkpoint (see [`RowLedger::open_merged`]).
+/// Returns the ledger handle (if configured) and the merged prior rows
+/// (if any).
 fn open_prior(
-    config: &ClusterConfig,
+    policy: Option<&CheckpointPolicy>,
     n: usize,
     resume: Option<Checkpoint>,
-) -> (Option<RowLedger>, Option<Checkpoint>, u64, u32) {
-    let Some(spec) = &config.ledger else {
-        let run_id = mint_run_id();
-        return (None, resume, run_id, 0);
+) -> (Option<RowLedger>, Option<Checkpoint>) {
+    let Some(policy) = policy else {
+        return (None, resume);
     };
-    let (mut ledger, replayed) = match RowLedger::open(&spec.path, n, spec.fsync) {
-        Ok(opened) => opened,
-        Err(error) => panic!("opening the run ledger {}: {error}", spec.path.display()),
-    };
-    let merged = match resume {
-        None => replayed,
-        Some(explicit) => {
-            let (mut dist, mut completed) = explicit.into_parts();
-            let (replayed_dist, replayed_completed) = replayed.into_parts();
-            for s in 0..n as u32 {
-                let have = completed[s as usize];
-                if replayed_completed[s as usize] && !have {
-                    dist.copy_row_from(s, replayed_dist.row(s));
-                    completed[s as usize] = true;
-                } else if have && !replayed_completed[s as usize] {
-                    ledger
-                        .append(s, dist.row(s))
-                        .unwrap_or_else(|error| panic!("backfilling the run ledger: {error}"));
-                }
-            }
-            ledger
-                .commit()
-                .unwrap_or_else(|error| panic!("committing the run ledger: {error}"));
-            Checkpoint::new(dist, completed)
-        }
-    };
-    let (run_id, epoch) = (ledger.run_id(), ledger.epoch());
+    let (ledger, merged) = RowLedger::open_merged(&policy.path, n, policy.fsync, resume)
+        .unwrap_or_else(|error| persist::ledger_panic(&policy.path, error));
     let prior = (merged.completed_count() > 0).then_some(merged);
-    (Some(ledger), prior, run_id, epoch)
+    (Some(ledger), prior)
 }
 
-/// Runs the whole cluster; every node's kernel caps its rows at `cap`.
+/// Runs the whole cluster from the `prior` rows, journaling accepted rows
+/// to `ledger`; every node's kernel caps its rows at `cap`.
 fn run_cluster(
     graph: &CsrGraph,
     config: ClusterConfig,
     token: Option<&CancelToken>,
-    resume: Option<Checkpoint>,
+    prior: Option<Checkpoint>,
+    ledger: Option<RowLedger>,
     cap: Option<u32>,
 ) -> RunOutcome<DistApspOutput> {
     if let Err(error) = config.validate_shape() {
@@ -683,7 +630,11 @@ fn run_cluster(
     // Prior rows from a resume checkpoint and/or a recovered ledger are
     // already final: pre-seed the gather with them and deal only the
     // missing sources, so a restarted driver recomputes strictly less.
-    let (ledger, prior, run_id, epoch) = open_prior(&config, n, resume);
+    // The ledger's run id and epoch fence the worker handshake; a run
+    // without one still mints an identity to hand its workers.
+    let identity = ledger
+        .as_ref()
+        .map_or_else(|| (mint_run_id(), 0), |l| (l.run_id(), l.epoch()));
     if let Some(prior) = &prior {
         let done = prior.completed();
         for share in &mut owned {
@@ -712,12 +663,9 @@ fn run_cluster(
         TransportSpec::InProcess => {
             run_cluster_channels(graph, &config, token, cap, &is_hub, &owned, driver, start)
         }
-        TransportSpec::Socket(socket) => {
-            let identity = (run_id, epoch);
-            run_cluster_socket(
-                graph, &config, &socket, token, cap, &is_hub, &owned, driver, identity, start,
-            )
-        }
+        TransportSpec::Socket(socket) => run_cluster_socket(
+            graph, &config, &socket, token, cap, &is_hub, &owned, driver, identity, start,
+        ),
     }
 }
 
@@ -1110,18 +1058,19 @@ impl Driver {
     /// nothing was appended since the last commit).
     fn commit_ledger(&mut self) {
         if let Some(ledger) = &mut self.ledger {
-            ledger
-                .commit()
-                .unwrap_or_else(|error| panic!("committing the run ledger: {error}"));
+            if let Err(error) = ledger.commit() {
+                persist::ledger_panic(ledger.path(), error);
+            }
         }
     }
 
     /// Final commit-and-close of the ledger; idempotent.
     fn finish_ledger(&mut self) {
         if let Some(ledger) = self.ledger.take() {
-            ledger
-                .finish()
-                .unwrap_or_else(|error| panic!("closing the run ledger: {error}"));
+            let path = ledger.path().to_path_buf();
+            if let Err(error) = ledger.finish() {
+                persist::ledger_panic(&path, error);
+            }
         }
     }
 
@@ -1186,9 +1135,9 @@ impl Driver {
         // observe it as gathered. Fsync timing follows the ledger's
         // policy — `Always` syncs here, `Commit` at the driver round.
         if let Some(ledger) = &mut self.ledger {
-            ledger
-                .append(message.source, &message.row)
-                .unwrap_or_else(|error| panic!("appending to the run ledger: {error}"));
+            if let Err(error) = ledger.append(message.source, &message.row) {
+                persist::ledger_panic(ledger.path(), error);
+            }
         }
     }
 

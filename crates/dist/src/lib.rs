@@ -58,11 +58,13 @@
 //!
 //! # Durability and chaos
 //!
-//! With a [`LedgerSpec`] configured, the driver journals every accepted
-//! row into a crash-safe append-only ledger and becomes restartable: a
-//! new driver incarnation pointed at the same file replays the valid
-//! prefix, re-handshakes returning workers under the run's id and a
-//! bumped epoch, and re-deals only the missing sources. A [`ChaosPlan`]
+//! With a ledger on the run config
+//! ([`RunConfig::with_ledger`](parapsp_core::engine::RunConfig::with_ledger)),
+//! the driver journals every accepted row into a crash-safe append-only
+//! ledger and becomes restartable: a new driver incarnation pointed at
+//! the same file replays the valid prefix, re-handshakes returning
+//! workers under the run's id and a bumped epoch, and re-deals only the
+//! missing sources. A [`ChaosPlan`]
 //! additionally subjects the node→driver event path to seeded,
 //! deterministic delay, duplication, reordering, payload corruption, and
 //! one-way partitions — on either transport backend.
@@ -78,8 +80,8 @@ mod worker;
 
 pub use chaos::ChaosPlan;
 pub use cluster::{
-    ClusterConfig, ClusterConfigError, DistApspOutput, DistEngine, LedgerSpec, NodeStats,
-    RetryPolicy, SourcePartition, WatchdogConfig,
+    ClusterConfig, ClusterConfigError, DistApspOutput, DistEngine, NodeStats, RetryPolicy,
+    SourcePartition, WatchdogConfig,
 };
 pub use fault::FaultPlan;
 pub use transport::{BindSpec, ConnectRetry, SocketConfig, TransportSpec, WorkerMode};

@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 
-use parapsp::core::engine::{ApspEngine, RunConfig, Runner};
+use parapsp::core::engine::{ApspEngine, RunConfig, Runner, SeqEngine};
 use parapsp::core::persist::{self, Checkpoint};
 use parapsp::core::{ApspOutput, RunOutcome};
 use parapsp::dist::{
@@ -302,13 +302,14 @@ fn version_skew_between_matrix_and_checkpoint_formats() {
     assert!(persist::read_binary(v2.as_slice()).is_err());
 }
 
-/// End-to-end: a checkpointing run writes a loadable file after every
-/// chunk, and the final file alone reproduces the matrix.
+/// End-to-end: a ledger run journals every batch of 16 rows, and the
+/// final file alone reproduces the matrix.
 #[test]
 fn checkpoint_file_written_during_a_run_is_loadable_and_exact() {
     let dir = std::env::temp_dir().join("parapsp-faults-tests");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("run.ckpt");
+    let path = dir.join("run.ledger");
+    std::fs::remove_file(&path).ok();
 
     let mut b = GraphBuilder::new(80, Direction::Undirected);
     for v in 1..80u32 {
@@ -318,8 +319,8 @@ fn checkpoint_file_written_during_a_run_is_loadable_and_exact() {
     let graph = b.build();
 
     let reference = run_par(4, &graph);
-    let out = Runner::new(RunConfig::par_apsp(4).with_checkpoint(&path, 16))
-        .run(ApspEngine::new(), &graph);
+    let out =
+        Runner::new(RunConfig::par_apsp(4).with_ledger(&path, 16)).run(ApspEngine::new(), &graph);
     assert_eq!(reference.dist.first_difference(&out.dist), None);
 
     let cp = persist::load_checkpoint(&path).unwrap();
@@ -440,4 +441,82 @@ fn cancelled_dist_run_resumes_on_the_shared_memory_engine() {
             panic!("budget exhaustion must report Cancelled");
         }
     }
+}
+
+/// The dist driver journals to the ledger on its [`RunConfig`]: a
+/// cancelled cluster run leaves its gathered rows in the ledger, and
+/// rerunning the same config replays them instead of recomputing them,
+/// landing on the matrix seq-basic computes.
+#[test]
+fn cancelled_dist_ledger_run_resumes_from_its_ledger() {
+    let mut b = GraphBuilder::new(120, Direction::Undirected);
+    for v in 1..120u32 {
+        b.add_edge(v - 1, v, 2 + v % 5).unwrap();
+        b.add_edge(v / 3, v, 1 + v % 7).unwrap();
+    }
+    let graph = b.build();
+    let reference = Runner::new(RunConfig::seq_basic()).run(SeqEngine::ordered(), &graph);
+    let dir = std::env::temp_dir().join("parapsp-faults-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("dist-cancel.ledger");
+    std::fs::remove_file(&path).ok();
+    let config = RunConfig::new(1).with_ledger(&path, 1);
+
+    // Every node goes quiet for 300 ms after its fifth source, so the
+    // driver's poll budget runs out with some rows gathered and most not.
+    let mut faults = FaultPlan::seeded(0);
+    for node in 0..3 {
+        faults = faults.stall_node_after(node, 5, 300);
+    }
+    let stalling = ClusterConfig {
+        nodes: 3,
+        faults,
+        ..ClusterConfig::default()
+    };
+    let token = CancelToken::with_poll_budget(10);
+    let outcome =
+        Runner::new(config.clone()).run_with_token(DistEngine::new(stalling), &graph, &token);
+    let RunOutcome::Cancelled { checkpoint } = outcome else {
+        panic!("the poll budget must cancel the stalled run");
+    };
+    let gathered = checkpoint.completed_count();
+    assert!(gathered > 0 && gathered < 120, "gathered {gathered}");
+    assert_eq!(persist::load_checkpoint(&path).unwrap(), checkpoint);
+
+    let out = Runner::new(config).run(
+        DistEngine::new(ClusterConfig {
+            nodes: 3,
+            ..ClusterConfig::default()
+        }),
+        &graph,
+    );
+    assert_eq!(out.replayed_rows, gathered as u64);
+    assert_eq!(reference.dist.first_difference(&out.dist), None);
+    assert!(persist::load_checkpoint(&path).unwrap().is_complete());
+    std::fs::remove_file(&path).ok();
+}
+
+/// A dist ledger failure panics naming the file, in the Runner's form.
+#[test]
+fn dist_ledger_errors_name_the_file() {
+    let mut b = GraphBuilder::new(20, Direction::Undirected);
+    for v in 1..20u32 {
+        b.add_edge(v - 1, v, 1).unwrap();
+    }
+    let graph = b.build();
+    // A directory cannot be opened as a ledger.
+    let path = std::env::temp_dir()
+        .join("parapsp-faults-tests")
+        .join("ledger-is-a-directory");
+    std::fs::create_dir_all(&path).unwrap();
+    let config = RunConfig::new(1).with_ledger(&path, 1);
+    let run = std::panic::catch_unwind(|| {
+        Runner::new(config).run(DistEngine::new(ClusterConfig::default()), &graph)
+    });
+    let payload = run.expect_err("an unopenable ledger must stop the run");
+    let message = payload
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    let expected = format!("run ledger {}: ", path.display());
+    assert!(message.starts_with(&expected), "{message}");
 }
