@@ -757,7 +757,9 @@ impl Runner {
         // A ledger policy opens (and crash-recovers) its file before
         // `prepare`, so rows replayed from the torn-tail recovery join the
         // resume state, and rows only the `--resume` artifact knows about
-        // are backfilled into the ledger.
+        // are backfilled into the ledger. A fresh ledger with nothing to
+        // resume yields no checkpoint, so `prepare` allocates no replay
+        // matrix.
         let policy = self
             .config
             .checkpoint
@@ -765,15 +767,15 @@ impl Runner {
             .filter(|_| engine.row_checkpoints());
         let (ledger, resume) = match policy {
             Some(policy) => {
-                let (ledger, merged) = RowLedger::open_merged(
-                    &policy.path,
-                    graph.vertex_count(),
-                    policy.fsync,
-                    resume,
-                )
-                .unwrap_or_else(|err| persist::ledger_panic(&policy.path, err));
-                let logged = merged.completed().to_vec();
-                (Some((policy, ledger, logged)), Some(merged))
+                let n = graph.vertex_count();
+                let (ledger, merged) =
+                    RowLedger::open_merged(&policy.path, n, policy.fsync, resume)
+                        .unwrap_or_else(|err| persist::ledger_panic(&policy.path, err));
+                let logged = match &merged {
+                    Some(merged) => merged.completed().to_vec(),
+                    None => vec![false; n],
+                };
+                (Some((policy, ledger, logged)), merged)
             }
             None => (None, resume),
         };
@@ -827,12 +829,13 @@ impl Runner {
     }
 }
 
-/// A message to the ledger writer thread of [`run_ledgered`].
-enum LedgerMsg {
-    /// A completed row to append, in a buffer the writer hands back.
-    Row(u32, Vec<u32>),
-    /// The batch is over: commit (and fsync, per policy) what came before.
-    Commit,
+/// One ledger batch on its way to the writer thread of [`run_ledgered`]:
+/// the completed rows not yet logged, back to back in `rows`, one per
+/// entry of `sources`. The writer hands the buffers back for reuse.
+#[derive(Default)]
+struct LedgerBatch {
+    sources: Vec<u32>,
+    rows: Vec<u32>,
 }
 
 /// Runs `units` in batches of `policy.every` and journals every batch's
@@ -841,14 +844,15 @@ enum LedgerMsg {
 ///
 /// Between batches no row owner is active, so every row the engine
 /// reports completed is final. The batch's `visit_rows` callback only
-/// copies each row not yet logged into a recycled buffer and sends it to
-/// a writer thread that owns the ledger; the writer appends (checksums)
-/// the rows and commits at the batch marker while the pool computes the
-/// next batch. The channel is about one batch deep, so the ledger trails
-/// the sweep by at most one batch plus the rows in flight. The writer is
-/// joined before this returns — after the last batch, after a stop, and
-/// on unwind, when dropping the sender ends it — so a stopped run's
-/// ledger holds exactly its completed rows.
+/// copies each row not yet logged into one recycled batch buffer; the
+/// buffer goes to a writer thread that owns the ledger, which appends the
+/// whole batch in one call ([`RowLedger::append_batch`]) and commits it
+/// while the pool computes the next batch. At most one batch waits for
+/// the writer, so the ledger trails the sweep by at most one batch plus
+/// the one being written. The writer is joined before this returns —
+/// after the last batch, after a stop, and on unwind, when dropping the
+/// sender ends it — so a stopped run's ledger holds exactly its completed
+/// rows.
 ///
 /// # Panics
 ///
@@ -863,38 +867,35 @@ fn run_ledgered<E: Engine>(
     mut ledger: RowLedger,
     mut logged: Vec<bool>,
 ) -> RowsOutcome {
-    let (tx, rx) = sync_channel::<LedgerMsg>(policy.every + 1);
-    let (spare_tx, spare_rx) = sync_channel::<Vec<u32>>(policy.every + 1);
+    let n = graph.vertex_count();
+    let (tx, rx) = sync_channel::<LedgerBatch>(1);
+    let (spare_tx, spare_rx) = sync_channel::<LedgerBatch>(2);
     let (status, written) = std::thread::scope(|scope| {
         let writer = scope.spawn(move || {
-            for msg in rx {
-                match msg {
-                    LedgerMsg::Row(s, row) => {
-                        ledger.append(s, &row)?;
-                        let _ = spare_tx.try_send(row);
-                    }
-                    LedgerMsg::Commit => ledger.commit()?,
-                }
+            for batch in rx {
+                ledger.append_batch(&batch.sources, &batch.rows)?;
+                ledger.commit()?;
+                let _ = spare_tx.try_send(batch);
             }
             ledger.finish()
         });
-        // Whether the writer still receives; once it has failed, the
-        // sweep stops at the end of the batch and its error is raised.
-        let mut open = true;
         let mut status = CancelStatus::Continue;
         for chunk in units.chunks(policy.every) {
             status = engine.run_rows(graph, chunk, ctx);
+            let mut batch = spare_rx.try_recv().unwrap_or_default();
+            batch.sources.clear();
+            batch.rows.clear();
+            batch.rows.reserve(chunk.len() * n);
             engine.visit_rows(chunk, &mut |s, row| {
-                if open && !logged[s as usize] {
-                    let mut buf = spare_rx.try_recv().unwrap_or_default();
-                    buf.clear();
-                    buf.extend_from_slice(row);
-                    open = tx.send(LedgerMsg::Row(s, buf)).is_ok();
+                if !logged[s as usize] {
+                    batch.sources.push(s);
+                    batch.rows.extend_from_slice(row);
                     logged[s as usize] = true;
                 }
             });
-            open = open && tx.send(LedgerMsg::Commit).is_ok();
-            if status.is_stop() || !open {
+            // A failed writer has dropped its receiver: stop at the end of
+            // the batch and raise its error.
+            if tx.send(batch).is_err() || status.is_stop() {
                 break;
             }
         }
@@ -1126,9 +1127,7 @@ impl<O: FromStore> Engine for ApspEngine<O> {
     fn visit_rows(&self, units: &[u32], visit: &mut dyn FnMut(u32, &[u32])) {
         // Units are source vertices; a published row is final.
         let store = self.store.as_ref().expect("prepare() not called");
-        for &s in units {
-            store.with_row(s, |row| visit(s, row));
-        }
+        store.visit_published(units.iter().copied(), visit);
     }
 
     fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> O {
@@ -1177,10 +1176,12 @@ pub struct SeqEngine {
     solver: Option<RowSolver>,
     counters: Counters,
     busy: Duration,
-    /// Adaptive state: out-degrees, accumulated credit, processed flags.
+    /// Adaptive state: out-degrees, accumulated credit, processed flags,
+    /// and the sources the last `run_rows` batch picked.
     degrees: Vec<u32>,
     credit: Vec<u64>,
     done: Vec<bool>,
+    picked: Vec<u32>,
 }
 
 impl SeqEngine {
@@ -1196,6 +1197,7 @@ impl SeqEngine {
             degrees: Vec::new(),
             credit: Vec::new(),
             done: Vec::new(),
+            picked: Vec::new(),
         }
     }
 
@@ -1261,8 +1263,10 @@ impl Engine for SeqEngine {
             degrees,
             credit,
             done,
+            picked,
         } = self;
         let mode = *mode;
+        picked.clear();
         let store = store.as_ref().expect("prepare() not called");
         let ws = ws.as_mut().expect("prepare() not called");
         let solver = solver.as_ref().expect("prepare() not called");
@@ -1293,6 +1297,7 @@ impl Engine for SeqEngine {
                     }
                     let (_, s) = best.expect("unprocessed vertex must exist");
                     done[s as usize] = true;
+                    picked.push(s);
                     (s, Some(&mut credit[..]))
                 }
             };
@@ -1327,21 +1332,10 @@ impl Engine for SeqEngine {
         let store = self.store.as_ref().expect("prepare() not called");
         match self.mode {
             // Ordered units are source vertices.
-            SeqMode::Ordered => {
-                for &s in units {
-                    store.with_row(s, |row| visit(s, row));
-                }
-            }
-            // Adaptive units are opaque step counters; the sources picked
-            // this batch are whatever is newly marked done. Scanning all
-            // of `done` is O(n) per batch and the `Runner` deduplicates.
-            SeqMode::Adaptive { .. } => {
-                for s in 0..store.n() as u32 {
-                    if self.done[s as usize] {
-                        store.with_row(s, |row| visit(s, row));
-                    }
-                }
-            }
+            SeqMode::Ordered => store.visit_published(units.iter().copied(), visit),
+            // Adaptive units are opaque step counters; the sources are
+            // the ones the batch picked.
+            SeqMode::Adaptive { .. } => store.visit_published(self.picked.iter().copied(), visit),
         }
     }
 

@@ -130,6 +130,9 @@ const REF_MARKER: u8 = 0xFF;
 /// make the pin-aware eviction thrash or fail, so construction rejects
 /// them ([`StoreSpec::validate_for`]).
 const MIN_CACHE_ROWS: u64 = 2;
+/// Threads that read a cached-tier store's rows into the final matrix
+/// ([`Store::into_matrix`]), at most; fewer when the host has fewer cores.
+const READBACK_THREADS: usize = 4;
 /// Evicted row buffers a hot-row cache keeps for the next misses to load
 /// into — one per concurrently missing kernel thread on small hosts;
 /// buffers evicted past this are freed.
@@ -595,43 +598,104 @@ impl Store {
         }
     }
 
-    /// Clones the published rows into a fresh matrix plus completion
-    /// flags (the periodic-checkpoint payload). O(n²).
-    pub fn snapshot(&self) -> (DistanceMatrix, Vec<bool>) {
-        match &self.inner {
-            Inner::Dense(state) => state.snapshot(),
-            _ => {
-                let n = self.n();
-                let mut dist = DistanceMatrix::new_infinite(n);
-                let mut completed = vec![false; n];
-                for s in 0..n as u32 {
-                    if self.read_row_into(s, dist.row_mut(s)) {
-                        completed[s as usize] = true;
-                    }
+    /// Visits the published rows among `sources`, `(source, row)` at a
+    /// time, skipping unpublished ones: the between-batch readback behind
+    /// the row engines' `visit_rows`. Dense lends each row in place; the
+    /// cached tiers copy it into one buffer through
+    /// [`Store::read_row_into`], never through the hot-row cache — a
+    /// readback lease would take the cache lock and evict the hub rows
+    /// the kernel's reuse depends on.
+    pub fn visit_published(
+        &self,
+        sources: impl IntoIterator<Item = u32>,
+        visit: &mut dyn FnMut(u32, &[u32]),
+    ) {
+        if let Inner::Dense(state) = &self.inner {
+            for s in sources {
+                if let Some(row) = state.published_row(s) {
+                    visit(s, row);
                 }
-                (dist, completed)
+            }
+            return;
+        }
+        let mut buf = Vec::new();
+        for s in sources {
+            buf.resize(self.n(), 0);
+            if self.read_row_into(s, &mut buf) {
+                visit(s, &buf);
             }
         }
     }
 
+    /// Clones the published rows into a fresh matrix plus completion
+    /// flags (the stop-snapshot payload). O(n²).
+    pub fn snapshot(&self) -> (DistanceMatrix, Vec<bool>) {
+        match &self.inner {
+            Inner::Dense(state) => state.snapshot(),
+            _ => self.read_all_rows(),
+        }
+    }
+
     /// Consumes the store, yielding the final dense matrix (zero-copy for
-    /// the dense backend; a decode pass otherwise). Unpublished rows come
-    /// out infinite.
+    /// the dense backend; a decode pass otherwise, after the hot-row
+    /// cache is freed). Unpublished rows come out infinite.
     pub fn into_matrix(self) -> DistanceMatrix {
         match self.inner {
             Inner::Dense(state) => state.into_matrix(),
-            _ => self.snapshot().0,
+            inner => Store { inner }.into_parts().0,
         }
     }
 
     /// Consumes the store, yielding the matrix plus completion flags —
     /// the zero-copy teardown behind `Engine::into_snapshot` (no O(n²)
-    /// clone on the dense backend).
-    pub fn into_parts(self) -> (DistanceMatrix, Vec<bool>) {
+    /// clone on the dense backend). The cached tiers free their hot-row
+    /// cache before they allocate the matrix, so the two are never
+    /// resident together.
+    pub fn into_parts(mut self) -> (DistanceMatrix, Vec<bool>) {
+        match &mut self.inner {
+            Inner::Dense(_) => {}
+            Inner::Delta(store) => store.cache.get_mut().expect("cache mutex").clear(),
+            Inner::Mmap(store) => store.cache.get_mut().expect("cache mutex").clear(),
+        }
         match self.inner {
             Inner::Dense(state) => state.into_parts(),
-            _ => self.snapshot(),
+            _ => self.read_all_rows(),
         }
+    }
+
+    /// Reads every row of a cached-tier store into a new matrix. The
+    /// matrix is allocated zeroed — the allocator maps fresh pages
+    /// without writing them — and each page is written once: by the
+    /// published row read into it, or by the `INF` fill of an unpublished
+    /// row. Most of the cost is the kernel faulting those fresh pages in
+    /// under the reads, so the rows are split into contiguous ranges read
+    /// by up to [`READBACK_THREADS`] scoped threads.
+    fn read_all_rows(&self) -> (DistanceMatrix, Vec<bool>) {
+        let n = self.n();
+        let cells = n.checked_mul(n).expect("matrix size overflow");
+        let mut data = vec![0u32; cells].into_boxed_slice();
+        let mut completed = vec![false; n];
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |p| p.get())
+            .min(READBACK_THREADS);
+        let rows_per_thread = n.div_ceil(threads).max(1);
+        std::thread::scope(|scope| {
+            let ranges = data
+                .chunks_mut(rows_per_thread * n.max(1))
+                .zip(completed.chunks_mut(rows_per_thread));
+            for (part, (rows, done)) in ranges.enumerate() {
+                scope.spawn(move || {
+                    let first = part * rows_per_thread;
+                    for (i, (row, done)) in rows.chunks_exact_mut(n).zip(done).enumerate() {
+                        *done = self.read_row_into((first + i) as u32, row);
+                        if !*done {
+                            row.fill(INF);
+                        }
+                    }
+                });
+            }
+        });
+        (DistanceMatrix::from_raw(n, data), completed)
     }
 
     /// Bytes of published-row payload this store holds: resident matrix
@@ -812,6 +876,16 @@ impl RowCache {
                 self.pinned_bytes -= 4 * entry.data.len() as u64;
             }
         }
+    }
+
+    /// Frees every cached row and spare buffer. Only valid while no lease
+    /// is live (the caller owns the store).
+    fn clear(&mut self) {
+        debug_assert_eq!(self.pinned_bytes, 0, "clearing a cache with live leases");
+        self.map = HashMap::new();
+        self.order = VecDeque::new();
+        self.spare = Vec::new();
+        self.bytes = 0;
     }
 
     /// Keeps `buf` for a later miss, or frees it when enough are kept.
@@ -1251,7 +1325,7 @@ struct MmapStore {
 }
 
 /// The bytes of a row of cells, in the host's byte order.
-fn cell_bytes(row: &[u32]) -> &[u8] {
+pub(crate) fn cell_bytes(row: &[u32]) -> &[u8] {
     // SAFETY: `u32` has no padding and `u8` no alignment requirement, so
     // the row's memory is exactly `4 · len` initialized bytes; the shared
     // borrow of `row` is carried over to the result.
@@ -1260,7 +1334,7 @@ fn cell_bytes(row: &[u32]) -> &[u8] {
 
 /// [`cell_bytes`] for writing: every byte pattern is a valid `u32`, so
 /// any bytes stored through the view leave valid cells behind.
-fn cell_bytes_mut(row: &mut [u32]) -> &mut [u8] {
+pub(crate) fn cell_bytes_mut(row: &mut [u32]) -> &mut [u8] {
     // SAFETY: as in `cell_bytes`, and the exclusive borrow of `row` is
     // carried over to the result.
     unsafe { std::slice::from_raw_parts_mut(row.as_mut_ptr().cast(), std::mem::size_of_val(row)) }
@@ -1810,6 +1884,80 @@ mod tests {
             count += 1;
         });
         assert_eq!(count, 3);
+    }
+
+    #[test]
+    fn into_matrix_keeps_published_rows_and_fills_the_rest_with_inf() {
+        let n = 40;
+        let rows = fixture_rows(n, 43);
+        for spec in all_specs() {
+            let published = |s: usize| s % 3 != 2;
+            let build = || {
+                let store = Store::new(n, &spec);
+                for (s, row) in rows.iter().enumerate().filter(|&(s, _)| published(s)) {
+                    store.publish_from(s as u32, row);
+                }
+                // Warm the hot-row cache, so teardown has one to free.
+                for s in (0..n as u32).step_by(3) {
+                    drop(store.lease_row(s));
+                }
+                store
+            };
+            let check = |matrix: &DistanceMatrix| {
+                for (s, row) in rows.iter().enumerate() {
+                    if published(s) {
+                        assert_eq!(matrix.row(s as u32), &row[..], "{} row {s}", spec.label());
+                    } else {
+                        assert!(
+                            matrix.row(s as u32).iter().all(|&d| d == INF),
+                            "{}: unpublished row {s} must be INF",
+                            spec.label()
+                        );
+                    }
+                }
+            };
+            check(&build().into_matrix());
+            let (matrix, completed) = build().into_parts();
+            check(&matrix);
+            assert!(completed
+                .iter()
+                .enumerate()
+                .all(|(s, &done)| done == published(s)));
+            let (matrix, completed) = build().snapshot();
+            check(&matrix);
+            assert!(completed
+                .iter()
+                .enumerate()
+                .all(|(s, &done)| done == published(s)));
+        }
+    }
+
+    #[test]
+    fn batch_readback_skips_unpublished_rows_and_the_hot_row_cache() {
+        let n = 32;
+        let rows = fixture_rows(n, 47);
+        for spec in all_specs() {
+            let store = Store::new(n, &spec);
+            for s in [1u32, 4, 9] {
+                store.publish_from(s, &rows[s as usize]);
+            }
+            let mut seen = Vec::new();
+            store.visit_published([0, 1, 4, 7, 9], &mut |s, row| seen.push((s, row.to_vec())));
+            let expect: Vec<(u32, Vec<u32>)> =
+                [1u32, 4, 9].map(|s| (s, rows[s as usize].clone())).into();
+            assert_eq!(seen, expect, "{}", spec.label());
+            let cached = match &store.inner {
+                Inner::Dense(_) => 0,
+                Inner::Delta(store) => store.cache.lock().unwrap().map.len(),
+                Inner::Mmap(store) => store.cache.lock().unwrap().map.len(),
+            };
+            assert_eq!(
+                cached,
+                0,
+                "{}: readback went through the cache",
+                spec.label()
+            );
+        }
     }
 
     #[test]

@@ -299,6 +299,18 @@ impl Engine for SubsetEngine {
         Checkpoint::new(dist, completed)
     }
 
+    fn visit_rows(&self, units: &[u32], visit: &mut dyn FnMut(u32, &[u32])) {
+        // Units are slot indices: visit each slot's source with its row,
+        // O(batch · n), instead of the default's full n × n snapshot.
+        let state = self.state.as_ref().expect("prepare() not called");
+        for &slot in units {
+            let s = self.sources[slot as usize];
+            if let Some(row) = state.published_row_of_vertex(s) {
+                visit(s, row);
+            }
+        }
+    }
+
     fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> SubsetRows {
         let state = self.state.expect("prepare() not called");
         // SAFETY: all rows published; single ownership again.
@@ -478,6 +490,29 @@ mod tests {
         );
         for (i, _) in sources.iter().enumerate() {
             assert_eq!(resumed.row(i), full.row(i), "slot {i}");
+        }
+    }
+
+    /// A ledgered subset run journals each batch's slots through its own
+    /// `visit_rows`, so its ledger replays exactly the subset's rows.
+    #[test]
+    fn ledgered_subset_run_replays_exactly_its_source_rows() {
+        let g = barabasi_albert(150, 3, WeightSpec::Uniform { lo: 1, hi: 9 }, 64).unwrap();
+        let sources: Vec<u32> = (0..150).rev().step_by(7).collect();
+        let path = std::env::temp_dir().join("parapsp-subset-ledger.ledger");
+        std::fs::remove_file(&path).ok();
+        let config = RunConfig::subset(2).with_ledger(&path, 4);
+        Runner::new(config).run(SubsetEngine::new(sources.clone()), &g);
+        let cp = crate::persist::load_checkpoint(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let mut expected = vec![0u32; 150];
+        for s in 0..150u32 {
+            let in_subset = sources.contains(&s);
+            assert_eq!(cp.completed()[s as usize], in_subset, "row {s}");
+            if in_subset {
+                dijkstra_sssp(&g, s, &mut expected);
+                assert_eq!(cp.matrix().row(s), &expected[..], "row {s}");
+            }
         }
     }
 

@@ -575,7 +575,7 @@ fn open_prior(
     };
     let (ledger, merged) = RowLedger::open_merged(&policy.path, n, policy.fsync, resume)
         .unwrap_or_else(|error| persist::ledger_panic(&policy.path, error));
-    let prior = (merged.completed_count() > 0).then_some(merged);
+    let prior = merged.filter(|merged| merged.completed_count() > 0);
     (Some(ledger), prior)
 }
 
