@@ -130,9 +130,6 @@ const REF_MARKER: u8 = 0xFF;
 /// make the pin-aware eviction thrash or fail, so construction rejects
 /// them ([`StoreSpec::validate_for`]).
 const MIN_CACHE_ROWS: u64 = 2;
-/// Threads that read a cached-tier store's rows into the final matrix
-/// ([`Store::into_matrix`]), at most; fewer when the host has fewer cores.
-const READBACK_THREADS: usize = 4;
 /// Evicted row buffers a hot-row cache keeps for the next misses to load
 /// into — one per concurrently missing kernel thread on small hosts;
 /// buffers evicted past this are freed.
@@ -667,34 +664,18 @@ impl Store {
     /// matrix is allocated zeroed — the allocator maps fresh pages
     /// without writing them — and each page is written once: by the
     /// published row read into it, or by the `INF` fill of an unpublished
-    /// row. Most of the cost is the kernel faulting those fresh pages in
-    /// under the reads, so the rows are split into contiguous ranges read
-    /// by up to [`READBACK_THREADS`] scoped threads.
+    /// row.
     fn read_all_rows(&self) -> (DistanceMatrix, Vec<bool>) {
         let n = self.n();
         let cells = n.checked_mul(n).expect("matrix size overflow");
         let mut data = vec![0u32; cells].into_boxed_slice();
         let mut completed = vec![false; n];
-        let threads = std::thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(READBACK_THREADS);
-        let rows_per_thread = n.div_ceil(threads).max(1);
-        std::thread::scope(|scope| {
-            let ranges = data
-                .chunks_mut(rows_per_thread * n.max(1))
-                .zip(completed.chunks_mut(rows_per_thread));
-            for (part, (rows, done)) in ranges.enumerate() {
-                scope.spawn(move || {
-                    let first = part * rows_per_thread;
-                    for (i, (row, done)) in rows.chunks_exact_mut(n).zip(done).enumerate() {
-                        *done = self.read_row_into((first + i) as u32, row);
-                        if !*done {
-                            row.fill(INF);
-                        }
-                    }
-                });
+        for (s, row) in data.chunks_exact_mut(n.max(1)).enumerate() {
+            completed[s] = self.read_row_into(s as u32, row);
+            if !completed[s] {
+                row.fill(INF);
             }
-        });
+        }
         (DistanceMatrix::from_raw(n, data), completed)
     }
 
