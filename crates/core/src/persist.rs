@@ -123,8 +123,9 @@ pub fn row_checksums(rows: &[(u32, &[u32])]) -> Vec<u32> {
 }
 
 /// The little-endian bytes of a row of cells: a view of the row itself on
-/// little-endian hosts, a converted copy elsewhere.
-fn le_bytes(row: &[u32]) -> Cow<'_, [u8]> {
+/// little-endian hosts, a converted copy elsewhere. The run ledger and the
+/// distributed wire both write rows through it.
+pub fn le_bytes(row: &[u32]) -> Cow<'_, [u8]> {
     if cfg!(target_endian = "little") {
         Cow::Borrowed(cell_bytes(row))
     } else {
@@ -840,8 +841,30 @@ impl RowLedger {
     /// final and full-length by construction, so a short row is a caller
     /// bug, not a runtime condition.
     pub fn append(&mut self, source: u32, row: &[u32]) -> Result<(), PersistError> {
+        self.append_sealed(source, row, row_checksum(source, row))
+    }
+
+    /// [`RowLedger::append`] for a row whose [`row_checksum`] the caller
+    /// already holds — the distributed driver verified it on arrival — so
+    /// the row is not hashed a second time. Writes the same bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`RowLedger::append`]. Debug builds also check that
+    /// `checksum` is the row's.
+    pub fn append_sealed(
+        &mut self,
+        source: u32,
+        row: &[u32],
+        checksum: u32,
+    ) -> Result<(), PersistError> {
         assert_eq!(row.len(), self.n, "ledger rows are full n-length rows");
-        self.write_records(&[(source, row)], &[row_checksum(source, row)])
+        debug_assert_eq!(
+            checksum,
+            row_checksum(source, row),
+            "row {source} sealed wrong"
+        );
+        self.write_records(&[(source, row)], &[checksum])
     }
 
     /// Appends a batch of completed rows: `rows` holds one full row per
@@ -1401,6 +1424,36 @@ mod tests {
         assert_eq!(a[21..], b[21..]);
         std::fs::remove_file(per_row).ok();
         std::fs::remove_file(batched).ok();
+    }
+
+    #[test]
+    fn sealed_appends_write_the_bytes_of_plain_appends() {
+        let dir = ledger_dir("sealed");
+        let dist = sample_matrix();
+        let n = dist.n();
+        let plain = dir.join("plain.ledger");
+        let mut ledger = RowLedger::create(&plain, n, FsyncPolicy::Never).unwrap();
+        for s in 0..n as u32 {
+            ledger.append(s, dist.row(s)).unwrap();
+        }
+        ledger.finish().unwrap();
+        let sealed = dir.join("sealed.ledger");
+        let mut ledger = RowLedger::create(&sealed, n, FsyncPolicy::Never).unwrap();
+        for s in 0..n as u32 {
+            let row = dist.row(s);
+            ledger.append_sealed(s, row, row_checksum(s, row)).unwrap();
+        }
+        assert_eq!(ledger.records(), n as u64);
+        ledger.finish().unwrap();
+        let (a, b) = (
+            std::fs::read(&plain).unwrap(),
+            std::fs::read(&sealed).unwrap(),
+        );
+        // Only the run ids (header bytes 13..21) differ.
+        assert_eq!(a[..13], b[..13]);
+        assert_eq!(a[21..], b[21..]);
+        std::fs::remove_file(plain).ok();
+        std::fs::remove_file(sealed).ok();
     }
 
     #[test]

@@ -1313,9 +1313,10 @@ pub(crate) fn cell_bytes(row: &[u32]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(row.as_ptr().cast(), std::mem::size_of_val(row)) }
 }
 
-/// [`cell_bytes`] for writing: every byte pattern is a valid `u32`, so
-/// any bytes stored through the view leave valid cells behind.
-pub(crate) fn cell_bytes_mut(row: &mut [u32]) -> &mut [u8] {
+/// The bytes of a row of cells, in the host's byte order, for writing:
+/// every byte pattern is a valid `u32`, so any bytes stored through the
+/// view leave valid cells behind.
+pub fn cell_bytes_mut(row: &mut [u32]) -> &mut [u8] {
     // SAFETY: as in `cell_bytes`, and the exclusive borrow of `row` is
     // carried over to the result.
     unsafe { std::slice::from_raw_parts_mut(row.as_mut_ptr().cast(), std::mem::size_of_val(row)) }

@@ -21,6 +21,7 @@
 //! which rows happen to be available for reuse, the recovered matrix is
 //! bit-identical to the fault-free one as long as one node survives.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -29,7 +30,7 @@ use crossbeam::channel::unbounded;
 use parapsp_core::engine::{
     CheckpointPolicy, Engine, Plan, RowsCtx, RowsOutcome, RunConfig, RunSummary, ValueEnum,
 };
-use parapsp_core::persist::{self, mint_run_id, Checkpoint, RowLedger};
+use parapsp_core::persist::{self, mint_run_id, row_checksums, Checkpoint, RowLedger};
 use parapsp_core::{DistanceMatrix, RunOutcome, Store, StoreKind, StoreSpec};
 use parapsp_graph::{degree, CsrGraph};
 use parapsp_order::OrderingProcedure;
@@ -37,7 +38,7 @@ use parapsp_parfor::{CancelStatus, CancelToken, ThreadPool};
 
 use crate::chaos::{ChaosPlan, ChaosTransport};
 use crate::fault::{FaultPlan, DRIVER};
-use crate::node::{NodeState, RowMessage};
+use crate::node::{row_checksum, NodeState, RowMessage, RowRef};
 use crate::socket::{SocketStartError, SocketTransport};
 use crate::transport::{
     ChannelNodeIo, ChannelTransport, ControlSink, NodeControl, NodeEvent, NodeIo, Polled,
@@ -694,22 +695,8 @@ fn drive<T: Transport>(
         // buffered rows are consumed, so no finished work is lost).
         let mut progressed = false;
         for k in 0..driver.nodes {
-            if !driver.alive[k] {
-                continue;
-            }
-            loop {
-                match transport.try_event(k) {
-                    Polled::Event(event) => {
-                        driver.on_event(k, event, transport);
-                        progressed = true;
-                    }
-                    Polled::Empty => break,
-                    Polled::Down => {
-                        driver.on_crash(k, transport);
-                        progressed = true;
-                        break;
-                    }
-                }
+            if driver.alive[k] {
+                progressed |= driver.drain(k, transport);
             }
         }
         if let Some(watchdog) = &config.watchdog {
@@ -733,7 +720,7 @@ fn drive<T: Transport>(
             .and_then(|t| t.time_left())
             .map_or(config.heartbeat, |left| left.min(config.heartbeat));
         match transport.event_timeout(watch, wait) {
-            Polled::Event(event) => driver.on_event(watch, event, transport),
+            Polled::Event(event) => driver.on_events(watch, vec![event], transport),
             Polled::Empty => {}
             Polled::Down => driver.on_crash(watch, transport),
         }
@@ -762,7 +749,7 @@ fn drive_with_chaos<T: Transport>(
         (stop, chaos.into_pending())
     };
     for (k, event) in held {
-        driver.on_event(k, event, transport);
+        driver.on_events(k, vec![event], transport);
     }
     driver.commit_ledger();
     stop
@@ -856,7 +843,7 @@ fn run_cluster_channels(
         // driver attempts here land on dead mailboxes and are dropped.
         for k in 0..nodes {
             while let Polled::Event(event) = transport.try_event(k) {
-                driver.on_event(k, event, &mut transport);
+                driver.on_events(k, vec![event], &mut transport);
             }
         }
     }
@@ -935,7 +922,7 @@ fn run_cluster_socket(
         fn control(&mut self, _node: usize, _message: NodeControl) {}
     }
     for (k, event) in transport.finish() {
-        driver.on_event(k, event, &mut NullSink);
+        driver.on_events(k, vec![event], &mut NullSink);
     }
 
     let mut node_stats = vec![NodeStats::default(); nodes];
@@ -1028,6 +1015,10 @@ struct Driver {
 /// How many inter-row gaps the watchdog's rolling median looks back over.
 const GAP_WINDOW: usize = 32;
 
+/// Most events the driver drains from one node before verifying their
+/// rows together: a few gather frames' worth, so the batch stays small.
+const DRAIN_BATCH: usize = 16;
+
 impl Driver {
     /// Fresh bookkeeping for `nodes` nodes owning `outstanding` shares of
     /// an `n`-vertex gather.
@@ -1074,26 +1065,81 @@ impl Driver {
         }
     }
 
-    /// Dispatches one transport event from node `k`.
-    fn on_event<S: ControlSink>(&mut self, k: usize, event: NodeEvent, sink: &mut S) {
-        match event {
-            NodeEvent::Row(message) => self.on_row(k, message, sink),
-            NodeEvent::HubFwd { to, msg } => {
-                // Star-topology hub relay: the origin already applied its
-                // per-peer fault decisions, the driver just forwards.
-                if to < self.nodes && to != k && self.alive[to] {
-                    sink.control(to, NodeControl::Hub(msg));
+    /// Drains node `k`'s queued events a batch of at most [`DRAIN_BATCH`]
+    /// at a time, each batch through [`Driver::on_events`], and handles the
+    /// node's death if its stream ends. Returns whether anything arrived.
+    fn drain<T: Transport>(&mut self, k: usize, transport: &mut T) -> bool {
+        let mut progressed = false;
+        loop {
+            let mut batch = Vec::with_capacity(DRAIN_BATCH);
+            let end = loop {
+                match transport.try_event(k) {
+                    Polled::Event(event) => {
+                        batch.push(event);
+                        if batch.len() == DRAIN_BATCH {
+                            break None;
+                        }
+                    }
+                    end => break Some(end),
                 }
+            };
+            progressed |= !batch.is_empty();
+            self.on_events(k, batch, transport);
+            match end {
+                None => {}
+                Some(Polled::Down) => {
+                    self.on_crash(k, transport);
+                    return true;
+                }
+                Some(_) => return progressed,
             }
-            NodeEvent::Stats(stats) => self.wire_stats[k] = Some(stats),
         }
     }
 
-    /// Handles one gather message from node `k`. A row that names no
-    /// vertex, has the wrong length or fails its checksum is rejected —
-    /// the socket transport forwards decoded frames verbatim, so nothing
-    /// upstream has vetted it.
-    fn on_row<S: ControlSink>(&mut self, k: usize, message: RowMessage, sink: &mut S) {
+    /// Handles a batch of transport events from node `k`, in order. The
+    /// rows among them are verified first, in one four-lane
+    /// [`row_checksums`] pass — downstream of any chaos layer, so
+    /// corruption in flight is caught here.
+    fn on_events<S: ControlSink>(&mut self, k: usize, events: Vec<NodeEvent>, sink: &mut S) {
+        let rows: Vec<(u32, &[u32])> = events
+            .iter()
+            .filter_map(|event| match event {
+                NodeEvent::Row(message) => Some((message.source, &message.row[..])),
+                _ => None,
+            })
+            .collect();
+        let mut checksums = row_checksums(&rows).into_iter();
+        for event in events {
+            match event {
+                NodeEvent::Row(message) => {
+                    let intact = checksums.next() == Some(message.checksum);
+                    self.on_row(k, message, intact, sink);
+                }
+                NodeEvent::HubFwd { to, msg } => {
+                    // Star-topology hub relay: the origin already applied
+                    // its per-peer fault decisions, the driver just
+                    // forwards.
+                    if to < self.nodes && to != k && self.alive[to] {
+                        sink.control(to, NodeControl::Hub(msg));
+                    }
+                }
+                NodeEvent::Stats(stats) => self.wire_stats[k] = Some(stats),
+            }
+        }
+    }
+
+    /// Handles one gather message from node `k`; `intact` says whether
+    /// its payload matched its checksum. A row that names no vertex, has
+    /// the wrong length or is not intact is rejected — the socket
+    /// transport forwards decoded frames verbatim, so nothing upstream
+    /// has vetted it.
+    fn on_row<S: ControlSink>(
+        &mut self,
+        k: usize,
+        message: RowMessage,
+        intact: bool,
+        sink: &mut S,
+    ) {
         let now = Instant::now();
         let gap = now.duration_since(self.last_seen[k]);
         self.last_seen[k] = now;
@@ -1109,7 +1155,7 @@ impl Driver {
             self.gather_rejected += 1;
             return;
         }
-        if message.row.len() != n || !message.verify() {
+        if message.row.len() != n || !intact {
             self.gather_rejected += 1;
             if !self.got[s] {
                 self.reject_count[s] += 1;
@@ -1131,11 +1177,13 @@ impl Driver {
         self.gathered += 1;
         self.delivered[k] += 1;
         self.store.publish_from(message.source, &message.row);
-        // The row is accepted: journal it before anything else can
-        // observe it as gathered. Fsync timing follows the ledger's
-        // policy — `Always` syncs here, `Commit` at the driver round.
+        // The row is accepted: journal it, with the checksum it was just
+        // verified against, before anything else can observe it as
+        // gathered. Fsync timing follows the ledger's policy — `Always`
+        // syncs here, `Commit` at the driver round.
         if let Some(ledger) = &mut self.ledger {
-            if let Err(error) = ledger.append(message.source, &message.row) {
+            if let Err(error) = ledger.append_sealed(message.source, &message.row, message.checksum)
+            {
                 persist::ledger_panic(ledger.path(), error);
             }
         }
@@ -1263,11 +1311,10 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
     let mut state = NodeState::new(n, cap);
     let mut pending: VecDeque<u32> = initial.iter().copied().collect();
     let mut stats = NodeStats::default();
-    // Delivery attempt per source, so re-sends draw fresh fault decisions.
-    let mut attempts = vec![0u64; n];
+    let mut gather = Gather::new(k, n);
     let mut completed = 0u64;
 
-    'life: loop {
+    let shut_down = 'life: loop {
         // Drain the mailbox so freshly arrived hub rows, assignments, and
         // re-send requests are handled before the next SSSP.
         loop {
@@ -1281,14 +1328,14 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
                         &mut state,
                         &mut pending,
                         &mut stats,
-                        &mut attempts,
+                        &mut gather,
                         io,
                     ) {
-                        break 'life;
+                        break 'life true;
                     }
                 }
                 Ok(None) => break,
-                Err(_) => break 'life,
+                Err(_) => break 'life false,
             }
         }
         // Injected crash: stop dead without a word — the thread returns /
@@ -1296,7 +1343,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
         // closed stream, exactly like a real death.
         if crash_after.is_some_and(|after| completed >= after) {
             stats.crashed = true;
-            break;
+            break false;
         }
         // Injected stall: go silent without dying, then resume. (A socket
         // worker's heartbeat thread keeps beating through the stall — a
@@ -1304,7 +1351,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
         if let Some((after, millis)) = stall {
             if !stalled && completed >= after {
                 stalled = true;
-                io.flush();
+                gather.send(plan, &state, io);
                 std::thread::sleep(Duration::from_millis(millis));
             }
         }
@@ -1314,8 +1361,9 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
         // look like a crash and trigger pointless reassignment.
         let parked = token.is_some_and(|t| t.status().is_stop());
         let Some(s) = (if parked { None } else { pending.pop_front() }) else {
-            // Idle: wait for more work, a hub row, or shutdown. `recv`
-            // implementations flush buffered rows before blocking.
+            // Idle: send the rows held back, then wait for more work, a
+            // hub row, or shutdown.
+            gather.send(plan, &state, io);
             match io.recv() {
                 Ok(message) => {
                     if handle_control(
@@ -1326,14 +1374,14 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
                         &mut state,
                         &mut pending,
                         &mut stats,
-                        &mut attempts,
+                        &mut gather,
                         io,
                     ) {
-                        break;
+                        break true;
                     }
                     continue;
                 }
-                Err(_) => break,
+                Err(_) => break false,
             }
         };
         if state.row_for(s).is_some() {
@@ -1348,24 +1396,42 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
         completed += 1;
         stats.sources += 1;
         if is_hub[s as usize] {
+            // Sealed once; each peer still draws its own drop and corrupt
+            // decisions.
+            let sealed = RowRef {
+                source: s,
+                checksum: row_checksum(s, row),
+                row,
+            };
             for peer in 0..nodes {
                 if peer == k {
                     continue;
                 }
-                // The clone is the network copy; the sender pays for the
-                // bytes whether or not the wire eats the message.
-                let mut message = RowMessage::new(s, row.to_vec());
-                stats.bytes_sent += message.wire_bytes();
+                // The sender pays for the bytes whether or not the wire
+                // eats the message.
+                stats.bytes_sent += sealed.wire_bytes();
                 if plan.drops_broadcast(k as u64, peer as u64, s) {
                     continue;
                 }
-                if plan.corrupts_payload(k as u64, peer as u64, s, 0) {
-                    plan.corrupt_row(k as u64, peer as u64, s, 0, &mut message.row);
-                }
-                io.send_hub(peer, message);
+                let payload = faulty_payload(plan, k, peer as u64, s, 0, row);
+                io.send_hub(
+                    peer,
+                    RowRef {
+                        row: &payload,
+                        ..sealed
+                    },
+                );
             }
         }
-        io.send_row(seal_gather_row(k, s, row, attempts[s as usize], plan));
+        gather.queue(s, false);
+        if gather.held() >= io.row_batch() {
+            gather.send(plan, &state, io);
+        }
+    };
+    // An orderly shutdown sends what is held back; a crash dies with it,
+    // and a lost driver cannot take it.
+    if shut_down {
+        gather.send(plan, &state, io);
     }
 
     stats.local_reuses = state.local_reuses;
@@ -1384,7 +1450,7 @@ fn handle_control<IO: NodeIo>(
     state: &mut NodeState,
     pending: &mut VecDeque<u32>,
     stats: &mut NodeStats,
-    attempts: &mut [u64],
+    gather: &mut Gather,
     io: &mut IO,
 ) -> bool {
     match message {
@@ -1399,10 +1465,9 @@ fn handle_control<IO: NodeIo>(
             // routed away and back). Re-deliver the finished row — dropping
             // the assignment instead would leave the driver waiting on a
             // row nobody intends to send.
-            if let Some(row) = state.row_for(s) {
-                attempts[s as usize] += 1;
-                io.send_row(seal_gather_row(k, s, row, attempts[s as usize], plan));
-                io.flush();
+            if state.row_for(s).is_some() {
+                gather.queue(s, true);
+                gather.send(plan, state, io);
                 return false;
             }
             if pending.contains(&s) {
@@ -1413,9 +1478,12 @@ fn handle_control<IO: NodeIo>(
             false
         }
         NodeControl::Resend(s) => {
+            assert!(
+                state.row_for(s).is_some(),
+                "driver requested a re-send of a row this node never sent"
+            );
             stats.retries += 1;
-            attempts[s as usize] += 1;
-            let attempt = attempts[s as usize];
+            let attempt = gather.queue(s, true);
             // Exponential backoff with deterministic jitter before the
             // re-send, so a flaky path is not hammered at full rate.
             let exponential = retry
@@ -1427,27 +1495,98 @@ fn handle_control<IO: NodeIo>(
                 std::thread::sleep(Duration::from_millis(sleep_ms));
                 stats.retry_backoff_ms += sleep_ms;
             }
-            let row = state
-                .row_for(s)
-                .expect("driver requested a re-send of a row this node never sent");
-            // Flush immediately: the driver is actively waiting on this
-            // row, batching it would add a round of latency for nothing.
-            io.send_row(seal_gather_row(k, s, row, attempt, plan));
-            io.flush();
+            // Send at once: the driver is actively waiting on this row,
+            // holding it back would add a round of latency for nothing.
+            gather.send(plan, state, io);
             false
         }
         NodeControl::Shutdown => true,
     }
 }
 
-/// Seals one completed row for the driver, applying payload faults drawn
-/// at gather coordinates (`k → DRIVER`, per-attempt).
-fn seal_gather_row(k: usize, s: u32, row: &[u32], attempt: u64, plan: &FaultPlan) -> RowMessage {
-    let mut message = RowMessage::new(s, row.to_vec());
-    if plan.corrupts_payload(k as u64, DRIVER, s, attempt) {
-        plan.corrupt_row(k as u64, DRIVER, s, attempt, &mut message.row);
+/// `row` as delivery `attempt` of `s` from node `k` to `to` carries it:
+/// the row itself, or a copy with the bit flip the fault plan draws for
+/// those coordinates. Applied after sealing, so the receiver rejects it.
+fn faulty_payload<'a>(
+    plan: &FaultPlan,
+    k: usize,
+    to: u64,
+    s: u32,
+    attempt: u64,
+    row: &'a [u32],
+) -> Cow<'a, [u32]> {
+    if !plan.corrupts_payload(k as u64, to, s, attempt) {
+        return Cow::Borrowed(row);
     }
-    message
+    let mut corrupted = row.to_vec();
+    plan.corrupt_row(k as u64, to, s, attempt, &mut corrupted);
+    Cow::Owned(corrupted)
+}
+
+/// A node's outbound gather: completed rows held back until a frame's
+/// worth is ready, and the delivery attempt per source (so re-sends draw
+/// fresh fault decisions).
+struct Gather {
+    k: usize,
+    attempts: Vec<u64>,
+    /// `(source, attempt)` of each row held back, in completion order.
+    held: Vec<(u32, u64)>,
+}
+
+impl Gather {
+    fn new(k: usize, n: usize) -> Self {
+        Gather {
+            k,
+            attempts: vec![0; n],
+            held: Vec::new(),
+        }
+    }
+
+    /// Holds back a delivery of `s`'s row — a fresh attempt when `retry`
+    /// — and returns its attempt number.
+    fn queue(&mut self, s: u32, retry: bool) -> u64 {
+        let attempt = &mut self.attempts[s as usize];
+        *attempt += u64::from(retry);
+        self.held.push((s, *attempt));
+        *attempt
+    }
+
+    /// Rows held back.
+    fn held(&self) -> usize {
+        self.held.len()
+    }
+
+    /// Seals the held rows in one four-lane [`row_checksums`] pass, applies
+    /// payload faults at gather coordinates (`k → DRIVER`, per attempt)
+    /// after sealing, and sends them as one batch.
+    fn send<IO: NodeIo>(&mut self, plan: &FaultPlan, state: &NodeState, io: &mut IO) {
+        if self.held.is_empty() {
+            return;
+        }
+        let rows: Vec<(u32, &[u32])> = self
+            .held
+            .iter()
+            .map(|&(s, _)| (s, state.row_for(s).expect("only computed rows are held")))
+            .collect();
+        let checksums = row_checksums(&rows);
+        let payloads: Vec<Cow<'_, [u32]>> = rows
+            .iter()
+            .zip(&self.held)
+            .map(|(&(s, row), &(_, attempt))| faulty_payload(plan, self.k, DRIVER, s, attempt, row))
+            .collect();
+        let sealed: Vec<RowRef<'_>> = rows
+            .iter()
+            .zip(checksums)
+            .zip(&payloads)
+            .map(|((&(source, _), checksum), row)| RowRef {
+                source,
+                checksum,
+                row,
+            })
+            .collect();
+        io.send_rows(&sealed);
+        self.held.clear();
+    }
 }
 
 #[cfg(test)]
@@ -2144,6 +2283,11 @@ mod tests {
         }
     }
 
+    /// Hands the driver one row from node `k`, as a drained batch of one.
+    fn deliver(driver: &mut Driver, k: usize, message: RowMessage, sink: &mut RecordingSink) {
+        driver.on_events(k, vec![NodeEvent::Row(message)], sink);
+    }
+
     fn corrupted_row(source: u32, n: usize) -> RowMessage {
         let mut message = RowMessage::new(source, vec![1; n]);
         message.checksum ^= 1;
@@ -2163,7 +2307,7 @@ mod tests {
         // Two rejections: both within budget, both answered with Resend
         // to the original sender.
         for _ in 0..2 {
-            driver.on_row(0, corrupted_row(1, 4), &mut sink);
+            deliver(&mut driver, 0, corrupted_row(1, 4), &mut sink);
         }
         assert_eq!(sink.0.len(), 2);
         assert!(sink
@@ -2173,7 +2317,7 @@ mod tests {
 
         // Third rejection exhausts the budget: the source is re-dealt to
         // the other survivor instead.
-        driver.on_row(0, corrupted_row(1, 4), &mut sink);
+        deliver(&mut driver, 0, corrupted_row(1, 4), &mut sink);
         assert_eq!(sink.0.len(), 3);
         assert!(matches!(sink.0[2], (1, NodeControl::Assign(1))));
         assert!(driver.outstanding[1].contains(&1));
@@ -2193,7 +2337,7 @@ mod tests {
         let mut driver = Driver::new(1, vec![vec![0, 1]], 2, retry);
         let mut sink = RecordingSink(Vec::new());
         for _ in 0..5 {
-            driver.on_row(0, corrupted_row(0, 2), &mut sink);
+            deliver(&mut driver, 0, corrupted_row(0, 2), &mut sink);
         }
         // Re-dealing away is impossible; every rejection keeps asking the
         // only node for a fresh attempt (fresh attempts draw fresh fault
@@ -2212,7 +2356,7 @@ mod tests {
         let mut sink = RecordingSink(Vec::new());
 
         // Node 1 delivered source 4 before dying; only 1 and 5 remain.
-        driver.on_row(1, RowMessage::new(4, vec![7; 6]), &mut sink);
+        deliver(&mut driver, 1, RowMessage::new(4, vec![7; 6]), &mut sink);
         assert!(driver.got[4]);
         assert_eq!(driver.delivered[1], 1);
 
@@ -2238,15 +2382,15 @@ mod tests {
         let retry = RetryPolicy::default();
         let mut driver = Driver::new(2, vec![vec![0], vec![1]], 2, retry);
         let mut sink = RecordingSink(Vec::new());
-        driver.on_row(0, RowMessage::new(0, vec![0, 9]), &mut sink);
+        deliver(&mut driver, 0, RowMessage::new(0, vec![0, 9]), &mut sink);
         // A late duplicate (e.g. a stalled node waking up) changes nothing.
-        driver.on_row(1, RowMessage::new(0, vec![0, 5]), &mut sink);
+        deliver(&mut driver, 1, RowMessage::new(0, vec![0, 5]), &mut sink);
         assert_eq!(driver.gathered, 1);
         assert_eq!(driver.delivered, vec![1, 0]);
         assert_eq!(driver.store.with_row(0, |row| row[1]), Some(9));
         // A corrupted duplicate of an already-gathered source draws no
         // Resend either — the row is already home.
-        driver.on_row(1, corrupted_row(0, 2), &mut sink);
+        deliver(&mut driver, 1, corrupted_row(0, 2), &mut sink);
         assert!(sink.0.is_empty());
     }
 
@@ -2266,7 +2410,7 @@ mod tests {
             RowMessage::new(4, vec![0; n - 1]),
         ] {
             node.accept(bad.clone());
-            driver.on_row(0, bad, &mut sink);
+            deliver(&mut driver, 0, bad, &mut sink);
         }
         assert_eq!(node.rows_rejected, 2);
         assert_eq!(driver.gather_rejected, 2);
@@ -2278,7 +2422,7 @@ mod tests {
         // The run still completes, bit-identical to the reference.
         for s in 0..n as u32 {
             let row = node.run_source(&g, s).to_vec();
-            driver.on_row(0, RowMessage::new(s, row), &mut sink);
+            deliver(&mut driver, 0, RowMessage::new(s, row), &mut sink);
         }
         assert_eq!(driver.gathered, n);
         let store = std::mem::replace(&mut driver.store, Store::new(0, &StoreSpec::dense()));
@@ -2291,12 +2435,12 @@ mod tests {
         let mut driver = Driver::new(3, vec![vec![0], vec![1], vec![2]], 3, retry);
         let mut sink = RecordingSink(Vec::new());
         let row = RowMessage::new(0, vec![0, 1, 2]);
-        driver.on_event(
+        driver.on_events(
             0,
-            NodeEvent::HubFwd {
+            vec![NodeEvent::HubFwd {
                 to: 1,
                 msg: row.clone(),
-            },
+            }],
             &mut sink,
         );
         assert!(matches!(sink.0[0], (1, NodeControl::Hub(_))));
@@ -2305,15 +2449,152 @@ mod tests {
         sink.0.clear();
         // Relay to a dead peer, to self, and out of range: all dropped.
         for to in [2usize, 0, 7] {
-            driver.on_event(
+            driver.on_events(
                 0,
-                NodeEvent::HubFwd {
+                vec![NodeEvent::HubFwd {
                     to,
                     msg: row.clone(),
-                },
+                }],
                 &mut sink,
             );
         }
         assert!(sink.0.is_empty());
+    }
+
+    // ---- Batched verification: one `row_checksums` pass per drain ----
+
+    /// An `n`-cell row of source `s`, distinct per source and cell.
+    fn sample_row(s: u32, n: usize) -> Vec<u32> {
+        (0..n as u32)
+            .map(|v| if v == s { 0 } else { s * 100 + v })
+            .collect()
+    }
+
+    /// The recording sink behind a [`Transport`] whose node 0 has a
+    /// queue of events and never goes down.
+    struct Queued {
+        events: VecDeque<NodeEvent>,
+        sink: RecordingSink,
+    }
+
+    impl ControlSink for Queued {
+        fn control(&mut self, node: usize, message: NodeControl) {
+            self.sink.control(node, message);
+        }
+    }
+
+    impl Transport for Queued {
+        fn try_event(&mut self, _node: usize) -> Polled {
+            self.events.pop_front().map_or(Polled::Empty, Polled::Event)
+        }
+
+        fn event_timeout(&mut self, node: usize, _timeout: Duration) -> Polled {
+            self.try_event(node)
+        }
+    }
+
+    /// Checks that exactly the sources in `rejected` are missing from
+    /// the gather and every other one of `0..rows` arrived intact, once.
+    fn assert_gathered(driver: &Driver, rows: u32, rejected: &[u32], n: usize) {
+        for s in 0..rows {
+            let expect = (!rejected.contains(&s)).then(|| sample_row(s, n));
+            assert_eq!(driver.store.with_row(s, <[u32]>::to_vec), expect, "row {s}");
+        }
+        assert_eq!(driver.gathered, rows as usize - rejected.len());
+        assert_eq!(driver.delivered[0], driver.gathered as u64);
+    }
+
+    #[test]
+    fn one_corrupted_row_in_a_batch_is_resent_alone_at_every_position() {
+        let n = 12;
+        for len in 1..=9u32 {
+            for bad in 0..len {
+                let owned = vec![(0..n as u32).collect()];
+                let mut driver = Driver::new(1, owned, n, RetryPolicy::default());
+                let mut sink = RecordingSink(Vec::new());
+                let events = (0..len)
+                    .map(|s| {
+                        let mut message = RowMessage::new(s, sample_row(s, n));
+                        if s == bad {
+                            message.row[(s as usize * 5) % n] ^= 1 << 9;
+                        }
+                        NodeEvent::Row(message)
+                    })
+                    .collect();
+                driver.on_events(0, events, &mut sink);
+                let case = format!("batch of {len}, corrupted row at {bad}");
+                assert!(
+                    matches!(sink.0.as_slice(), [(0, NodeControl::Resend(s))] if *s == bad),
+                    "{case}: {:?}",
+                    sink.0
+                );
+                assert_eq!(driver.gather_rejected, 1, "{case}");
+                assert_gathered(&driver, len, &[bad], n);
+            }
+        }
+    }
+
+    #[test]
+    fn misshapen_rows_in_a_batch_are_rejected_on_their_own() {
+        let n = 10;
+        let owned = vec![(0..n as u32).collect()];
+        let mut driver = Driver::new(1, owned, n, RetryPolicy::default());
+        let mut sink = RecordingSink(Vec::new());
+        let mut events: Vec<NodeEvent> = (0..7)
+            .map(|s| NodeEvent::Row(RowMessage::new(s, sample_row(s, n))))
+            .collect();
+        // Valid checksums on bad shapes, next to a corrupted full row, all
+        // inside one four-lane quad and the batch's tail.
+        events[1] = NodeEvent::Row(RowMessage::new(1, sample_row(1, n - 3)));
+        events[2] = NodeEvent::Row(RowMessage::new(n as u32 + 4, sample_row(2, n)));
+        let mut corrupted = RowMessage::new(5, sample_row(5, n));
+        corrupted.row[0] ^= 1;
+        events[5] = NodeEvent::Row(corrupted);
+        events.push(NodeEvent::Row(RowMessage::new(2, sample_row(2, n))));
+        driver.on_events(0, events, &mut sink);
+        // The short row of a real source and the corrupted one are both
+        // re-requested; the row naming no vertex has nothing to re-request.
+        let resent: Vec<u32> = sink
+            .0
+            .iter()
+            .map(|(node, m)| match m {
+                NodeControl::Resend(s) if *node == 0 => *s,
+                other => panic!("unexpected control {other:?}"),
+            })
+            .collect();
+        assert_eq!(resent, vec![1, 5]);
+        assert_eq!(driver.gather_rejected, 3);
+        assert_gathered(&driver, 7, &[1, 5], n);
+    }
+
+    #[test]
+    fn chaos_corruption_is_rejected_by_the_batched_check() {
+        let n = 24;
+        let owned = vec![(0..n as u32).collect()];
+        let mut driver = Driver::new(1, owned, n, RetryPolicy::default());
+        let mut queued = Queued {
+            events: (0..n as u32)
+                .map(|s| NodeEvent::Row(RowMessage::new(s, sample_row(s, n))))
+                .collect(),
+            sink: RecordingSink(Vec::new()),
+        };
+        let plan = ChaosPlan::seeded(11).with_corrupt_probability(0.3);
+        let mut chaos = ChaosTransport::new(&mut queued, plan, 1);
+        assert!(driver.drain(0, &mut chaos));
+        drop(chaos);
+        // The node sealed every row correctly, so each rejection is a
+        // chaos bit flip: it is re-requested, and its row stays out.
+        let resent: Vec<u32> = queued
+            .sink
+            .0
+            .iter()
+            .map(|(node, m)| match m {
+                NodeControl::Resend(s) if *node == 0 => *s,
+                other => panic!("unexpected control {other:?}"),
+            })
+            .collect();
+        assert!(!resent.is_empty(), "seed 11 corrupts some of {n} rows");
+        assert_eq!(driver.gather_rejected, resent.len() as u64);
+        assert_gathered(&driver, n as u32, &resent, n);
     }
 }

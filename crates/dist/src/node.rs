@@ -30,7 +30,9 @@ pub(crate) struct RowMessage {
 }
 
 impl RowMessage {
-    /// Seals a row for transmission, stamping its checksum.
+    /// Seals a row for transmission, stamping its checksum (senders seal
+    /// whole batches through [`RowRef`]s instead).
+    #[cfg(test)]
     pub(crate) fn new(source: u32, row: Vec<u32>) -> Self {
         let checksum = row_checksum(source, &row);
         RowMessage {
@@ -48,6 +50,44 @@ impl RowMessage {
     /// Bytes this message occupies on the simulated wire: source id,
     /// checksum, payload.
     pub(crate) fn wire_bytes(&self) -> u64 {
+        self.view().wire_bytes()
+    }
+
+    /// The message as a borrowed [`RowRef`].
+    pub(crate) fn view(&self) -> RowRef<'_> {
+        RowRef {
+            source: self.source,
+            checksum: self.checksum,
+            row: &self.row,
+        }
+    }
+}
+
+/// A sealed row borrowed from wherever it lives — a node's own rows, or a
+/// corrupted copy of one — on its way out. Senders encode it straight
+/// into a frame, so a row crosses the socket wire with one copy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowRef<'a> {
+    /// Global source vertex of the row.
+    pub source: u32,
+    /// FNV-1a checksum the sender sealed the row with.
+    pub checksum: u32,
+    /// The payload (possibly corrupted after sealing by an injected fault).
+    pub row: &'a [u32],
+}
+
+impl RowRef<'_> {
+    /// An owned copy, for transports that hand messages over by value.
+    pub(crate) fn to_message(self) -> RowMessage {
+        RowMessage {
+            source: self.source,
+            row: self.row.to_vec(),
+            checksum: self.checksum,
+        }
+    }
+
+    /// Bytes the row occupies on the wire: source id, checksum, payload.
+    pub(crate) fn wire_bytes(self) -> u64 {
         8 + self.row.len() as u64 * 4
     }
 }

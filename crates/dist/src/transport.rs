@@ -22,7 +22,7 @@ use std::time::Duration;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::cluster::NodeStats;
-use crate::node::RowMessage;
+use crate::node::{RowMessage, RowRef};
 
 /// How a distributed run moves rows between the driver and its nodes.
 //
@@ -255,17 +255,17 @@ impl Transport for ChannelTransport {
 pub(crate) trait NodeIo {
     /// Non-blocking inbox poll; `Ok(None)` when empty.
     fn try_recv(&mut self) -> Result<Option<NodeControl>, Disconnected>;
-    /// Blocking inbox read (implementations flush buffered rows first, so
-    /// the driver is never starved while the node waits for it).
+    /// Blocking inbox read. The node loop sends every row it holds back
+    /// first, so the driver is never starved while the node waits for it.
     fn recv(&mut self) -> Result<NodeControl, Disconnected>;
     /// Broadcasts a sealed hub row toward peer `peer` (directly on
     /// channels; via driver relay on sockets).
-    fn send_hub(&mut self, peer: usize, msg: RowMessage);
-    /// Streams a completed row to the driver (may buffer up to the
-    /// configured batch).
-    fn send_row(&mut self, msg: RowMessage);
-    /// Forces buffered rows out.
-    fn flush(&mut self);
+    fn send_hub(&mut self, peer: usize, row: RowRef<'_>);
+    /// Completed rows the node loop collects before sealing them together
+    /// and calling [`NodeIo::send_rows`] (idle nodes send fewer).
+    fn row_batch(&self) -> usize;
+    /// Streams sealed completed rows to the driver, as one gather frame.
+    fn send_rows(&mut self, rows: &[RowRef<'_>]);
 }
 
 /// The driver vanished (channel disconnected / socket EOF); the node
@@ -298,17 +298,21 @@ impl NodeIo for ChannelNodeIo {
         self.inbox.recv().map_err(|_| Disconnected)
     }
 
-    fn send_hub(&mut self, peer: usize, msg: RowMessage) {
+    fn send_hub(&mut self, peer: usize, row: RowRef<'_>) {
         debug_assert_ne!(peer, self.k, "a node never broadcasts to itself");
         // A disconnected peer (crashed) is not an error: hub rows are an
         // optimization.
-        let _ = self.peers[peer].send(NodeControl::Hub(msg));
+        let _ = self.peers[peer].send(NodeControl::Hub(row.to_message()));
     }
 
-    fn send_row(&mut self, msg: RowMessage) {
+    fn row_batch(&self) -> usize {
         // Channels are unbounded and in-process: no batching needed.
-        let _ = self.gather.send(msg);
+        1
     }
 
-    fn flush(&mut self) {}
+    fn send_rows(&mut self, rows: &[RowRef<'_>]) {
+        for &row in rows {
+            let _ = self.gather.send(row.to_message());
+        }
+    }
 }

@@ -3,6 +3,9 @@
 //! Every frame is `[magic u8][kind u8][len u32 LE][payload; len]`. The
 //! payload encoding is hand-rolled little-endian (no serialization
 //! dependency), mirroring the checkpoint format in `parapsp-core`.
+//! A row is its source, its checksum, its cell count and then its cells
+//! as one little-endian byte run — the bytes the run ledger writes — so
+//! encoding it is one copy of the row and decoding it one bulk copy back.
 //! Row payloads keep the FNV-1a checksum computed by the *sender* — the
 //! frame carries it verbatim so the receiver's verification sees exactly
 //! what the sender sealed, and any in-flight corruption (injected or real)
@@ -16,11 +19,13 @@
 
 use std::io::{self, Read, Write};
 
+use parapsp_core::persist::le_bytes;
+use parapsp_core::store::cell_bytes_mut;
 use parapsp_graph::{CsrGraph, Direction};
 
 use crate::cluster::{NodeStats, RetryPolicy};
 use crate::fault::FaultPlan;
-use crate::node::RowMessage;
+use crate::node::{RowMessage, RowRef};
 
 /// First byte of every frame; anything else means a desynchronized or
 /// foreign stream.
@@ -36,6 +41,9 @@ pub(crate) const PROTOCOL_VERSION: u16 = 3;
 /// Upper bound on a single frame payload (defense against a corrupt or
 /// hostile length prefix allocating unbounded memory).
 const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
+
+/// `[magic][kind][len u32]` ahead of every payload.
+const HEADER_LEN: usize = 6;
 
 const KIND_HELLO: u8 = 0x01;
 const KIND_SETUP: u8 = 0x02;
@@ -160,27 +168,36 @@ pub(crate) fn take_u64(buf: &mut &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(*head))
 }
 
+/// A count, then that many little-endian words, copied out in one pass.
 fn take_u32_vec(buf: &mut &[u8]) -> Option<Vec<u32>> {
     let count = take_u32(buf)? as usize;
     // checked_mul: on 32-bit targets a hostile count can overflow `count * 4`
     // to a small number and slip past the length guard.
-    if buf.len() < count.checked_mul(4)? {
-        return None;
+    let (bytes, rest) = buf.split_at_checked(count.checked_mul(4)?)?;
+    let mut values = vec![0u32; count];
+    cell_bytes_mut(&mut values).copy_from_slice(bytes);
+    for value in &mut values {
+        *value = u32::from_le(*value);
     }
-    (0..count).map(|_| take_u32(buf)).collect()
+    *buf = rest;
+    Some(values)
 }
 
+/// A count, then the words' little-endian byte run in one copy.
 fn put_u32_vec(out: &mut Vec<u8>, values: &[u32]) {
     out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    out.extend_from_slice(&le_bytes(values));
 }
 
-fn put_row(out: &mut Vec<u8>, msg: &RowMessage) {
-    out.extend_from_slice(&msg.source.to_le_bytes());
-    out.extend_from_slice(&msg.checksum.to_le_bytes());
-    put_u32_vec(out, &msg.row);
+fn put_row(out: &mut Vec<u8>, row: RowRef<'_>) {
+    out.extend_from_slice(&row.source.to_le_bytes());
+    out.extend_from_slice(&row.checksum.to_le_bytes());
+    put_u32_vec(out, row.row);
+}
+
+/// Encoded size of [`put_row`]'s output.
+fn row_len(row: RowRef<'_>) -> usize {
+    12 + 4 * row.row.len()
 }
 
 fn take_row(buf: &mut &[u8]) -> Option<RowMessage> {
@@ -263,10 +280,54 @@ fn take_stats(buf: &mut &[u8]) -> Option<NodeStats> {
     })
 }
 
+/// Appends a Rows payload: the row count, then each row.
+fn put_rows<'a>(out: &mut Vec<u8>, rows: impl ExactSizeIterator<Item = RowRef<'a>>) {
+    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    for row in rows {
+        put_row(out, row);
+    }
+}
+
+/// One whole frame — header and payload in a single buffer, sized for
+/// `payload_len` bytes up front. `payload` appends the payload and
+/// returns the frame kind; the length is patched in afterwards.
+fn frame_bytes(payload_len: usize, payload: impl FnOnce(&mut Vec<u8>) -> u8) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
+    out.extend_from_slice(&[MAGIC, 0, 0, 0, 0, 0]);
+    out[1] = payload(&mut out);
+    let len = (out.len() - HEADER_LEN) as u32;
+    out[2..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    out
+}
+
+/// The bytes of a `Rows` frame carrying `rows`, encoded straight from
+/// wherever the rows live.
+pub(crate) fn rows_frame(rows: &[RowRef<'_>]) -> Vec<u8> {
+    let payload_len = 4 + rows.iter().map(|&row| row_len(row)).sum::<usize>();
+    frame_bytes(payload_len, |out| {
+        put_rows(out, rows.iter().copied());
+        KIND_ROWS
+    })
+}
+
+/// The bytes of a `HubFwd` frame relaying `row` to peer `to`.
+pub(crate) fn hub_fwd_frame(to: u32, row: RowRef<'_>) -> Vec<u8> {
+    frame_bytes(4 + row_len(row), |out| {
+        out.extend_from_slice(&to.to_le_bytes());
+        put_row(out, row);
+        KIND_HUB_FWD
+    })
+}
+
 impl Frame {
-    fn encode_payload(&self) -> (u8, Vec<u8>) {
-        let mut out = Vec::new();
-        let kind = match self {
+    /// The frame's bytes, header included.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        frame_bytes(0, |out| self.encode_payload(out))
+    }
+
+    /// Appends the payload to `out` and returns the frame kind.
+    fn encode_payload(&self, out: &mut Vec<u8>) -> u8 {
+        match self {
             Frame::Hello {
                 version,
                 reconnects,
@@ -292,27 +353,24 @@ impl Frame {
                 // u32::MAX stands for "uncapped": the kernel treats a cap
                 // of u32::MAX and no cap alike.
                 out.extend_from_slice(&setup.max_distance.unwrap_or(u32::MAX).to_le_bytes());
-                put_u32_vec(&mut out, &setup.hubs);
-                put_u32_vec(&mut out, &setup.owned);
-                setup.faults.encode(&mut out);
-                put_graph(&mut out, &setup.graph);
+                put_u32_vec(out, &setup.hubs);
+                put_u32_vec(out, &setup.owned);
+                setup.faults.encode(out);
+                put_graph(out, &setup.graph);
                 KIND_SETUP
             }
             Frame::Ready => KIND_READY,
             Frame::Rows(rows) => {
-                out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-                for row in rows {
-                    put_row(&mut out, row);
-                }
+                put_rows(out, rows.iter().map(RowMessage::view));
                 KIND_ROWS
             }
             Frame::HubFwd { to, msg } => {
                 out.extend_from_slice(&to.to_le_bytes());
-                put_row(&mut out, msg);
+                put_row(out, msg.view());
                 KIND_HUB_FWD
             }
             Frame::Hub(msg) => {
-                put_row(&mut out, msg);
+                put_row(out, msg.view());
                 KIND_HUB
             }
             Frame::Assign(s) => {
@@ -326,11 +384,10 @@ impl Frame {
             Frame::Heartbeat => KIND_HEARTBEAT,
             Frame::Shutdown => KIND_SHUTDOWN,
             Frame::Stats(stats) => {
-                put_stats(&mut out, stats);
+                put_stats(out, stats);
                 KIND_STATS
             }
-        };
-        (kind, out)
+        }
     }
 
     fn decode_payload(kind: u8, mut buf: &[u8]) -> Option<Frame> {
@@ -392,13 +449,13 @@ impl Frame {
 /// contiguous, so a concurrent heartbeat thread sharing the writer (behind
 /// a mutex) can never interleave inside a frame.
 pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let (kind, payload) = frame.encode_payload();
-    let mut bytes = Vec::with_capacity(6 + payload.len());
-    bytes.push(MAGIC);
-    bytes.push(kind);
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    w.write_all(&bytes)?;
+    write_frame_bytes(w, &frame.encode())
+}
+
+/// Writes one frame already encoded by [`rows_frame`] or
+/// [`hub_fwd_frame`], in a single `write_all` like [`write_frame`].
+pub(crate) fn write_frame_bytes(w: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
+    w.write_all(bytes)?;
     w.flush()
 }
 
@@ -406,7 +463,7 @@ pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
 /// [`io::ErrorKind::UnexpectedEof`]; bad magic, unknown kinds, oversized
 /// lengths, and short payloads are [`io::ErrorKind::InvalidData`].
 pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
-    let mut header = [0u8; 6];
+    let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     if header[0] != MAGIC {
         return Err(io::Error::new(
@@ -643,6 +700,139 @@ mod tests {
             read_frame(&mut &bytes[..]).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+    }
+
+    // --- wire v3 row bytes, pinned against a per-cell reference ---
+
+    mod row_bytes {
+        use super::*;
+        use parapsp_graph::INF;
+        use proptest::prelude::*;
+
+        /// A row frame as the per-cell v3 encoder wrote it: `to` (HubFwd
+        /// only), the row count (Rows only), then per row its source,
+        /// checksum, cell count and cells, one `to_le_bytes` at a time.
+        fn reference_frame(kind: u8, to: Option<u32>, rows: &[RowMessage]) -> Vec<u8> {
+            let mut payload = Vec::new();
+            if let Some(to) = to {
+                payload.extend_from_slice(&to.to_le_bytes());
+            }
+            if kind == KIND_ROWS {
+                payload.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+            }
+            for msg in rows {
+                payload.extend_from_slice(&msg.source.to_le_bytes());
+                payload.extend_from_slice(&msg.checksum.to_le_bytes());
+                payload.extend_from_slice(&(msg.row.len() as u32).to_le_bytes());
+                for &cell in &msg.row {
+                    payload.extend_from_slice(&cell.to_le_bytes());
+                }
+            }
+            let mut bytes = vec![MAGIC, kind];
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            bytes
+        }
+
+        fn fields(msg: &RowMessage) -> (u32, u32, &[u32]) {
+            (msg.source, msg.checksum, &msg.row)
+        }
+
+        fn decoded_rows(frame: Frame) -> Vec<RowMessage> {
+            match frame {
+                Frame::Rows(rows) => rows,
+                Frame::Hub(msg) | Frame::HubFwd { msg, .. } => vec![msg],
+                other => panic!("a row frame decoded as {other:?}"),
+            }
+        }
+
+        /// `INF`, a small distance or any word, a third of the time each.
+        fn cell() -> impl Strategy<Value = u32> {
+            (0u32..3, any::<u32>()).prop_map(|(pick, word)| match pick {
+                0 => INF,
+                1 => word % 64,
+                _ => word,
+            })
+        }
+
+        fn row() -> impl Strategy<Value = RowMessage> {
+            (
+                any::<u32>(),
+                any::<u32>(),
+                proptest::collection::vec(cell(), 0..=40),
+            )
+                .prop_map(|(source, checksum, row)| RowMessage {
+                    source,
+                    row,
+                    checksum,
+                })
+        }
+
+        proptest! {
+            // The bulk encoder writes exactly the per-cell encoder's
+            // bytes, through `write_frame` and through the borrowed-row
+            // encoders the worker uses; the bytes decode back to the same
+            // rows; and no strict prefix of them decodes.
+            #[test]
+            fn row_frames_keep_their_v3_bytes(
+                rows in proptest::collection::vec(row(), 0..=6),
+                to in any::<u32>(),
+            ) {
+                let views: Vec<RowRef<'_>> = rows.iter().map(RowMessage::view).collect();
+                let mut cases = vec![(
+                    Frame::Rows(rows.clone()),
+                    reference_frame(KIND_ROWS, None, &rows),
+                    Some(rows_frame(&views)),
+                )];
+                if let Some(first) = rows.first() {
+                    let one = std::slice::from_ref(first);
+                    cases.push((
+                        Frame::Hub(first.clone()),
+                        reference_frame(KIND_HUB, None, one),
+                        None,
+                    ));
+                    cases.push((
+                        Frame::HubFwd { to, msg: first.clone() },
+                        reference_frame(KIND_HUB_FWD, Some(to), one),
+                        Some(hub_fwd_frame(to, first.view())),
+                    ));
+                }
+                for (frame, reference, borrowed) in cases {
+                    let mut bytes = Vec::new();
+                    write_frame(&mut bytes, &frame).unwrap();
+                    prop_assert_eq!(&bytes, &reference);
+                    if let Some(borrowed) = borrowed {
+                        prop_assert_eq!(&borrowed, &reference);
+                    }
+
+                    let mut cursor = &bytes[..];
+                    let decoded = decoded_rows(read_frame(&mut cursor).unwrap());
+                    prop_assert!(cursor.is_empty());
+                    let sent = decoded_rows(frame);
+                    prop_assert_eq!(
+                        decoded.iter().map(fields).collect::<Vec<_>>(),
+                        sent.iter().map(fields).collect::<Vec<_>>()
+                    );
+                    if let Frame::HubFwd { to: got, .. } =
+                        read_frame(&mut &bytes[..]).unwrap()
+                    {
+                        prop_assert_eq!(got, to);
+                    }
+
+                    for cut in 0..bytes.len() {
+                        let err = read_frame(&mut &bytes[..cut]).unwrap_err();
+                        prop_assert!(matches!(
+                            err.kind(),
+                            io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                        ));
+                    }
+                    let payload = &bytes[HEADER_LEN..];
+                    for cut in 0..payload.len() {
+                        prop_assert!(Frame::decode_payload(bytes[1], &payload[..cut]).is_none());
+                    }
+                }
+            }
+        }
     }
 
     // --- decoder fuzzing: arbitrary bytes must never panic ---

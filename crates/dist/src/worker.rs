@@ -19,10 +19,13 @@ use std::time::Duration;
 use crossbeam::channel::{unbounded, Receiver, TryRecvError};
 
 use crate::cluster::{run_node_loop, NodeStats};
-use crate::node::RowMessage;
+use crate::node::RowRef;
 use crate::socket::WireStream;
 use crate::transport::{ConnectRetry, Disconnected, NodeControl, NodeIo};
-use crate::wire::{read_frame, write_frame, Frame, WorkerSetup, PROTOCOL_VERSION};
+use crate::wire::{
+    hub_fwd_frame, read_frame, rows_frame, write_frame, write_frame_bytes, Frame, WorkerSetup,
+    PROTOCOL_VERSION,
+};
 
 /// Knobs for [`run_worker`]; everything else arrives in the Setup frame.
 #[derive(Debug, Clone)]
@@ -123,22 +126,22 @@ fn dial_with_retry(addr: &str, retry: &ConnectRetry) -> Result<(WireStream, u32)
 }
 
 /// [`NodeIo`](crate::transport::NodeIo) over a framed socket: control
-/// frames arrive via a reader thread; outbound rows batch up to
-/// `row_batch` before a Rows frame is forced out; hub rows go through the
-/// driver relay immediately.
+/// frames arrive via a reader thread; the node loop's batches of up to
+/// `row_batch` gather rows go out as one Rows frame each; hub rows go
+/// through the driver relay immediately. Rows are encoded straight from
+/// the node's memory into the frame.
 struct SocketNodeIo {
     inbox: Receiver<NodeControl>,
     writer: Arc<Mutex<WireStream>>,
-    batch: Vec<RowMessage>,
     row_batch: usize,
 }
 
 impl SocketNodeIo {
-    fn write(&self, frame: &Frame) {
+    fn write(&self, frame: &[u8]) {
         // A failed write means the driver is gone; the reader thread will
         // drop the inbox and the node loop exits on its next recv.
         let mut writer = self.writer.lock().unwrap();
-        let _ = write_frame(&mut *writer, frame);
+        let _ = write_frame_bytes(&mut *writer, frame);
     }
 }
 
@@ -152,30 +155,19 @@ impl NodeIo for SocketNodeIo {
     }
 
     fn recv(&mut self) -> Result<NodeControl, Disconnected> {
-        self.flush();
         self.inbox.recv().map_err(|_| Disconnected)
     }
 
-    fn send_hub(&mut self, peer: usize, msg: RowMessage) {
-        self.write(&Frame::HubFwd {
-            to: peer as u32,
-            msg,
-        });
+    fn send_hub(&mut self, peer: usize, row: RowRef<'_>) {
+        self.write(&hub_fwd_frame(peer as u32, row));
     }
 
-    fn send_row(&mut self, msg: RowMessage) {
-        self.batch.push(msg);
-        if self.batch.len() >= self.row_batch.max(1) {
-            self.flush();
-        }
+    fn row_batch(&self) -> usize {
+        self.row_batch
     }
 
-    fn flush(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        let rows = std::mem::take(&mut self.batch);
-        self.write(&Frame::Rows(rows));
+    fn send_rows(&mut self, rows: &[RowRef<'_>]) {
+        self.write(&rows_frame(rows));
     }
 }
 
@@ -293,7 +285,6 @@ pub fn run_worker(addr: &str, options: WorkerOptions) -> Result<WorkerOutcome, S
     let mut io = SocketNodeIo {
         inbox: inbox_rx,
         writer: Arc::clone(&writer),
-        batch: Vec::new(),
         row_batch: setup.row_batch as usize,
     };
     let mut stats = run_node_loop(
@@ -331,8 +322,7 @@ pub fn run_worker(addr: &str, options: WorkerOptions) -> Result<WorkerOutcome, S
         return Ok(WorkerOutcome::Lost { session });
     }
 
-    io.flush();
-    io.write(&Frame::Stats(stats));
+    io.write(&Frame::Stats(stats).encode());
     // An orderly goodbye: close our end so the driver's reader sees EOF
     // right after the Stats frame.
     writer.lock().unwrap().shutdown_both();
