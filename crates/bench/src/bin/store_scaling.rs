@@ -114,6 +114,9 @@ fn measure(spec_raw: &str, n: usize, threads: usize) -> ! {
         line.push_str(&format!(" {key}={count}"));
     }
     println!("{line} checksum={:016x}", checksum(&out.store));
+    // `exit` runs no destructors: drop the store first, or an mmap
+    // store's scratch shard directory outlives the process.
+    drop(out);
     std::process::exit(0);
 }
 

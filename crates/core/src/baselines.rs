@@ -11,7 +11,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use parapsp_graph::{CsrGraph, INF};
 use parapsp_parfor::{ParSlice, Schedule, ThreadPool};
 
-use crate::dist::DistanceMatrix;
+use crate::dist::{matrix_cells, DistanceMatrix};
 
 /// Floyd–Warshall, O(n³) time and O(n²) space. The classic APSP baseline
 /// (paper ref.\[10\]); practical only for small `n`.
@@ -81,7 +81,7 @@ pub fn apsp_dijkstra(graph: &CsrGraph) -> DistanceMatrix {
 /// row reuse).
 pub fn par_apsp_dijkstra(graph: &CsrGraph, pool: &ThreadPool) -> DistanceMatrix {
     let n = graph.vertex_count();
-    let mut data = vec![INF; n * n];
+    let mut data = matrix_cells(n, n, INF);
     {
         let view = ParSlice::new(&mut data[..]);
         pool.parallel_for(n, Schedule::dynamic_cyclic(), |_tid, s| {
@@ -94,7 +94,7 @@ pub fn par_apsp_dijkstra(graph: &CsrGraph, pool: &ThreadPool) -> DistanceMatrix 
             }
         });
     }
-    DistanceMatrix::from_raw(n, data.into_boxed_slice())
+    DistanceMatrix::from_raw(n, data)
 }
 
 /// Bellman–Ford SSSP (paper ref.\[4\]). With `u32` weights there are no
@@ -161,7 +161,7 @@ pub fn apsp_bfs(graph: &CsrGraph) -> DistanceMatrix {
 /// networks.
 pub fn par_apsp_bfs(graph: &CsrGraph, pool: &ThreadPool) -> DistanceMatrix {
     let n = graph.vertex_count();
-    let mut data = vec![INF; n * n];
+    let mut data = matrix_cells(n, n, INF);
     {
         let view = ParSlice::new(&mut data[..]);
         pool.parallel_for(n, Schedule::dynamic_cyclic(), |_tid, s| {
@@ -173,7 +173,7 @@ pub fn par_apsp_bfs(graph: &CsrGraph, pool: &ThreadPool) -> DistanceMatrix {
             }
         });
     }
-    DistanceMatrix::from_raw(n, data.into_boxed_slice())
+    DistanceMatrix::from_raw(n, data)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use std::time::Instant;
 use parapsp_graph::{CsrGraph, INF};
 use parapsp_parfor::{CancelStatus, ParSlice, Schedule, ThreadPool};
 
-use crate::dist::DistanceMatrix;
+use crate::dist::{matrix_cells, DistanceMatrix};
 use crate::engine::{Engine, Plan, RowsCtx, RowsOutcome, RunConfig, RunSummary};
 use crate::persist::Checkpoint;
 
@@ -115,7 +115,7 @@ impl Engine for BlockedFwEngine {
     ) -> Plan {
         let t0 = Instant::now();
         let n = graph.vertex_count();
-        let mut data: Box<[u32]> = vec![INF; n * n].into_boxed_slice();
+        let mut data = matrix_cells(n, n, INF);
         for v in 0..n {
             data[v * n + v] = 0;
         }

@@ -4,8 +4,88 @@
 //! dataset sizes on shared-memory machines (its sx-superuser run needs
 //! 160 GB). The matrix is stored row-major so that row reuse in the
 //! modified Dijkstra kernel is a sequential scan.
+//!
+//! Every n²-sized buffer the crate allocates comes from `matrix_cells`,
+//! which backs it with 2 MiB pages where the platform allows (DESIGN.md
+//! §14, "Allocation").
+
+use std::ops::Range;
 
 use parapsp_graph::INF;
+
+/// Size of a transparent huge page (x86-64 and aarch64 with 4 KiB base
+/// pages).
+#[cfg(any(test, target_os = "linux"))]
+const HUGE_PAGE: usize = 2 << 20;
+
+/// Allocates `rows × n` cells, every one equal to `fill`, for a matrix-sized
+/// buffer (distances, predecessors, subset slabs).
+///
+/// The buffer is allocated zeroed, which the allocator satisfies with fresh
+/// pages it does not write; its 2 MiB-aligned interior (`huge_span`) is
+/// then advised `MADV_HUGEPAGE` on Linux, so the `fill` write — skipped when
+/// `fill` is 0 — faults in huge pages instead of 4 KiB ones. The advice is a
+/// hint: a kernel that refuses it leaves a correct buffer on small pages.
+///
+/// # Panics
+///
+/// Panics with `"matrix size overflow"` when `rows × n` overflows `usize`,
+/// before anything is allocated.
+pub(crate) fn matrix_cells(rows: usize, n: usize, fill: u32) -> Box<[u32]> {
+    cells_advised(rows, n, fill, advise_huge_pages)
+}
+
+fn cells_advised(rows: usize, n: usize, fill: u32, advise: fn(&[u32])) -> Box<[u32]> {
+    let len = rows.checked_mul(n).expect("matrix size overflow");
+    let mut cells = vec![0u32; len].into_boxed_slice();
+    advise(&cells);
+    if fill != 0 {
+        cells.fill(fill);
+    }
+    cells
+}
+
+/// The whole 2 MiB pages inside the `bytes`-long buffer at `addr`: both
+/// ends are [`HUGE_PAGE`]-aligned, and less than one page is left out at
+/// each end. `None` when no whole page fits.
+#[cfg(any(test, target_os = "linux"))]
+fn huge_span(addr: usize, bytes: usize) -> Option<Range<usize>> {
+    let start = addr.checked_next_multiple_of(HUGE_PAGE)?;
+    let end = addr.checked_add(bytes)? / HUGE_PAGE * HUGE_PAGE;
+    (start < end).then_some(start..end)
+}
+
+#[cfg(target_os = "linux")]
+fn advise_huge_pages(cells: &[u32]) {
+    // Raw libc binding (the workspace deliberately has no libc crate).
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    const MADV_HUGEPAGE: i32 = 14;
+    if let Some(span) = huge_span(cells.as_ptr() as usize, std::mem::size_of_val(cells)) {
+        // SAFETY: `span` is page-aligned and lies inside `cells`, a live
+        // allocation. MADV_HUGEPAGE only changes how the kernel backs
+        // future faults in the range, never its contents, so no Rust
+        // reference to the buffer is invalidated. A failure (a kernel
+        // without THP returns EINVAL) leaves the range as it was and is
+        // ignored.
+        unsafe {
+            madvise(
+                span.start as *mut std::ffi::c_void,
+                span.len(),
+                MADV_HUGEPAGE,
+            );
+        }
+    }
+}
+
+/// The advice step on platforms without `madvise(MADV_HUGEPAGE)`; compiled
+/// on Linux for the tests that pin its behaviour.
+#[cfg(any(test, not(target_os = "linux")))]
+fn no_advice(_cells: &[u32]) {}
+
+#[cfg(not(target_os = "linux"))]
+use no_advice as advise_huge_pages;
 
 /// A row-major `n × n` matrix of shortest-path distances.
 ///
@@ -23,7 +103,7 @@ impl DistanceMatrix {
     pub fn new_infinite(n: usize) -> Self {
         DistanceMatrix {
             n,
-            data: vec![INF; n.checked_mul(n).expect("matrix size overflow")].into_boxed_slice(),
+            data: matrix_cells(n, n, INF),
         }
     }
 
@@ -162,7 +242,69 @@ impl std::fmt::Debug for DistanceMatrix {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    const SHAPES: [(usize, usize); 5] = [(0, 0), (1, 1), (3, 7), (1024, 1024), (1025, 1025)];
+
+    #[test]
+    fn matrix_cells_have_the_exact_length_and_fill() {
+        for (rows, n) in SHAPES {
+            for fill in [INF, 0] {
+                let advised = matrix_cells(rows, n, fill);
+                let plain = cells_advised(rows, n, fill, no_advice);
+                for cells in [&advised, &plain] {
+                    assert_eq!(cells.len(), rows * n, "({rows}, {n}) fill {fill}");
+                    assert!(
+                        cells.iter().all(|&c| c == fill),
+                        "({rows}, {n}) fill {fill}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix size overflow")]
+    fn matrix_cells_overflow_panics_before_allocating() {
+        let _ = matrix_cells(1 << 33, 1 << 33, INF);
+    }
+
+    #[test]
+    fn huge_span_edges() {
+        assert_eq!(huge_span(0, HUGE_PAGE), Some(0..HUGE_PAGE));
+        assert_eq!(huge_span(1, HUGE_PAGE), None);
+        assert_eq!(
+            huge_span(HUGE_PAGE - 16, 2 * HUGE_PAGE),
+            Some(HUGE_PAGE..2 * HUGE_PAGE)
+        );
+        assert_eq!(huge_span(0, 0), None);
+        assert_eq!(huge_span(usize::MAX - 8, 16), None);
+    }
+
+    proptest! {
+        #[test]
+        fn huge_span_is_the_aligned_interior(
+            addr in 0usize..(1 << 40),
+            bytes in 0usize..(64 << 20),
+        ) {
+            match huge_span(addr, bytes) {
+                Some(span) => {
+                    prop_assert_eq!(span.start % HUGE_PAGE, 0);
+                    prop_assert_eq!(span.end % HUGE_PAGE, 0);
+                    prop_assert!(addr <= span.start && span.start < span.end);
+                    prop_assert!(span.end <= addr + bytes);
+                    prop_assert!(bytes - span.len() < 2 * HUGE_PAGE);
+                }
+                None => {
+                    let first = addr.next_multiple_of(HUGE_PAGE);
+                    prop_assert!(first + HUGE_PAGE > addr + bytes);
+                    prop_assert!(bytes < 2 * HUGE_PAGE);
+                }
+            }
+        }
+    }
 
     #[test]
     fn new_matrix_is_all_infinite() {

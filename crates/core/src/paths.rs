@@ -17,7 +17,7 @@ use parapsp_graph::{degree, CsrGraph};
 use parapsp_order::OrderingProcedure;
 use parapsp_parfor::{ParSlice, PerThread, Schedule, ThreadPool};
 
-use crate::dist::DistanceMatrix;
+use crate::dist::{matrix_cells, DistanceMatrix};
 use crate::kernel::{modified_dijkstra, KernelOptions, PredSink, Workspace};
 use crate::stats::Counters;
 use crate::store::{Store, StoreSpec};
@@ -143,7 +143,7 @@ pub fn par_apsp_with_paths(graph: &CsrGraph, threads: usize) -> ApspPaths {
     let degrees = degree::out_degrees(graph);
     let order = OrderingProcedure::multi_lists().compute(&degrees, &pool);
     let store = Store::new(n, &StoreSpec::dense());
-    let mut pred = vec![NO_PRED; n * n];
+    let mut pred = matrix_cells(n, n, NO_PRED);
     let preds = ParSlice::new(&mut pred);
     let locals = PerThread::from_fn(pool.num_threads(), |_| {
         (Workspace::new(n), Counters::default())
@@ -168,7 +168,7 @@ pub fn par_apsp_with_paths(graph: &CsrGraph, threads: usize) -> ApspPaths {
         dist: store.into_matrix(),
         pred: PredecessorMatrix {
             n,
-            data: pred.into_boxed_slice(),
+            data: pred,
         },
         elapsed: start.elapsed(),
     }

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use parapsp_graph::INF;
 
-use crate::dist::DistanceMatrix;
+use crate::dist::{matrix_cells, DistanceMatrix};
 
 /// An `n × n` distance matrix shared across SSSP tasks, with one
 /// publication flag per row.
@@ -49,10 +49,9 @@ unsafe impl Sync for SharedDistState {}
 impl SharedDistState {
     /// Allocates the matrix, filled with [`INF`], all rows unpublished.
     pub(crate) fn new(n: usize) -> Self {
-        let len = n.checked_mul(n).expect("distance matrix size overflow");
-        // Build as a plain Vec<u32> (memset-fast) and convert: UnsafeCell<T>
-        // is repr(transparent) over T, so the layouts are identical.
-        let plain: Box<[u32]> = vec![INF; len].into_boxed_slice();
+        // Build as a plain Box<[u32]> and convert: UnsafeCell<T> is
+        // repr(transparent) over T, so the layouts are identical.
+        let plain = matrix_cells(n, n, INF);
         // SAFETY: Box<[u32]> and Box<[UnsafeCell<u32>]> have the same
         // layout (repr(transparent)), and ownership transfers intact.
         let cells: Box<[UnsafeCell<u32>]> =

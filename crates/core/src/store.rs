@@ -79,7 +79,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use parapsp_graph::INF;
 use parapsp_parfor::spec;
 
-use crate::dist::DistanceMatrix;
+use crate::dist::{matrix_cells, DistanceMatrix};
 use crate::shared::SharedDistState;
 
 // ---------------------------------------------------------------------------
@@ -661,14 +661,12 @@ impl Store {
     }
 
     /// Reads every row of a cached-tier store into a new matrix. The
-    /// matrix is allocated zeroed — the allocator maps fresh pages
-    /// without writing them — and each page is written once: by the
-    /// published row read into it, or by the `INF` fill of an unpublished
-    /// row.
+    /// matrix is allocated zeroed ([`matrix_cells`] with fill 0 writes
+    /// nothing) and each page is written once: by the published row read
+    /// into it, or by the `INF` fill of an unpublished row.
     fn read_all_rows(&self) -> (DistanceMatrix, Vec<bool>) {
         let n = self.n();
-        let cells = n.checked_mul(n).expect("matrix size overflow");
-        let mut data = vec![0u32; cells].into_boxed_slice();
+        let mut data = matrix_cells(n, n, 0);
         let mut completed = vec![false; n];
         for (s, row) in data.chunks_exact_mut(n.max(1)).enumerate() {
             completed[s] = self.read_row_into(s as u32, row);
@@ -1450,6 +1448,56 @@ mod tests {
             StoreSpec::delta(4),
             StoreSpec::mmap(1 << 20),
         ]
+    }
+
+    /// Guards the huge-page advice of `matrix_cells`: a dense store's
+    /// matrix must sit (partly) on 2 MiB pages whenever the kernel offers
+    /// transparent huge pages. Without it, the allocation could fall back
+    /// to plain 4 KiB pages with every other test still green.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn dense_store_matrix_is_backed_by_huge_pages() {
+        match std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled") {
+            Err(err) => {
+                println!("skipped: no transparent huge pages on this kernel ({err})");
+                return;
+            }
+            Ok(mode) if mode.contains("[never]") => {
+                println!(
+                    "skipped: transparent huge pages are disabled ({})",
+                    mode.trim()
+                );
+                return;
+            }
+            Ok(_) => {}
+        }
+        let n = 4096; // a 64 MiB matrix
+        let store = Store::new(n, &StoreSpec::dense());
+        store.publish_from(0, &vec![INF; n]);
+        // The advice splits the allocation's mapping, so add up every
+        // smaps entry that overlaps the buffer.
+        let start = store.published_row(0).expect("row 0 is published").as_ptr() as usize;
+        let buffer = start..start + 4 * n * n;
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("read /proc/self/smaps");
+        let mut overlaps = false;
+        let mut huge_kb = 0;
+        for line in smaps.lines() {
+            let first = line.split_whitespace().next().unwrap_or("");
+            if let Some((lo, hi)) = first.split_once('-') {
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    overlaps = lo < buffer.end && buffer.start < hi;
+                    continue;
+                }
+            }
+            if let Some(kb) = line.strip_prefix("AnonHugePages:").filter(|_| overlaps) {
+                let kb = kb.trim().trim_end_matches("kB").trim();
+                huge_kb += kb.parse::<u64>().expect("a kB count");
+            }
+        }
+        println!("dense n={n} matrix: AnonHugePages {huge_kb} kB");
+        assert!(huge_kb > 0, "the dense matrix sits on no huge page");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use parapsp_order::seq_bucket::seq_bucket_sort;
 use parapsp_order::OrderingProcedure;
 use parapsp_parfor::{CancelStatus, PerThread, ThreadPool};
 
-use crate::dist::DistanceMatrix;
+use crate::dist::{matrix_cells, DistanceMatrix};
 use crate::engine::{Engine, Plan, RowsCtx, RowsOutcome, RunConfig, RunSummary};
 use crate::kernel::{modified_dijkstra, CompletedRows, NoPred, Workspace};
 use crate::persist::Checkpoint;
@@ -103,8 +103,7 @@ impl SubsetState {
             );
             slot_of[s as usize] = slot as u32;
         }
-        let len = sources.len().checked_mul(n).expect("subset size overflow");
-        let plain: Box<[u32]> = vec![INF; len].into_boxed_slice();
+        let plain = matrix_cells(sources.len(), n, INF);
         // SAFETY: UnsafeCell<u32> is repr(transparent) over u32.
         let cells = unsafe { Box::from_raw(Box::into_raw(plain) as *mut [UnsafeCell<u32>]) };
         SubsetState {
