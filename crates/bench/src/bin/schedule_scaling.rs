@@ -2,10 +2,10 @@
 //! parallel APSP source sweep.
 //!
 //! Sweeps `ParAPSP` (via [`Runner`]/[`ApspEngine`]) over
-//! {dynamic-cyclic, dynamic(k), work-stealing} × thread counts on the
-//! three generator families the paper evaluates (Barabási–Albert,
-//! Erdős–Rényi, Watts–Strogatz), recording wall time plus the pool's
-//! pop/steal counters for each configuration.
+//! {dynamic-cyclic, dynamic(k)} × thread counts on the three generator
+//! families the paper evaluates (Barabási–Albert, Erdős–Rényi,
+//! Watts–Strogatz), recording wall time plus the pool's claim count
+//! (`pops`) for each configuration.
 //!
 //! Emits `BENCH_schedule.json` at the workspace root (override with
 //! `--out <path>`). Flags: `--iters <N>` interleaved passes (default 3;
@@ -37,13 +37,12 @@ const WEIGHTS: WeightSpec = WeightSpec::Uniform { lo: 1, hi: 9 };
 /// Thread counts swept per schedule (1 is the no-contention baseline).
 const THREADS: [usize; 3] = [1, 2, 4];
 
-/// The schedules under comparison: the paper's dynamic-cyclic default,
-/// the chunked variant, and the work-stealing backend.
-fn schedules() -> [(&'static str, Schedule); 3] {
+/// The schedules under comparison: the paper's dynamic-cyclic default
+/// and the same claim loop taking 16 sources per claim.
+fn schedules() -> [(&'static str, Schedule); 2] {
     [
         ("dynamic-cyclic", Schedule::dynamic_cyclic()),
         ("dynamic:16", Schedule::DynamicChunked(16)),
-        ("work-stealing:16", Schedule::WorkStealing { chunk: 16 }),
     ]
 }
 
@@ -91,12 +90,7 @@ fn main() {
             let runner = Runner::new(RunConfig::par_apsp(threads).with_schedule(schedule));
             let pool = ThreadPool::new(threads);
             let (out, elapsed) = time(|| runner.run_with_pool(ApspEngine::new(), graph, &pool));
-            let stats = pool.take_schedule_stats();
-            let counters = vec![
-                ("pops", stats.pops.into()),
-                ("steals", stats.steals.into()),
-                ("failed_steals", stats.failed_steals.into()),
-            ];
+            let counters = vec![("pops", pool.take_schedule_stats().pops.into())];
             (out.dist, Sample::new(elapsed, counters))
         },
     );

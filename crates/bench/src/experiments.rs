@@ -580,7 +580,6 @@ pub fn ablation(config: &Config) -> Vec<Table> {
         Schedule::Block,
         Schedule::StaticCyclic,
         Schedule::dynamic_cyclic(),
-        Schedule::Guided(1),
     ] {
         let out = run_apsp(RunConfig::par_apsp(threads).with_schedule(schedule), &g);
         balance_table.push_row(vec![

@@ -110,16 +110,14 @@ apsp options:
   --solver <s>               per-source SSSP solver: dijkstra (default; the
                              paper's modified Dijkstra) | delta[:<width>]
                              (Δ-stepping, width from the mean weight when
-                             omitted) | auto (probe the graph, pick solver +
-                             Δ, and fill unset --schedule/--relax); same
-                             algorithms as --relax; distances are
-                             bit-identical under every solver
+                             omitted) | auto (probe the graph, pick solver
+                             and Δ); same algorithms as --relax; distances
+                             are bit-identical under every solver
   --schedule <s>             source-sweep loop schedule for par-apsp |
                              par-alg1 | par-alg2: block | static-cyclic |
-                             dynamic-cyclic | dynamic:<chunk> |
-                             guided:<min-chunk> | work-stealing[:<chunk>]
-                             (default: each algorithm's paper schedule;
-                             the distances are identical under all of them)
+                             dynamic-cyclic | dynamic:<chunk> (default:
+                             each algorithm's paper schedule; the distances
+                             are identical under all of them)
   --store <s>                distance-matrix storage backend: dense
                              (default; one flat n² allocation) |
                              delta[:<refs>] (landmark-delta compression
@@ -713,8 +711,7 @@ fn run_algorithm(
         .map_err(|e| format!("--store value `{}` is invalid: {e}", store.label()))?;
     // Per-source SSSP solver. Like --relax it needs the row kernel.
     // `--solver auto` probes the graph up front so the choice can be
-    // reported, and its schedule/relax recommendations fill in whichever
-    // of those flags the user left unset.
+    // reported.
     let mut solver = args.get_spec("solver", SolverKind::default())?;
     if args.get("solver").is_some() && !kind.uses_kernel() {
         return Err(format!(
@@ -724,16 +721,12 @@ fn run_algorithm(
         )
         .into());
     }
-    let mut relax = relax;
-    let mut schedule = schedule;
     if solver == SolverKind::Auto && kind.uses_kernel() {
         let choice = autotune(graph);
         println!(
-            "auto-tune: solver {} schedule {} relax {} (n={} m={} \
-             degree-skew={:.1} weights {}..{} diameter~{})",
+            "auto-tune: solver {} (n={} m={} degree-skew={:.1} weights {}..{} \
+             diameter~{})",
             choice.solver.label(),
-            choice.schedule.label(),
-            choice.relax.name(),
             choice.probe.n,
             choice.probe.m,
             choice.probe.degree_skew,
@@ -742,12 +735,6 @@ fn run_algorithm(
             choice.probe.approx_diameter,
         );
         solver = choice.solver;
-        if args.get("relax").is_none() {
-            relax = choice.relax;
-        }
-        if args.get("schedule").is_none() && kind.honours_schedule() {
-            schedule = Some(choice.schedule);
-        }
     }
     let checkpoint_every = args.get_parsed("checkpoint-every", 64usize)?;
     if checkpoint_every == 0 {
@@ -1188,15 +1175,7 @@ mod tests {
         let file = sample_file();
         // Every spelling the parser accepts, on every engine that hands its
         // source loop to the parfor pool.
-        for schedule in [
-            "block",
-            "static-cyclic",
-            "dynamic-cyclic",
-            "dynamic:4",
-            "guided:2",
-            "work-stealing",
-            "work-stealing:4",
-        ] {
+        for schedule in ["block", "static-cyclic", "dynamic-cyclic", "dynamic:4"] {
             for algorithm in ["par-apsp", "par-alg1", "par-alg2"] {
                 apsp(&args(&[
                     "apsp",
@@ -1211,12 +1190,21 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{algorithm} --schedule {schedule}: {e}"));
             }
         }
-        // Malformed specs are rejected with the parser's explanation.
-        for bad in ["warp", "dynamic:0", "work-stealing:x", "block:4"] {
+        // Malformed specs are rejected with the parser's explanation, and
+        // unknown names also list the possible values.
+        for (bad, unknown) in [
+            ("warp", true),
+            ("guided:2", true),
+            ("work-stealing", true),
+            ("work-stealing:4", true),
+            ("dynamic:0", false),
+            ("block:4", false),
+        ] {
             let err = apsp(&args(&["apsp", &file, "--schedule", bad]))
                 .unwrap_err()
                 .to_string();
             assert!(err.contains("--schedule"), "{bad}: {err}");
+            assert_eq!(err.contains("possible values"), unknown, "{bad}: {err}");
         }
         // Engines that run their own loops (or no parfor loop at all)
         // reject the flag rather than silently ignoring it.
@@ -1233,7 +1221,7 @@ mod tests {
                 "--algorithm",
                 algorithm,
                 "--schedule",
-                "work-stealing",
+                "static-cyclic",
             ]))
             .unwrap_err()
             .to_string();

@@ -14,7 +14,7 @@
 //!   bucketed by `⌊tent/Δ⌋`, light edges (`w ≤ Δ`) relaxed to a fixpoint
 //!   per bucket, heavy edges once per removed vertex.
 //! * [`SolverKind::Auto`] — probe the graph once ([`probe`]) and let
-//!   [`autotune`] pick solver, Δ, schedule and relax implementation.
+//!   [`autotune`] pick the solver and Δ.
 //!
 //! Every solver computes *exact* capped SSSP, so all of them are
 //! bit-identical on the final matrix (distances are unique); the engine
@@ -45,10 +45,9 @@
 //! hot-cache entry for the relaxation pass.
 
 use parapsp_graph::{CsrGraph, INF};
-use parapsp_parfor::{spec, Schedule};
+use parapsp_parfor::spec;
 
 use crate::kernel::{modified_dijkstra, reuse_row, KernelOptions, NoPred, Workspace};
-use crate::relax::RelaxImpl;
 use crate::stats::Counters;
 use crate::store::Store;
 
@@ -102,12 +101,7 @@ impl SolverKind {
             "delta" => match param {
                 None | Some("auto") => Ok(SolverKind::Delta { delta: None }),
                 Some(p) => Ok(SolverKind::Delta {
-                    delta: Some(spec::parse_positive_param(
-                        "solver",
-                        "delta",
-                        Some(p),
-                        None,
-                    )?),
+                    delta: Some(spec::parse_positive_param("solver", "delta", Some(p))?),
                 }),
             },
             _ => Err(spec::reject_unknown("solver", raw, Self::POSSIBLE)),
@@ -232,11 +226,6 @@ fn weight_stats(graph: &CsrGraph) -> (u32, u32, f64) {
 pub struct AutoChoice {
     /// A *concrete* solver (never [`SolverKind::Auto`], and Δ is pinned).
     pub solver: SolverKind,
-    /// Recommended source-sweep schedule (work stealing on skewed
-    /// degree distributions, the paper's dynamic-cyclic otherwise).
-    pub schedule: Schedule,
-    /// Recommended relaxation implementation (always runtime `Auto`).
-    pub relax: RelaxImpl,
     /// The measurements the choice was derived from.
     pub probe: GraphProbe,
 }
@@ -249,7 +238,7 @@ pub fn auto_delta(weight_mean: f64) -> u32 {
     (weight_mean.round() as u32).max(1)
 }
 
-/// Picks solver + Δ + schedule + relax from one [`probe`] pass.
+/// Picks solver + Δ from one [`probe`] pass.
 ///
 /// The heuristic was fitted to the `solver_scaling` measurements
 /// (BENCH_solver.json, discussed in EXPERIMENTS.md and DESIGN.md §12):
@@ -257,8 +246,7 @@ pub fn auto_delta(weight_mean: f64) -> u32 {
 /// * uniform weights → `dijkstra` (the FIFO kernel is BFS-like and the
 ///   row-reuse trick dominates — the paper's home turf);
 /// * strong degree skew (max/mean ≥ 8) → `dijkstra` (hub rows publish
-///   early and get reused constantly) with a work-stealing sweep (row
-///   costs are skewed too);
+///   early and get reused constantly);
 /// * dense (mean out-degree ≥ 6) *and* wide weight range (max/min ≥ 50)
 ///   → `delta` with Δ = mean weight / 4: the measured Δ-stepping win —
 ///   on Watts–Strogatz-style regular dense graphs with wide weights the
@@ -283,16 +271,7 @@ pub fn autotune(graph: &CsrGraph) -> AutoChoice {
     } else {
         SolverKind::Dijkstra
     };
-    AutoChoice {
-        solver,
-        schedule: if skewed {
-            Schedule::work_stealing()
-        } else {
-            Schedule::dynamic_cyclic()
-        },
-        relax: RelaxImpl::Auto,
-        probe: p,
-    }
+    AutoChoice { solver, probe: p }
 }
 
 // ---------------------------------------------------------------------------
@@ -862,7 +841,6 @@ mod tests {
         // A hub-and-spoke graph is maximally degree-skewed.
         let hub = autotune(&star_graph(64));
         assert_eq!(hub.solver, SolverKind::Dijkstra);
-        assert_eq!(hub.schedule, parapsp_parfor::Schedule::work_stealing());
         // Dense + regular + wide weight range is the measured Δ-stepping
         // win (Watts–Strogatz-style graphs).
         let dense_wide = autotune(

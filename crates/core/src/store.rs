@@ -235,8 +235,7 @@ impl StoreSpec {
             "delta" => match param {
                 None => Ok(StoreSpec::delta(DEFAULT_DELTA_REFS)),
                 Some(p) => {
-                    let refs =
-                        spec::parse_positive_param::<usize>("store", "delta", Some(p), None)?;
+                    let refs = spec::parse_positive_param("store", "delta", Some(p))?;
                     Ok(StoreSpec::delta(refs))
                 }
             },

@@ -13,11 +13,9 @@
 //! Rayon's work stealing offers none of these guarantees and does not expose
 //! stable thread identifiers (needed by the MultiLists ordering procedure,
 //! paper Alg. 7), so this crate implements a small persistent thread pool
-//! with exactly those schedules — plus a locality-aware
-//! [`Schedule::WorkStealing`] backend built on per-worker Chase–Lev-style
-//! deques that keeps the result deterministic (every index runs exactly
-//! once, whatever the steal order) while balancing skewed per-iteration
-//! costs without a single shared claim counter.
+//! with exactly those schedules. Dynamic-cyclic is
+//! [`Schedule::DynamicChunked`]`(1)`; a larger chunk is the same claim
+//! loop taking several iterations per claim.
 //!
 //! # Quick example
 //!
@@ -42,13 +40,11 @@ mod pool;
 mod schedule;
 mod shared_slice;
 pub mod spec;
-mod steal;
 
 pub use bitset::BitSet;
 pub use cancel::{CancelStatus, CancelToken};
 pub use crossbeam::utils::CachePadded;
 pub use per_thread::PerThread;
-pub use pool::ThreadPool;
+pub use pool::{ScheduleStats, ThreadPool};
 pub use schedule::{block_range, Schedule};
 pub use shared_slice::ParSlice;
-pub use steal::ScheduleStats;

@@ -2,8 +2,8 @@
 //!
 //! Unlike a task queue, every parallel region runs the same closure on all
 //! threads of the pool (each with a stable thread id), exactly like an
-//! OpenMP `parallel` construct. [`ThreadPool::parallel_for`] layers the three
-//! loop schedules from [`Schedule`] on top.
+//! OpenMP `parallel` construct. [`ThreadPool::parallel_for`] layers the
+//! paper's three loop schedules from [`Schedule`] on top.
 //!
 //! The calling thread participates as thread 0, so a pool of `T` threads
 //! spawns `T - 1` OS workers. A single-threaded pool executes regions inline
@@ -21,7 +21,6 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::cancel::{CancelStatus, CancelToken};
 use crate::schedule::{block_range, Schedule};
-use crate::steal::{ScheduleStats, Steal, StealDeque};
 
 /// Store-once slot recording the first stop status any thread observed.
 /// Encoding: 0 = continue, 1 = cancelled, 2 = deadline exceeded.
@@ -81,65 +80,49 @@ impl Poller for &CancelToken {
     }
 }
 
-/// Accumulated chunk-claim counters, updated once per worker per region.
+/// Chunk-claim counters for the loops a [`ThreadPool`] has run; see
+/// [`ThreadPool::schedule_stats`].
+///
+/// `pops` counts chunks claimed from a `DynamicChunked` loop's shared
+/// counter, plus one per loop on a single-thread pool (which runs the
+/// whole range inline). `Block` and `StaticCyclic` claim nothing at
+/// runtime and leave the counters untouched.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ScheduleStats {
+    /// Chunks claimed.
+    pub pops: u64,
+    /// Always 0: no schedule steals. Kept because the end-to-end
+    /// benchmark reads it as `parfor.steals`; it goes with that metric at
+    /// the benchmark's next change.
+    pub steals: u64,
+}
+
+/// Accumulated chunk-claim counter, updated once per worker per region.
 #[derive(Default)]
 struct PoolStats {
     pops: AtomicU64,
-    steals: AtomicU64,
-    failed_steals: AtomicU64,
 }
 
 impl PoolStats {
-    /// Folds one worker's region-local counters in. Called at region
-    /// end, so contention is bounded by the thread count, not the
-    /// iteration count.
-    fn flush(&self, pops: u64, steals: u64, failed_steals: u64) {
+    /// Folds one worker's region-local count in. Called at region end,
+    /// so contention is bounded by the thread count, not the iteration
+    /// count.
+    fn flush(&self, pops: u64) {
         if pops != 0 {
             self.pops.fetch_add(pops, Ordering::Relaxed);
-        }
-        if steals != 0 {
-            self.steals.fetch_add(steals, Ordering::Relaxed);
-        }
-        if failed_steals != 0 {
-            self.failed_steals
-                .fetch_add(failed_steals, Ordering::Relaxed);
         }
     }
 }
 
 /// Claims the next `chunk` iterations from the shared dynamic counter.
-/// The single `fetch_add` is the entire fast path.
+/// The single `fetch_add` is the entire fast path. The caller clamps
+/// `chunk` to `n`: each thread overshoots `n` by at most one chunk, so
+/// the counter stays below `(threads + 1) · n` and cannot wrap past
+/// `usize::MAX` back into the range.
 #[inline]
 fn claim_dynamic(next: &AtomicUsize, chunk: usize, n: usize) -> Option<std::ops::Range<usize>> {
     let start = next.fetch_add(chunk, Ordering::Relaxed);
     (start < n).then(|| start..(start + chunk).min(n))
-}
-
-/// Claims an OpenMP-guided chunk: half the remaining work divided by the
-/// thread count, floored at `min_chunk`, via CAS so chunks shrink as the
-/// loop drains.
-#[inline]
-fn claim_guided(
-    next: &AtomicUsize,
-    n: usize,
-    threads: usize,
-    min_chunk: usize,
-) -> Option<std::ops::Range<usize>> {
-    let mut observed = next.load(Ordering::Relaxed);
-    while observed < n {
-        let remaining = n - observed;
-        let chunk = (remaining / (2 * threads)).max(min_chunk).min(remaining);
-        match next.compare_exchange_weak(
-            observed,
-            observed + chunk,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(start) => return Some(start..start + chunk),
-            Err(current) => observed = current,
-        }
-    }
-    None
 }
 
 /// A broadcast job: invoked once per pool thread with that thread's id.
@@ -254,16 +237,10 @@ impl ThreadPool {
     /// Chunk-claim statistics accumulated over every scheduled loop this
     /// pool has run since creation (or the last
     /// [`take_schedule_stats`](ThreadPool::take_schedule_stats)).
-    ///
-    /// Steal counters are only produced by
-    /// [`Schedule::WorkStealing`]; pop counters also cover the
-    /// `DynamicChunked`/`Guided` shared-counter claims and count one
-    /// claim per inline loop on a single-thread pool.
     pub fn schedule_stats(&self) -> ScheduleStats {
         ScheduleStats {
             pops: self.stats.pops.load(Ordering::Relaxed),
-            steals: self.stats.steals.load(Ordering::Relaxed),
-            failed_steals: self.stats.failed_steals.load(Ordering::Relaxed),
+            steals: 0,
         }
     }
 
@@ -272,8 +249,7 @@ impl ThreadPool {
     pub fn take_schedule_stats(&self) -> ScheduleStats {
         ScheduleStats {
             pops: self.stats.pops.swap(0, Ordering::Relaxed),
-            steals: self.stats.steals.swap(0, Ordering::Relaxed),
-            failed_steals: self.stats.failed_steals.swap(0, Ordering::Relaxed),
+            steals: 0,
         }
     }
 
@@ -376,11 +352,9 @@ impl ThreadPool {
     ///
     /// Polling granularity per schedule: `Block` and `StaticCyclic` poll
     /// before every iteration (their chunks are fixed up front, so the chunk
-    /// boundary is the iteration); `DynamicChunked` and `Guided` poll before
-    /// claiming each chunk; `WorkStealing` polls before every pop from the
-    /// worker's own deque and between steal-scan rounds. Iterations that
-    /// already started always run to completion — cancellation never tears a
-    /// row in half.
+    /// boundary is the iteration); `DynamicChunked` polls before claiming
+    /// each chunk. Iterations that already started always run to
+    /// completion — cancellation never tears a row in half.
     pub fn parallel_for_cancellable<F>(
         &self,
         n: usize,
@@ -420,7 +394,7 @@ impl ThreadPool {
                 }
                 f(0, i);
             }
-            self.stats.flush(1, 0, 0);
+            self.stats.flush(1);
             return CancelStatus::Continue;
         }
         let stopped = AtomicU8::new(0);
@@ -454,7 +428,7 @@ impl ThreadPool {
                 });
             }
             Schedule::DynamicChunked(chunk) => {
-                let chunk = chunk.max(1);
+                let chunk = chunk.clamp(1, n);
                 // Cache-line padding keeps the hot shared counter from
                 // false-sharing with whatever else lives on this frame.
                 let next = CachePadded::new(AtomicUsize::new(0));
@@ -474,169 +448,11 @@ impl ThreadPool {
                             f(tid, i);
                         }
                     }
-                    self.stats.flush(pops, 0, 0);
+                    self.stats.flush(pops);
                 });
-            }
-            Schedule::Guided(min_chunk) => {
-                let min_chunk = min_chunk.max(1);
-                let threads = self.num_threads;
-                let next = CachePadded::new(AtomicUsize::new(0));
-                self.run(|tid| {
-                    let mut pops = 0u64;
-                    loop {
-                        let status = poller.poll();
-                        if status.is_stop() {
-                            record_stop(&stopped, status);
-                            break;
-                        }
-                        let Some(range) = claim_guided(&next, n, threads, min_chunk) else {
-                            break;
-                        };
-                        pops += 1;
-                        for i in range {
-                            f(tid, i);
-                        }
-                    }
-                    self.stats.flush(pops, 0, 0);
-                });
-            }
-            Schedule::WorkStealing { chunk } => {
-                self.work_stealing_region(n, chunk, &poller, &f, &stopped);
             }
         }
         decode_stop(&stopped)
-    }
-
-    /// [`Schedule::WorkStealing`] execution: per-worker Chase–Lev deques
-    /// seeded with contiguous degree-ordered *blocks* of the iteration
-    /// space assigned cyclically, lazy chunk splitting, and cyclic victim
-    /// scans once a worker's own deque is dry.
-    ///
-    /// Placement rationale: each seeded descriptor is a contiguous run of
-    /// the (degree-ordered) iteration space, so a worker's consecutive
-    /// sources are neighbours in the ordering and its freshly completed
-    /// rows stay hot for its own reuse. The blocks are assigned
-    /// *cyclically* rather than as one contiguous slab per worker — and
-    /// `chunk`-fine over the front of the ordering: the APSP kernel's
-    /// row reuse feeds on the globally lowest-numbered (highest-degree)
-    /// published rows, and slab placement makes workers start deep in
-    /// the tail before those rows exist — measured on BA-3000×4 threads,
-    /// slabs cost 2× the queue pops and 2× the O(n) reuse passes of
-    /// cyclic placement for the same relaxation count (see DESIGN.md
-    /// §10).
-    fn work_stealing_region<P, F>(
-        &self,
-        n: usize,
-        chunk: usize,
-        poller: &P,
-        f: &F,
-        stopped: &AtomicU8,
-    ) where
-        P: Poller,
-        F: Fn(usize, usize) + Sync,
-    {
-        assert!(
-            u32::try_from(n).is_ok(),
-            "the work-stealing schedule supports at most u32::MAX iterations"
-        );
-        let chunk = chunk.max(1).min(u32::MAX as usize) as u32;
-        let threads = self.num_threads;
-        // When the pool is oversubscribed (more workers than cores), the
-        // OS runs one worker per timeslice and that worker bursts through
-        // its own subsequence far ahead of the global wavefront — costly
-        // for consumers that exploit cross-worker execution order, like
-        // the APSP kernel's row reuse. A cooperative yield every few
-        // claimed chunks makes the scheduler round-robin the workers,
-        // restoring a near-global order while keeping the context-switch
-        // (and cache-refill) tax a fraction of the claim rate; with a
-        // core per worker it never triggers.
-        const YIELD_EVERY_CLAIMS: u32 = 1;
-        let oversubscribed = std::thread::available_parallelism()
-            .map(|cores| threads > cores.get())
-            .unwrap_or(false);
-        let deques: Vec<StealDeque> = (0..threads).map(|_| StealDeque::new()).collect();
-        // Seed every deque on the caller thread, before the region starts:
-        // deterministic placement, and the region entry provides the
-        // happens-before edge that publishes the seeds to all workers.
-        for (w, deque) in deques.iter().enumerate() {
-            deque.seed_blocks(n as u32, chunk, w as u32, threads as u32);
-        }
-        self.run(|tid| {
-            let own = &deques[tid];
-            let (mut pops, mut steals, mut failed) = (0u64, 0u64, 0u64);
-            let mut claims_since_yield = 0u32;
-            'work: loop {
-                let status = poller.poll();
-                if status.is_stop() {
-                    record_stop(stopped, status);
-                    break 'work;
-                }
-                let (lo, hi) = if let Some(range) = own.pop() {
-                    pops += 1;
-                    range
-                } else {
-                    // Own block is done: scan victims in cyclic order.
-                    // `Retry` means a claim race was lost — someone is
-                    // making progress — so rescan; a full scan of empty
-                    // deques means no claimable work is left (in-flight
-                    // remainders are pushed back to their holder's own
-                    // deque, which that holder drains before exiting).
-                    let mut found = None;
-                    'scan: loop {
-                        let mut contended = false;
-                        for k in 1..threads {
-                            match deques[(tid + k) % threads].steal() {
-                                Steal::Success(lo, hi) => {
-                                    steals += 1;
-                                    found = Some((lo, hi));
-                                    break 'scan;
-                                }
-                                Steal::Retry => {
-                                    failed += 1;
-                                    contended = true;
-                                }
-                                Steal::Empty => {}
-                            }
-                        }
-                        if !contended {
-                            break 'scan;
-                        }
-                        let status = poller.poll();
-                        if status.is_stop() {
-                            record_stop(stopped, status);
-                            break 'scan;
-                        }
-                        // A contended rescan on an oversubscribed pool
-                        // must hand the core to the racing claimant, not
-                        // burn its timeslice spinning.
-                        if oversubscribed {
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                    }
-                    match found {
-                        Some(range) => range,
-                        None => break 'work,
-                    }
-                };
-                // Lazy splitting: run the lowest `chunk` indices now and
-                // push the remainder back where thieves can take it.
-                let split = hi.min(lo.saturating_add(chunk));
-                if hi > split {
-                    own.push(split, hi);
-                }
-                for i in lo..split {
-                    f(tid, i as usize);
-                }
-                claims_since_yield += 1;
-                if oversubscribed && claims_since_yield >= YIELD_EVERY_CLAIMS {
-                    claims_since_yield = 0;
-                    std::thread::yield_now();
-                }
-            }
-            self.stats.flush(pops, steals, failed);
-        });
     }
 
     /// Parallel map-reduce over `0..n`: `map(tid, i)` produces a value per
@@ -820,15 +636,15 @@ mod tests {
                     Schedule::StaticCyclic,
                     Schedule::DynamicChunked(1),
                     Schedule::DynamicChunked(7),
-                    Schedule::Guided(1),
-                    Schedule::Guided(4),
-                    Schedule::WorkStealing { chunk: 1 },
-                    Schedule::WorkStealing { chunk: 8 },
                 ] {
                     check_coverage(threads, n, schedule);
                 }
             }
         }
+        // Chunks so large that the threads' claims sum past `usize::MAX`:
+        // an unclamped counter wraps back to 0 and runs every index twice.
+        check_coverage(2, 100, Schedule::DynamicChunked(1 << 63));
+        check_coverage(4, 100, Schedule::DynamicChunked(1 << 62));
     }
 
     #[test]
@@ -955,46 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn guided_claims_cover_in_order() {
-        // The claim sequence is monotone: sorting the observed claim order
-        // must reproduce 0..n, and chunks shrink over time by construction.
-        let pool = ThreadPool::new(4);
-        let log = PlMutex::new(Vec::new());
-        pool.parallel_for(500, Schedule::Guided(2), |_tid, i| {
-            log.lock().push(i);
-        });
-        let mut seen = log.into_inner();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..500).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn work_stealing_steals_when_one_worker_is_stuck() {
-        // Deterministic imbalance: index 0 (the head of worker 0's block)
-        // refuses to finish until every other index has run. Workers 1–3
-        // must therefore drain their own blocks and steal the rest of
-        // worker 0's block — with chunk 1 the stuck index is the only one
-        // worker 0 has claimed, so the steal is guaranteed, not racy.
-        let pool = ThreadPool::new(4);
-        pool.take_schedule_stats();
-        const N: usize = 256;
-        let done = AtomicUsize::new(0);
-        pool.parallel_for(N, Schedule::WorkStealing { chunk: 1 }, |_tid, i| {
-            if i == 0 {
-                while done.load(Ordering::Relaxed) < N - 1 {
-                    std::thread::yield_now();
-                }
-            } else {
-                done.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        let stats = pool.take_schedule_stats();
-        assert!(stats.steals >= 1, "expected nonzero steals: {stats:?}");
-        assert!(stats.pops >= 1, "{stats:?}");
-        assert_eq!(stats.claims() as usize, N, "{stats:?}");
-    }
-
-    #[test]
     fn schedule_stats_count_dynamic_claims_and_reset() {
         let pool = ThreadPool::new(3);
         pool.take_schedule_stats();
@@ -1005,33 +781,10 @@ mod tests {
         // `take` drains the accumulator.
         assert_eq!(pool.take_schedule_stats(), stats);
         assert_eq!(pool.schedule_stats(), ScheduleStats::default());
-        // Guided claims are counted too; static schedules claim nothing.
-        pool.parallel_for(100, Schedule::Guided(5), |_tid, _i| {});
-        assert!(pool.take_schedule_stats().pops >= 1);
+        // Static schedules claim nothing.
         pool.parallel_for(100, Schedule::Block, |_tid, _i| {});
         pool.parallel_for(100, Schedule::StaticCyclic, |_tid, _i| {});
         assert_eq!(pool.take_schedule_stats(), ScheduleStats::default());
-    }
-
-    #[test]
-    fn work_stealing_claims_account_for_every_index() {
-        // pops + steals must cover exactly ceil-ish chunk counts: with
-        // chunk c every claim executes at least 1 and at most c indices,
-        // so claims ∈ [n/c, n].
-        for threads in [2usize, 4] {
-            for (n, chunk) in [(1usize, 4usize), (97, 4), (1000, 8)] {
-                let pool = ThreadPool::new(threads);
-                pool.take_schedule_stats();
-                let count = AtomicUsize::new(0);
-                pool.parallel_for(n, Schedule::WorkStealing { chunk }, |_tid, _i| {
-                    count.fetch_add(1, Ordering::Relaxed);
-                });
-                assert_eq!(count.load(Ordering::Relaxed), n);
-                let stats = pool.take_schedule_stats();
-                assert!(stats.claims() as usize >= n.div_ceil(chunk), "{stats:?}");
-                assert!(stats.claims() as usize <= n, "{stats:?}");
-            }
-        }
     }
 
     #[test]
@@ -1041,8 +794,7 @@ mod tests {
             Schedule::Block,
             Schedule::StaticCyclic,
             Schedule::dynamic_cyclic(),
-            Schedule::Guided(1),
-            Schedule::work_stealing(),
+            Schedule::DynamicChunked(16),
         ] {
             let sum =
                 pool.parallel_map_reduce(1000, schedule, 0u64, |_t, i| i as u64, |a, b| a + b);
@@ -1059,12 +811,11 @@ mod tests {
         assert_eq!(sum, 45);
     }
 
-    const ALL_SCHEDULES: [Schedule; 5] = [
+    const ALL_SCHEDULES: [Schedule; 4] = [
         Schedule::Block,
         Schedule::StaticCyclic,
         Schedule::DynamicChunked(1),
-        Schedule::Guided(2),
-        Schedule::WorkStealing { chunk: 4 },
+        Schedule::DynamicChunked(4),
     ];
 
     #[test]

@@ -25,44 +25,13 @@ pub enum Schedule {
     /// the iteration order, so a degree-sorted loop issues sources in the
     /// intended order.
     DynamicChunked(usize),
-    /// OpenMP's `schedule(guided, min_chunk)`: threads claim exponentially
-    /// shrinking chunks (half the remaining work divided by the thread
-    /// count, never below `min_chunk`). Fewer claims than dynamic while
-    /// still balancing the tail; claim order still equals iteration order.
-    Guided(usize),
-    /// Locality-aware work stealing: each worker starts on its own
-    /// contiguous block of the iteration space (the same partition as
-    /// [`Schedule::Block`]), held in a per-worker Chase–Lev-style deque
-    /// seeded by repeated halving, and executes it in ascending order in
-    /// `chunk`-sized pieces. A worker whose deque runs dry steals the
-    /// top descriptor — roughly half of a victim's remaining block — so
-    /// skewed per-iteration costs balance without every claim hammering
-    /// one shared counter. Results are schedule-invariant: every index
-    /// still runs exactly once (see DESIGN.md §10).
-    WorkStealing {
-        /// Number of consecutive iterations a worker executes per claim
-        /// from its own deque (values below 1 are treated as 1).
-        chunk: usize,
-    },
 }
 
 impl Schedule {
-    /// Default chunk for [`Schedule::WorkStealing`]: small enough to keep
-    /// the tail balanced, large enough to amortize deque traffic.
-    pub const DEFAULT_STEAL_CHUNK: usize = 8;
-
     /// The paper's preferred scheme, `schedule(dynamic, 1)`.
     #[inline]
     pub const fn dynamic_cyclic() -> Self {
         Schedule::DynamicChunked(1)
-    }
-
-    /// Locality-aware work stealing with the default chunk size.
-    #[inline]
-    pub const fn work_stealing() -> Self {
-        Schedule::WorkStealing {
-            chunk: Self::DEFAULT_STEAL_CHUNK,
-        }
     }
 
     /// A short stable label used by benchmark reports.
@@ -72,20 +41,17 @@ impl Schedule {
             Schedule::StaticCyclic => "static-cyclic".to_owned(),
             Schedule::DynamicChunked(1) => "dynamic-cyclic".to_owned(),
             Schedule::DynamicChunked(c) => format!("dynamic({c})"),
-            Schedule::Guided(c) => format!("guided({c})"),
-            Schedule::WorkStealing { chunk } => format!("work-stealing({chunk})"),
         }
     }
 }
 
 /// Parses the CLI spelling of a schedule: `block`, `static-cyclic`,
-/// `dynamic-cyclic`, `dynamic:<chunk>`, `guided:<min-chunk>`, or
-/// `work-stealing[:<chunk>]`.
+/// `dynamic-cyclic`, or `dynamic:<chunk>`.
 ///
 /// ```
 /// use parapsp_parfor::Schedule;
 /// assert_eq!("dynamic:4".parse(), Ok(Schedule::DynamicChunked(4)));
-/// assert_eq!("work-stealing".parse(), Ok(Schedule::work_stealing()));
+/// assert_eq!("dynamic-cyclic".parse(), Ok(Schedule::dynamic_cyclic()));
 /// ```
 impl std::str::FromStr for Schedule {
     type Err = String;
@@ -96,13 +62,8 @@ impl std::str::FromStr for Schedule {
             "static-cyclic",
             "dynamic-cyclic",
             "dynamic:<chunk>",
-            "guided:<min-chunk>",
-            "work-stealing[:<chunk>]",
         ];
         let (name, param) = crate::spec::split_spec(raw);
-        let parse_param = |default: Option<usize>| {
-            crate::spec::parse_positive_param("schedule", name, param, default)
-        };
         match name {
             "block" | "static-cyclic" | "dynamic-cyclic" if param.is_some() => {
                 Err(crate::spec::reject_param("schedule", name))
@@ -110,11 +71,10 @@ impl std::str::FromStr for Schedule {
             "block" => Ok(Schedule::Block),
             "static-cyclic" => Ok(Schedule::StaticCyclic),
             "dynamic-cyclic" => Ok(Schedule::dynamic_cyclic()),
-            "dynamic" => Ok(Schedule::DynamicChunked(parse_param(None)?)),
-            "guided" => Ok(Schedule::Guided(parse_param(None)?)),
-            "work-stealing" => Ok(Schedule::WorkStealing {
-                chunk: parse_param(Some(Schedule::DEFAULT_STEAL_CHUNK))?,
-            }),
+            "dynamic" => {
+                let chunk = crate::spec::parse_positive_param("schedule", name, param)?;
+                Ok(Schedule::DynamicChunked(chunk))
+            }
             _ => Err(crate::spec::reject_unknown("schedule", raw, POSSIBLE)),
         }
     }
@@ -203,11 +163,6 @@ mod tests {
         assert_eq!(Schedule::StaticCyclic.label(), "static-cyclic");
         assert_eq!(Schedule::dynamic_cyclic().label(), "dynamic-cyclic");
         assert_eq!(Schedule::DynamicChunked(8).label(), "dynamic(8)");
-        assert_eq!(Schedule::work_stealing().label(), "work-stealing(8)");
-        assert_eq!(
-            Schedule::WorkStealing { chunk: 2 }.label(),
-            "work-stealing(2)"
-        );
     }
 
     #[test]
@@ -216,12 +171,6 @@ mod tests {
         assert_eq!("static-cyclic".parse(), Ok(Schedule::StaticCyclic));
         assert_eq!("dynamic-cyclic".parse(), Ok(Schedule::DynamicChunked(1)));
         assert_eq!("dynamic:4".parse(), Ok(Schedule::DynamicChunked(4)));
-        assert_eq!("guided:2".parse(), Ok(Schedule::Guided(2)));
-        assert_eq!("work-stealing".parse(), Ok(Schedule::work_stealing()));
-        assert_eq!(
-            "work-stealing:16".parse(),
-            Ok(Schedule::WorkStealing { chunk: 16 })
-        );
     }
 
     #[test]
@@ -231,8 +180,9 @@ mod tests {
             "dynamic",
             "dynamic:0",
             "dynamic:lots",
-            "guided",
-            "work-stealing:0",
+            "guided:2",
+            "work-stealing",
+            "work-stealing:16",
             "block:4",
             "dynamic-cyclic:2",
             "",

@@ -27,11 +27,9 @@ pub fn split_spec(raw: &str) -> (&str, Option<&str>) {
     }
 }
 
-/// Validates the common `:<positive integer>` parameter shape.
-///
-/// * `Some(param)` — must parse as an integer ≥ 1;
-/// * `None` with a default — the default wins;
-/// * `None` without a default — the spec required a parameter.
+/// Validates the common `:<positive integer>` parameter shape:
+/// `Some(param)` must parse as an integer ≥ 1, and `None` means the spec
+/// lacks the parameter it requires.
 ///
 /// `kind` and `name` only flavour the error text (`"schedule"`,
 /// `"dynamic"`).
@@ -39,17 +37,15 @@ pub fn parse_positive_param<T: std::str::FromStr + PartialOrd + From<u8>>(
     kind: &str,
     name: &str,
     param: Option<&str>,
-    default: Option<T>,
 ) -> Result<T, String> {
-    match (param, default) {
-        (Some(p), _) => match p.parse::<T>() {
+    match param {
+        Some(p) => match p.parse::<T>() {
             Ok(v) if v >= T::from(1u8) => Ok(v),
             _ => Err(format!(
                 "{kind} `{name}:{p}` needs a positive integer parameter"
             )),
         },
-        (None, Some(d)) => Ok(d),
-        (None, None) => Err(format!("{kind} `{name}` needs a `:<param>` value")),
+        None => Err(format!("{kind} `{name}` needs a `:<param>` value")),
     }
 }
 
@@ -73,31 +69,23 @@ mod tests {
 
     #[test]
     fn split_separates_name_and_param() {
-        assert_eq!(
-            split_spec("work-stealing:16"),
-            ("work-stealing", Some("16"))
-        );
+        assert_eq!(split_spec("dynamic:16"), ("dynamic", Some("16")));
         assert_eq!(split_spec("auto"), ("auto", None));
         assert_eq!(split_spec("a:b:c"), ("a", Some("b:c")));
         assert_eq!(split_spec(""), ("", None));
     }
 
     #[test]
-    fn positive_param_validates_and_defaults() {
+    fn positive_param_validates() {
         assert_eq!(
-            parse_positive_param::<usize>("schedule", "dynamic", Some("4"), None),
+            parse_positive_param::<usize>("schedule", "dynamic", Some("4")),
             Ok(4)
         );
-        assert_eq!(
-            parse_positive_param::<usize>("schedule", "work-stealing", None, Some(8)),
-            Ok(8)
-        );
         for bad in ["0", "-3", "lots", ""] {
-            let err =
-                parse_positive_param::<usize>("schedule", "dynamic", Some(bad), None).unwrap_err();
+            let err = parse_positive_param::<usize>("schedule", "dynamic", Some(bad)).unwrap_err();
             assert!(err.contains("positive integer"), "{bad}: {err}");
         }
-        let err = parse_positive_param::<usize>("schedule", "dynamic", None, None).unwrap_err();
+        let err = parse_positive_param::<usize>("schedule", "dynamic", None).unwrap_err();
         assert!(err.contains("dynamic"), "{err}");
     }
 

@@ -27,7 +27,7 @@ fn one_pool_survives_hundreds_of_heterogeneous_regions() {
             0 => Schedule::Block,
             1 => Schedule::StaticCyclic,
             2 => Schedule::dynamic_cyclic(),
-            _ => Schedule::Guided(2),
+            _ => Schedule::DynamicChunked(3),
         };
         pool.parallel_for(n, schedule, |_tid, _i| {
             counter.fetch_add(1, Ordering::Relaxed);
