@@ -107,12 +107,15 @@ apsp options:
   --relax <impl>             row-relaxation kernel: auto | avx2 | portable |
                              scalar (par-* and seq-* kernel algorithms;
                              default auto — all variants are bit-identical)
-  --solver <s>               per-source SSSP solver: dijkstra (default; the
-                             paper's modified Dijkstra) | delta[:<width>]
+  --solver <s>               per-source SSSP solver: auto (default for
+                             par-*; one O(n + m) probe sends dense,
+                             unskewed graphs with a wide weight range to
+                             Δ-stepping, everything else to dijkstra) |
+                             dijkstra (the paper's modified Dijkstra;
+                             default for seq-*) | delta[:<width>]
                              (Δ-stepping, width from the mean weight when
-                             omitted) | auto (probe the graph, pick solver
-                             and Δ); same algorithms as --relax; distances
-                             are bit-identical under every solver
+                             omitted); same algorithms as --relax;
+                             distances are bit-identical under every solver
   --schedule <s>             source-sweep loop schedule for par-apsp |
                              par-alg1 | par-alg2: block | static-cyclic |
                              dynamic-cyclic | dynamic:<chunk> (default:
@@ -631,6 +634,33 @@ fn dist_summary(out: parapsp_dist::DistApspOutput, nodes: usize) -> (DistanceMat
     (out.dist, summary)
 }
 
+/// The solver a kernel run uses: `--solver` when given, else the
+/// algorithm's own default from its `RunConfig` constructor (`auto` for
+/// the parallel engines, the paper's kernel for Peng's sequential family).
+/// `auto` is resolved here, against the graph, so the run can report the
+/// choice and the probe behind it: the second value is that report line.
+fn pick_solver(
+    flag: Option<SolverKind>,
+    config: &RunConfig,
+    graph: &CsrGraph,
+) -> (SolverKind, Option<String>) {
+    let solver = flag.unwrap_or(config.kernel().solver);
+    if solver != SolverKind::Auto {
+        return (solver, None);
+    }
+    let choice = autotune(graph);
+    let line = format!(
+        "auto-tune: solver {} (n={} m={} degree-skew={:.1} weights {}..{})",
+        choice.solver.label(),
+        choice.probe.n,
+        choice.probe.m,
+        choice.probe.degree_skew,
+        choice.probe.weight_min,
+        choice.probe.weight_max,
+    );
+    (choice.solver, Some(line))
+}
+
 fn run_algorithm(
     kind: EngineKind,
     graph: &CsrGraph,
@@ -710,31 +740,17 @@ fn run_algorithm(
         .validate_for(graph.vertex_count())
         .map_err(|e| format!("--store value `{}` is invalid: {e}", store.label()))?;
     // Per-source SSSP solver. Like --relax it needs the row kernel.
-    // `--solver auto` probes the graph up front so the choice can be
-    // reported.
-    let mut solver = args.get_spec("solver", SolverKind::default())?;
-    if args.get("solver").is_some() && !kind.uses_kernel() {
+    let solver: Option<SolverKind> = match args.get("solver") {
+        None => None,
+        Some(_) => Some(args.get_spec("solver", SolverKind::default())?),
+    };
+    if solver.is_some() && !kind.uses_kernel() {
         return Err(format!(
             "--solver works with {} (got `{}`)",
             kinds_where(EngineKind::uses_kernel),
             kind.value_name()
         )
         .into());
-    }
-    if solver == SolverKind::Auto && kind.uses_kernel() {
-        let choice = autotune(graph);
-        println!(
-            "auto-tune: solver {} (n={} m={} degree-skew={:.1} weights {}..{} \
-             diameter~{})",
-            choice.solver.label(),
-            choice.probe.n,
-            choice.probe.m,
-            choice.probe.degree_skew,
-            choice.probe.weight_min,
-            choice.probe.weight_max,
-            choice.probe.approx_diameter,
-        );
-        solver = choice.solver;
     }
     let checkpoint_every = args.get_parsed("checkpoint-every", 64usize)?;
     if checkpoint_every == 0 {
@@ -747,7 +763,13 @@ fn run_algorithm(
             config = config.with_max_distance(cap);
         }
         config = config.with_relax(relax);
-        config = config.with_solver(solver);
+        if kind.uses_kernel() {
+            let (chosen, report) = pick_solver(solver, &config, graph);
+            if let Some(line) = report {
+                println!("{line}");
+            }
+            config = config.with_solver(chosen);
+        }
         config = config.with_store(store.clone());
         if let Some(schedule) = schedule {
             config = config.with_schedule(schedule);
@@ -1279,6 +1301,56 @@ mod tests {
             err.contains("possible values") && err.contains("delta") && err.contains("auto"),
             "{err}"
         );
+        // Without --solver the parallel engines run `auto`: a dense,
+        // unskewed graph with weights 1..1000 goes to Δ-stepping, a
+        // unit-weight scale-free one stays on the paper's kernel, and
+        // either way the matrix is the one `--solver dijkstra` writes.
+        // Peng's sequential family keeps the kernel without a report.
+        use parapsp_graph::generate::{barabasi_albert, watts_strogatz, WeightSpec};
+        let dir = std::env::temp_dir().join("parapsp-cli-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let wide = WeightSpec::Uniform { lo: 1, hi: 1000 };
+        for (name, graph, expect) in [
+            (
+                "ws-wide",
+                watts_strogatz(300, 8, 0.2, wide, 3).unwrap(),
+                "delta:",
+            ),
+            (
+                "ba-unit",
+                barabasi_albert(300, 3, WeightSpec::Unit, 3).unwrap(),
+                "dijkstra",
+            ),
+        ] {
+            let path = dir.join(format!("default-solver-{name}.txt"));
+            let file = std::fs::File::create(&path).unwrap();
+            parapsp_graph::io::write_edge_list(&graph, std::io::BufWriter::new(file)).unwrap();
+            let input = path.to_string_lossy().into_owned();
+            let loaded = load(&args(&["apsp", &input])).unwrap().graph;
+            let (_, report) = pick_solver(None, &RunConfig::par_apsp(2), &loaded);
+            let report = report.expect("the default solver is auto");
+            assert!(
+                report.starts_with(&format!("auto-tune: solver {expect}")),
+                "{name}: {report}"
+            );
+            let kernel = pick_solver(None, &RunConfig::seq_basic(), &loaded);
+            assert_eq!(kernel, (SolverKind::Dijkstra, None), "{name}");
+            let out = |tag: &str| dir.join(format!("default-solver-{name}-{tag}.bin"));
+            let (default_out, dijkstra_out) = (out("default"), out("dijkstra"));
+            for (path, extra) in [(&default_out, None), (&dijkstra_out, Some("dijkstra"))] {
+                let path = path.to_string_lossy().into_owned();
+                let mut tokens = vec!["apsp", &input, "--threads", "2", "--out", &path];
+                if let Some(solver) = extra {
+                    tokens.extend(["--solver", solver]);
+                }
+                apsp(&args(&tokens)).unwrap_or_else(|e| panic!("{name} {extra:?}: {e}"));
+            }
+            assert_eq!(
+                std::fs::read(&default_out).unwrap(),
+                std::fs::read(&dijkstra_out).unwrap(),
+                "{name}: the default solver's matrix differs from dijkstra's"
+            );
+        }
         // Algorithms that never touch the row kernel reject the flag,
         // naming the ones that do.
         for algorithm in ["dist", "floyd-warshall", "blocked-fw", "dijkstra"] {

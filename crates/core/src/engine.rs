@@ -322,22 +322,27 @@ impl RunConfig {
             .with_label("ParMax")
     }
 
-    /// Peng's sequential basic algorithm (Alg. 2): index order, 1 thread.
+    /// Peng's sequential basic algorithm (Alg. 2): index order, 1 thread,
+    /// the paper's kernel. This is the bit-identity reference, so it pins
+    /// [`SolverKind::Dijkstra`] rather than following the `auto` default;
+    /// every `seq_*` constructor does the same.
     pub fn seq_basic() -> Self {
-        RunConfig::new(1).with_label("SeqBasic")
+        RunConfig::new(1)
+            .with_solver(SolverKind::Dijkstra)
+            .with_label("SeqBasic")
     }
 
     /// Peng's sequential optimized algorithm (Alg. 3): partial selection
     /// sort with ratio `r`, 1 thread.
     pub fn seq_optimized(ratio: f64) -> Self {
-        RunConfig::new(1)
+        RunConfig::seq_basic()
             .with_ordering(OrderingProcedure::SelectionSort { ratio })
             .with_label("SeqOptimized")
     }
 
     /// [`RunConfig::seq_optimized`] with the O(n) exact bucket ordering.
     pub fn seq_optimized_bucket() -> Self {
-        RunConfig::new(1)
+        RunConfig::seq_basic()
             .with_ordering(OrderingProcedure::SeqBucket)
             .with_label("SeqOptimizedBucket")
     }
@@ -345,7 +350,7 @@ impl RunConfig {
     /// Peng's adaptive sequential variant (pair with
     /// [`SeqEngine::adaptive`]; the order is chosen at run time).
     pub fn seq_adaptive(credit_weight: u64) -> Self {
-        RunConfig::new(1).with_label(format!("SeqAdaptive(w={credit_weight})"))
+        RunConfig::seq_basic().with_label(format!("SeqAdaptive(w={credit_weight})"))
     }
 
     /// Subset-of-sources runs: degree-ordered, dynamic-cyclic.

@@ -67,7 +67,7 @@ impl Default for KernelOptions {
             dedup_queue: true,
             max_distance: None,
             relax: RelaxImpl::Auto,
-            solver: crate::solver::SolverKind::Dijkstra,
+            solver: crate::solver::SolverKind::default(),
         }
     }
 }

@@ -13,8 +13,16 @@
 //!   for complex networks by Kranjčević, Palossi & Pintarelli): vertices
 //!   bucketed by `⌊tent/Δ⌋`, light edges (`w ≤ Δ`) relaxed to a fixpoint
 //!   per bucket, heavy edges once per removed vertex.
-//! * [`SolverKind::Auto`] — probe the graph once ([`probe`]) and let
-//!   [`autotune`] pick the solver and Δ.
+//! * [`SolverKind::Auto`] (the default) — probe the graph in one
+//!   O(n + m) pass ([`probe`]) and let [`autotune`] pick the solver and Δ.
+//!   Dense, wide-weight, unskewed graphs (Watts–Strogatz-like) get
+//!   Δ-stepping; unit-weight and degree-skewed graphs — every SNAP graph
+//!   in the paper — stay on the paper's kernel. Peng's sequential
+//!   configurations ([`RunConfig::seq_basic`] and friends) pin
+//!   [`SolverKind::Dijkstra`] instead, so the bit-identity reference
+//!   never changes kernel.
+//!
+//! [`RunConfig::seq_basic`]: crate::engine::RunConfig::seq_basic
 //!
 //! Every solver computes *exact* capped SSSP, so all of them are
 //! bit-identical on the final matrix (distances are unique); the engine
@@ -64,7 +72,6 @@ use crate::store::Store;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
     /// The paper's modified Dijkstra (FIFO label-correcting + row reuse).
-    #[default]
     Dijkstra,
     /// Classic Δ-stepping with light/heavy edge bucketing.
     Delta {
@@ -72,6 +79,7 @@ pub enum SolverKind {
         delta: Option<u32>,
     },
     /// Probe the graph once and pick a concrete solver ([`autotune`]).
+    #[default]
     Auto,
 }
 
@@ -121,8 +129,8 @@ impl std::str::FromStr for SolverKind {
 // Graph probe + auto-tuner
 // ---------------------------------------------------------------------------
 
-/// Cheap structural measurements driving [`autotune`]. One O(n + m) pass
-/// plus two heap-Dijkstra sweeps; fully deterministic for a fixed graph.
+/// Cheap structural measurements driving [`autotune`]: one O(n + m)
+/// pass over the adjacency, fully deterministic for a fixed graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphProbe {
     /// Vertex count.
@@ -139,40 +147,27 @@ pub struct GraphProbe {
     pub weight_max: u32,
     /// Mean edge weight (0 on edgeless graphs).
     pub weight_mean: f64,
-    /// Weighted eccentricity estimate from a double sweep: Dijkstra from
-    /// the max-degree vertex, then from the farthest vertex found; the
-    /// second sweep's largest finite distance. A lower bound on the true
-    /// diameter, accurate enough to separate graph classes.
-    pub approx_diameter: u32,
 }
 
-/// Probes `graph` once. Deterministic: ties (max-degree start vertex,
-/// farthest vertex) break toward the lowest id.
+/// Probes `graph` in one pass over its vertices and edge weights.
 pub fn probe(graph: &CsrGraph) -> GraphProbe {
     let n = graph.vertex_count();
     let m = graph.arc_count();
-    let (mut max_deg, mut start) = (0u32, 0u32);
+    let mut max_deg = 0u32;
+    let (mut min, mut max, mut sum) = (u32::MAX, 0u32, 0u64);
     for v in 0..n as u32 {
-        let d = graph.out_degree(v);
-        if d > max_deg {
-            max_deg = d;
-            start = v;
+        max_deg = max_deg.max(graph.out_degree(v));
+        for &w in graph.weights(v) {
+            min = min.min(w);
+            max = max.max(w);
+            sum += w as u64;
         }
     }
     let mean_deg = if n == 0 { 0.0 } else { m as f64 / n as f64 };
-    let (weight_min, weight_max, weight_mean) = weight_stats(graph);
-    let approx_diameter = if n == 0 || m == 0 {
-        0
+    let (weight_min, weight_max, weight_mean) = if m == 0 {
+        (0, 0, 0.0)
     } else {
-        let mut dist = vec![parapsp_graph::INF; n];
-        crate::baselines::dijkstra_sssp(graph, start, &mut dist);
-        let far = farthest_finite(&dist).unwrap_or(start);
-        crate::baselines::dijkstra_sssp(graph, far, &mut dist);
-        dist.iter()
-            .copied()
-            .filter(|&d| d != parapsp_graph::INF)
-            .max()
-            .unwrap_or(0)
+        (min, max, sum as f64 / m as f64)
     };
     GraphProbe {
         n,
@@ -186,38 +181,6 @@ pub fn probe(graph: &CsrGraph) -> GraphProbe {
         weight_min,
         weight_max,
         weight_mean,
-        approx_diameter,
-    }
-}
-
-fn farthest_finite(dist: &[u32]) -> Option<u32> {
-    let mut best: Option<(u32, u32)> = None;
-    for (v, &d) in dist.iter().enumerate() {
-        if d != parapsp_graph::INF && best.map(|(bd, _)| d > bd).unwrap_or(true) {
-            best = Some((d, v as u32));
-        }
-    }
-    best.map(|(_, v)| v)
-}
-
-/// `(min, max, mean)` edge weight in one pass; zeros on edgeless graphs.
-fn weight_stats(graph: &CsrGraph) -> (u32, u32, f64) {
-    let mut min = u32::MAX;
-    let mut max = 0u32;
-    let mut sum = 0u64;
-    let mut count = 0u64;
-    for v in 0..graph.vertex_count() as u32 {
-        for &w in graph.weights(v) {
-            min = min.min(w);
-            max = max.max(w);
-            sum += w as u64;
-            count += 1;
-        }
-    }
-    if count == 0 {
-        (0, 0, 0.0)
-    } else {
-        (min, max, sum as f64 / count as f64)
     }
 }
 
@@ -368,30 +331,34 @@ pub(crate) struct RowSolver {
 }
 
 impl RowSolver {
-    /// Resolves `options.solver` for `graph`.
+    /// Resolves `options.solver` for `graph`. `auto` and `delta` read one
+    /// [`probe`] pass: the tuner decides from it, and Δ-stepping sizes its
+    /// ring from the same pass's weight range.
     pub(crate) fn resolve(graph: &CsrGraph, options: KernelOptions) -> RowSolver {
-        let concrete = match options.solver {
-            SolverKind::Auto => autotune(graph).solver,
-            other => other,
+        let probed = match options.solver {
+            SolverKind::Dijkstra => None,
+            SolverKind::Auto => {
+                let choice = autotune(graph);
+                Some((choice.solver, choice.probe))
+            }
+            kind => Some((kind, probe(graph))),
         };
-        match concrete {
-            SolverKind::Dijkstra => RowSolver {
+        match probed {
+            Some((SolverKind::Delta { delta }, p)) => {
+                let delta = delta.unwrap_or_else(|| auto_delta(p.weight_mean)).max(1);
+                RowSolver {
+                    kind: Resolved::Delta,
+                    delta,
+                    ring: (p.weight_max as u64).div_ceil(delta as u64) as usize + 2,
+                    partition: Some(LightHeavy::build(graph, delta)),
+                }
+            }
+            _ => RowSolver {
                 kind: Resolved::Dijkstra,
                 delta: 1,
                 ring: 1,
                 partition: None,
             },
-            SolverKind::Delta { delta } => {
-                let (_, maxw, meanw) = weight_stats(graph);
-                let delta = delta.unwrap_or_else(|| auto_delta(meanw)).max(1);
-                RowSolver {
-                    kind: Resolved::Delta,
-                    delta,
-                    ring: (maxw as u64).div_ceil(delta as u64) as usize + 2,
-                    partition: Some(LightHeavy::build(graph, delta)),
-                }
-            }
-            SolverKind::Auto => unreachable!("autotune returns a concrete solver"),
         }
     }
 
@@ -820,10 +787,12 @@ mod tests {
             assert_eq!(a.m, graph.arc_count());
             assert!(a.weight_min <= a.weight_max, "{name}");
         }
-        // Known values on a path: diameter = n - 1 with unit weights.
+        // Known values on an undirected path: 2(n - 1) arcs, unit weights,
+        // inner vertices of degree 2 over a mean of 16/9.
         let p = probe(&path_graph(9, Direction::Undirected));
-        assert_eq!(p.approx_diameter, 8);
-        assert_eq!((p.weight_min, p.weight_max), (1, 1));
+        assert_eq!((p.n, p.m), (9, 16));
+        assert_eq!((p.weight_min, p.weight_max, p.weight_mean), (1, 1, 1.0));
+        assert_eq!(p.degree_skew, 2.0 / (16.0 / 9.0));
     }
 
     #[test]
@@ -871,6 +840,40 @@ mod tests {
             .unwrap(),
         );
         assert_eq!(sparse_wide.solver, SolverKind::Dijkstra);
+    }
+
+    #[test]
+    fn default_parallel_configs_resolve_to_delta_and_seq_configs_keep_the_kernel() {
+        use crate::engine::RunConfig;
+        // engine_matrix's `watts-strogatz-wide` fixture: its default-config
+        // rows must run the Δ-stepping path that users now get by default.
+        let ws_wide = parapsp_graph::generate::watts_strogatz(
+            64,
+            8,
+            0.2,
+            WeightSpec::Uniform { lo: 1, hi: 1000 },
+            44,
+        )
+        .unwrap();
+        for config in [
+            RunConfig::par_apsp(2),
+            RunConfig::par_alg1(2),
+            RunConfig::par_alg2(2),
+        ] {
+            assert_eq!(config.kernel().solver, SolverKind::Auto);
+            let resolved = RowSolver::resolve(&ws_wide, config.kernel());
+            assert_eq!(resolved.kind, Resolved::Delta, "{:?}", config.label());
+        }
+        for config in [
+            RunConfig::seq_basic(),
+            RunConfig::seq_optimized(1.0),
+            RunConfig::seq_optimized_bucket(),
+            RunConfig::seq_adaptive(10),
+        ] {
+            assert_eq!(config.kernel().solver, SolverKind::Dijkstra);
+            let resolved = RowSolver::resolve(&ws_wide, config.kernel());
+            assert_eq!(resolved.kind, Resolved::Dijkstra, "{:?}", config.label());
+        }
     }
 
     #[test]

@@ -36,6 +36,13 @@ fn fixtures() -> Vec<(&'static str, CsrGraph)> {
             "watts-strogatz",
             watts_strogatz(64, 4, 0.2, WEIGHTS, 33).unwrap(),
         ),
+        // Dense, unskewed, weights 1..1000: the class the default `auto`
+        // solver sends to Δ-stepping, so the default-config rows below
+        // cover that path and not only the paper's kernel.
+        (
+            "watts-strogatz-wide",
+            watts_strogatz(64, 8, 0.2, WeightSpec::Uniform { lo: 1, hi: 1000 }, 44).unwrap(),
+        ),
         ("star", star_graph(50)),
         ("path", path_graph(55, Direction::Directed)),
         ("grid", grid_graph(7, 8)),
