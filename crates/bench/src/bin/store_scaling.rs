@@ -1,7 +1,7 @@
 //! `store_scaling` — the tiered distance-matrix storage benchmark.
 //!
-//! Runs `ParAPSP` once per [`StoreSpec`] {dense, delta:16, mmap at 1/8 of
-//! the dense bytes} on a Barabási–Albert replica, each in its own
+//! Runs `ParAPSP` once per [`StoreSpec`] {dense, mmap at 1/8 of the
+//! dense bytes} on a Barabási–Albert replica, each in its own
 //! re-executed child so one backend's peak RSS (`VmHWM`) cannot mask
 //! another's. A cell records wall time, bytes/row ([`Store::stored_bytes`]
 //! over n), peak RSS, the lease telemetry that shows *why* a tier is fast
@@ -65,7 +65,7 @@ fn fnv1a(mut hash: u64, row: &[u32]) -> u64 {
 }
 
 /// FNV-1a over every row of the completed store, streamed in row order.
-/// Never materializes the dense matrix: the backend decodes one row at a
+/// Never materializes the dense matrix: the backend reads one row at a
 /// time, so the checksum is valid under a memory budget.
 fn checksum(store: &Store) -> u64 {
     let mut hash = FNV_OFFSET;
@@ -163,11 +163,7 @@ fn main() {
     // An out-of-core budget the dense matrix overflows 8×: the mmap cell
     // demonstrates completion (and bit-identity) under real pressure.
     let mmap_budget = (dense_bytes / 8).max(1 << 20);
-    let specs = [
-        "dense".to_string(),
-        "delta:16".to_string(),
-        format!("mmap:{mmap_budget}"),
-    ];
+    let specs = ["dense".to_string(), format!("mmap:{mmap_budget}")];
     println!(
         "store_scaling: n={n}, threads={threads}, dense matrix {:.1} MiB, mmap budget {:.1} MiB",
         dense_bytes as f64 / (1 << 20) as f64,

@@ -123,8 +123,6 @@ apsp options:
                              are identical under all of them)
   --store <s>                distance-matrix storage backend: dense
                              (default; one flat n² allocation) |
-                             delta[:<refs>] (landmark-delta compression
-                             against <refs> reference rows, default 16) |
                              mmap[:<budget>] (out-of-core file shards, in-
                              memory cache capped at <budget> bytes; accepts
                              k/m/g suffixes, default 64m); row engines and
@@ -1376,7 +1374,7 @@ mod tests {
         let file = sample_file();
         // Every spelling the parser accepts, on a parallel row engine, a
         // sequential one, and the dist gather.
-        for store in ["dense", "delta", "delta:4", "mmap", "mmap:64k"] {
+        for store in ["dense", "mmap", "mmap:64k"] {
             for algorithm in ["par-apsp", "seq-basic", "dist"] {
                 apsp(&args(&[
                     "apsp",
@@ -1392,18 +1390,24 @@ mod tests {
             }
         }
         // Malformed specs are rejected with the parser's explanation.
-        for bad in [
-            "ram",
-            "dense:1",
-            "delta:0",
-            "delta:wide",
-            "mmap:lots",
-            "mmap:0",
-        ] {
+        for bad in ["dense:1", "mmap:lots", "mmap:0"] {
             let err = apsp(&args(&["apsp", &file, "--store", bad]))
                 .unwrap_err()
                 .to_string();
             assert!(err.contains("--store"), "{bad}: {err}");
+        }
+        // Unknown backends, the deleted landmark-delta tier among them,
+        // list the two that remain.
+        for unknown in ["ram", "delta", "delta:4"] {
+            let err = apsp(&args(&["apsp", &file, "--store", unknown]))
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!(
+                    "--store: unknown store `{unknown}` (possible values: dense, mmap[:<budget>])"
+                )),
+                "{unknown}: {err}"
+            );
         }
         // Engines that mutate a dense matrix in place reject the flag,
         // naming the ones that route rows through a store.
@@ -1414,7 +1418,7 @@ mod tests {
                 "--algorithm",
                 algorithm,
                 "--store",
-                "delta",
+                "mmap",
             ]))
             .unwrap_err()
             .to_string();

@@ -406,11 +406,10 @@ impl RunConfig {
     }
 
     /// Selects the distance-matrix storage backend (see [`crate::store`]).
-    /// The default dense store is the bit-identity reference; the delta
-    /// and mmap tiers trade row-read cost for memory. Every backend yields
-    /// a bit-identical final matrix; backends that cannot lend `&[u32]`
-    /// rows cheaply silently disable row reuse (the kernel degrades to
-    /// plain edge relaxation, still exact).
+    /// The default dense store is the bit-identity reference; the mmap
+    /// tier trades row-read cost for memory. Every backend yields a
+    /// bit-identical final matrix, and row reuse fires on both: mmap
+    /// lends rows through pinned hot-row cache leases.
     pub fn with_store(mut self, store: StoreSpec) -> Self {
         self.store = store;
         self
@@ -1539,11 +1538,7 @@ mod tests {
         let g = barabasi_albert(N, 3, WeightSpec::Uniform { lo: 1, hi: 9 }, 5).unwrap();
         let reference = seq_basic(&g);
 
-        let stores = [
-            StoreSpec::dense(),
-            StoreSpec::delta(4),
-            StoreSpec::mmap(3 * 4 * N as u64),
-        ];
+        let stores = [StoreSpec::dense(), StoreSpec::mmap(3 * 4 * N as u64)];
         let policies = [
             ("always", FsyncPolicy::Always),
             ("commit", FsyncPolicy::Commit),

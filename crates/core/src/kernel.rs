@@ -208,10 +208,10 @@ pub trait CompletedRows {
 }
 
 /// Row reuse fires on *every* backend through [`Store::lease_row`]: dense
-/// rows are lent at zero cost, delta/mmap rows are pinned in the hot-row
-/// cache for the duration of the relaxation pass (decoding on a miss).
-/// The queue-front [`Store::prefetch_row`] hint is a hardware prefetch on
-/// dense and a no-op on the cached tiers.
+/// rows are lent at zero cost, mmap rows are pinned in the hot-row cache
+/// for the duration of the relaxation pass (read on a miss). The
+/// queue-front [`Store::prefetch_row`] hint is a hardware prefetch on
+/// dense and a no-op on mmap.
 impl CompletedRows for Store {
     type Row<'a> = RowLease<'a>;
 
@@ -493,10 +493,8 @@ mod tests {
         )
         .unwrap();
         let dense = run_all_sources(&g, KernelOptions::default());
-        for spec in [StoreSpec::delta(4), StoreSpec::mmap(1 << 20)] {
-            let got = run_all_sources_on(&g, KernelOptions::default(), &spec);
-            assert_eq!(dense.first_difference(&got), None, "{}", spec.label());
-        }
+        let got = run_all_sources_on(&g, KernelOptions::default(), &StoreSpec::mmap(1 << 20));
+        assert_eq!(dense.first_difference(&got), None);
     }
 
     #[test]
@@ -592,11 +590,7 @@ mod tests {
                 ..KernelOptions::default()
             },
         );
-        for spec in [
-            StoreSpec::dense(),
-            StoreSpec::delta(4),
-            StoreSpec::mmap(1 << 20),
-        ] {
+        for spec in [StoreSpec::dense(), StoreSpec::mmap(1 << 20)] {
             let with_reuse = run_all_sources_on(&g, KernelOptions::default(), &spec);
             assert_eq!(
                 reference.first_difference(&with_reuse),
@@ -666,43 +660,38 @@ mod tests {
     }
 
     #[test]
-    fn row_reuse_fires_on_every_backend_and_stays_exact() {
-        // The regression PR 10 closes: delta/mmap used to fall back to
-        // plain edge expansion (row_reuses == 0). Leases must now serve
-        // reuse on every backend, with the lease split accounting for
-        // every reuse.
+    fn row_reuse_fires_on_mmap_and_stays_exact() {
+        // Mmap once fell back to plain edge expansion (row_reuses == 0).
+        // Leases must serve reuse there too, with the lease split
+        // accounting for every reuse.
         let g = parapsp_graph::generate::complete_graph(12);
         let expect = run_all_sources(&g, KernelOptions::default());
-        for spec in [StoreSpec::delta(2), StoreSpec::mmap(1 << 20)] {
-            let store = Store::new(12, &spec);
-            let mut ws = Workspace::new(12);
-            let mut counters = Counters::default();
-            for s in 0..12u32 {
-                solve(
-                    &g,
-                    s,
-                    &store,
-                    &mut ws,
-                    KernelOptions::default(),
-                    &mut counters,
-                    None,
-                );
-            }
-            assert!(
-                counters.row_reuses > 0,
-                "{}: leases must win reuse back on non-lending backends",
-                spec.label()
+        let store = Store::new(12, &StoreSpec::mmap(1 << 20));
+        let mut ws = Workspace::new(12);
+        let mut counters = Counters::default();
+        for s in 0..12u32 {
+            solve(
+                &g,
+                s,
+                &store,
+                &mut ws,
+                KernelOptions::default(),
+                &mut counters,
+                None,
             );
-            assert_eq!(
-                counters.row_reuses,
-                counters.lease_hits + counters.lease_misses,
-                "{}: every reuse is a lease hit or miss",
-                spec.label()
-            );
-            assert_eq!(counters.decode_ahead_hits, 0, "{}", spec.label());
-            let got = store.into_matrix();
-            assert_eq!(expect.first_difference(&got), None, "{}", spec.label());
         }
+        assert!(
+            counters.row_reuses > 0,
+            "leases must win reuse back on mmap"
+        );
+        assert_eq!(
+            counters.row_reuses,
+            counters.lease_hits + counters.lease_misses,
+            "every reuse is a lease hit or miss"
+        );
+        assert_eq!(counters.decode_ahead_hits, 0);
+        let got = store.into_matrix();
+        assert_eq!(expect.first_difference(&got), None);
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!   the background comparisons in the paper's §2.
 //!
 //! Every engine stores its distance matrix in a [`store::Store`] — dense
-//! by default, with landmark-delta and out-of-core tiers selectable per
-//! run (see [`store`]).
+//! by default, with an out-of-core tier selectable per run (see
+//! [`store`]).
 //!
 //! # Concurrency model
 //!

@@ -93,8 +93,8 @@ impl RelaxImpl {
 /// head of the next reuse-candidate row so the line is (ideally) already
 /// in cache when [`relax_row`] starts streaming it, and the hardware
 /// prefetcher takes over from there. This is all of
-/// `Store::prefetch_row`, which is a no-op on the cached delta/mmap
-/// tiers. Compiles to nothing off x86_64, and
+/// `Store::prefetch_row`, which is a no-op on the mmap tier. Compiles to
+/// nothing off x86_64, and
 /// is always sound to issue — architecturally a prefetch performs no
 /// memory access, so even a dangling address cannot fault.
 #[inline(always)]

@@ -49,7 +49,7 @@
 //! Reuse rows are read through the kernel's shared lease → counters →
 //! [`relax_row`](crate::relax::relax_row) helper, so the trick fires
 //! identically on every store backend: dense lends the row (with a
-//! [`Store::prefetch_row`] hint for the next candidate), delta/mmap pin a
+//! [`Store::prefetch_row`] hint for the next candidate), mmap pins a
 //! hot-cache entry for the relaxation pass.
 
 use parapsp_graph::{CsrGraph, INF};
@@ -632,16 +632,13 @@ mod tests {
                     solver: kind,
                     ..KernelOptions::default()
                 };
-                for spec in [StoreSpec::delta(4), StoreSpec::mmap(1 << 20)] {
-                    let got = sweep_on(&graph, options, &spec);
-                    assert_eq!(
-                        got,
-                        reference,
-                        "{name}: solver {} on store {} diverged",
-                        kind.label(),
-                        spec.label()
-                    );
-                }
+                let got = sweep_on(&graph, options, &StoreSpec::mmap(1 << 20));
+                assert_eq!(
+                    got,
+                    reference,
+                    "{name}: solver {} on the mmap store diverged",
+                    kind.label()
+                );
             }
         }
     }

@@ -21,13 +21,13 @@ pub struct Counters {
     /// (Alg. 1 lines 6–11) — the dynamic-programming shortcut. Always
     /// `lease_hits + lease_misses`.
     pub row_reuses: u64,
-    /// Row leases served without paying a decode: dense/reference-row
-    /// lends and hot-cache hits.
+    /// Row leases served without a `pread`: dense lends and hot-cache
+    /// hits.
     pub lease_hits: u64,
-    /// Row leases that decoded (or `pread`) the row on demand.
+    /// Row leases that `pread` the row on demand.
     pub lease_misses: u64,
     /// Always 0. It counted lease hits on rows a decode-ahead thread had
-    /// loaded into the delta/mmap hot-row cache; that thread is gone (on
+    /// loaded into the mmap hot-row cache; that thread is gone (on
     /// hosts with as many cores as kernel threads it cost more CPU than
     /// the misses it saved), and the field stays so reports and benches
     /// that read it keep their schema.

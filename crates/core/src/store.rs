@@ -11,17 +11,10 @@
 //! * [`StoreKind::Dense`] — today's layout, the default and the
 //!   bit-identity reference. Published rows are lent as plain `&[u32]`
 //!   borrows at zero cost.
-//! * [`StoreKind::Delta`] — published rows are delta-encoded (zig-zag
-//!   varint) against estimates triangulated from a small set of dense
-//!   *reference rows*: the first `k` published rows. Under the hub-first
-//!   orderings the engines already use, those are exactly the landmark
-//!   hubs, so the estimates are tight and most deltas are one byte. Reads
-//!   decode through a bounded hot-row cache.
 //! * [`StoreKind::Mmap`] — rows live in fixed-size file shards under a
 //!   scratch directory, written with `pwrite` and read back with `pread`
-//!   through a byte-budgeted LRU of hot decoded rows, so exact APSP
-//!   completes on graphs whose dense matrix exceeds RAM. (The CLI spelling
-//!   is `mmap` for the classic out-of-core idiom, but the implementation
+//!   through a byte-budgeted LRU of hot rows, so exact APSP completes on
+//!   graphs whose dense matrix exceeds RAM. (The CLI spelling is `mmap` for the classic out-of-core idiom, but the implementation
 //!   deliberately uses positioned file I/O rather than `mmap(2)`: a
 //!   `MAP_SHARED` mapping of the whole matrix would count against a
 //!   virtual-memory rlimit and defeat bounded-memory runs — see
@@ -33,31 +26,28 @@
 //! row through [`Store::lease_row`], which returns a [`RowLease`] guard:
 //!
 //! * Dense lends the row directly (zero cost, no guard state).
-//! * Delta reference rows lend from the append-only reference set (the
-//!   lease holds the set's `Arc`, so a concurrent growth of the set
-//!   cannot free the generation being read).
-//! * Everything else pins an entry in the hot-row LRU: pinned entries are
-//!   **never evicted**, pinned bytes are non-reclaimable in the budget
-//!   accounting, and the lease releases the pin on drop. A budget too
+//! * Mmap pins an entry in the hot-row LRU: pinned entries are **never
+//!   evicted**, pinned bytes are non-reclaimable in the budget accounting,
+//!   and the lease releases the pin on drop. A budget too
 //!   small to hold the pinned working set fails loudly with a
 //!   self-describing error instead of thrashing, and
 //!   [`StoreSpec::validate_for`] rejects such budgets at construction.
 //!
 //! This is how the paper's row-reuse optimization fires identically on
-//! all three backends (DESIGN.md §14). A cache miss loads the row in the
+//! both backends (DESIGN.md §14). A cache miss reads the row in the
 //! leasing thread, into a row buffer an earlier eviction freed, so a full
 //! cache serves misses without touching the allocator.
 //! [`Store::prefetch_row`] is a hardware prefetch on dense and a no-op on
-//! the cached tiers: a helper thread loading rows ahead would take CPU
-//! from the kernel threads on hosts with as many cores as kernel threads
-//! (DESIGN.md §14 has the measurement).
+//! mmap: a helper thread loading rows ahead would take CPU from the kernel
+//! threads on hosts with as many cores as kernel threads (DESIGN.md §14
+//! has the measurement).
 //!
 //! # Publication memory ordering
 //!
 //! Every backend keeps the dense protocol's guarantee: the bytes of row
-//! `s` — cells, encoded payload, or shard file write — are fully written
-//! *before* `flag[s]` is stored with `Release`, and every reader checks
-//! the flag with `Acquire` first. A reader that observes the flag
+//! `s` — matrix cells or shard file write — are fully written *before*
+//! `flag[s]` is stored with `Release`, and every reader checks the flag
+//! with `Acquire` first. A reader that observes the flag
 //! therefore observes a complete, final row, regardless of backend.
 //! Leases only ever read rows past that handshake, so a lease always
 //! views complete, final bytes.
@@ -66,7 +56,6 @@
 //! rows in ordinary `&mut [u32]` scratch either way, and the backends only
 //! decide where the published bytes live.
 
-use std::cell::UnsafeCell;
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::marker::PhantomData;
@@ -74,7 +63,7 @@ use std::ops::Deref;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use parapsp_graph::INF;
 use parapsp_parfor::spec;
@@ -93,11 +82,8 @@ pub enum StoreKind {
     /// bit-identity reference; lends rows at zero cost).
     #[default]
     Dense,
-    /// Rows delta-encoded against reference-row estimates, decoded through
-    /// a bounded hot-row cache.
-    Delta,
     /// Rows in fixed-size file shards with a byte-budgeted LRU of hot
-    /// decoded rows (out-of-core).
+    /// rows (out-of-core).
     Mmap,
 }
 
@@ -106,44 +92,33 @@ impl StoreKind {
     pub fn name(self) -> &'static str {
         match self {
             StoreKind::Dense => "dense",
-            StoreKind::Delta => "delta",
             StoreKind::Mmap => "mmap",
         }
     }
 }
 
-/// Default number of dense reference rows for the delta backend.
-const DEFAULT_DELTA_REFS: usize = 16;
-/// Hard cap on reference rows (the encoding's count byte reserves 0xFF).
-const MAX_DELTA_REFS: usize = 254;
-/// Default hot-row cache budget for the delta backend.
-const DEFAULT_DELTA_CACHE: u64 = 32 << 20;
 /// Default hot-row cache budget for the mmap backend.
 const DEFAULT_MMAP_CACHE: u64 = 64 << 20;
 /// Target size of one mmap shard file.
 const SHARD_BYTES: u64 = 64 << 20;
-/// Slot marker for a delta row that *is* a reference row (stored dense in
-/// the reference set; the slot holds only this byte).
-const REF_MARKER: u8 = 0xFF;
-/// Minimum decoded rows a hot-row cache budget must hold: one row pinned
-/// by a live lease plus one incoming decode. Budgets below this would
-/// make the pin-aware eviction thrash or fail, so construction rejects
-/// them ([`StoreSpec::validate_for`]).
+/// Minimum rows a hot-row cache budget must hold: one row pinned by a
+/// live lease plus one incoming read. Budgets below this would make the
+/// pin-aware eviction thrash or fail, so construction rejects them
+/// ([`StoreSpec::validate_for`]).
 const MIN_CACHE_ROWS: u64 = 2;
 /// Evicted row buffers a hot-row cache keeps for the next misses to load
 /// into — one per concurrently missing kernel thread on small hosts;
 /// buffers evicted past this are freed.
 const SPARE_ROWS: usize = 4;
 
-/// A parsed `--store` specification: backend plus its tuning parameter.
+/// A parsed `--store` specification: backend plus its hot-row cache
+/// budget.
 ///
-/// CLI spellings: `dense`, `delta`, `delta:<refs>`, `mmap`,
-/// `mmap:<budget>` where `<budget>` accepts `k`/`m`/`g` suffixes (the
-/// hot-row cache budget in bytes).
+/// CLI spellings: `dense`, `mmap`, `mmap:<budget>` where `<budget>`
+/// accepts `k`/`m`/`g` suffixes (the hot-row cache budget in bytes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreSpec {
     kind: StoreKind,
-    refs: usize,
     cache_bytes: u64,
 }
 
@@ -155,24 +130,13 @@ impl Default for StoreSpec {
 
 impl StoreSpec {
     /// Every CLI spelling, for self-describing rejection messages.
-    pub const POSSIBLE: &'static [&'static str] = &["dense", "delta[:<refs>]", "mmap[:<budget>]"];
+    pub const POSSIBLE: &'static [&'static str] = &["dense", "mmap[:<budget>]"];
 
     /// The dense in-memory backend (the default).
     pub fn dense() -> StoreSpec {
         StoreSpec {
             kind: StoreKind::Dense,
-            refs: 0,
             cache_bytes: 0,
-        }
-    }
-
-    /// The delta backend with `refs` dense reference rows (clamped to a
-    /// minimum of 1 and an encoding-imposed maximum of 254).
-    pub fn delta(refs: usize) -> StoreSpec {
-        StoreSpec {
-            kind: StoreKind::Delta,
-            refs: refs.clamp(1, MAX_DELTA_REFS),
-            cache_bytes: DEFAULT_DELTA_CACHE,
         }
     }
 
@@ -181,7 +145,6 @@ impl StoreSpec {
     pub fn mmap(cache_bytes: u64) -> StoreSpec {
         StoreSpec {
             kind: StoreKind::Mmap,
-            refs: 0,
             cache_bytes: cache_bytes.max(1),
         }
     }
@@ -192,18 +155,17 @@ impl StoreSpec {
     }
 
     /// Stable label round-tripping through [`StoreSpec::parse`]:
-    /// `dense`, `delta:<refs>`, `mmap:<bytes>`.
+    /// `dense`, `mmap:<bytes>`.
     pub fn label(&self) -> String {
         match self.kind {
             StoreKind::Dense => "dense".to_owned(),
-            StoreKind::Delta => format!("delta:{}", self.refs),
             StoreKind::Mmap => format!("mmap:{}", self.cache_bytes),
         }
     }
 
     /// Checks that the hot-row cache budget can hold the lease working
-    /// set at matrix size `n`: at least `MIN_CACHE_ROWS` decoded rows
-    /// (one pinned by a live [`RowLease`] plus one incoming decode).
+    /// set at matrix size `n`: at least `MIN_CACHE_ROWS` rows (one
+    /// pinned by a live [`RowLease`] plus one incoming read).
     /// Rejecting this up front turns what would otherwise be mid-run
     /// thrash or a mid-run panic into a self-describing build error that
     /// names the minimum budget.
@@ -215,7 +177,7 @@ impl StoreSpec {
         let min = MIN_CACHE_ROWS * row_bytes;
         if self.cache_bytes < min {
             return Err(format!(
-                "store: `{}` hot-row cache budget of {} bytes cannot hold one decoded \
+                "store: `{}` hot-row cache budget of {} bytes cannot hold one \
                  {row_bytes}-byte row plus the pinned lease working set at n={n}; \
                  the minimum is {min} bytes (try `--store mmap:{min}`)",
                 self.label(),
@@ -232,13 +194,6 @@ impl StoreSpec {
         match name {
             "dense" if param.is_some() => Err(spec::reject_param("store", "dense")),
             "dense" => Ok(StoreSpec::dense()),
-            "delta" => match param {
-                None => Ok(StoreSpec::delta(DEFAULT_DELTA_REFS)),
-                Some(p) => {
-                    let refs = spec::parse_positive_param("store", "delta", Some(p))?;
-                    Ok(StoreSpec::delta(refs))
-                }
-            },
             "mmap" => match param {
                 None => Ok(StoreSpec::mmap(DEFAULT_MMAP_CACHE)),
                 Some(p) => Ok(StoreSpec::mmap(parse_budget(p)?)),
@@ -285,18 +240,17 @@ fn parse_budget(raw: &str) -> Result<u64, String> {
 /// this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeaseOrigin {
-    /// Lent directly from backend-resident bytes at zero cost: a dense
-    /// row, or a delta reference row.
+    /// Lent directly from the dense matrix at zero cost.
     Lent,
-    /// Served from an already-decoded entry in the hot-row cache.
+    /// Served from an entry already in the hot-row cache.
     CacheHit,
-    /// Decoded on demand (the lease paid the full decode / pread).
+    /// Read on demand (the lease paid the full `pread`).
     CacheMiss,
 }
 
 /// A borrowed `&[u32]` view of one published row (via `Deref`).
 ///
-/// On the dense backend this is a plain borrow. On delta/mmap it holds a
+/// On the dense backend this is a plain borrow. On mmap it holds a
 /// pin on the row's hot-cache entry: pinned entries are never evicted and
 /// their bytes are non-reclaimable in the budget accounting, so the view
 /// stays valid for the lease's whole lifetime even while other threads
@@ -313,9 +267,6 @@ pub struct RowLease<'a> {
 enum LeaseBacking<'a> {
     /// Backend-resident bytes borrowed for `'a` (dense rows).
     Borrowed(PhantomData<&'a [u32]>),
-    /// A delta reference row: the `Arc` keeps the reference-set
-    /// generation alive even if the set grows concurrently.
-    Refs(#[allow(dead_code)] Arc<Vec<RefRow>>),
     /// A pinned hot-cache entry; dropping unpins it.
     Pinned {
         cache: &'a Mutex<RowCache>,
@@ -347,8 +298,8 @@ impl Deref for RowLease<'_> {
     fn deref(&self) -> &[u32] {
         // SAFETY: `ptr`/`len` name a fully published row whose bytes are
         // immutable after publication; `backing` keeps the allocation
-        // alive (borrow lifetime, Arc on the reference set, or a cache
-        // pin that blocks eviction) for as long as `self` exists.
+        // alive (borrow lifetime, or a cache pin that blocks eviction)
+        // for as long as `self` exists.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
@@ -396,7 +347,6 @@ impl std::fmt::Debug for Store {
 
 enum Inner {
     Dense(SharedDistState),
-    Delta(DeltaStore),
     Mmap(MmapStore),
 }
 
@@ -404,21 +354,16 @@ impl Store {
     /// Allocates an empty store for an `n`-vertex matrix, panicking with
     /// the [`StoreSpec::validate_for`] message when the hot-row cache
     /// budget cannot hold the lease working set. Callers that want a
-    /// clean error use [`Store::try_new`].
+    /// clean error call [`StoreSpec::validate_for`] first.
     pub fn new(n: usize, spec: &StoreSpec) -> Store {
-        Store::try_new(n, spec).unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Allocates an empty store, rejecting budgets below the minimum the
-    /// lease layer needs (see [`StoreSpec::validate_for`]).
-    pub fn try_new(n: usize, spec: &StoreSpec) -> Result<Store, String> {
-        spec.validate_for(n)?;
+        if let Err(err) = spec.validate_for(n) {
+            panic!("{err}");
+        }
         let inner = match spec.kind {
             StoreKind::Dense => Inner::Dense(SharedDistState::new(n)),
-            StoreKind::Delta => Inner::Delta(DeltaStore::new(n, spec.refs, spec.cache_bytes)),
             StoreKind::Mmap => Inner::Mmap(MmapStore::new(n, spec.cache_bytes)),
         };
-        Ok(Store { inner })
+        Store { inner }
     }
 
     /// Builds the store from a partially computed matrix (resume): rows
@@ -429,7 +374,7 @@ impl Store {
             StoreKind::Dense => Store {
                 inner: Inner::Dense(SharedDistState::from_parts(dist, completed)),
             },
-            _ => {
+            StoreKind::Mmap => {
                 let store = Store::new(dist.n(), spec);
                 for (s, &done) in completed.iter().enumerate() {
                     if done {
@@ -445,7 +390,6 @@ impl Store {
     pub fn kind(&self) -> StoreKind {
         match &self.inner {
             Inner::Dense(_) => StoreKind::Dense,
-            Inner::Delta(_) => StoreKind::Delta,
             Inner::Mmap(_) => StoreKind::Mmap,
         }
     }
@@ -455,7 +399,6 @@ impl Store {
     pub fn n(&self) -> usize {
         match &self.inner {
             Inner::Dense(state) => state.n(),
-            Inner::Delta(store) => store.n,
             Inner::Mmap(store) => store.n,
         }
     }
@@ -475,7 +418,7 @@ impl Store {
         match &self.inner {
             // SAFETY: forwarded caller contract.
             Inner::Dense(state) => Some(unsafe { state.row_mut(s) }),
-            _ => None,
+            Inner::Mmap(_) => None,
         }
     }
 
@@ -485,12 +428,12 @@ impl Store {
     pub fn publish(&self, s: u32) {
         match &self.inner {
             Inner::Dense(state) => state.publish(s),
-            _ => unreachable!("publish() without try_row_mut(); use publish_from"),
+            Inner::Mmap(_) => unreachable!("publish() without try_row_mut(); use publish_from"),
         }
     }
 
-    /// Publishes row `s` from caller-owned scratch: the backend copies /
-    /// encodes / writes the bytes, then stores the publication flag with
+    /// Publishes row `s` from caller-owned scratch: the backend copies or
+    /// writes the bytes, then stores the publication flag with
     /// `Release`. The caller must own row `s` (never published before).
     pub fn publish_from(&self, s: u32, row: &[u32]) {
         debug_assert_eq!(row.len(), self.n(), "row length mismatch");
@@ -501,15 +444,14 @@ impl Store {
                 unsafe { state.row_mut(s).copy_from_slice(row) };
                 state.publish(s);
             }
-            Inner::Delta(store) => store.publish_from(s, row),
             Inner::Mmap(store) => store.publish_from(s, row),
         }
     }
 
     /// Lends published row `t` as a [`RowLease`] on *every* backend:
-    /// a zero-cost borrow on dense and delta reference rows, a pinned
-    /// hot-cache entry (decoding on miss) on delta/mmap. `None` when `t`
-    /// is unpublished. This is the kernel's row-reuse read path.
+    /// a zero-cost borrow on dense, a pinned hot-cache entry (read on
+    /// miss) on mmap. `None` when `t` is unpublished. This is the
+    /// kernel's row-reuse read path.
     #[inline]
     pub fn lease_row(&self, t: u32) -> Option<RowLease<'_>> {
         match &self.inner {
@@ -519,7 +461,6 @@ impl Store {
                 origin: LeaseOrigin::Lent,
                 backing: LeaseBacking::Borrowed(PhantomData),
             }),
-            Inner::Delta(store) => store.lease_row(t),
             Inner::Mmap(store) => store.lease_row(t),
         }
     }
@@ -531,13 +472,13 @@ impl Store {
     pub fn published_row(&self, t: u32) -> Option<&[u32]> {
         match &self.inner {
             Inner::Dense(state) => state.published_row(t),
-            _ => None,
+            Inner::Mmap(_) => None,
         }
     }
 
     /// Look-ahead hint for row `t`: a hardware prefetch of the row's
-    /// first cache lines on dense, a no-op on delta/mmap (a miss there
-    /// loads the row when it is leased). Safe to call speculatively, on
+    /// first cache lines on dense, a no-op on mmap (a miss there reads
+    /// the row when it is leased). Safe to call speculatively, on
     /// published and unpublished rows alike.
     #[inline]
     pub fn prefetch_row(&self, t: u32) {
@@ -551,7 +492,6 @@ impl Store {
     pub fn is_published(&self, s: u32) -> bool {
         match &self.inner {
             Inner::Dense(state) => state.published_row(s).is_some(),
-            Inner::Delta(store) => store.flags[s as usize].load(Ordering::Acquire),
             Inner::Mmap(store) => store.flags[s as usize].load(Ordering::Acquire),
         }
     }
@@ -560,17 +500,19 @@ impl Store {
     pub fn published_count(&self) -> usize {
         match &self.inner {
             Inner::Dense(state) => state.published_count(),
-            Inner::Delta(store) => count_flags(&store.flags),
-            Inner::Mmap(store) => count_flags(&store.flags),
+            Inner::Mmap(store) => store
+                .flags
+                .iter()
+                .filter(|f| f.load(Ordering::Relaxed))
+                .count(),
         }
     }
 
     /// Runs `f` over published row `s` (leasing through the hot-row
-    /// cache on non-lending backends); `None` when `s` is unpublished.
+    /// cache on mmap); `None` when `s` is unpublished.
     pub fn with_row<R>(&self, s: u32, f: impl FnOnce(&[u32]) -> R) -> Option<R> {
         match &self.inner {
             Inner::Dense(state) => state.published_row(s).map(f),
-            Inner::Delta(store) => store.lease_row(s).map(|lease| f(&lease)),
             Inner::Mmap(store) => store.lease_row(s).map(|lease| f(&lease)),
         }
     }
@@ -589,16 +531,14 @@ impl Store {
                 }
                 None => false,
             },
-            Inner::Delta(store) => store.read_row_into(s, out),
             Inner::Mmap(store) => store.read_row_into(s, out),
         }
     }
 
     /// Visits the published rows among `sources`, `(source, row)` at a
     /// time, skipping unpublished ones: the between-batch readback behind
-    /// the row engines' `visit_rows`. Dense lends each row in place; the
-    /// cached tiers copy it into one buffer through
-    /// [`Store::read_row_into`], never through the hot-row cache — a
+    /// the row engines' `visit_rows`. Dense lends each row in place; mmap
+    /// preads it into one buffer, never through the hot-row cache — a
     /// readback lease would take the cache lock and evict the hub rows
     /// the kernel's reuse depends on.
     pub fn visit_published(
@@ -606,19 +546,22 @@ impl Store {
         sources: impl IntoIterator<Item = u32>,
         visit: &mut dyn FnMut(u32, &[u32]),
     ) {
-        if let Inner::Dense(state) = &self.inner {
-            for s in sources {
-                if let Some(row) = state.published_row(s) {
-                    visit(s, row);
+        match &self.inner {
+            Inner::Dense(state) => {
+                for s in sources {
+                    if let Some(row) = state.published_row(s) {
+                        visit(s, row);
+                    }
                 }
             }
-            return;
-        }
-        let mut buf = Vec::new();
-        for s in sources {
-            buf.resize(self.n(), 0);
-            if self.read_row_into(s, &mut buf) {
-                visit(s, &buf);
+            Inner::Mmap(store) => {
+                let mut buf = Vec::new();
+                for s in sources {
+                    buf.resize(store.n, 0);
+                    if store.read_row_into(s, &mut buf) {
+                        visit(s, &buf);
+                    }
+                }
             }
         }
     }
@@ -628,62 +571,40 @@ impl Store {
     pub fn snapshot(&self) -> (DistanceMatrix, Vec<bool>) {
         match &self.inner {
             Inner::Dense(state) => state.snapshot(),
-            _ => self.read_all_rows(),
+            Inner::Mmap(store) => store.read_all_rows(),
         }
     }
 
     /// Consumes the store, yielding the final dense matrix (zero-copy for
-    /// the dense backend; a decode pass otherwise, after the hot-row
-    /// cache is freed). Unpublished rows come out infinite.
+    /// the dense backend; a read pass on mmap, after the hot-row cache is
+    /// freed). Unpublished rows come out infinite.
     pub fn into_matrix(self) -> DistanceMatrix {
         match self.inner {
             Inner::Dense(state) => state.into_matrix(),
-            inner => Store { inner }.into_parts().0,
+            Inner::Mmap(_) => self.into_parts().0,
         }
     }
 
     /// Consumes the store, yielding the matrix plus completion flags —
     /// the zero-copy teardown behind `Engine::into_snapshot` (no O(n²)
-    /// clone on the dense backend). The cached tiers free their hot-row
-    /// cache before they allocate the matrix, so the two are never
-    /// resident together.
-    pub fn into_parts(mut self) -> (DistanceMatrix, Vec<bool>) {
-        match &mut self.inner {
-            Inner::Dense(_) => {}
-            Inner::Delta(store) => store.cache.get_mut().expect("cache mutex").clear(),
-            Inner::Mmap(store) => store.cache.get_mut().expect("cache mutex").clear(),
-        }
+    /// clone on the dense backend). Mmap frees its hot-row cache before
+    /// it allocates the matrix, so the two are never resident together.
+    pub fn into_parts(self) -> (DistanceMatrix, Vec<bool>) {
         match self.inner {
             Inner::Dense(state) => state.into_parts(),
-            _ => self.read_all_rows(),
-        }
-    }
-
-    /// Reads every row of a cached-tier store into a new matrix. The
-    /// matrix is allocated zeroed ([`matrix_cells`] with fill 0 writes
-    /// nothing) and each page is written once: by the published row read
-    /// into it, or by the `INF` fill of an unpublished row.
-    fn read_all_rows(&self) -> (DistanceMatrix, Vec<bool>) {
-        let n = self.n();
-        let mut data = matrix_cells(n, n, 0);
-        let mut completed = vec![false; n];
-        for (s, row) in data.chunks_exact_mut(n.max(1)).enumerate() {
-            completed[s] = self.read_row_into(s as u32, row);
-            if !completed[s] {
-                row.fill(INF);
+            Inner::Mmap(mut store) => {
+                store.cache.get_mut().expect("cache mutex").clear();
+                store.read_all_rows()
             }
         }
-        (DistanceMatrix::from_raw(n, data), completed)
     }
 
     /// Bytes of published-row payload this store holds: resident matrix
-    /// bytes (dense), encoded bytes (delta), or shard-file bytes (mmap —
-    /// on disk, not resident). The `store_scaling` bench derives
-    /// bytes/row from this.
+    /// bytes (dense) or shard-file bytes (mmap — on disk, not resident).
+    /// The `store_scaling` bench derives bytes/row from this.
     pub fn stored_bytes(&self) -> u64 {
         match &self.inner {
             Inner::Dense(state) => 4 * (state.n() as u64) * (state.n() as u64),
-            Inner::Delta(store) => store.bytes.load(Ordering::Relaxed),
             Inner::Mmap(store) => store.bytes.load(Ordering::Relaxed),
         }
     }
@@ -694,14 +615,13 @@ impl Store {
     pub fn pinned_bytes_peak(&self) -> u64 {
         match &self.inner {
             Inner::Dense(_) => 0,
-            Inner::Delta(store) => pinned_peak(&store.cache),
-            Inner::Mmap(store) => pinned_peak(&store.cache),
+            Inner::Mmap(store) => store
+                .cache
+                .lock()
+                .map(|cache| cache.pinned_bytes_peak)
+                .unwrap_or(0),
         }
     }
-}
-
-fn count_flags(flags: &[AtomicBool]) -> usize {
-    flags.iter().filter(|f| f.load(Ordering::Relaxed)).count()
 }
 
 // ---------------------------------------------------------------------------
@@ -753,11 +673,10 @@ impl RowSource for Store {
                     }
                 }
             }
-            _ => {
-                let n = Store::n(self);
-                let mut buf = vec![INF; n];
-                for s in 0..n as u32 {
-                    if !self.read_row_into(s, &mut buf) {
+            Inner::Mmap(store) => {
+                let mut buf = vec![INF; store.n];
+                for s in 0..store.n as u32 {
+                    if !store.read_row_into(s, &mut buf) {
                         buf.fill(INF);
                     }
                     visit(s, &buf);
@@ -768,10 +687,10 @@ impl RowSource for Store {
 }
 
 // ---------------------------------------------------------------------------
-// Hot-row LRU cache (shared by the delta and mmap backends)
+// Hot-row LRU cache of the mmap backend
 // ---------------------------------------------------------------------------
 
-/// One decoded row resident in the cache.
+/// One row resident in the cache.
 struct CacheEntry {
     data: Box<[u32]>,
     /// Live [`RowLease`]s pointing into `data`. While nonzero the entry
@@ -785,7 +704,7 @@ struct CacheEntry {
     last_used: u64,
 }
 
-/// A byte-budgeted LRU of decoded rows with pin-counted entries.
+/// A byte-budgeted LRU of rows with pin-counted entries.
 ///
 /// Pinned entries (rows under a live [`RowLease`]) are never evicted;
 /// their bytes are non-reclaimable, so a budget that cannot hold the
@@ -793,8 +712,6 @@ struct CacheEntry {
 /// self-describingly rather than thrashing. [`StoreSpec::validate_for`]
 /// keeps well-formed runs away from that failure.
 struct RowCache {
-    /// Backend name for error messages.
-    label: &'static str,
     budget: u64,
     bytes: u64,
     pinned_bytes: u64,
@@ -804,8 +721,8 @@ struct RowCache {
     /// only bumps `CacheEntry::last_used` (O(1)); the eviction sweep
     /// re-queues entries whose stamp is stale instead of the touch path
     /// re-ordering the queue — an exact scan-and-remove per touch cost
-    /// O(resident rows) per cache *hit* and dominated the delta
-    /// backend's lease path. Invariant: one queue slot per resident row.
+    /// O(resident rows) per cache *hit* and dominated the lease path.
+    /// Invariant: one queue slot per resident row.
     order: VecDeque<(u32, u64)>,
     /// Monotonic recency clock for `CacheEntry::last_used`.
     tick: u64,
@@ -815,9 +732,8 @@ struct RowCache {
 }
 
 impl RowCache {
-    fn new(label: &'static str, budget: u64) -> RowCache {
+    fn new(budget: u64) -> RowCache {
         RowCache {
-            label,
             budget,
             bytes: 0,
             pinned_bytes: 0,
@@ -873,7 +789,7 @@ impl RowCache {
         }
     }
 
-    /// Inserts a decoded row, evicting least-recently-used *unpinned*
+    /// Inserts a row, evicting least-recently-used *unpinned*
     /// entries (other than the new one) until the budget holds; evicted
     /// buffers are recycled. If the pinned working set leaves no room even
     /// after evicting everything evictable, panics with a message naming
@@ -933,345 +849,14 @@ impl RowCache {
             let live: usize = self.map.values().filter(|e| e.pins > 0).count();
             let min = self.pinned_bytes + incoming;
             panic!(
-                "{} hot-row cache budget of {} bytes cannot hold the pinned lease \
+                "mmap hot-row cache budget of {} bytes cannot hold the pinned lease \
                  working set: {} bytes pinned by {live} live row lease(s) plus a \
-                 {incoming}-byte decoded row; raise the budget to at least {min} \
-                 bytes (`--store {}:{min}`)",
-                self.label, self.budget, self.pinned_bytes, self.label,
+                 {incoming}-byte row; raise the budget to at least {min} bytes \
+                 (`--store mmap:{min}`)",
+                self.budget, self.pinned_bytes,
             );
         }
     }
-}
-
-/// High-water mark of the bytes `cache` has had pinned.
-fn pinned_peak(cache: &Mutex<RowCache>) -> u64 {
-    cache
-        .lock()
-        .map(|cache| cache.pinned_bytes_peak)
-        .unwrap_or(0)
-}
-
-/// The pinned-lease path shared by delta and mmap: pin a cached entry,
-/// or materialize the row with `load`, insert, and pin. The
-/// just-inserted/pinned entry cannot be evicted or replaced while the
-/// lease lives, so the returned raw pointer stays valid (`Box` heap data
-/// does not move when the map rehashes).
-///
-/// `load` must overwrite every cell of the slice it is given: on a full
-/// cache that slice is an evicted row's recycled buffer, still holding
-/// the old row's distances.
-fn pin_or_decode<'a>(
-    cache: &'a Mutex<RowCache>,
-    s: u32,
-    n: usize,
-    load: impl FnOnce(&mut [u32]),
-) -> Option<RowLease<'a>> {
-    let lease = |(ptr, len), origin| RowLease {
-        ptr,
-        len,
-        origin,
-        backing: LeaseBacking::Pinned { cache, row: s },
-    };
-    let mut guard = cache.lock().expect("cache mutex");
-    if let Some(pinned) = guard.pin(s) {
-        return Some(lease(pinned, LeaseOrigin::CacheHit));
-    }
-    let recycled = guard.spare.pop();
-    drop(guard);
-    // Miss: materialize outside the lock so concurrent leases of other
-    // rows keep moving. If someone else inserted `s` meanwhile, `insert`
-    // keeps their entry and recycles ours — `pin` then serves whichever
-    // buffer is resident.
-    let mut row = recycled.unwrap_or_else(|| vec![0; n].into_boxed_slice());
-    load(&mut row);
-    let mut guard = cache.lock().expect("cache mutex");
-    guard.insert(s, row);
-    let pinned = guard.pin(s).expect("row just inserted");
-    Some(lease(pinned, LeaseOrigin::CacheMiss))
-}
-
-// ---------------------------------------------------------------------------
-// DeltaStore
-// ---------------------------------------------------------------------------
-
-/// One dense reference row of the delta backend.
-#[derive(Clone)]
-struct RefRow {
-    id: u32,
-    data: Box<[u32]>,
-}
-
-/// One row's encoded payload: written exactly once by the row's owner
-/// before publication, immutable afterwards.
-type EncodedSlot = UnsafeCell<Option<Box<[u8]>>>;
-
-/// Rows delta-encoded against reference-row estimates.
-///
-/// Encoding of a non-reference row `s` (little-endian):
-///
-/// ```text
-/// count: u8                       — reference rows used (< 0xFF)
-/// count × (id: u32, d_s_ref: u32) — the ref ids and d(s, ref), verbatim
-/// n × varint(zigzag(d(s,v) − est(v)))
-/// ```
-///
-/// where `est(v) = min over refs r of d(s,r) ⊕ refrow_r[v]` (saturating;
-/// `INF` participates as a plain `u32::MAX`). Recording `d(s, ref)` in
-/// the header makes every row self-contained: decode needs only the
-/// (append-only, never evicted) reference-row set, in any order. The
-/// first `max_refs` published rows become the reference set — under the
-/// hub-first source orderings the engines use, those are the highest-
-/// degree hubs, the same vertices landmark triangulation would pick.
-struct DeltaStore {
-    n: usize,
-    max_refs: usize,
-    /// Append-only reference set; publishers briefly lock to clone the
-    /// `Arc` (and to append while below `max_refs`), then encode outside
-    /// the lock. Growth swaps in a *new* `Arc`, so readers (and leases)
-    /// holding the old generation stay valid.
-    refs: Mutex<Arc<Vec<RefRow>>>,
-    /// Per-row encoded payload. Single writer per slot, readers only
-    /// after the `Acquire` flag handshake.
-    slots: Box<[EncodedSlot]>,
-    flags: Box<[AtomicBool]>,
-    cache: Mutex<RowCache>,
-    bytes: AtomicU64,
-}
-
-// SAFETY: each slot is written exactly once, by the unique owner of its
-// row, strictly before the `Release` store of its flag; readers load the
-// flag with `Acquire` first. Reference rows are guarded by the mutex and
-// immutable once inserted (behind `Arc`).
-unsafe impl Sync for DeltaStore {}
-
-impl DeltaStore {
-    fn new(n: usize, max_refs: usize, cache_bytes: u64) -> DeltaStore {
-        DeltaStore {
-            n,
-            max_refs: max_refs.clamp(1, MAX_DELTA_REFS),
-            refs: Mutex::new(Arc::new(Vec::new())),
-            slots: (0..n).map(|_| UnsafeCell::new(None)).collect(),
-            flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            cache: Mutex::new(RowCache::new("delta", cache_bytes)),
-            bytes: AtomicU64::new(0),
-        }
-    }
-
-    fn publish_from(&self, s: u32, row: &[u32]) {
-        debug_assert!(
-            !self.flags[s as usize].load(Ordering::Relaxed),
-            "row {s} published twice"
-        );
-        // Join the reference set while it is still growing; either way,
-        // come away with the set to encode against.
-        let (refs, is_ref) = {
-            let mut guard = self.refs.lock().expect("refs mutex");
-            if guard.len() < self.max_refs {
-                let mut grown: Vec<RefRow> = (**guard).clone();
-                grown.push(RefRow {
-                    id: s,
-                    data: row.into(),
-                });
-                *guard = Arc::new(grown);
-                (Arc::clone(&guard), true)
-            } else {
-                (Arc::clone(&guard), false)
-            }
-        };
-        let enc: Box<[u8]> = if is_ref {
-            Box::new([REF_MARKER])
-        } else {
-            encode_delta_row(row, &refs)
-        };
-        self.bytes.fetch_add(enc.len() as u64, Ordering::Relaxed);
-        // SAFETY: unique owner of slot `s`, before publication.
-        unsafe { *self.slots[s as usize].get() = Some(enc) };
-        self.flags[s as usize].store(true, Ordering::Release);
-    }
-
-    /// The encoded payload of a published row. Caller must have observed
-    /// the `Acquire` flag.
-    fn payload(&self, s: u32) -> &[u8] {
-        // SAFETY: the Acquire load in the caller synchronized with the
-        // owner's Release store; the slot is never written again.
-        unsafe { (*self.slots[s as usize].get()).as_deref() }.expect("published row has a payload")
-    }
-
-    /// Decodes published row `s` into `out`, overwriting every cell.
-    /// Caller must have observed the `Acquire` flag.
-    fn decode_into(&self, s: u32, out: &mut [u32]) {
-        // The refs guard is released at the end of this statement — it
-        // is never held while the cache lock is taken (no lock cycle).
-        let refs = Arc::clone(&self.refs.lock().expect("refs mutex"));
-        decode_delta_row(self.payload(s), s, &refs, out);
-    }
-
-    fn read_row_into(&self, s: u32, out: &mut [u32]) -> bool {
-        if !self.flags[s as usize].load(Ordering::Acquire) {
-            return false;
-        }
-        self.decode_into(s, out);
-        true
-    }
-
-    fn lease_row(&self, s: u32) -> Option<RowLease<'_>> {
-        if !self.flags[s as usize].load(Ordering::Acquire) {
-            return None;
-        }
-        // Reference rows lend zero-copy out of the append-only set; the
-        // lease's Arc keeps this generation alive across growth.
-        if self.payload(s)[0] == REF_MARKER {
-            let refs = Arc::clone(&self.refs.lock().expect("refs mutex"));
-            let row = refs
-                .iter()
-                .find(|r| r.id == s)
-                .expect("marker row present in the reference set");
-            let (ptr, len) = (row.data.as_ptr(), row.data.len());
-            return Some(RowLease {
-                ptr,
-                len,
-                origin: LeaseOrigin::Lent,
-                backing: LeaseBacking::Refs(refs),
-            });
-        }
-        pin_or_decode(&self.cache, s, self.n, |out| self.decode_into(s, out))
-    }
-}
-
-/// Zig-zag encoding: small magnitudes (either sign) become small codes.
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
-fn write_varint(buf: &mut Vec<u8>, mut z: u64) {
-    loop {
-        let byte = (z & 0x7F) as u8;
-        z >>= 7;
-        if z == 0 {
-            buf.push(byte);
-            break;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
-    let mut z = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = bytes[*pos];
-        *pos += 1;
-        z |= ((b & 0x7F) as u64) << shift;
-        if b & 0x80 == 0 {
-            return z;
-        }
-        shift += 7;
-    }
-}
-
-/// How many reference rows one encoded row *names*. Encode and decode
-/// both cost O(n × named refs) per row — naming the whole `delta:K` set
-/// made the row round trip scale with K (the dominant cost of the delta
-/// backend at K = 16). A handful of well-chosen refs captures nearly all
-/// of the triangulation win, and the header names refs explicitly, so
-/// decode needs no change and old payloads stay readable.
-const MAX_REFS_PER_ROW: usize = 4;
-/// Cells sampled per candidate ref when scoring which refs to name.
-const REF_SCORE_SAMPLES: usize = 64;
-
-/// Picks the refs this row encodes against: the `MAX_REFS_PER_ROW`
-/// candidates with the smallest summed |delta| over a strided sample of
-/// cells (each scored independently — cheap, and close enough to the
-/// combined-min objective in practice).
-fn choose_refs<'a>(row: &[u32], refs: &'a [RefRow]) -> Vec<&'a RefRow> {
-    if refs.len() <= MAX_REFS_PER_ROW {
-        return refs.iter().collect();
-    }
-    let step = (row.len() / REF_SCORE_SAMPLES).max(1);
-    let mut scored: Vec<(u64, usize)> = refs
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let d = row[r.id as usize];
-            let mut score = 0u64;
-            let mut v = 0;
-            while v < row.len() {
-                let est = d.saturating_add(r.data[v]);
-                score += (row[v] as i64 - est as i64).unsigned_abs();
-                v += step;
-            }
-            (score, i)
-        })
-        .collect();
-    scored.sort_unstable();
-    scored.truncate(MAX_REFS_PER_ROW);
-    // Header order is immaterial to decode; keep the score order.
-    scored.iter().map(|&(_, i)| &refs[i]).collect()
-}
-
-fn encode_delta_row(row: &[u32], refs: &[RefRow]) -> Box<[u8]> {
-    debug_assert!(refs.len() < REF_MARKER as usize);
-    let chosen = choose_refs(row, refs);
-    let mut buf = Vec::with_capacity(1 + chosen.len() * 8 + row.len());
-    buf.push(chosen.len() as u8);
-    let mut d_ref: Vec<u32> = Vec::with_capacity(chosen.len());
-    for r in &chosen {
-        let d = row[r.id as usize];
-        buf.extend_from_slice(&r.id.to_le_bytes());
-        buf.extend_from_slice(&d.to_le_bytes());
-        d_ref.push(d);
-    }
-    for (v, &d) in row.iter().enumerate() {
-        // Triangulated estimate of d(s, v): the best two-hop route
-        // `s → ref → v`, saturating, with INF as plain u32::MAX.
-        let mut est = INF;
-        for (r, &dr) in chosen.iter().zip(&d_ref) {
-            est = est.min(dr.saturating_add(r.data[v]));
-        }
-        write_varint(&mut buf, zigzag(d as i64 - est as i64));
-    }
-    buf.into_boxed_slice()
-}
-
-fn decode_delta_row(enc: &[u8], s: u32, refs: &[RefRow], out: &mut [u32]) {
-    if enc[0] == REF_MARKER {
-        let r = refs
-            .iter()
-            .find(|r| r.id == s)
-            .expect("marker row present in the reference set");
-        out.copy_from_slice(&r.data);
-        return;
-    }
-    let count = enc[0] as usize;
-    let mut pos = 1usize;
-    // The refs named in the header, with d(s, ref) verbatim — the set
-    // only grows, so every named ref is still present.
-    let mut used: Vec<(u32, &[u32])> = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = u32::from_le_bytes(enc[pos..pos + 4].try_into().expect("header"));
-        let d = u32::from_le_bytes(enc[pos + 4..pos + 8].try_into().expect("header"));
-        pos += 8;
-        let r = refs
-            .iter()
-            .find(|r| r.id == id)
-            .expect("encode-time reference still present");
-        used.push((d, &r.data));
-    }
-    for (v, slot) in out.iter_mut().enumerate() {
-        let mut est = INF;
-        for &(d, data) in &used {
-            est = est.min(d.saturating_add(data[v]));
-        }
-        let delta = unzigzag(read_varint(enc, &mut pos));
-        *slot = (est as i64 + delta) as u32;
-    }
-    debug_assert_eq!(pos, enc.len(), "trailing bytes in encoded row");
 }
 
 // ---------------------------------------------------------------------------
@@ -1337,7 +922,7 @@ impl MmapStore {
             rows_per_shard,
             shards: (0..shard_count).map(|_| OnceLock::new()).collect(),
             flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            cache: Mutex::new(RowCache::new("mmap", cache_bytes)),
+            cache: Mutex::new(RowCache::new(cache_bytes)),
             bytes: AtomicU64::new(0),
         }
     }
@@ -1393,11 +978,57 @@ impl MmapStore {
         true
     }
 
+    /// Pins cached row `s`, or preads it, inserts and pins it. The
+    /// pinned entry cannot be evicted or replaced while the lease lives,
+    /// so the lease's raw pointer stays valid (`Box` heap data does not
+    /// move when the map rehashes).
     fn lease_row(&self, s: u32) -> Option<RowLease<'_>> {
         if !self.flags[s as usize].load(Ordering::Acquire) {
             return None;
         }
-        pin_or_decode(&self.cache, s, self.n, |out| self.read_into(s, out))
+        let lease = |(ptr, len), origin| RowLease {
+            ptr,
+            len,
+            origin,
+            backing: LeaseBacking::Pinned {
+                cache: &self.cache,
+                row: s,
+            },
+        };
+        let mut guard = self.cache.lock().expect("cache mutex");
+        if let Some(pinned) = guard.pin(s) {
+            return Some(lease(pinned, LeaseOrigin::CacheHit));
+        }
+        let recycled = guard.spare.pop();
+        drop(guard);
+        // Miss: pread outside the lock so concurrent leases of other rows
+        // keep moving. `read_into` overwrites every cell of the recycled
+        // buffer, which still holds an evicted row's distances. If someone
+        // else inserted `s` meanwhile, `insert` keeps their entry and
+        // recycles ours — `pin` then serves whichever buffer is resident.
+        let mut row = recycled.unwrap_or_else(|| vec![0; self.n].into_boxed_slice());
+        self.read_into(s, &mut row);
+        let mut guard = self.cache.lock().expect("cache mutex");
+        guard.insert(s, row);
+        let pinned = guard.pin(s).expect("row just inserted");
+        Some(lease(pinned, LeaseOrigin::CacheMiss))
+    }
+
+    /// Reads every row into a new matrix. The matrix is allocated zeroed
+    /// ([`matrix_cells`] with fill 0 writes nothing) and each page is
+    /// written once: by the published row read into it, or by the `INF`
+    /// fill of an unpublished row.
+    fn read_all_rows(&self) -> (DistanceMatrix, Vec<bool>) {
+        let n = self.n;
+        let mut data = matrix_cells(n, n, 0);
+        let mut completed = vec![false; n];
+        for (s, row) in data.chunks_exact_mut(n.max(1)).enumerate() {
+            completed[s] = self.read_row_into(s as u32, row);
+            if !completed[s] {
+                row.fill(INF);
+            }
+        }
+        (DistanceMatrix::from_raw(n, data), completed)
     }
 }
 
@@ -1414,7 +1045,7 @@ mod tests {
     use super::*;
 
     /// Deterministic pseudo-random distances (splitmix64) with ~1/8
-    /// INF cells, so encode/decode sees both signs and saturation.
+    /// INF cells.
     fn fixture_rows(n: usize, seed: u64) -> Vec<Vec<u32>> {
         let mut state = seed;
         let mut next = move || {
@@ -1442,11 +1073,7 @@ mod tests {
     }
 
     fn all_specs() -> Vec<StoreSpec> {
-        vec![
-            StoreSpec::dense(),
-            StoreSpec::delta(4),
-            StoreSpec::mmap(1 << 20),
-        ]
+        vec![StoreSpec::dense(), StoreSpec::mmap(1 << 20)]
     }
 
     /// Guards the huge-page advice of `matrix_cells`: a dense store's
@@ -1502,8 +1129,6 @@ mod tests {
     #[test]
     fn parse_accepts_every_cli_spelling() {
         assert_eq!("dense".parse(), Ok(StoreSpec::dense()));
-        assert_eq!("delta".parse(), Ok(StoreSpec::delta(DEFAULT_DELTA_REFS)));
-        assert_eq!("delta:8".parse(), Ok(StoreSpec::delta(8)));
         assert_eq!("mmap".parse(), Ok(StoreSpec::mmap(DEFAULT_MMAP_CACHE)));
         assert_eq!("mmap:4096".parse(), Ok(StoreSpec::mmap(4096)));
         assert_eq!("mmap:256k".parse(), Ok(StoreSpec::mmap(256 << 10)));
@@ -1513,23 +1138,17 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_specs_with_possible_values() {
-        for bad in [
-            "",
-            "dens",
-            "dense:4",
-            "delta:0",
-            "delta:wide",
-            "mmap:0",
-            "mmap:huge",
-        ] {
+        for bad in ["", "dens", "dense:4", "mmap:0", "mmap:huge"] {
             let err = bad.parse::<StoreSpec>().unwrap_err();
             assert!(err.contains("store"), "{bad}: {err}");
         }
-        let err = "tiered".parse::<StoreSpec>().unwrap_err();
-        assert!(
-            err.contains("possible values") && err.contains("mmap"),
-            "{err}"
-        );
+        for unknown in ["tiered", "delta", "delta:4"] {
+            let err = unknown.parse::<StoreSpec>().unwrap_err();
+            assert!(
+                err.contains("possible values: dense, mmap[:<budget>]"),
+                "{unknown}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1607,11 +1226,10 @@ mod tests {
             store.publish_from(5, &rows[5]);
             let lease = store.lease_row(0).expect("published row leases");
             assert_eq!(&lease[..], &rows[0][..], "{}", spec.label());
-            // Row 0 is lent zero-copy everywhere: the dense matrix
-            // borrow, or the first-published delta reference row — while
-            // mmap pins a cache entry.
+            // Dense lends the matrix row zero-copy; mmap pins a cache
+            // entry.
             match spec.kind() {
-                StoreKind::Dense | StoreKind::Delta => {
+                StoreKind::Dense => {
                     assert_eq!(lease.origin(), LeaseOrigin::Lent, "{}", spec.label())
                 }
                 StoreKind::Mmap => {
@@ -1681,16 +1299,21 @@ mod tests {
     #[test]
     fn too_small_budget_fails_construction_with_minimum() {
         let n = 1000; // 4000-byte rows; minimum budget 8000.
-        let spec = StoreSpec::mmap(4096);
-        let err = Store::try_new(n, &spec).unwrap_err();
+        let err = StoreSpec::mmap(4096).validate_for(n).unwrap_err();
         assert!(err.contains("8000"), "must name the minimum budget: {err}");
         assert!(err.contains("mmap:8000"), "must suggest the fix: {err}");
         assert!(err.contains("4096"), "must name the given budget: {err}");
-        assert_eq!(spec.validate_for(n), Err(err));
         // At the minimum, construction succeeds.
-        assert!(Store::try_new(n, &StoreSpec::mmap(8000)).is_ok());
+        assert!(StoreSpec::mmap(8000).validate_for(n).is_ok());
+        assert_eq!(Store::new(n, &StoreSpec::mmap(8000)).n(), n);
         // Dense has no cache to validate.
         assert!(StoreSpec::dense().validate_for(usize::MAX >> 8).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "the minimum is 8000 bytes (try `--store mmap:8000`)")]
+    fn too_small_budget_panics_store_construction() {
+        Store::new(1000, &StoreSpec::mmap(4096));
     }
 
     #[test]
@@ -1706,10 +1329,8 @@ mod tests {
         }
         let a = store.lease_row(0).expect("lease row 0");
         let b = store.lease_row(1).expect("lease row 1");
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            store.lease_row(2)
-        }))
-        .expect_err("third lease must overflow the pinned budget");
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.lease_row(2)))
+            .expect_err("third lease must overflow the pinned budget");
         let msg = err
             .downcast_ref::<String>()
             .cloned()
@@ -1752,40 +1373,6 @@ mod tests {
             let (snap, flags) = store.snapshot();
             assert_eq!(flags, completed, "{}", spec.label());
             assert_eq!(snap.first_difference(&dist), None, "{}", spec.label());
-        }
-    }
-
-    #[test]
-    fn delta_compresses_structured_rows_well_below_dense() {
-        // Rows that differ from a common hub row by a handful of cells —
-        // the structure the reference-row estimates are built to exploit.
-        let n = 256;
-        let mut base: Vec<u32> = (0..n).map(|v| 100 + (v as u32 % 50)).collect();
-        base[0] = 0;
-        let store = Store::new(n, &StoreSpec::delta(4));
-        for s in 0..n {
-            let mut row = base.clone();
-            row[s] = 0;
-            row[(s + 7) % n] += 3;
-            store.publish_from(s as u32, &row);
-        }
-        let dense_bytes = 4 * (n as u64) * (n as u64);
-        let stored = store.stored_bytes();
-        // The varint floor is one byte per cell, so the best possible is
-        // just under 4× smaller than dense; near-zero deltas must get
-        // close to that floor.
-        assert!(
-            stored * 3 < dense_bytes,
-            "delta encoding should be ≥3× smaller here: {stored} vs {dense_bytes}"
-        );
-        // And still decode exactly.
-        for s in 0..n as u32 {
-            store
-                .with_row(s, |row| {
-                    assert_eq!(row[s as usize], 0);
-                    assert_eq!(row[(s as usize + 7) % n], base[(s as usize + 7) % n] + 3);
-                })
-                .unwrap();
         }
     }
 
@@ -1856,7 +1443,7 @@ mod tests {
 
     #[test]
     fn cross_thread_publication_is_ordered_on_every_backend() {
-        for spec in [StoreSpec::delta(2), StoreSpec::mmap(1 << 20)] {
+        for spec in all_specs() {
             let n = 512;
             let store = std::sync::Arc::new(Store::new(n, &spec));
             let expect: Vec<u32> = (0..n as u32).map(|v| v * 3 + 1).collect();
@@ -1864,8 +1451,6 @@ mod tests {
                 let store = std::sync::Arc::clone(&store);
                 let expect = expect.clone();
                 std::thread::spawn(move || {
-                    // Publish a reference row first so row 9 encodes
-                    // against something.
                     store.publish_from(0, &vec![1u32; n]);
                     store.publish_from(9, &expect);
                 })
@@ -1977,7 +1562,6 @@ mod tests {
             assert_eq!(seen, expect, "{}", spec.label());
             let cached = match &store.inner {
                 Inner::Dense(_) => 0,
-                Inner::Delta(store) => store.cache.lock().unwrap().map.len(),
                 Inner::Mmap(store) => store.cache.lock().unwrap().map.len(),
             };
             assert_eq!(
@@ -2001,17 +1585,5 @@ mod tests {
             mmap.dir.clone()
         };
         assert!(!dir.exists(), "drop must remove {}", dir.display());
-    }
-
-    #[test]
-    fn varint_zigzag_round_trips_extremes() {
-        let mut buf = Vec::new();
-        for v in [0i64, 1, -1, 127, -128, u32::MAX as i64, -(u32::MAX as i64)] {
-            buf.clear();
-            write_varint(&mut buf, zigzag(v));
-            let mut pos = 0;
-            assert_eq!(unzigzag(read_varint(&buf, &mut pos)), v);
-            assert_eq!(pos, buf.len());
-        }
     }
 }

@@ -60,9 +60,9 @@ mod tests {
         let reference = baselines::apsp_dijkstra(&graph);
         assert_eq!(reference.first_difference(&out.dist), None);
         // The store tiers are part of the prelude surface.
-        let delta = Runner::new(RunConfig::par_apsp(2).with_store(StoreSpec::delta(4)))
+        let mmap = Runner::new(RunConfig::par_apsp(2).with_store(StoreSpec::mmap(1 << 20)))
             .run(ApspEngine::new(), &graph);
-        assert_eq!(reference.first_difference(&delta.dist), None);
+        assert_eq!(reference.first_difference(&mmap.dist), None);
         let pool = ThreadPool::new(2);
         let _ = pool; // re-exported and constructible
         assert!(find_dataset("WordNet").is_some());

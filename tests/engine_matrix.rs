@@ -277,14 +277,13 @@ fn every_solver_matches_seq_basic_on_every_fixture() {
 }
 
 /// Store axis: the matrix storage backend decides *where* finished rows
-/// live — dense heap memory, landmark-delta compressed blocks, or
-/// out-of-core mmap shards — never what they contain. Every store must be
-/// bit-identical to seq-basic through the parallel, sequential, and
-/// distributed engines, uncapped and capped. The delta store runs with a
-/// deliberately tiny hot-row cache and the mmap stores with tiny decoded
-/// budgets so eviction/decode round trips are actually exercised; the
-/// `mmap-tiny` cell holds only ~15 decoded rows at these fixture sizes,
-/// so leases pin and evict constantly while 4 kernel threads race.
+/// live — dense heap memory or out-of-core mmap shards — never what they
+/// contain. Every store must be bit-identical to seq-basic through the
+/// parallel, sequential, and distributed engines, uncapped and capped.
+/// The mmap stores run with tiny hot-row budgets so eviction and `pread`
+/// round trips are actually exercised; the `mmap-tiny` cell holds only
+/// ~15 rows at these fixture sizes, so leases pin and evict constantly
+/// while 4 kernel threads race.
 ///
 /// Row reuse must actually *fire* through the lease layer on every
 /// backend — a backend that silently degrades to plain SPFA would still
@@ -294,7 +293,6 @@ fn every_solver_matches_seq_basic_on_every_fixture() {
 fn every_store_matches_seq_basic_on_every_fixture() {
     let stores = [
         ("dense", StoreSpec::dense()),
-        ("delta", StoreSpec::delta(4)),
         ("mmap", StoreSpec::mmap(64 * 1024)),
         ("mmap-tiny", StoreSpec::mmap(4096)),
     ];

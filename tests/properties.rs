@@ -335,15 +335,11 @@ proptest! {
         use parapsp::core::{Store, StoreSpec};
         let n = rows.len();
         // A lease is a *view* of a published row — whatever the backend
-        // does underneath (lend, decode, evict, decode again), the bytes a
+        // does underneath (lend, read, evict, read again), the bytes a
         // held lease shows must stay bit-identical to a `with_row` copy,
         // under an arbitrary publish order and read churn. The mmap budget
-        // is three decoded rows so churn genuinely evicts.
-        for spec in [
-            StoreSpec::dense(),
-            StoreSpec::delta(2),
-            StoreSpec::mmap(3 * 4 * n as u64),
-        ] {
+        // is three rows so churn genuinely evicts.
+        for spec in [StoreSpec::dense(), StoreSpec::mmap(3 * 4 * n as u64)] {
             let store = Store::new(n, &spec);
             // Deterministic shuffle of the publish order from `order`.
             let mut perm: Vec<u32> = (0..n as u32).collect();
@@ -391,10 +387,10 @@ proptest! {
     ) {
         use parapsp::core::{Store, StoreSpec};
         let n = rows.len();
-        // Exactly the smallest budget `validate_for` admits: two decoded
-        // rows. One is pinned by the held lease; every other row must
-        // stream through the single remaining slot without ever evicting
-        // the pinned one.
+        // Exactly the smallest budget `validate_for` admits: two rows.
+        // One is pinned by the held lease; every other row must stream
+        // through the single remaining slot without ever evicting the
+        // pinned one.
         let store = Store::new(n, &StoreSpec::mmap(2 * 4 * n as u64));
         for (s, row) in rows.iter().enumerate() {
             store.publish_from(s as u32, row);
