@@ -83,13 +83,13 @@ pub fn top_k(scores: &[f64], k: usize) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parapsp_core::engine::{RunConfig, Runner, SeqEngine};
+    use parapsp_core::engine::{ApspEngine, RunConfig, Runner};
     use parapsp_graph::generate::{path_graph, star_graph};
     use parapsp_graph::{CsrGraph, Direction};
 
     fn dist_of(g: &CsrGraph) -> DistanceMatrix {
         Runner::new(RunConfig::seq_basic())
-            .run(SeqEngine::ordered(), g)
+            .run(ApspEngine::new(), g)
             .dist
     }
 

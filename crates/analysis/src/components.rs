@@ -105,12 +105,12 @@ pub fn is_strongly_connected(dist: &DistanceMatrix) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parapsp_core::engine::{RunConfig, Runner, SeqEngine};
+    use parapsp_core::engine::{ApspEngine, RunConfig, Runner};
     use parapsp_graph::{CsrGraph, Direction};
 
     fn dist_of(g: &CsrGraph) -> DistanceMatrix {
         Runner::new(RunConfig::seq_basic())
-            .run(SeqEngine::ordered(), g)
+            .run(ApspEngine::new(), g)
             .dist
     }
 

@@ -105,13 +105,13 @@ pub fn distance_distribution(dist: &DistanceMatrix) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parapsp_core::engine::{RunConfig, Runner, SeqEngine};
+    use parapsp_core::engine::{ApspEngine, RunConfig, Runner};
     use parapsp_graph::generate::{cycle_graph, path_graph, star_graph};
     use parapsp_graph::{CsrGraph, Direction};
 
     fn dist_of(g: &CsrGraph) -> DistanceMatrix {
         Runner::new(RunConfig::seq_basic())
-            .run(SeqEngine::ordered(), g)
+            .run(ApspEngine::new(), g)
             .dist
     }
 

@@ -1,9 +1,10 @@
 //! `store_scaling` — the tiered distance-matrix storage benchmark.
 //!
-//! Runs `ParAPSP` once per [`StoreSpec`] {dense, mmap at 1/8 of the
-//! dense bytes} on a Barabási–Albert replica, each in its own
-//! re-executed child so one backend's peak RSS (`VmHWM`) cannot mask
-//! another's. A cell records wall time, bytes/row ([`Store::stored_bytes`]
+//! Runs `ParAPSP` on a Barabási–Albert replica per [`StoreSpec`] {dense,
+//! mmap at 1/8 of the dense bytes}, in [`PASSES`] interleaved passes
+//! ([`QUICK_PASSES`] under `--quick`), each run in its own re-executed
+//! child so one backend's peak RSS (`VmHWM`) cannot mask another's. A
+//! cell reports its median run: wall time, bytes/row ([`Store::stored_bytes`]
 //! over n), peak RSS, the lease telemetry that shows *why* a tier is fast
 //! or slow, and an FNV-1a checksum of the final matrix, streamed row by
 //! row so the child never materializes it; it must equal seq-basic's.
@@ -14,7 +15,8 @@
 //! `--measure <spec>` runs one backend in-process and prints its
 //! `MEASURE` line (the child mode, also run by the CI bounded-memory
 //! smoke under `ulimit -v`), `--max-ratio <f>` fails the sweep if any
-//! backend is slower than `f ×` dense (the CI gate for the lease layer).
+//! backend's median is slower than `f ×` dense's (the CI gate for the
+//! lease layer).
 
 use std::collections::HashMap;
 
@@ -36,6 +38,12 @@ const BENCH: Bench = Bench {
         ("--measure", "SPEC", Arg::Text),
     ],
 };
+
+/// Interleaved samples per cell: the cells and the `--max-ratio` gate
+/// rest on their medians, not on one run.
+const PASSES: usize = 5;
+/// Samples per cell under `--quick`.
+const QUICK_PASSES: usize = 3;
 
 /// The integer counters of a `MEASURE` line, in output order.
 const COUNTERS: [&str; 6] = [
@@ -178,7 +186,8 @@ fn main() {
         .iter()
         .map(|spec| Cell::new(vec![("store", spec.as_str().into())]))
         .collect();
-    harness::sample_interleaved(&mut cells, 1, |i, cell| {
+    let passes = if quick { QUICK_PASSES } else { PASSES };
+    harness::sample_interleaved(&mut cells, passes, |i, cell| {
         let sample = run_child(&specs[i], n, threads);
         let checksum = &sample.counters.last().expect("checksum").1;
         assert_eq!(

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use parapsp_core::baselines;
 use parapsp_core::kernel::KernelOptions;
-use parapsp_core::{ApspEngine, ApspOutput, RunConfig, Runner, SeqEngine};
+use parapsp_core::{ApspEngine, ApspOutput, RunConfig, Runner};
 use parapsp_datasets::{ca_hepph, find, ordering_datasets, paper_datasets, DatasetSpec, Scale};
 use parapsp_graph::{degree, CsrGraph};
 use parapsp_order::OrderingProcedure;
@@ -70,15 +70,10 @@ fn dataset(name: &str) -> DatasetSpec {
 /// [`Runner`]/[`ApspEngine`] pair.
 type LabeledDriver = (&'static str, fn(usize) -> RunConfig);
 
-/// Runs the shared-memory engine once under `config`.
+/// Runs the static-order row engine once under `config` (the `seq_*`
+/// configs run it on one thread).
 fn run_apsp(config: RunConfig, graph: &CsrGraph) -> ApspOutput {
     Runner::new(config).run(ApspEngine::new(), graph)
-}
-
-/// Runs the sequential engine once (the source order is whatever
-/// `config`'s ordering procedure produces).
-fn run_seq(config: RunConfig, graph: &CsrGraph) -> ApspOutput {
-    Runner::new(config).run(SeqEngine::ordered(), graph)
 }
 
 /// Times one ordering procedure at one thread count.
@@ -669,10 +664,10 @@ pub fn complexity(config: &Config) -> Vec<Table> {
         )
         .expect("generation");
         let t_basic = time_median(config.runs, || {
-            std::hint::black_box(run_seq(RunConfig::seq_basic(), &g));
+            std::hint::black_box(run_apsp(RunConfig::seq_basic(), &g));
         });
         let t_optimized = time_median(config.runs, || {
-            std::hint::black_box(run_seq(RunConfig::seq_optimized_bucket(), &g));
+            std::hint::black_box(run_apsp(RunConfig::seq_optimized_bucket(), &g));
         });
         // Floyd–Warshall only at the smallest sizes (O(n³) gets painful).
         let fw_cell = if n <= 800 {
@@ -733,8 +728,8 @@ pub fn hypothesis(config: &Config) -> Vec<Table> {
         ("Barabási–Albert (scale-free)", &ba),
         ("Erdős–Rényi (flat)", &er),
     ] {
-        let basic = run_seq(RunConfig::seq_basic(), graph);
-        let optimized = run_seq(RunConfig::seq_optimized_bucket(), graph);
+        let basic = run_apsp(RunConfig::seq_basic(), graph);
+        let optimized = run_apsp(RunConfig::seq_optimized_bucket(), graph);
         table.push_row(vec![
             label.to_string(),
             fmt_duration(basic.timings.total),

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use parapsp_core::{DistanceMatrix, RunConfig, Runner, SeqEngine};
+use parapsp_core::{ApspEngine, DistanceMatrix, RunConfig, Runner};
 use parapsp_graph::CsrGraph;
 
 /// The version of the layout [`Bench::finish`] writes.
@@ -361,7 +361,7 @@ pub fn sweep<C>(
 /// The oracle's reference: the sequential basic algorithm's matrix.
 pub fn seq_basic(graph: &CsrGraph) -> DistanceMatrix {
     let runner = Runner::new(RunConfig::seq_basic());
-    runner.run(SeqEngine::ordered(), graph).dist
+    runner.run(ApspEngine::new(), graph).dist
 }
 
 /// The bit-identity oracle: panics naming `cell` and the first differing

@@ -6,10 +6,9 @@ use parapsp_analysis::{
     average_clustering, betweenness_centrality, closeness_centrality, degree_assortativity,
     harmonic_centrality, top_k, Normalization,
 };
-use parapsp_core::adaptive::{par_adaptive, AdaptiveConfig};
 use parapsp_core::baselines;
 use parapsp_core::engine::{
-    ApspEngine, BlockedFwEngine, Engine, EngineKind, RunConfig, Runner, SeqEngine, ValueEnum,
+    AdaptiveEngine, ApspEngine, BlockedFwEngine, Engine, EngineKind, RunConfig, Runner, ValueEnum,
 };
 use parapsp_core::paths::par_apsp_with_paths;
 use parapsp_core::{autotune, ApspOutput, DistanceMatrix, RelaxImpl, RunOutcome, SolverKind};
@@ -99,11 +98,11 @@ apsp options:
   --partition <name>         dist source partition: cyclic-degree |
                              block-degree | cyclic-id
   --credit-weight <W>        intermediate-credit weight for seq-adaptive
-                             (default: 10)
+                             only (default: 10; par-adaptive ranks with 16)
   --block <B>                tile side for blocked-fw (default: 64)
   --cap <D>                  bounded horizon: leave pairs beyond distance D
                              at infinity (every algorithm except
-                             par-adaptive and the baselines)
+                             floyd-warshall and dijkstra)
   --relax <impl>             row-relaxation kernel: auto | avx2 | portable |
                              scalar (par-* and seq-* kernel algorithms;
                              default auto — all variants are bit-identical)
@@ -117,7 +116,8 @@ apsp options:
                              omitted); same algorithms as --relax;
                              distances are bit-identical under every solver
   --schedule <s>             source-sweep loop schedule for par-apsp |
-                             par-alg1 | par-alg2: block | static-cyclic |
+                             par-alg1 | par-alg2 | par-adaptive (each
+                             wave): block | static-cyclic |
                              dynamic-cyclic | dynamic:<chunk> (default:
                              each algorithm's paper schedule; the distances
                              are identical under all of them)
@@ -133,8 +133,9 @@ apsp options:
   --ledger <file>            journal every completed row to a crash-safe
                              append-only ledger (O(row) bytes per row);
                              restartable with --resume <file> (par-apsp |
-                             par-alg1 | par-alg2 | seq-basic |
-                             seq-optimized | seq-adaptive | dist)
+                             par-alg1 | par-alg2 | par-adaptive |
+                             seq-basic | seq-optimized | seq-adaptive |
+                             dist)
   --checkpoint-every <K>     rows between ledger commits (default: 64;
                              needs --ledger)
   --ledger-fsync <policy>    when ledger appends reach the disk: always |
@@ -146,8 +147,8 @@ apsp options:
   --on-interrupt <mode>      checkpoint (default): SIGINT/SIGTERM stop at
                              a row boundary, write a checkpoint, exit 130;
                              abort: die immediately (OS default)
-                             (cancellable: everything except par-adaptive,
-                             floyd-warshall, dijkstra; a --ledger run's
+                             (cancellable: everything except
+                             floyd-warshall and dijkstra; a --ledger run's
                              rows are already in its ledger, any other
                              stop writes <file>.interrupt.ckpt)
 
@@ -674,6 +675,21 @@ fn run_algorithm(
                 .map_err(|_| format!("--cap value `{raw}` is invalid"))?,
         ),
     };
+    if cap.is_some() && !kind.honours_cap() {
+        return Err(format!(
+            "--cap works with {} (got `{}`)",
+            kinds_where(EngineKind::honours_cap),
+            kind.value_name()
+        )
+        .into());
+    }
+    if args.get("credit-weight").is_some() && kind != EngineKind::SeqAdaptive {
+        return Err(format!(
+            "--credit-weight works with seq-adaptive (got `{}`)",
+            kind.value_name()
+        )
+        .into());
+    }
     // Row-relaxation implementation (the vectorized kernel ablation switch).
     let relax = args.get_enum("relax", RelaxImpl::Auto)?;
     // The run ledger and --resume need rows that are final mid-run; the
@@ -779,8 +795,9 @@ fn run_algorithm(
         }
         config
     };
-    // The six row engines: the parallel drivers and the sequential family.
-    let par = |config| {
+    // The seven row engines: the static-order family on `ApspEngine`, the
+    // run-time order on `AdaptiveEngine`.
+    let ordered = |config| {
         drive(
             &Runner::new(configure(config)),
             ApspEngine::new(),
@@ -789,24 +806,26 @@ fn run_algorithm(
             token,
         )
     };
-    let seq = |config, engine| drive(&Runner::new(configure(config)), engine, graph, args, token);
+    let adaptive = |config, engine: AdaptiveEngine| {
+        drive(&Runner::new(configure(config)), engine, graph, args, token)
+    };
     let outcome = match kind {
-        EngineKind::ParApsp => par(RunConfig::par_apsp(threads))?.map(row_summary),
-        EngineKind::ParAlg1 => par(RunConfig::par_alg1(threads))?.map(row_summary),
-        EngineKind::ParAlg2 => par(RunConfig::par_alg2(threads))?.map(row_summary),
-        EngineKind::SeqBasic => seq(RunConfig::seq_basic(), SeqEngine::ordered())?.map(row_summary),
-        EngineKind::SeqOptimized => {
-            seq(RunConfig::seq_optimized(1.0), SeqEngine::ordered())?.map(row_summary)
-        }
+        EngineKind::ParApsp => ordered(RunConfig::par_apsp(threads))?.map(row_summary),
+        EngineKind::ParAlg1 => ordered(RunConfig::par_alg1(threads))?.map(row_summary),
+        EngineKind::ParAlg2 => ordered(RunConfig::par_alg2(threads))?.map(row_summary),
+        EngineKind::SeqBasic => ordered(RunConfig::seq_basic())?.map(row_summary),
+        EngineKind::SeqOptimized => ordered(RunConfig::seq_optimized(1.0))?.map(row_summary),
         EngineKind::SeqAdaptive => {
             let weight = args.get_parsed("credit-weight", 10u64)?;
-            seq(RunConfig::seq_adaptive(weight), SeqEngine::adaptive(weight))?.map(row_summary)
+            adaptive(
+                RunConfig::seq_adaptive(weight),
+                AdaptiveEngine::new(weight, 1),
+            )?
+            .map(row_summary)
         }
-        EngineKind::ParAdaptive => RunOutcome::Complete(row_summary(par_adaptive(
-            graph,
-            threads,
-            AdaptiveConfig::default(),
-        ))),
+        EngineKind::ParAdaptive => {
+            adaptive(RunConfig::par_adaptive(threads), AdaptiveEngine::new(16, 8))?.map(row_summary)
+        }
         EngineKind::FloydWarshall => {
             let start = std::time::Instant::now();
             let dist = baselines::floyd_warshall(graph);
@@ -1113,19 +1132,13 @@ mod tests {
     fn stats_and_apsp_run_on_sample() {
         let file = sample_file();
         stats(&args(&["stats", &file])).unwrap();
-        for algorithm in [
-            "par-apsp",
-            "par-alg1",
-            "par-alg2",
-            "par-adaptive",
-            "seq-basic",
-            "seq-optimized",
-            "seq-adaptive",
-            "blocked-fw",
-            "floyd-warshall",
-            "dijkstra",
-            "dist",
-        ] {
+        let dir = std::env::temp_dir().join("parapsp-cli-tests");
+        let mut reference: Option<DistanceMatrix> = None;
+        // Every algorithm, Runner-driven or a direct-call baseline, writes
+        // the same matrix.
+        for algorithm in EngineKind::value_variants().iter().map(|k| k.value_name()) {
+            let out = dir.join(format!("sample-{algorithm}.bin"));
+            let out = out.to_string_lossy().into_owned();
             apsp(&args(&[
                 "apsp",
                 &file,
@@ -1133,9 +1146,64 @@ mod tests {
                 algorithm,
                 "--threads",
                 "2",
+                "--out",
+                &out,
             ]))
             .unwrap_or_else(|e| panic!("{algorithm}: {e}"));
+            let dist = parapsp_core::persist::load_binary(&out).unwrap();
+            std::fs::remove_file(&out).ok();
+            match &reference {
+                Some(reference) => assert_eq!(reference, &dist, "{algorithm}"),
+                None => reference = Some(dist),
+            }
         }
+    }
+
+    /// `--cap` is honoured by every Runner-driven algorithm and a usage
+    /// error (exit 2) on the two baselines, which compute the full matrix:
+    /// on a 6-vertex path a cap of 2 leaves a diameter of 2.
+    #[test]
+    fn cap_is_honoured_or_rejected_on_every_algorithm() {
+        let dir = std::env::temp_dir().join("parapsp-cli-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("path6.txt");
+        std::fs::write(&file, "0 1\n1 2\n2 3\n3 4\n4 5\n").unwrap();
+        let file = file.to_string_lossy().into_owned();
+        for &kind in EngineKind::value_variants() {
+            let algorithm = kind.value_name();
+            let out = dir.join(format!("path6-cap-{algorithm}.bin"));
+            let out = out.to_string_lossy().into_owned();
+            let run = apsp(&args(&[
+                "apsp",
+                &file,
+                "--algorithm",
+                algorithm,
+                "--cap",
+                "2",
+                "--threads",
+                "2",
+                "--out",
+                &out,
+            ]));
+            if kind.honours_cap() {
+                run.unwrap_or_else(|e| panic!("{algorithm}: {e}"));
+                let dist = parapsp_core::persist::load_binary(&out).unwrap();
+                std::fs::remove_file(&out).ok();
+                assert_eq!(path_stats(&dist).diameter, 2, "{algorithm}");
+                assert_eq!(dist.get(0, 2), 2, "{algorithm}");
+                assert_eq!(dist.get(0, 3), parapsp_core::INF, "{algorithm}");
+            } else {
+                let err = run.unwrap_err();
+                assert_eq!(err.exit_code(), 2, "{algorithm}: {err}");
+                let message = err.to_string();
+                assert!(
+                    message.contains("--cap works with") && message.contains("par-adaptive"),
+                    "{algorithm}: {message}"
+                );
+            }
+        }
+        assert!(!EngineKind::Dijkstra.honours_cap());
+        assert!(!EngineKind::FloydWarshall.honours_cap());
     }
 
     #[test]
@@ -1162,8 +1230,8 @@ mod tests {
                 .unwrap_or_else(|e| panic!("--relax {relax}: {e}"));
         }
         assert!(apsp(&args(&["apsp", &file, "--relax", "sse9"])).is_err());
-        // The collapsed SeqEngine runs the same kernel, so --relax now
-        // applies to the sequential family too...
+        // The sequential family runs the same row engines and kernel, so
+        // --relax applies to it too...
         apsp(&args(&[
             "apsp",
             &file,
@@ -1196,7 +1264,7 @@ mod tests {
         // Every spelling the parser accepts, on every engine that hands its
         // source loop to the parfor pool.
         for schedule in ["block", "static-cyclic", "dynamic-cyclic", "dynamic:4"] {
-            for algorithm in ["par-apsp", "par-alg1", "par-alg2"] {
+            for algorithm in ["par-apsp", "par-alg1", "par-alg2", "par-adaptive"] {
                 apsp(&args(&[
                     "apsp",
                     &file,
@@ -1373,9 +1441,9 @@ mod tests {
     fn store_selection_via_cli() {
         let file = sample_file();
         // Every spelling the parser accepts, on a parallel row engine, a
-        // sequential one, and the dist gather.
+        // sequential one, the adaptive one, and the dist gather.
         for store in ["dense", "mmap", "mmap:64k"] {
-            for algorithm in ["par-apsp", "seq-basic", "dist"] {
+            for algorithm in ["par-apsp", "seq-basic", "par-adaptive", "dist"] {
                 apsp(&args(&[
                     "apsp",
                     &file,
@@ -1411,7 +1479,7 @@ mod tests {
         }
         // Engines that mutate a dense matrix in place reject the flag,
         // naming the ones that route rows through a store.
-        for algorithm in ["blocked-fw", "floyd-warshall", "dijkstra", "par-adaptive"] {
+        for algorithm in ["blocked-fw", "floyd-warshall", "dijkstra"] {
             let err = apsp(&args(&[
                 "apsp",
                 &file,
@@ -1702,6 +1770,25 @@ mod tests {
             "heavy"
         ]))
         .is_err());
+        // The credit weight is seq-adaptive's alone: anywhere else it is a
+        // usage error, not a silently ignored flag.
+        for algorithm in ["par-adaptive", "par-apsp", "seq-basic", "dijkstra"] {
+            let err = apsp(&args(&[
+                "apsp",
+                &file,
+                "--algorithm",
+                algorithm,
+                "--credit-weight",
+                "5",
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{algorithm}: {err}");
+            assert!(
+                err.to_string()
+                    .contains("--credit-weight works with seq-adaptive"),
+                "{algorithm}: {err}"
+            );
+        }
         assert!(apsp(&args(&[
             "apsp",
             &file,
@@ -1775,6 +1862,7 @@ mod tests {
         for algorithm in [
             "par-alg1",
             "par-alg2",
+            "par-adaptive",
             "seq-basic",
             "seq-optimized",
             "seq-adaptive",

@@ -17,12 +17,15 @@
 //!   cancellation plumbing, per-row trace collection, phase timing, and
 //!   [`RunOutcome`] assembly.
 //!
-//! The five engine families all implement the trait: [`ApspEngine`] (the
-//! shared-memory parallel drivers), [`SeqEngine`] (Peng's sequential
-//! family, including the adaptive variant), [`SubsetEngine`]
-//! (memory-bounded subset rows), [`BlockedFwEngine`] (the blocked
-//! Floyd–Warshall comparator), and `DistEngine` in the `parapsp-dist`
-//! crate (the simulated cluster driver).
+//! The five engine families all implement the trait. Two row engines, one
+//! per order policy, cover Peng's algorithm and its parallel drivers:
+//! [`ApspEngine`] sweeps a static source order (ParAPSP, ParAlg1/2, and
+//! Peng's basic and optimized algorithms on one thread) and
+//! [`AdaptiveEngine`] picks the order at run time (Peng's adaptive variant
+//! and its wave-parallel extension). The other three are
+//! [`SubsetEngine`] (memory-bounded subset rows), [`BlockedFwEngine`] (the
+//! blocked Floyd–Warshall comparator), and `DistEngine` in the
+//! `parapsp-dist` crate (the simulated cluster driver).
 //!
 //! Every run is constructed the same way — pick a [`RunConfig`], pick an
 //! engine, and drive it through a [`Runner`]:
@@ -117,9 +120,9 @@ impl ValueEnum for FsyncPolicy {
 
 /// Every APSP algorithm selectable from the CLI, by its stable name.
 ///
-/// The first eight run through the [`Runner`] pipeline; the last three
-/// (`par-adaptive` and the two baselines) are direct calls kept for
-/// comparison and are not cancellable.
+/// All but the last two run through the [`Runner`] pipeline; the two
+/// baselines (`floyd-warshall` and `dijkstra`) are direct calls kept for
+/// comparison, and are neither cancellable nor capped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// **ParAPSP** (paper Alg. 8): MultiLists ordering + dynamic-cyclic.
@@ -138,7 +141,7 @@ pub enum EngineKind {
     BlockedFw,
     /// The simulated distributed-memory cluster driver.
     Dist,
-    /// The adaptive parallel extension (separate subsystem, not `Runner`-driven).
+    /// The wave-parallel extension of Peng's adaptive variant.
     ParAdaptive,
     /// Plain Floyd–Warshall baseline.
     FloydWarshall,
@@ -148,12 +151,17 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Whether the algorithm supports cooperative cancellation
-    /// (`--deadline` / checkpoint-on-interrupt).
+    /// (`--deadline` / checkpoint-on-interrupt): every Runner-driven one.
     pub fn cancellable(self) -> bool {
-        !matches!(
-            self,
-            EngineKind::ParAdaptive | EngineKind::FloydWarshall | EngineKind::Dijkstra
-        )
+        !matches!(self, EngineKind::FloydWarshall | EngineKind::Dijkstra)
+    }
+
+    /// Whether the algorithm honours a distance cap (`--cap`): every
+    /// Runner-driven one. The row kernel and every dist node apply it,
+    /// blocked Floyd–Warshall filters its finished matrix; the two
+    /// baselines always compute the full matrix.
+    pub fn honours_cap(self) -> bool {
+        self.cancellable()
     }
 
     /// Whether completed rows are final mid-run, i.e. the engine supports
@@ -164,14 +172,15 @@ impl EngineKind {
             EngineKind::ParApsp
                 | EngineKind::ParAlg1
                 | EngineKind::ParAlg2
+                | EngineKind::ParAdaptive
                 | EngineKind::SeqBasic
                 | EngineKind::SeqOptimized
                 | EngineKind::SeqAdaptive
         )
     }
 
-    /// Whether the algorithm runs the modified-Dijkstra kernel, i.e.
-    /// honours `--relax` and `--cap` natively.
+    /// Whether the algorithm runs the row kernel, i.e. honours `--relax`
+    /// and `--solver`.
     pub fn uses_kernel(self) -> bool {
         self.row_checkpoints()
     }
@@ -184,7 +193,10 @@ impl EngineKind {
     pub fn honours_schedule(self) -> bool {
         matches!(
             self,
-            EngineKind::ParApsp | EngineKind::ParAlg1 | EngineKind::ParAlg2
+            EngineKind::ParApsp
+                | EngineKind::ParAlg1
+                | EngineKind::ParAlg2
+                | EngineKind::ParAdaptive
         )
     }
 
@@ -347,10 +359,19 @@ impl RunConfig {
             .with_label("SeqOptimizedBucket")
     }
 
-    /// Peng's adaptive sequential variant (pair with
-    /// [`SeqEngine::adaptive`]; the order is chosen at run time).
+    /// Peng's adaptive sequential variant: pair with
+    /// `AdaptiveEngine::new(credit_weight, 1)`, which picks the order at
+    /// run time.
     pub fn seq_adaptive(credit_weight: u64) -> Self {
         RunConfig::seq_basic().with_label(format!("SeqAdaptive(w={credit_weight})"))
+    }
+
+    /// The wave-parallel adaptive extension: pair with
+    /// `AdaptiveEngine::new(16, 8)`. Each wave is swept dynamic-cyclic.
+    pub fn par_adaptive(threads: usize) -> Self {
+        RunConfig::new(threads)
+            .with_schedule(Schedule::dynamic_cyclic())
+            .with_label("ParAdaptive")
     }
 
     /// Subset-of-sources runs: degree-ordered, dynamic-cyclic.
@@ -1149,84 +1170,72 @@ impl<O: FromStore> Engine for ApspEngine<O> {
 }
 
 // ---------------------------------------------------------------------------
-// SeqEngine — Peng's sequential family, collapsed
+// AdaptiveEngine — the run-time source order
 // ---------------------------------------------------------------------------
 
-/// How a [`SeqEngine`] picks its next source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeqMode {
-    /// Follow the [`RunConfig`]'s ordering procedure (basic = identity,
-    /// optimized = selection sort, bucket = exact counting sort).
-    Ordered,
-    /// Peng's adaptive variant: after each SSSP run, vertices that relayed
-    /// shortest paths accumulate *intermediate credit*; the next source is
-    /// the unprocessed vertex maximizing `credit * credit_weight + degree`.
-    Adaptive {
-        /// Weight of accumulated credit against raw degree (0 degenerates
-        /// to the plain optimized algorithm).
-        credit_weight: u64,
-    },
-}
-
-/// The sequential engine: the whole `seq_*` family in one implementation,
-/// configured by [`SeqMode`] plus the [`RunConfig`] ordering. Always runs
-/// single-threaded (it ignores the pool for the sweep) and polls the
-/// cancel token before every source, so a poll budget of `K` completes
-/// exactly `K` rows.
-pub struct SeqEngine {
-    mode: SeqMode,
+/// The adaptive row engine: Peng's adaptive variant and its wave-parallel
+/// extension in one implementation.
+///
+/// The source order is chosen at run time. Vertices that relay shortest
+/// paths accumulate *intermediate credit*; each wave sweeps the
+/// `wave × threads` unprocessed sources that rank highest by
+/// `credit · credit_weight + degree` (ties go to the lower id) on the pool
+/// under the config's schedule, then folds the wave's per-thread credit
+/// into the ranking. Within a wave the order is fixed, so the wave
+/// parallelizes like ParAPSP.
+///
+/// `AdaptiveEngine::new(w, 1)` on one thread is Peng's sequential adaptive
+/// algorithm ([`RunConfig::seq_adaptive`]): every wave is the one argmax
+/// source. [`RunConfig::par_adaptive`] runs `AdaptiveEngine::new(16, 8)`.
+/// The plan's units are opaque step counters, one per source left to run.
+pub struct AdaptiveEngine {
+    credit_weight: u64,
+    wave: usize,
     store: Option<Store>,
-    ws: Option<Workspace>,
+    locals: Option<PerThread<WaveLocals>>,
     solver: Option<RowSolver>,
-    counters: Counters,
-    busy: Duration,
-    /// Adaptive state: out-degrees, accumulated credit, processed flags,
-    /// and the sources the last `run_rows` batch picked.
     degrees: Vec<u32>,
     credit: Vec<u64>,
-    done: Vec<bool>,
+    /// The sources not yet picked with their last rank score, in no
+    /// particular order.
+    remaining: Vec<(u64, u32)>,
+    /// The sources the last `run_rows` batch picked, in sweep order.
     picked: Vec<u32>,
 }
 
-impl SeqEngine {
-    /// An engine following the config's ordering procedure.
-    pub fn ordered() -> Self {
-        SeqEngine {
-            mode: SeqMode::Ordered,
+/// One pool thread's scratch: workspace, counters, busy time, and the
+/// credit its rows gave relaying vertices in the current wave.
+type WaveLocals = (Workspace, Counters, Duration, Vec<u64>);
+
+impl AdaptiveEngine {
+    /// An engine ranking by `credit · credit_weight + degree` (a weight of
+    /// 0 degenerates to the degree order) in waves of `wave` sources per
+    /// pool thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `wave` is zero.
+    pub fn new(credit_weight: u64, wave: usize) -> Self {
+        assert!(wave > 0, "wave size must be positive");
+        AdaptiveEngine {
+            credit_weight,
+            wave,
             store: None,
-            ws: None,
+            locals: None,
             solver: None,
-            counters: Counters::default(),
-            busy: Duration::ZERO,
             degrees: Vec::new(),
             credit: Vec::new(),
-            done: Vec::new(),
+            remaining: Vec::new(),
             picked: Vec::new(),
         }
     }
-
-    /// Peng's adaptive variant with the given credit weight.
-    pub fn adaptive(credit_weight: u64) -> Self {
-        SeqEngine {
-            mode: SeqMode::Adaptive { credit_weight },
-            ..SeqEngine::ordered()
-        }
-    }
-
-    /// The engine's source-selection mode.
-    pub fn mode(&self) -> SeqMode {
-        self.mode
-    }
 }
 
-impl Engine for SeqEngine {
+impl Engine for AdaptiveEngine {
     type Output = ApspOutput;
 
     fn name(&self) -> &str {
-        match self.mode {
-            SeqMode::Ordered => "SeqEngine",
-            SeqMode::Adaptive { .. } => "SeqAdaptive",
-        }
+        "Adaptive"
     }
 
     fn prepare(
@@ -1237,82 +1246,102 @@ impl Engine for SeqEngine {
         resume: Option<Checkpoint>,
     ) -> Plan {
         let n = graph.vertex_count();
-        let degrees = degree::out_degrees(graph);
-        let t_order = Instant::now();
-        let order = match self.mode {
-            SeqMode::Ordered => config.ordering().compute(&degrees, pool),
-            // Adaptive picks sources at run time; the plan only fixes how
-            // many remain.
-            SeqMode::Adaptive { .. } => (0..n as u32).collect(),
-        };
-        let ordering = t_order.elapsed();
-        let (store, units, done) = open_store(n, order, resume, config.store());
+        // The order is picked at run time; the plan only fixes how many
+        // sources remain.
+        let (store, units, _) = open_store(n, (0..n as u32).collect(), resume, config.store());
+        self.remaining = units.iter().map(|&s| (0, s)).collect();
         self.store = Some(store);
-        self.ws = Some(Workspace::new(n));
+        self.locals = Some(PerThread::from_fn(pool.num_threads(), |_| {
+            (
+                Workspace::new(n),
+                Counters::default(),
+                Duration::ZERO,
+                vec![0; n],
+            )
+        }));
         self.solver = Some(RowSolver::resolve(graph, config.kernel()));
-        self.degrees = degrees;
+        self.degrees = degree::out_degrees(graph);
         self.credit = vec![0; n];
-        self.done = done;
-        Plan { units, ordering }
+        Plan {
+            units,
+            ordering: Duration::ZERO,
+        }
     }
 
     fn run_rows(&mut self, graph: &CsrGraph, units: &[u32], ctx: &RowsCtx<'_>) -> RowsOutcome {
-        let SeqEngine {
-            mode,
+        let AdaptiveEngine {
+            credit_weight,
+            wave,
             store,
-            ws,
+            locals,
             solver,
-            counters,
-            busy,
             degrees,
             credit,
-            done,
+            remaining,
             picked,
         } = self;
-        let mode = *mode;
-        picked.clear();
         let store = store.as_ref().expect("prepare() not called");
-        let ws = ws.as_mut().expect("prepare() not called");
+        let locals = locals.as_mut().expect("prepare() not called");
         let solver = solver.as_ref().expect("prepare() not called");
+        let (credit_weight, width) = (*credit_weight, wave.saturating_mul(ctx.pool.num_threads()));
         let kernel = ctx.config.kernel();
-        for &unit in units {
+        let trace = ctx.trace;
+        picked.clear();
+        let mut left = units.len();
+        // Ascending rank: the highest score, then the lowest id, sorts last.
+        let rank = |&(score, v): &(u64, u32)| (score, std::cmp::Reverse(v));
+        while left > 0 {
+            // Pick the wave: score every unpicked source, select the top
+            // `take` into the tail in O(n), and sweep them best first.
+            let take = width.min(left);
+            for (score, v) in remaining.iter_mut() {
+                *score = credit[*v as usize]
+                    .saturating_mul(credit_weight)
+                    .saturating_add(degrees[*v as usize] as u64);
+            }
+            let split = remaining.len() - take;
+            if split > 0 {
+                remaining.select_nth_unstable_by_key(split, rank);
+            }
+            remaining[split..].sort_unstable_by_key(rank);
+            let start = picked.len();
+            picked.extend(remaining.drain(split..).rev().map(|(_, s)| s));
+            left -= take;
+
+            let sources = &picked[start..];
+            let shared = &*locals;
+            let body = |tid: usize, k: usize| {
+                let s = sources[k];
+                // SAFETY: each pool thread touches only its own scratch slot.
+                let (ws, counters, busy, feedback) = unsafe { shared.get_mut(tid) };
+                let t0 = Instant::now();
+                // Every source is picked exactly once, so `s` belongs to
+                // exactly this iteration (the unique-row-owner contract).
+                solver.solve_row(graph, s, store, ws, kernel, counters, Some(feedback));
+                let elapsed = t0.elapsed();
+                *busy += elapsed;
+                if let Some(view) = trace {
+                    // SAFETY: as above, the trace slot of `s` belongs
+                    // exclusively to this iteration.
+                    unsafe { view.write(s as usize, elapsed.as_nanos() as u64) };
+                }
+            };
             if let Some(token) = ctx.token {
-                let status = token.poll();
+                let status =
+                    ctx.pool
+                        .parallel_for_cancellable(take, ctx.config.schedule(), token, body);
                 if status.is_stop() {
                     return status;
                 }
+            } else {
+                ctx.pool.parallel_for(take, ctx.config.schedule(), body);
             }
-            let (s, feedback) = match mode {
-                SeqMode::Ordered => (unit, None),
-                SeqMode::Adaptive { credit_weight } => {
-                    // Argmax over unprocessed vertices; O(n) per pick,
-                    // dwarfed by the SSSP work it orders.
-                    let mut best: Option<(u64, u32)> = None;
-                    for v in 0..store.n() as u32 {
-                        if done[v as usize] {
-                            continue;
-                        }
-                        let score = credit[v as usize]
-                            .saturating_mul(credit_weight)
-                            .saturating_add(degrees[v as usize] as u64);
-                        if best.map(|(b, _)| score > b).unwrap_or(true) {
-                            best = Some((score, v));
-                        }
-                    }
-                    let (_, s) = best.expect("unprocessed vertex must exist");
-                    done[s as usize] = true;
-                    picked.push(s);
-                    (s, Some(&mut credit[..]))
+
+            // Fold the wave's per-thread credit into the ranking.
+            for (_, _, _, local) in locals.iter_mut() {
+                for (global, local) in credit.iter_mut().zip(local.iter_mut()) {
+                    *global += std::mem::take(local);
                 }
-            };
-            let t0 = Instant::now();
-            solver.solve_row(graph, s, store, ws, kernel, counters, feedback);
-            let elapsed = t0.elapsed();
-            *busy += elapsed;
-            if let Some(view) = ctx.trace {
-                // SAFETY: this engine is single-threaded and `s` is
-                // processed exactly once.
-                unsafe { view.write(s as usize, elapsed.as_nanos() as u64) };
             }
         }
         CancelStatus::Continue
@@ -1332,26 +1361,24 @@ impl Engine for SeqEngine {
         Checkpoint::new(dist, completed)
     }
 
-    fn visit_rows(&self, units: &[u32], visit: &mut dyn FnMut(u32, &[u32])) {
+    fn visit_rows(&self, _units: &[u32], visit: &mut dyn FnMut(u32, &[u32])) {
+        // The units are step counters; the batch's rows are the sources it
+        // picked.
         let store = self.store.as_ref().expect("prepare() not called");
-        match self.mode {
-            // Ordered units are source vertices.
-            SeqMode::Ordered => store.visit_published(units.iter().copied(), visit),
-            // Adaptive units are opaque step counters; the sources are
-            // the ones the batch picked.
-            SeqMode::Adaptive { .. } => store.visit_published(self.picked.iter().copied(), visit),
-        }
+        store.visit_published(self.picked.iter().copied(), visit);
     }
 
     fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> ApspOutput {
         let store = self.store.expect("prepare() not called");
         debug_assert_eq!(store.published_count(), store.n());
-        let counters = with_pinned_peak(self.counters, &store);
-        let summary = RunSummary {
-            threads: 1,
-            ..summary
-        };
-        ApspOutput::from_store(store, counters, vec![self.busy], summary)
+        let mut counters = Counters::default();
+        let mut thread_busy = Vec::with_capacity(summary.threads);
+        for (_, c, busy, _) in self.locals.expect("prepare() not called").into_inner() {
+            counters.merge(&c);
+            thread_busy.push(busy);
+        }
+        let counters = with_pinned_peak(counters, &store);
+        ApspOutput::from_store(store, counters, thread_busy, summary)
     }
 }
 
@@ -1362,7 +1389,7 @@ mod tests {
 
     /// Reference solve: Alg. 2 driven through the Runner.
     fn seq_basic(graph: &CsrGraph) -> ApspOutput {
-        Runner::new(RunConfig::seq_basic()).run(SeqEngine::ordered(), graph)
+        Runner::new(RunConfig::seq_basic()).run(ApspEngine::new(), graph)
     }
 
     #[test]
@@ -1418,6 +1445,15 @@ mod tests {
         assert!(EngineKind::ParAlg1.honours_schedule());
         assert!(!EngineKind::SeqBasic.honours_schedule());
         assert!(!EngineKind::BlockedFw.honours_schedule());
+        // par-adaptive is a Runner-driven row engine like the par-* rows.
+        let par = EngineKind::ParAdaptive;
+        assert!(par.cancellable() && par.row_checkpoints() && par.uses_kernel());
+        assert!(par.honours_schedule() && par.supports_store() && par.honours_cap());
+        // Only the two direct-call baselines ignore a cap.
+        for kind in EngineKind::value_variants() {
+            let baseline = matches!(kind, EngineKind::FloydWarshall | EngineKind::Dijkstra);
+            assert_eq!(kind.honours_cap(), !baseline, "{}", kind.value_name());
+        }
     }
 
     #[test]
@@ -1428,30 +1464,185 @@ mod tests {
         assert_eq!(reference.dist.first_difference(&par.dist), None);
         assert_eq!(par.algorithm, "ParAPSP");
         assert_eq!(par.threads, 4);
-        let seq = Runner::new(RunConfig::seq_optimized(1.0)).run(SeqEngine::ordered(), &g);
+        let seq = Runner::new(RunConfig::seq_optimized(1.0)).run(ApspEngine::new(), &g);
         assert_eq!(reference.dist.first_difference(&seq.dist), None);
         assert_eq!(seq.algorithm, "SeqOptimized");
         assert_eq!(seq.threads, 1);
-        let adaptive = Runner::new(RunConfig::seq_adaptive(10)).run(SeqEngine::adaptive(10), &g);
+        let adaptive = Runner::new(RunConfig::seq_adaptive(10)).run(AdaptiveEngine::new(10, 1), &g);
         assert_eq!(reference.dist.first_difference(&adaptive.dist), None);
         assert_eq!(adaptive.algorithm, "SeqAdaptive(w=10)");
+        assert_eq!(adaptive.threads, 1);
+        let par = Runner::new(RunConfig::par_adaptive(3)).run(AdaptiveEngine::new(16, 8), &g);
+        assert_eq!(reference.dist.first_difference(&par.dist), None);
+        assert_eq!(par.algorithm, "ParAdaptive");
+        assert_eq!(par.threads, 3);
     }
 
     #[test]
     fn adaptive_engine_supports_cancel_and_resume() {
         let g = barabasi_albert(120, 3, WeightSpec::Uniform { lo: 1, hi: 5 }, 13).unwrap();
-        let full = Runner::new(RunConfig::seq_adaptive(10)).run(SeqEngine::adaptive(10), &g);
-        let token = CancelToken::with_poll_budget(35);
-        let outcome = Runner::new(RunConfig::seq_adaptive(10)).run_with_token(
-            SeqEngine::adaptive(10),
-            &g,
-            &token,
+        for (config, wave) in [
+            (RunConfig::seq_adaptive(10), 1),
+            (RunConfig::par_adaptive(1), 8),
+        ] {
+            let runner = Runner::new(config);
+            let full = runner.run(AdaptiveEngine::new(10, wave), &g);
+            let token = CancelToken::with_poll_budget(35);
+            let outcome = runner.run_with_token(AdaptiveEngine::new(10, wave), &g, &token);
+            let cp = outcome.into_checkpoint().expect("35 < 120 sources");
+            assert_eq!(cp.completed_count(), 35, "wave {wave}");
+            let resumed = runner.run_resumed(AdaptiveEngine::new(10, wave), &g, cp);
+            assert_eq!(
+                full.dist.first_difference(&resumed.dist),
+                None,
+                "wave {wave}"
+            );
+        }
+    }
+
+    /// `(w, 1)` on one thread is Peng's adaptive order: before each source
+    /// the unprocessed vertex with the highest `credit · w + degree`,
+    /// the lowest id among ties, where credit counts the vertex's relays
+    /// in every earlier source's kernel run.
+    #[test]
+    fn one_source_waves_follow_pengs_argmax_order() {
+        const W: u64 = 3;
+        let g = barabasi_albert(80, 2, WeightSpec::Uniform { lo: 1, hi: 6 }, 21).unwrap();
+        let n = g.vertex_count();
+        let config = RunConfig::seq_adaptive(W);
+
+        // Replays Peng's loop with the kernel alone.
+        let degrees = degree::out_degrees(&g);
+        let store = Store::new(n, &StoreSpec::dense());
+        let mut ws = Workspace::new(n);
+        let mut counters = Counters::default();
+        let mut credit = vec![0u64; n];
+        let mut done = vec![false; n];
+        let solver = RowSolver::resolve(&g, config.kernel());
+        let mut expected = Vec::with_capacity(n);
+        for _ in 0..n {
+            let s = (0..n as u32)
+                .filter(|&v| !done[v as usize])
+                .max_by_key(|&v| {
+                    let score = credit[v as usize] * W + degrees[v as usize] as u64;
+                    (score, std::cmp::Reverse(v))
+                })
+                .unwrap();
+            done[s as usize] = true;
+            expected.push(s);
+            let kernel = config.kernel();
+            solver.solve_row(
+                &g,
+                s,
+                &store,
+                &mut ws,
+                kernel,
+                &mut counters,
+                Some(&mut credit),
+            );
+        }
+
+        // The engine's order, read back through a ledger-sized batch of
+        // one: each batch picks exactly one source.
+        let mut engine = AdaptiveEngine::new(W, 1);
+        let pool = ThreadPool::new(1);
+        let plan = engine.prepare(&g, &config, &pool, None);
+        let ctx = RowsCtx {
+            pool: &pool,
+            config: &config,
+            token: None,
+            trace: None,
+        };
+        let mut order = Vec::with_capacity(n);
+        for unit in plan.units.chunks(1) {
+            assert!(engine.run_rows(&g, unit, &ctx).is_continue());
+            order.extend_from_slice(&engine.picked);
+        }
+        assert_eq!(order, expected);
+        // The credit matters: the order is not the plain degree order.
+        let mut by_degree: Vec<u32> = (0..n as u32).collect();
+        by_degree.sort_by_key(|&v| std::cmp::Reverse(degrees[v as usize]));
+        assert_ne!(order, by_degree);
+        let out = engine.finish(&g, summary_of(1));
+        assert_eq!(out.counters.relaxations, counters.relaxations);
+        assert_eq!(out.counters.row_reuses, counters.row_reuses);
+    }
+
+    fn summary_of(threads: usize) -> RunSummary {
+        RunSummary {
+            timings: PhaseTimings::default(),
+            threads,
+            label: "test".to_owned(),
+        }
+    }
+
+    #[test]
+    fn adaptive_waves_are_exact_at_every_thread_count_and_width() {
+        let g = barabasi_albert(200, 3, WeightSpec::Unit, 55).unwrap();
+        let reference = crate::baselines::apsp_dijkstra(&g);
+        for threads in [1, 4] {
+            for wave in [1, 4, 64] {
+                let out = Runner::new(RunConfig::par_adaptive(threads))
+                    .run(AdaptiveEngine::new(16, wave), &g);
+                assert_eq!(
+                    reference.first_difference(&out.dist),
+                    None,
+                    "threads={threads} wave={wave}"
+                );
+                assert_eq!(out.counters.sources, 200);
+                assert_eq!(out.thread_busy.len(), threads);
+            }
+        }
+    }
+
+    #[test]
+    fn adaptive_waves_are_exact_on_a_weighted_directed_graph() {
+        use parapsp_graph::generate::erdos_renyi_gnm;
+        use parapsp_graph::Direction;
+        let weights = WeightSpec::Uniform { lo: 1, hi: 20 };
+        let g = erdos_renyi_gnm(150, 900, Direction::Directed, weights, 56).unwrap();
+        let reference = crate::baselines::apsp_dijkstra(&g);
+        let out = Runner::new(RunConfig::par_adaptive(3)).run(AdaptiveEngine::new(16, 8), &g);
+        assert_eq!(reference.first_difference(&out.dist), None);
+    }
+
+    /// On a star every leaf's search relays through the hub, so the hub
+    /// collects all the credit, and it leads the order (highest degree)
+    /// with the leaves following in id order. Row reuse is off so that
+    /// every leaf expands the hub, whichever thread finished the hub row.
+    #[test]
+    fn star_hub_collects_the_credit_and_leads_the_order() {
+        let g = parapsp_graph::generate::star_graph(64);
+        let kernel = KernelOptions {
+            row_reuse: false,
+            ..KernelOptions::default()
+        };
+        let config = RunConfig::par_adaptive(2).with_kernel_options(kernel);
+        let mut engine = AdaptiveEngine::new(16, 8);
+        let pool = ThreadPool::new(2);
+        let plan = engine.prepare(&g, &config, &pool, None);
+        let ctx = RowsCtx {
+            pool: &pool,
+            config: &config,
+            token: None,
+            trace: None,
+        };
+        assert!(engine.run_rows(&g, &plan.units, &ctx).is_continue());
+        assert_eq!(engine.picked, (0..64).collect::<Vec<u32>>());
+        assert_eq!(engine.credit[0], 63, "the hub relays every leaf's search");
+        assert!(
+            engine.credit[1..].iter().all(|&c| c == 0),
+            "leaves never relay"
         );
-        let cp = outcome.into_checkpoint().expect("35 < 120 sources");
-        assert_eq!(cp.completed_count(), 35);
-        let resumed =
-            Runner::new(RunConfig::seq_adaptive(10)).run_resumed(SeqEngine::adaptive(10), &g, cp);
-        assert_eq!(full.dist.first_difference(&resumed.dist), None);
+        let out = engine.finish(&g, summary_of(2));
+        assert_eq!(out.counters.sources, 64);
+        assert!(out.dist.is_symmetric());
+    }
+
+    #[test]
+    #[should_panic(expected = "wave size")]
+    fn zero_wave_size_rejected() {
+        let _ = AdaptiveEngine::new(1, 0);
     }
 
     /// `--checkpoint-every` batch boundaries journal the same rows across
@@ -1488,7 +1679,7 @@ mod tests {
         });
         record("seq", &mut |path, token| {
             let config = RunConfig::seq_basic().with_ledger(path, EVERY);
-            let outcome = Runner::new(config).run_with_token(SeqEngine::ordered(), &g, token);
+            let outcome = Runner::new(config).run_with_token(ApspEngine::new(), &g, token);
             assert!(!outcome.is_complete());
         });
         record("subset", &mut |path, token| {
@@ -1717,7 +1908,7 @@ mod tests {
         ledger.finish().unwrap();
 
         let config = RunConfig::seq_basic().with_ledger(&path, 16);
-        let out = Runner::new(config).run_resumed(SeqEngine::ordered(), &g, resume_cp);
+        let out = Runner::new(config).run_resumed(ApspEngine::new(), &g, resume_cp);
         assert_eq!(reference.dist.first_difference(&out.dist), None);
         // The finished ledger replays complete — including the backfilled
         // checkpoint-only rows 0..20.
@@ -1726,9 +1917,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Every row-checkpointing engine — including the adaptive sequential
-    /// engine, whose work units are opaque counters, and the subset engine,
-    /// whose units are slot indices — produces a complete, exact ledger.
+    /// Every row-checkpointing engine — including the adaptive engine,
+    /// whose work units are opaque counters, and the subset engine, whose
+    /// units are slot indices — produces a complete, exact ledger.
     #[test]
     fn all_row_engines_fill_a_ledger_completely() {
         let dir = std::env::temp_dir().join("parapsp-engine-tests");
@@ -1753,9 +1944,13 @@ mod tests {
             let config = RunConfig::par_apsp(4).with_ledger(path, 8);
             Runner::new(config).run(ApspEngine::new(), &g);
         });
-        run("adaptive", &mut |path| {
+        run("seq-adaptive", &mut |path| {
             let config = RunConfig::seq_adaptive(10).with_ledger(path, 8);
-            Runner::new(config).run(SeqEngine::adaptive(10), &g);
+            Runner::new(config).run(AdaptiveEngine::new(10, 1), &g);
+        });
+        run("par-adaptive", &mut |path| {
+            let config = RunConfig::par_adaptive(2).with_ledger(path, 8);
+            Runner::new(config).run(AdaptiveEngine::new(16, 8), &g);
         });
         run("subset", &mut |path| {
             let sources: Vec<u32> = (0..60).collect();

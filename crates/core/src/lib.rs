@@ -9,24 +9,33 @@
 //! whole row `D[t][*]` at once instead of expanding `t`'s edges — a dynamic
 //! programming reuse of earlier sources' results.
 //!
+//! Two row engines run the family, one per order policy. An
+//! [`ApspEngine`] sweeps a static source order:
+//!
 //! * [`RunConfig::seq_basic`](engine::RunConfig::seq_basic) — Alg. 2: run
-//!   the kernel from every source in index order (drive a
-//!   [`SeqEngine`] with it).
+//!   the kernel from every source in index order, on one thread.
 //! * [`RunConfig::seq_optimized`](engine::RunConfig::seq_optimized) —
 //!   Alg. 3: visit sources in descending degree order so hub rows are
 //!   reusable early (2–4× faster on scale-free graphs).
-//! * [`SeqEngine::adaptive`](engine::SeqEngine::adaptive) — Peng's
-//!   adaptive variant (reconstructed; the ICPP paper describes but does
-//!   not parallelize it).
 //! * [`RunConfig::par_apsp`](engine::RunConfig::par_apsp) and friends —
 //!   the parallel drivers: **ParAlg1**, **ParAlg2**, and the paper's
 //!   contribution **ParAPSP** (MultiLists ordering + dynamic-cyclic
 //!   scheduling), plus every intermediate variant, all configurable by
-//!   ordering procedure and loop schedule (drive an
-//!   [`ApspEngine`]).
-//! * [`baselines`] — Floyd–Warshall, binary-heap Dijkstra APSP (sequential
-//!   and parallel), Bellman–Ford and BFS, used for cross-validation and
-//!   the background comparisons in the paper's §2.
+//!   ordering procedure and loop schedule.
+//!
+//! An [`AdaptiveEngine`] picks the order at run time, from the credit
+//! earlier sources' searches gave each relaying vertex:
+//!
+//! * [`RunConfig::seq_adaptive`](engine::RunConfig::seq_adaptive) —
+//!   Peng's adaptive variant (reconstructed; the ICPP paper describes but
+//!   does not parallelize it), one source per wave on one thread.
+//! * [`RunConfig::par_adaptive`](engine::RunConfig::par_adaptive) — its
+//!   wave-parallel extension: waves of 8 sources per thread, re-ranked
+//!   between waves.
+//!
+//! [`baselines`] holds Floyd–Warshall, binary-heap Dijkstra APSP
+//! (sequential and parallel), Bellman–Ford and BFS, used for
+//! cross-validation and the background comparisons in the paper's §2.
 //!
 //! Every engine stores its distance matrix in a [`store::Store`] — dense
 //! by default, with an out-of-core tier selectable per run (see
@@ -44,7 +53,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod baselines;
 pub mod blocked_fw;
 pub mod dist;
@@ -63,7 +71,7 @@ pub mod subset;
 
 pub use dist::DistanceMatrix;
 pub use engine::{
-    ApspEngine, BlockedFwEngine, Engine, EngineKind, FromStore, RunConfig, Runner, SeqEngine,
+    AdaptiveEngine, ApspEngine, BlockedFwEngine, Engine, EngineKind, FromStore, RunConfig, Runner,
     StoreRunOutput, SubsetEngine, ValueEnum,
 };
 pub use outcome::RunOutcome;

@@ -87,16 +87,6 @@ pub enum StoreKind {
     Mmap,
 }
 
-impl StoreKind {
-    /// The stable lowercase CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StoreKind::Dense => "dense",
-            StoreKind::Mmap => "mmap",
-        }
-    }
-}
-
 /// Default hot-row cache budget for the mmap backend.
 const DEFAULT_MMAP_CACHE: u64 = 64 << 20;
 /// Target size of one mmap shard file.

@@ -33,8 +33,8 @@ pub use parapsp_parfor as parfor;
 pub mod prelude {
     pub use parapsp_core::baselines;
     pub use parapsp_core::{
-        ApspEngine, ApspOutput, DistanceMatrix, Engine, EngineKind, RunConfig, Runner, SeqEngine,
-        Store, StoreKind, StoreSpec, SubsetEngine, INF,
+        AdaptiveEngine, ApspEngine, ApspOutput, DistanceMatrix, Engine, EngineKind, RunConfig,
+        Runner, Store, StoreKind, StoreSpec, SubsetEngine, INF,
     };
     pub use parapsp_datasets::{find as find_dataset, paper_datasets, Scale};
     pub use parapsp_graph::generate::{

@@ -1,6 +1,8 @@
 //! Cross-engine equivalence matrix: every [`parapsp::core::Engine`] must
 //! reproduce the sequential basic algorithm's distances bit-for-bit on
 //! every generator fixture, with and without a `max_distance` cap.
+//! seq-basic itself runs on the static-order row engine under test, so
+//! [`oracle`] first checks it against binary-heap Dijkstra.
 //!
 //! Capped runs are compared against the *post-filtered* exact matrix:
 //! because every capped entry is either the exact distance (≤ cap) or
@@ -8,8 +10,9 @@
 //! every Dist node), as a finish-time post-filter (BlockedFW), or to the
 //! finished exact matrix all produce identical bits.
 
+use parapsp::core::baselines::apsp_dijkstra;
 use parapsp::core::{
-    ApspEngine, BlockedFwEngine, DistanceMatrix, RunConfig, Runner, SeqEngine, SolverKind,
+    AdaptiveEngine, ApspEngine, BlockedFwEngine, DistanceMatrix, RunConfig, Runner, SolverKind,
     StoreSpec, SubsetEngine, INF,
 };
 use parapsp::dist::{BindSpec, ClusterConfig, DistEngine, SocketConfig, TransportSpec, WorkerMode};
@@ -18,7 +21,7 @@ use parapsp::graph::generate::{
     WeightSpec,
 };
 use parapsp::graph::{CsrGraph, Direction};
-use parapsp::parfor::Schedule;
+use parapsp::parfor::{CancelToken, Schedule};
 
 const WEIGHTS: WeightSpec = WeightSpec::Uniform { lo: 1, hi: 9 };
 
@@ -47,6 +50,25 @@ fn fixtures() -> Vec<(&'static str, CsrGraph)> {
         ("path", path_graph(55, Direction::Directed)),
         ("grid", grid_graph(7, 8)),
     ]
+}
+
+/// seq-basic's matrix, checked against binary-heap Dijkstra: the oracle
+/// every other engine is compared to.
+fn oracle(fixture: &str, graph: &CsrGraph) -> DistanceMatrix {
+    let full = Runner::new(RunConfig::seq_basic())
+        .run(ApspEngine::new(), graph)
+        .dist;
+    assert_eq!(
+        apsp_dijkstra(graph).first_difference(&full),
+        None,
+        "seq-basic on {fixture} differs from heap Dijkstra"
+    );
+    full
+}
+
+/// par-adaptive's engine: credit weight 16, 8 sources per thread a wave.
+fn par_adaptive() -> AdaptiveEngine {
+    AdaptiveEngine::new(16, 8)
 }
 
 /// The expected value of cell `(u, v)` under `cap`: the exact distance,
@@ -81,9 +103,7 @@ fn assert_matrix(
 #[test]
 fn every_engine_matches_seq_basic_on_every_fixture() {
     for (fixture, graph) in fixtures() {
-        let full = Runner::new(RunConfig::seq_basic())
-            .run(SeqEngine::ordered(), &graph)
-            .dist;
+        let full = oracle(fixture, &graph);
         for cap in [None, Some(6u32)] {
             let with_cap = |config: RunConfig| match cap {
                 Some(c) => config.with_max_distance(c),
@@ -100,28 +120,23 @@ fn every_engine_matches_seq_basic_on_every_fixture() {
                 assert_matrix(label, fixture, cap, &full, &out.dist);
             }
 
-            // Sequential family (the order differs per config; the
-            // distances must not).
-            for (label, config, engine) in [
-                (
-                    "seq-optimized",
-                    RunConfig::seq_optimized(1.0),
-                    SeqEngine::ordered(),
-                ),
-                (
-                    "seq-optimized-bucket",
-                    RunConfig::seq_optimized_bucket(),
-                    SeqEngine::ordered(),
-                ),
-                (
-                    "seq-adaptive",
-                    RunConfig::seq_adaptive(10),
-                    SeqEngine::adaptive(10),
-                ),
+            // Sequential family on the same engine (the order differs per
+            // config; the distances must not).
+            for (label, config) in [
+                ("seq-optimized", RunConfig::seq_optimized(1.0)),
+                ("seq-optimized-bucket", RunConfig::seq_optimized_bucket()),
             ] {
-                let out = Runner::new(with_cap(config)).run(engine, &graph);
+                let out = Runner::new(with_cap(config)).run(ApspEngine::new(), &graph);
                 assert_matrix(label, fixture, cap, &full, &out.dist);
             }
+
+            // The run-time order: Peng's adaptive variant and its
+            // wave-parallel extension.
+            let out = Runner::new(with_cap(RunConfig::seq_adaptive(10)))
+                .run(AdaptiveEngine::new(10, 1), &graph);
+            assert_matrix("seq-adaptive", fixture, cap, &full, &out.dist);
+            let out = Runner::new(with_cap(RunConfig::par_adaptive(4))).run(par_adaptive(), &graph);
+            assert_matrix("par-adaptive", fixture, cap, &full, &out.dist);
 
             // Blocked Floyd–Warshall (returns the matrix directly).
             let fw = Runner::new(with_cap(RunConfig::new(3))).run(BlockedFwEngine::new(16), &graph);
@@ -188,9 +203,7 @@ fn every_schedule_matches_seq_basic_on_every_fixture() {
         ("dynamic(2^63)", Schedule::DynamicChunked(1 << 63)),
     ];
     for (fixture, graph) in fixtures() {
-        let full = Runner::new(RunConfig::seq_basic())
-            .run(SeqEngine::ordered(), &graph)
-            .dist;
+        let full = oracle(fixture, &graph);
         for (sched_label, schedule) in schedules {
             for (label, config) in [
                 ("par-apsp", RunConfig::par_apsp(4)),
@@ -207,6 +220,15 @@ fn every_schedule_matches_seq_basic_on_every_fixture() {
                     &out.dist,
                 );
             }
+            let config = RunConfig::par_adaptive(3).with_schedule(schedule);
+            let out = Runner::new(config).run(par_adaptive(), &graph);
+            assert_matrix(
+                &format!("par-adaptive[{sched_label}]"),
+                fixture,
+                None,
+                &full,
+                &out.dist,
+            );
         }
     }
 }
@@ -226,9 +248,7 @@ fn every_solver_matches_seq_basic_on_every_fixture() {
         SolverKind::Auto,
     ];
     for (fixture, graph) in fixtures() {
-        let full = Runner::new(RunConfig::seq_basic())
-            .run(SeqEngine::ordered(), &graph)
-            .dist;
+        let full = oracle(fixture, &graph);
         for cap in [None, Some(6u32)] {
             let with_cap = |config: RunConfig| match cap {
                 Some(c) => config.with_max_distance(c),
@@ -249,18 +269,27 @@ fn every_solver_matches_seq_basic_on_every_fixture() {
                         &out.dist,
                     );
                 }
+                for (label, config) in [
+                    ("seq-basic", RunConfig::seq_basic()),
+                    ("seq-optimized", RunConfig::seq_optimized(1.0)),
+                ] {
+                    let out = Runner::new(with_cap(config).with_solver(solver))
+                        .run(ApspEngine::new(), &graph);
+                    assert_matrix(
+                        &format!("{label}[{}]", solver.label()),
+                        fixture,
+                        cap,
+                        &full,
+                        &out.dist,
+                    );
+                }
                 for (label, config, engine) in [
-                    ("seq-basic", RunConfig::seq_basic(), SeqEngine::ordered()),
-                    (
-                        "seq-optimized",
-                        RunConfig::seq_optimized(1.0),
-                        SeqEngine::ordered(),
-                    ),
                     (
                         "seq-adaptive",
                         RunConfig::seq_adaptive(10),
-                        SeqEngine::adaptive(10),
+                        AdaptiveEngine::new(10, 1),
                     ),
+                    ("par-adaptive", RunConfig::par_adaptive(3), par_adaptive()),
                 ] {
                     let out = Runner::new(with_cap(config).with_solver(solver)).run(engine, &graph);
                     assert_matrix(
@@ -279,7 +308,9 @@ fn every_solver_matches_seq_basic_on_every_fixture() {
 /// Store axis: the matrix storage backend decides *where* finished rows
 /// live — dense heap memory or out-of-core mmap shards — never what they
 /// contain. Every store must be bit-identical to seq-basic through the
-/// parallel, sequential, and distributed engines, uncapped and capped.
+/// parallel, sequential, adaptive and distributed engines, uncapped and
+/// capped, and through a par-adaptive run cancelled mid-sweep and resumed
+/// from its stop checkpoint.
 /// The mmap stores run with tiny hot-row budgets so eviction and `pread`
 /// round trips are actually exercised; the `mmap-tiny` cell holds only
 /// ~15 rows at these fixture sizes, so leases pin and evict constantly
@@ -298,9 +329,7 @@ fn every_store_matches_seq_basic_on_every_fixture() {
     ];
     let mut reuses: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();
     for (fixture, graph) in fixtures() {
-        let full = Runner::new(RunConfig::seq_basic())
-            .run(SeqEngine::ordered(), &graph)
-            .dist;
+        let full = oracle(fixture, &graph);
         for cap in [None, Some(6u32)] {
             let with_cap = |config: RunConfig| match cap {
                 Some(c) => config.with_max_distance(c),
@@ -309,14 +338,15 @@ fn every_store_matches_seq_basic_on_every_fixture() {
             for (store_label, store) in &stores {
                 for (label, config) in [
                     ("par-apsp", RunConfig::par_apsp(4)),
+                    ("par-adaptive", RunConfig::par_adaptive(4)),
                     ("seq-basic", RunConfig::seq_basic()),
                     ("seq-optimized", RunConfig::seq_optimized(1.0)),
                 ] {
-                    let config = with_cap(config).with_store(store.clone());
-                    let out = if label.starts_with("seq") {
-                        Runner::new(config).run(SeqEngine::ordered(), &graph)
+                    let runner = Runner::new(with_cap(config).with_store(store.clone()));
+                    let out = if label == "par-adaptive" {
+                        runner.run(par_adaptive(), &graph)
                     } else {
-                        Runner::new(config).run(ApspEngine::new(), &graph)
+                        runner.run(ApspEngine::new(), &graph)
                     };
                     assert_matrix(
                         &format!("{label}[{store_label}]"),
@@ -332,6 +362,28 @@ fn every_store_matches_seq_basic_on_every_fixture() {
                     );
                     *reuses.entry(store_label).or_insert(0) += out.counters.row_reuses;
                 }
+
+                // par-adaptive stopped after a third of its sources, then
+                // resumed into the same store tier.
+                let runner =
+                    Runner::new(with_cap(RunConfig::par_adaptive(4)).with_store(store.clone()));
+                let token = CancelToken::with_poll_budget(graph.vertex_count() as u64 / 3);
+                let checkpoint = runner
+                    .run_with_token(par_adaptive(), &graph, &token)
+                    .into_checkpoint()
+                    .expect("the poll budget stops the run");
+                assert!(
+                    !checkpoint.is_complete(),
+                    "par-adaptive[{store_label}] on {fixture}"
+                );
+                let out = runner.run_resumed(par_adaptive(), &graph, checkpoint);
+                assert_matrix(
+                    &format!("par-adaptive[{store_label}, resumed]"),
+                    fixture,
+                    cap,
+                    &full,
+                    &out.dist,
+                );
 
                 // Distributed: the store backs the driver's gather target.
                 let cluster = DistEngine::new(ClusterConfig {

@@ -4,7 +4,7 @@
 //! algorithm, which are the precise APSP solutions").
 
 use parapsp::core::baselines::{apsp_bfs, apsp_dijkstra, floyd_warshall, par_apsp_dijkstra};
-use parapsp::core::engine::{ApspEngine, RunConfig, Runner, SeqEngine};
+use parapsp::core::engine::{AdaptiveEngine, ApspEngine, RunConfig, Runner};
 use parapsp::core::kernel::KernelOptions;
 use parapsp::core::ApspOutput;
 use parapsp::graph::generate::{
@@ -49,7 +49,7 @@ fn assert_all_agree(graph: &CsrGraph, context: &str) {
     assert_eq!(
         reference.first_difference(
             &Runner::new(RunConfig::seq_basic())
-                .run(SeqEngine::ordered(), graph)
+                .run(ApspEngine::new(), graph)
                 .dist
         ),
         None,
@@ -58,7 +58,7 @@ fn assert_all_agree(graph: &CsrGraph, context: &str) {
     assert_eq!(
         reference.first_difference(
             &Runner::new(RunConfig::seq_optimized(1.0))
-                .run(SeqEngine::ordered(), graph)
+                .run(ApspEngine::new(), graph)
                 .dist
         ),
         None,
@@ -67,7 +67,7 @@ fn assert_all_agree(graph: &CsrGraph, context: &str) {
     assert_eq!(
         reference.first_difference(
             &Runner::new(RunConfig::seq_adaptive(4))
-                .run(SeqEngine::adaptive(4), graph)
+                .run(AdaptiveEngine::new(4, 1), graph)
                 .dist
         ),
         None,

@@ -3,9 +3,8 @@
 //! the betweenness-based justification of the paper's degree heuristic.
 
 use parapsp::analysis::betweenness_centrality;
-use parapsp::core::adaptive::{par_adaptive, AdaptiveConfig};
 use parapsp::core::baselines::apsp_dijkstra;
-use parapsp::core::engine::{ApspEngine, RunConfig, Runner};
+use parapsp::core::engine::{AdaptiveEngine, ApspEngine, RunConfig, Runner};
 use parapsp::core::paths::par_apsp_with_paths;
 use parapsp::datasets::{find, Scale};
 use parapsp::dist::{ClusterConfig, DistApspOutput, DistEngine};
@@ -29,7 +28,7 @@ fn all_extension_algorithms_agree_with_the_core_on_a_replica() {
     let parapsp = Runner::new(RunConfig::par_apsp(4)).run(ApspEngine::new(), &graph);
     assert_eq!(reference.first_difference(&parapsp.dist), None, "ParAPSP");
 
-    let adaptive = par_adaptive(&graph, 4, AdaptiveConfig::default());
+    let adaptive = Runner::new(RunConfig::par_adaptive(4)).run(AdaptiveEngine::new(16, 8), &graph);
     assert_eq!(reference.first_difference(&adaptive.dist), None, "adaptive");
 
     let with_paths = par_apsp_with_paths(&graph, 4);

@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 
-use parapsp::core::engine::{ApspEngine, RunConfig, Runner, SeqEngine};
+use parapsp::core::engine::{ApspEngine, RunConfig, Runner};
 use parapsp::core::persist::{self, Checkpoint};
 use parapsp::core::{ApspOutput, RunOutcome};
 use parapsp::dist::{
@@ -455,7 +455,7 @@ fn cancelled_dist_ledger_run_resumes_from_its_ledger() {
         b.add_edge(v / 3, v, 1 + v % 7).unwrap();
     }
     let graph = b.build();
-    let reference = Runner::new(RunConfig::seq_basic()).run(SeqEngine::ordered(), &graph);
+    let reference = Runner::new(RunConfig::seq_basic()).run(ApspEngine::new(), &graph);
     let dir = std::env::temp_dir().join("parapsp-faults-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("dist-cancel.ledger");

@@ -256,10 +256,9 @@ proptest! {
     fn path_runs_are_exact_and_reconstruct_edge_walks_of_that_weight(
         graph in arb_graph(30, 150),
     ) {
-        use parapsp::core::engine::SeqEngine;
         use parapsp::core::paths::par_apsp_with_paths;
         let reference = Runner::new(RunConfig::seq_basic())
-            .run(SeqEngine::ordered(), &graph)
+            .run(ApspEngine::new(), &graph)
             .dist;
         let n = graph.vertex_count() as u32;
         for threads in [1, 2] {

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use parapsp::core::baselines::apsp_dijkstra;
-use parapsp::core::{autotune, probe, ApspEngine, RunConfig, Runner, SeqEngine, SolverKind, INF};
+use parapsp::core::{autotune, probe, ApspEngine, RunConfig, Runner, SolverKind, INF};
 use parapsp::graph::generate::{erdos_renyi_gnm, WeightSpec};
 use parapsp::graph::{CsrGraph, Direction, GraphBuilder};
 
@@ -100,7 +100,7 @@ proptest! {
             solver.label()
         );
         let seq = Runner::new(RunConfig::seq_optimized(1.0).with_solver(solver))
-            .run(SeqEngine::ordered(), &graph);
+            .run(ApspEngine::new(), &graph);
         prop_assert_eq!(
             reference.first_difference(&seq.dist),
             None,
