@@ -252,7 +252,9 @@ mod tests {
         let g = barabasi_albert(500, 3, WeightSpec::Unit, 9).unwrap();
         let pool = ThreadPool::new(4);
         let b = betweenness_centrality(&g, &pool);
-        let top_b = (0..500u32).max_by(|&x, &y| b[x as usize].total_cmp(&b[y as usize])).unwrap();
+        let top_b = (0..500u32)
+            .max_by(|&x, &y| b[x as usize].total_cmp(&b[y as usize]))
+            .unwrap();
         let mut degrees: Vec<u32> = (0..500u32).map(|v| g.out_degree(v)).collect();
         degrees.sort_unstable_by(|a, b| b.cmp(a));
         assert!(
@@ -275,9 +277,11 @@ mod tests {
         assert!(clustering_coefficients(&complete_graph(5))
             .iter()
             .all(|&c| (c - 1.0).abs() < 1e-12));
-        assert!(clustering_coefficients(&path_graph(5, Direction::Undirected))
-            .iter()
-            .all(|&c| c == 0.0));
+        assert!(
+            clustering_coefficients(&path_graph(5, Direction::Undirected))
+                .iter()
+                .all(|&c| c == 0.0)
+        );
         assert_eq!(average_clustering(&complete_graph(4)), 1.0);
         // Triangle with a pendant: pendant 0, triangle vertices mixed.
         let g = parapsp_graph::CsrGraph::from_unit_edges(
@@ -306,7 +310,8 @@ mod tests {
         let r = degree_assortativity(&ba);
         assert!(r < 0.15, "BA assortativity {r}");
         // Empty graph.
-        let empty = parapsp_graph::CsrGraph::from_unit_edges(3, Direction::Undirected, &[]).unwrap();
+        let empty =
+            parapsp_graph::CsrGraph::from_unit_edges(3, Direction::Undirected, &[]).unwrap();
         assert_eq!(degree_assortativity(&empty), 0.0);
     }
 }

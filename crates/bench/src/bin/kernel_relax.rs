@@ -4,7 +4,9 @@
 //! n ∈ {1024, 4096, 16384} entries, amortized over a batch of published
 //! rows the way the APSP kernel consumes them) and **end-to-end** wall
 //! time (`"kind": "end_to_end"` cells: the whole `ParAPSP` [`Runner`]
-//! call on a Barabási–Albert graph, where row reuse dominates).
+//! call on a Barabási–Albert graph, where row reuse dominates; pinned to
+//! the paper's kernel, since `auto` would run these unit weights through
+//! MS-BFS, which relaxes no rows).
 //!
 //! Emits `BENCH_kernel.json` at the workspace root (override with
 //! `--out <path>`). Flags: `--iters <N>` interleaved passes over the row
@@ -18,6 +20,7 @@ use parapsp_bench::harness::{self, Arg, Bench, Cell, Sample, Value};
 use parapsp_bench::time;
 use parapsp_core::engine::{ApspEngine, RunConfig, Runner};
 use parapsp_core::relax::{avx2_available, relax_row, RelaxImpl};
+use parapsp_core::SolverKind;
 use parapsp_graph::generate::{barabasi_albert, WeightSpec};
 use parapsp_graph::INF;
 
@@ -164,7 +167,10 @@ fn main() {
         })
         .collect();
     cells.extend(harness::sweep(&graphs, &configs, passes, |graph, &imp| {
-        let runner = Runner::new(RunConfig::par_apsp(threads).with_relax(imp));
+        let config = RunConfig::par_apsp(threads)
+            .with_relax(imp)
+            .with_solver(SolverKind::Dijkstra);
+        let runner = Runner::new(config);
         let (out, elapsed) = time(|| runner.run(ApspEngine::new(), graph));
         let counters = vec![
             ("row_reuses", out.counters.row_reuses.into()),

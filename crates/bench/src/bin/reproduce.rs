@@ -22,8 +22,21 @@ use parapsp_bench::experiments::{self, Config};
 use parapsp_bench::report::{write_csv, Table};
 
 const EXPERIMENTS: &[&str] = &[
-    "table1", "table2", "fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-    "ablation", "dist", "complexity", "hypothesis",
+    "table1",
+    "table2",
+    "fig1",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "ablation",
+    "dist",
+    "complexity",
+    "hypothesis",
 ];
 
 fn usage() -> ! {

@@ -1,12 +1,14 @@
 //! `solver_scaling` — the per-source SSSP solver comparison benchmark.
 //!
-//! Sweeps the [`SolverKind`] axis {dijkstra, delta:auto, auto} through
-//! `ParAPSP` (via [`Runner`]/[`ApspEngine`], 4 threads) over graph
+//! Sweeps the [`SolverKind`] axis {dijkstra, delta:auto, msbfs, auto}
+//! through `ParAPSP` (via [`Runner`]/[`ApspEngine`], 4 threads) over graph
 //! classes chosen to separate the solvers: the paper's narrow-weight
 //! BA / ER / WS trio, ER and WS with weights 1..=1000 (wide weights on
 //! the dense regular WS class are where Δ-stepping wins), a sparse wide
-//! ER control and a unit-weight BA control. Each cell records wall time
-//! and the kernel's relaxations, queue pops and row reuses.
+//! ER control, and the same BA / ER / WS trio with unit weights, where
+//! msbfs runs (it runs nowhere else: it needs unit weights). Each cell
+//! records wall time and the kernel's relaxations, queue pops and row
+//! reuses.
 //!
 //! Emits `BENCH_solver.json` at the workspace root (override with
 //! `--out <path>`). Flags: `--iters <N>` interleaved passes (default 3;
@@ -39,10 +41,11 @@ const WIDE: WeightSpec = WeightSpec::Uniform { lo: 1, hi: 1000 };
 /// scaling axis, is under test here).
 const THREADS: usize = 4;
 
-fn solvers() -> [(&'static str, SolverKind); 3] {
+fn solvers() -> [(&'static str, SolverKind); 4] {
     [
         ("dijkstra", SolverKind::Dijkstra),
         ("delta:auto", SolverKind::Delta { delta: None }),
+        ("msbfs", SolverKind::MsBfs),
         ("auto", SolverKind::Auto),
     ]
 }
@@ -63,6 +66,11 @@ fn graphs(n: usize) -> Vec<(String, CsrGraph)> {
             erdos_renyi_gnm(n, m, Direction::Directed, NARROW, 43).expect("ER generation"),
         ),
         (
+            format!("er_n{n}_unit"),
+            erdos_renyi_gnm(n, m, Direction::Directed, WeightSpec::Unit, 43)
+                .expect("ER generation"),
+        ),
+        (
             format!("er_n{n}_w1-1000"),
             erdos_renyi_gnm(n, m, Direction::Directed, WIDE, 43).expect("ER generation"),
         ),
@@ -76,6 +84,10 @@ fn graphs(n: usize) -> Vec<(String, CsrGraph)> {
         (
             format!("ws_n{n}_w1-9"),
             watts_strogatz(n, 8, 0.2, NARROW, 44).expect("WS generation"),
+        ),
+        (
+            format!("ws_n{n}_unit"),
+            watts_strogatz(n, 8, 0.2, WeightSpec::Unit, 44).expect("WS generation"),
         ),
         (
             format!("ws_n{n}_w1-1000"),
@@ -96,7 +108,10 @@ fn main() {
     println!("solver_scaling: n={n}, threads={THREADS}, iters={iters} (median)");
 
     let configs = solvers().map(|(label, kind)| (vec![("solver", label.into())], kind));
-    let cells = harness::sweep(&graphs(n), &configs, iters, |graph, &kind| {
+    // msbfs cells run on the unit-weight graphs only.
+    let unit_or_any =
+        |graph: &CsrGraph, kind: &SolverKind| *kind != SolverKind::MsBfs || graph.is_unit_weight();
+    let cells = harness::sweep_where(&graphs(n), &configs, iters, unit_or_any, |graph, &kind| {
         let runner = Runner::new(RunConfig::par_apsp(THREADS).with_solver(kind));
         let (out, elapsed) = time(|| runner.run(ApspEngine::new(), graph));
         let counters = vec![

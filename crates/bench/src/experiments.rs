@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use parapsp_core::baselines;
 use parapsp_core::kernel::KernelOptions;
-use parapsp_core::{ApspEngine, ApspOutput, RunConfig, Runner};
+use parapsp_core::{ApspEngine, ApspOutput, RunConfig, Runner, SolverKind};
 use parapsp_datasets::{ca_hepph, find, ordering_datasets, paper_datasets, DatasetSpec, Scale};
 use parapsp_graph::{degree, CsrGraph};
 use parapsp_order::OrderingProcedure;
@@ -71,9 +71,10 @@ fn dataset(name: &str) -> DatasetSpec {
 type LabeledDriver = (&'static str, fn(usize) -> RunConfig);
 
 /// Runs the static-order row engine once under `config` (the `seq_*`
-/// configs run it on one thread).
+/// configs run it on one thread), on the paper's kernel: these tables
+/// measure Alg. 1, so the `auto` default must not swap in another solver.
 fn run_apsp(config: RunConfig, graph: &CsrGraph) -> ApspOutput {
-    Runner::new(config).run(ApspEngine::new(), graph)
+    Runner::new(config.with_solver(SolverKind::Dijkstra)).run(ApspEngine::new(), graph)
 }
 
 /// Times one ordering procedure at one thread count.
@@ -589,7 +590,8 @@ pub fn ablation(config: &Config) -> Vec<Table> {
     // work and why putting them first (and scheduling them cyclically)
     // matters.
     let (_, per_source) =
-        Runner::new(RunConfig::par_apsp(threads)).run_traced(ApspEngine::new(), &g);
+        Runner::new(RunConfig::par_apsp(threads).with_solver(SolverKind::Dijkstra))
+            .run_traced(ApspEngine::new(), &g);
     let mut by_degree: Vec<u32> = (0..g.vertex_count() as u32).collect();
     by_degree.sort_by_key(|&v| std::cmp::Reverse(degrees[v as usize]));
     let mut decile_table = Table::new(

@@ -339,18 +339,34 @@ pub fn sweep<C>(
     graphs: &[(String, CsrGraph)],
     configs: &[(Pairs, C)],
     passes: usize,
+    run: impl FnMut(&CsrGraph, &C) -> (DistanceMatrix, Sample),
+) -> Vec<Cell> {
+    sweep_where(graphs, configs, passes, |_, _| true, run)
+}
+
+/// [`sweep`] over only the graph × config pairs `applies` accepts, for
+/// configs that cannot run on every graph.
+pub fn sweep_where<C>(
+    graphs: &[(String, CsrGraph)],
+    configs: &[(Pairs, C)],
+    passes: usize,
+    applies: impl Fn(&CsrGraph, &C) -> bool,
     mut run: impl FnMut(&CsrGraph, &C) -> (DistanceMatrix, Sample),
 ) -> Vec<Cell> {
     let references: Vec<_> = graphs.iter().map(|(_, graph)| seq_basic(graph)).collect();
     let mut cells = Vec::new();
-    for (label, _) in graphs {
-        for (config, _) in configs {
-            let graph = [("graph", label.as_str().into())];
-            cells.push(Cell::new(graph.into_iter().chain(config.clone()).collect()));
+    let mut pairs = Vec::new();
+    for (g, (label, graph)) in graphs.iter().enumerate() {
+        for (c, (config, kind)) in configs.iter().enumerate() {
+            if applies(graph, kind) {
+                let graph = [("graph", label.as_str().into())];
+                cells.push(Cell::new(graph.into_iter().chain(config.clone()).collect()));
+                pairs.push((g, c));
+            }
         }
     }
     sample_interleaved(&mut cells, passes, |i, cell| {
-        let (g, c) = (i / configs.len(), i % configs.len());
+        let (g, c) = pairs[i];
         let (dist, sample) = run(&graphs[g].1, &configs[c].1);
         check_matrix(cell, &dist, &references[g]);
         sample

@@ -294,7 +294,9 @@ fn bounds(values: &[f64], log: bool) -> (f64, f64) {
 }
 
 fn escape(text: &str) -> String {
-    text.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    text.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 /// Parses a duration cell written by [`crate::fmt_duration`]

@@ -11,7 +11,9 @@ use parapsp_core::engine::{
     AdaptiveEngine, ApspEngine, BlockedFwEngine, Engine, EngineKind, RunConfig, Runner, ValueEnum,
 };
 use parapsp_core::paths::par_apsp_with_paths;
-use parapsp_core::{autotune, ApspOutput, DistanceMatrix, RelaxImpl, RunOutcome, SolverKind};
+use parapsp_core::{
+    autotune, probe, ApspOutput, DistanceMatrix, RelaxImpl, RunOutcome, SolverKind,
+};
 use parapsp_dist::{
     run_worker, BindSpec, ClusterConfig, DistEngine, FaultPlan, SocketConfig, SourcePartition,
     TransportSpec, WorkerMode, WorkerOptions, WorkerOutcome,
@@ -107,14 +109,18 @@ apsp options:
                              scalar (par-* and seq-* kernel algorithms;
                              default auto — all variants are bit-identical)
   --solver <s>               per-source SSSP solver: auto (default for
-                             par-*; one O(n + m) probe sends dense,
-                             unskewed graphs with a wide weight range to
-                             Δ-stepping, everything else to dijkstra) |
-                             dijkstra (the paper's modified Dijkstra;
-                             default for seq-*) | delta[:<width>]
+                             par-*; one O(n + m) probe sends unit-weight
+                             graphs to msbfs — dijkstra on par-adaptive —
+                             dense, unskewed graphs with a wide weight
+                             range to Δ-stepping, everything else to
+                             dijkstra) | dijkstra (the paper's modified
+                             Dijkstra; default for seq-*) | delta[:<width>]
                              (Δ-stepping, width from the mean weight when
-                             omitted); same algorithms as --relax;
-                             distances are bit-identical under every solver
+                             omitted) | msbfs (bit-parallel BFS, 64 sources
+                             per edge scan; unit weights only, not on
+                             par-adaptive or seq-adaptive); same algorithms
+                             as --relax; distances are bit-identical under
+                             every solver
   --schedule <s>             source-sweep loop schedule for par-apsp |
                              par-alg1 | par-alg2 | par-adaptive (each
                              wave): block | static-cyclic |
@@ -638,16 +644,24 @@ fn dist_summary(out: parapsp_dist::DistApspOutput, nodes: usize) -> (DistanceMat
 /// the parallel engines, the paper's kernel for Peng's sequential family).
 /// `auto` is resolved here, against the graph, so the run can report the
 /// choice and the probe behind it: the second value is that report line.
+/// `per_row_credit` marks the adaptive engines, for which `auto` never
+/// picks msbfs.
 fn pick_solver(
     flag: Option<SolverKind>,
     config: &RunConfig,
     graph: &CsrGraph,
+    per_row_credit: bool,
 ) -> (SolverKind, Option<String>) {
     let solver = flag.unwrap_or(config.kernel().solver);
     if solver != SolverKind::Auto {
         return (solver, None);
     }
     let choice = autotune(graph);
+    let choice = if per_row_credit {
+        choice.per_row()
+    } else {
+        choice
+    };
     let line = format!(
         "auto-tune: solver {} (n={} m={} degree-skew={:.1} weights {}..{})",
         choice.solver.label(),
@@ -766,6 +780,13 @@ fn run_algorithm(
         )
         .into());
     }
+    // The adaptive engines rank sources by per-row credit.
+    let per_row_credit = matches!(kind, EngineKind::SeqAdaptive | EngineKind::ParAdaptive);
+    if solver == Some(SolverKind::MsBfs) {
+        SolverKind::MsBfs
+            .check(&probe(graph), per_row_credit)
+            .map_err(|e| format!("--solver msbfs on `{}`: {e}", kind.value_name()))?;
+    }
     let checkpoint_every = args.get_parsed("checkpoint-every", 64usize)?;
     if checkpoint_every == 0 {
         return Err("--checkpoint-every must be at least 1".to_string().into());
@@ -778,7 +799,7 @@ fn run_algorithm(
         }
         config = config.with_relax(relax);
         if kind.uses_kernel() {
-            let (chosen, report) = pick_solver(solver, &config, graph);
+            let (chosen, report) = pick_solver(solver, &config, graph, per_row_credit);
             if let Some(line) = report {
                 println!("{line}");
             }
@@ -1325,7 +1346,14 @@ mod tests {
         let file = sample_file();
         // Every spelling the parser accepts, on both a parallel and a
         // sequential kernel engine.
-        for solver in ["dijkstra", "delta", "delta:auto", "delta:3", "auto"] {
+        for solver in [
+            "dijkstra",
+            "delta",
+            "delta:auto",
+            "delta:3",
+            "msbfs",
+            "auto",
+        ] {
             for algorithm in ["par-apsp", "seq-optimized"] {
                 apsp(&args(&[
                     "apsp",
@@ -1353,7 +1381,14 @@ mod tests {
         ]))
         .unwrap();
         // Malformed specs are rejected with the parser's explanation.
-        for bad in ["warp", "delta:0", "delta:wide", "stepping", "auto:1"] {
+        for bad in [
+            "warp",
+            "delta:0",
+            "delta:wide",
+            "stepping",
+            "auto:1",
+            "msbfs:8",
+        ] {
             let err = apsp(&args(&["apsp", &file, "--solver", bad])).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad}: {err}");
             assert!(err.to_string().contains("--solver"), "{bad}: {err}");
@@ -1367,11 +1402,31 @@ mod tests {
             err.contains("possible values") && err.contains("delta") && err.contains("auto"),
             "{err}"
         );
+        // msbfs shares its scans among sources, so the adaptive engines,
+        // which credit every row on its own, refuse it, naming why.
+        for algorithm in ["par-adaptive", "seq-adaptive"] {
+            let err = apsp(&args(&[
+                "apsp",
+                &file,
+                "--algorithm",
+                algorithm,
+                "--solver",
+                "msbfs",
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{algorithm}: {err}");
+            assert!(
+                err.to_string().contains("one at a time"),
+                "{algorithm}: {err}"
+            );
+        }
         // Without --solver the parallel engines run `auto`: a dense,
         // unskewed graph with weights 1..1000 goes to Δ-stepping, a
-        // unit-weight scale-free one stays on the paper's kernel, and
-        // either way the matrix is the one `--solver dijkstra` writes.
-        // Peng's sequential family keeps the kernel without a report.
+        // unit-weight scale-free one to the multi-source BFS, and either
+        // way the matrix is the one `--solver dijkstra` writes. On a
+        // weighted graph `--solver msbfs` is a usage error. Peng's
+        // sequential family keeps the kernel without a report, and
+        // par-adaptive's `auto` keeps it on unit weights.
         use parapsp_graph::generate::{barabasi_albert, watts_strogatz, WeightSpec};
         let dir = std::env::temp_dir().join("parapsp-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1385,7 +1440,7 @@ mod tests {
             (
                 "ba-unit",
                 barabasi_albert(300, 3, WeightSpec::Unit, 3).unwrap(),
-                "dijkstra",
+                "msbfs",
             ),
         ] {
             let path = dir.join(format!("default-solver-{name}.txt"));
@@ -1393,14 +1448,21 @@ mod tests {
             parapsp_graph::io::write_edge_list(&graph, std::io::BufWriter::new(file)).unwrap();
             let input = path.to_string_lossy().into_owned();
             let loaded = load(&args(&["apsp", &input])).unwrap().graph;
-            let (_, report) = pick_solver(None, &RunConfig::par_apsp(2), &loaded);
+            let (_, report) = pick_solver(None, &RunConfig::par_apsp(2), &loaded, false);
             let report = report.expect("the default solver is auto");
             assert!(
                 report.starts_with(&format!("auto-tune: solver {expect}")),
                 "{name}: {report}"
             );
-            let kernel = pick_solver(None, &RunConfig::seq_basic(), &loaded);
+            let kernel = pick_solver(None, &RunConfig::seq_basic(), &loaded, false);
             assert_eq!(kernel, (SolverKind::Dijkstra, None), "{name}");
+            let (adaptive, _) = pick_solver(None, &RunConfig::par_adaptive(2), &loaded, true);
+            assert_ne!(adaptive, SolverKind::MsBfs, "{name}");
+            if name == "ws-wide" {
+                let err = apsp(&args(&["apsp", &input, "--solver", "msbfs"])).unwrap_err();
+                assert_eq!(err.exit_code(), 2, "{err}");
+                assert!(err.to_string().contains("weights span 1..1000"), "{err}");
+            }
             let out = |tag: &str| dir.join(format!("default-solver-{name}-{tag}.bin"));
             let (default_out, dijkstra_out) = (out("default"), out("dijkstra"));
             for (path, extra) in [(&default_out, None), (&dijkstra_out, Some("dijkstra"))] {

@@ -938,9 +938,10 @@ fn run_ledgered<E: Engine>(
 // ApspEngine — the shared-memory parallel row engine
 // ---------------------------------------------------------------------------
 
-/// The shared-memory parallel APSP engine: the modified Dijkstra from
+/// The shared-memory parallel APSP engine: the resolved row solver from
 /// every source, sources as independent tasks over the configured
-/// ordering and schedule, rows shared through the Release/Acquire
+/// ordering and schedule — one source per task, or one batch of up to 64
+/// for the multi-source BFS — rows shared through the Release/Acquire
 /// publication protocol.
 ///
 /// Pair with the `RunConfig::par_*` constructors to reproduce the paper's
@@ -1093,7 +1094,7 @@ impl<O: FromStore> Engine for ApspEngine<O> {
         self.locals = Some(PerThread::from_fn(pool.num_threads(), |_| {
             (Workspace::new(n), Counters::default(), Duration::ZERO)
         }));
-        self.solver = Some(RowSolver::resolve(graph, config.kernel()));
+        self.solver = Some(RowSolver::resolve(graph, config.kernel(), false));
         Plan { units, ordering }
     }
 
@@ -1103,31 +1104,40 @@ impl<O: FromStore> Engine for ApspEngine<O> {
         let solver = self.solver.as_ref().expect("prepare() not called");
         let kernel = ctx.config.kernel();
         let trace = ctx.trace;
+        // One loop iteration solves one batch of sources: a single source
+        // for the per-row solvers, up to 64 for MS-BFS.
+        let width = solver.batch_width(units.len(), ctx.pool.num_threads());
+        let batches = units.len().div_ceil(width);
         let body = |tid: usize, k: usize| {
-            let s = units[k];
+            let sources = &units[k * width..units.len().min((k + 1) * width)];
             // SAFETY: each pool thread touches only its own scratch slot.
             let (ws, counters, busy) = unsafe { locals.get_mut(tid) };
             let t0 = Instant::now();
-            // `units` is drawn from a permutation, so source `s` belongs to
-            // exactly this iteration — satisfying the unique-row-owner
-            // contract of the solvers (and of `Store::try_row_mut`).
-            solver.solve_row(graph, s, store, ws, kernel, counters, None);
+            // `units` is drawn from a permutation, so every source of the
+            // batch belongs to exactly this iteration — satisfying the
+            // unique-row-owner contract of the solvers (and of
+            // `Store::try_row_mut`).
+            solver.solve_rows(graph, sources, store, ws, kernel, counters);
             let elapsed = t0.elapsed();
             *busy += elapsed;
             if let Some(view) = trace {
-                // SAFETY: as above, the trace slot of `s` belongs
-                // exclusively to this iteration.
-                unsafe { view.write(s as usize, elapsed.as_nanos() as u64) };
+                // A batch's sources share its time; every slot reads at
+                // least 1 ns.
+                let per_row = (elapsed.as_nanos() as u64 / sources.len() as u64).max(1);
+                for &s in sources {
+                    // SAFETY: as above, the trace slot of `s` belongs
+                    // exclusively to this iteration.
+                    unsafe { view.write(s as usize, per_row) };
+                }
             }
         };
         match ctx.token {
             Some(token) => {
                 ctx.pool
-                    .parallel_for_cancellable(units.len(), ctx.config.schedule(), token, body)
+                    .parallel_for_cancellable(batches, ctx.config.schedule(), token, body)
             }
             None => {
-                ctx.pool
-                    .parallel_for(units.len(), ctx.config.schedule(), body);
+                ctx.pool.parallel_for(batches, ctx.config.schedule(), body);
                 CancelStatus::Continue
             }
         }
@@ -1259,7 +1269,9 @@ impl Engine for AdaptiveEngine {
                 vec![0; n],
             )
         }));
-        self.solver = Some(RowSolver::resolve(graph, config.kernel()));
+        // The order is built from per-row credit, which MS-BFS's shared
+        // scans cannot attribute: `auto` resolves per row here.
+        self.solver = Some(RowSolver::resolve(graph, config.kernel(), true));
         self.degrees = degree::out_degrees(graph);
         self.credit = vec![0; n];
         Plan {
@@ -1518,7 +1530,7 @@ mod tests {
         let mut counters = Counters::default();
         let mut credit = vec![0u64; n];
         let mut done = vec![false; n];
-        let solver = RowSolver::resolve(&g, config.kernel());
+        let solver = RowSolver::resolve(&g, config.kernel(), true);
         let mut expected = Vec::with_capacity(n);
         for _ in 0..n {
             let s = (0..n as u32)

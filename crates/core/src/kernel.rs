@@ -101,6 +101,9 @@ pub struct Workspace {
     /// into this buffer and hands it over via [`Store::publish_from`].
     /// Allocated once per thread, like the rest of the workspace.
     pub(crate) row_buf: Vec<u32>,
+    /// Lane masks, frontiers and staging block of the multi-source BFS
+    /// solver; empty unless that solver runs.
+    pub(crate) msbfs: crate::solver::MsBfsScratch,
 }
 
 impl Workspace {
@@ -114,6 +117,7 @@ impl Workspace {
             in_removed: BitSet::new(n),
             scratch: Vec::new(),
             row_buf: vec![INF; n],
+            msbfs: Default::default(),
         }
     }
 }

@@ -118,6 +118,16 @@ pub(crate) mod alloc_counter {
             unsafe { System.alloc(layout) }
         }
 
+        /// Forwarded, not left to the trait's default (`alloc` plus a
+        /// memset): the system's zeroed allocation maps fresh pages
+        /// without touching them, which the huge-page advice of
+        /// `dist::matrix_cells` needs. A memset faults the whole buffer
+        /// in on 4 KiB pages before the advice is given.
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            bump();
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
             unsafe { System.dealloc(ptr, layout) }
         }

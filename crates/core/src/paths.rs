@@ -166,10 +166,7 @@ pub fn par_apsp_with_paths(graph: &CsrGraph, threads: usize) -> ApspPaths {
     });
     ApspPaths {
         dist: store.into_matrix(),
-        pred: PredecessorMatrix {
-            n,
-            data: pred,
-        },
+        pred: PredecessorMatrix { n, data: pred },
         elapsed: start.elapsed(),
     }
 }

@@ -13,14 +13,22 @@
 //!   for complex networks by Kranjčević, Palossi & Pintarelli): vertices
 //!   bucketed by `⌊tent/Δ⌋`, light edges (`w ≤ Δ`) relaxed to a fixpoint
 //!   per bucket, heavy edges once per removed vertex.
+//! * [`SolverKind::MsBfs`] — bit-parallel multi-source BFS (Then et al.,
+//!   "The More the Merrier", PVLDB 8(4), 2014) for unit-weight graphs:
+//!   up to 64 sources share every edge scan through one `u64` lane mask
+//!   per vertex, and a vertex's BFS level is its distance in each lane.
+//!   It is the one solver that computes a *batch* of rows per call
+//!   (`RowSolver::solve_rows`), so it runs only on the static-order
+//!   engine: the adaptive engines rank sources by per-row credit, which a
+//!   shared scan cannot attribute to one row.
 //! * [`SolverKind::Auto`] (the default) — probe the graph in one
 //!   O(n + m) pass ([`probe`]) and let [`autotune`] pick the solver and Δ.
-//!   Dense, wide-weight, unskewed graphs (Watts–Strogatz-like) get
-//!   Δ-stepping; unit-weight and degree-skewed graphs — every SNAP graph
-//!   in the paper — stay on the paper's kernel. Peng's sequential
-//!   configurations ([`RunConfig::seq_basic`] and friends) pin
-//!   [`SolverKind::Dijkstra`] instead, so the bit-identity reference
-//!   never changes kernel.
+//!   Unit-weight graphs — every SNAP graph in the paper — get MS-BFS
+//!   (dijkstra on the adaptive engines); dense, wide-weight, unskewed
+//!   graphs (Watts–Strogatz-like) get Δ-stepping; everything else stays
+//!   on the paper's kernel. Peng's sequential configurations
+//!   ([`RunConfig::seq_basic`] and friends) pin [`SolverKind::Dijkstra`]
+//!   instead, so the bit-identity reference never changes kernel.
 //!
 //! [`RunConfig::seq_basic`]: crate::engine::RunConfig::seq_basic
 //!
@@ -51,6 +59,10 @@
 //! identically on every store backend: dense lends the row (with a
 //! [`Store::prefetch_row`] hint for the next candidate), mmap pins a
 //! hot-cache entry for the relaxation pass.
+//!
+//! MS-BFS reuses no rows: on a unit-weight graph one scan already serves
+//! 64 sources, and a level-synchronous search has no settled-distance
+//! point at which a published row could be folded in wholesale.
 
 use parapsp_graph::{CsrGraph, INF};
 use parapsp_parfor::spec;
@@ -68,7 +80,7 @@ use crate::store::Store;
 /// All variants produce bit-identical distances; they differ in how they
 /// order relaxations, which is a (graph-class-dependent) performance
 /// choice. CLI spellings: `dijkstra`, `delta`, `delta:auto`, `delta:<Δ>`,
-/// `auto`.
+/// `msbfs`, `auto`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
     /// The paper's modified Dijkstra (FIFO label-correcting + row reuse).
@@ -78,6 +90,10 @@ pub enum SolverKind {
         /// Bucket width; `None` picks Δ from the mean edge weight.
         delta: Option<u32>,
     },
+    /// Bit-parallel multi-source BFS, 64 sources per edge scan. Unit
+    /// weights only, and only on the static-order engine
+    /// ([`SolverKind::check`]).
+    MsBfs,
     /// Probe the graph once and pick a concrete solver ([`autotune`]).
     #[default]
     Auto,
@@ -85,15 +101,17 @@ pub enum SolverKind {
 
 impl SolverKind {
     /// Every CLI spelling, for self-describing rejection messages.
-    pub const POSSIBLE: &'static [&'static str] = &["dijkstra", "delta[:<Δ>|:auto]", "auto"];
+    pub const POSSIBLE: &'static [&'static str] =
+        &["dijkstra", "delta[:<Δ>|:auto]", "msbfs", "auto"];
 
-    /// Stable label: `dijkstra`, `delta:auto`, `delta:<Δ>`, `auto`.
-    /// Round-trips through [`SolverKind::parse`].
+    /// Stable label: `dijkstra`, `delta:auto`, `delta:<Δ>`, `msbfs`,
+    /// `auto`. Round-trips through [`SolverKind::parse`].
     pub fn label(self) -> String {
         match self {
             SolverKind::Dijkstra => "dijkstra".to_owned(),
             SolverKind::Delta { delta: None } => "delta:auto".to_owned(),
             SolverKind::Delta { delta: Some(d) } => format!("delta:{d}"),
+            SolverKind::MsBfs => "msbfs".to_owned(),
             SolverKind::Auto => "auto".to_owned(),
         }
     }
@@ -103,8 +121,11 @@ impl SolverKind {
     pub fn parse(raw: &str) -> Result<SolverKind, String> {
         let (name, param) = spec::split_spec(raw);
         match name {
-            "dijkstra" | "auto" if param.is_some() => Err(spec::reject_param("solver", name)),
+            "dijkstra" | "msbfs" | "auto" if param.is_some() => {
+                Err(spec::reject_param("solver", name))
+            }
             "dijkstra" => Ok(SolverKind::Dijkstra),
+            "msbfs" => Ok(SolverKind::MsBfs),
             "auto" => Ok(SolverKind::Auto),
             "delta" => match param {
                 None | Some("auto") => Ok(SolverKind::Delta { delta: None }),
@@ -114,6 +135,33 @@ impl SolverKind {
             },
             _ => Err(spec::reject_unknown("solver", raw, Self::POSSIBLE)),
         }
+    }
+
+    /// Why this solver cannot run on the probed graph, if it cannot.
+    /// `per_row_credit` is set for the adaptive engines, which rank
+    /// sources by the credit each row earns on its own. Only MS-BFS has
+    /// limits: it needs unit weights, and its shared scans earn no
+    /// per-row credit.
+    pub fn check(self, probe: &GraphProbe, per_row_credit: bool) -> Result<(), String> {
+        if self != SolverKind::MsBfs {
+            return Ok(());
+        }
+        if per_row_credit {
+            return Err(
+                "solver msbfs shares each edge scan among up to 64 sources, so it \
+                 cannot credit rows one at a time as the adaptive engines need; \
+                 use dijkstra or delta there"
+                    .to_owned(),
+            );
+        }
+        if !probe.unit_weights() {
+            return Err(format!(
+                "solver msbfs is a breadth-first search and needs every edge weight to \
+                 be 1, but this graph's weights span {}..{}",
+                probe.weight_min, probe.weight_max
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -147,6 +195,14 @@ pub struct GraphProbe {
     pub weight_max: u32,
     /// Mean edge weight (0 on edgeless graphs).
     pub weight_mean: f64,
+}
+
+impl GraphProbe {
+    /// Whether every edge weighs 1 (vacuously true without edges): the
+    /// graphs a BFS level solves exactly.
+    pub fn unit_weights(&self) -> bool {
+        self.m == 0 || (self.weight_min == 1 && self.weight_max == 1)
+    }
 }
 
 /// Probes `graph` in one pass over its vertices and edge weights.
@@ -193,6 +249,21 @@ pub struct AutoChoice {
     pub probe: GraphProbe,
 }
 
+impl AutoChoice {
+    /// The choice for an engine that credits every row on its own (the
+    /// adaptive engines): MS-BFS, whose scans serve many rows at once,
+    /// gives way to the paper's kernel.
+    pub fn per_row(self) -> AutoChoice {
+        match self.solver {
+            SolverKind::MsBfs => AutoChoice {
+                solver: SolverKind::Dijkstra,
+                ..self
+            },
+            _ => self,
+        }
+    }
+}
+
 /// Δ from the probe: the mean edge weight (≥ 1). The classic guidance is
 /// Δ = Θ(mean weight): buckets then hold one expected "hop" of the
 /// frontier, so light-edge fixpoints stay short while buckets stay fat
@@ -206,8 +277,12 @@ pub fn auto_delta(weight_mean: f64) -> u32 {
 /// The heuristic was fitted to the `solver_scaling` measurements
 /// (BENCH_solver.json, discussed in EXPERIMENTS.md and DESIGN.md §12):
 ///
-/// * uniform weights → `dijkstra` (the FIFO kernel is BFS-like and the
-///   row-reuse trick dominates — the paper's home turf);
+/// * unit weights (or no edges) → `msbfs`: a BFS level is the distance,
+///   and 64 sources per edge scan beat the row-reuse trick on every
+///   unit-weight class measured (BENCH_solver.json; hub-dominated graphs
+///   most of all, where the FIFO kernel leans hardest on reuse);
+/// * other uniform weights → `dijkstra` (the FIFO kernel is BFS-like and
+///   the row-reuse trick dominates — the paper's home turf);
 /// * strong degree skew (max/mean ≥ 8) → `dijkstra` (hub rows publish
 ///   early and get reused constantly);
 /// * dense (mean out-degree ≥ 6) *and* wide weight range (max/min ≥ 50)
@@ -225,7 +300,9 @@ pub fn autotune(graph: &CsrGraph) -> AutoChoice {
     let skewed = p.degree_skew >= 8.0;
     let dense = p.density >= 6.0;
     let wide = p.weight_max as f64 / p.weight_min.max(1) as f64 >= 50.0;
-    let solver = if !uniform && !skewed && dense && wide {
+    let solver = if p.unit_weights() {
+        SolverKind::MsBfs
+    } else if !uniform && !skewed && dense && wide {
         // Δ-sweeps put the optimum near a quarter of the mean weight on
         // this class (finer buckets than the classic Δ = mean guidance).
         SolverKind::Delta {
@@ -245,7 +322,11 @@ pub fn autotune(graph: &CsrGraph) -> AutoChoice {
 enum Resolved {
     Dijkstra,
     Delta,
+    MsBfs,
 }
+
+/// Most sources one MS-BFS batch runs: one bit of a `u64` lane mask each.
+pub(crate) const MSBFS_LANES: usize = 64;
 
 /// Light/heavy adjacency partition for Δ-stepping, built once per run at
 /// resolve time: each vertex's edges are reordered light-first (`w ≤ Δ`),
@@ -331,14 +412,30 @@ pub(crate) struct RowSolver {
 }
 
 impl RowSolver {
-    /// Resolves `options.solver` for `graph`. `auto` and `delta` read one
-    /// [`probe`] pass: the tuner decides from it, and Δ-stepping sizes its
-    /// ring from the same pass's weight range.
-    pub(crate) fn resolve(graph: &CsrGraph, options: KernelOptions) -> RowSolver {
+    /// Resolves `options.solver` for `graph`. `auto`, `delta` and
+    /// `msbfs` read one [`probe`] pass: the tuner decides from it,
+    /// Δ-stepping sizes its ring from the same pass's weight range, and
+    /// MS-BFS is checked against it. `per_row_credit` is set by the
+    /// adaptive engines, for which `auto` never picks MS-BFS.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`SolverKind::check`] message when `msbfs` is asked
+    /// for on a graph that is not unit-weight or with `per_row_credit`.
+    pub(crate) fn resolve(
+        graph: &CsrGraph,
+        options: KernelOptions,
+        per_row_credit: bool,
+    ) -> RowSolver {
         let probed = match options.solver {
             SolverKind::Dijkstra => None,
             SolverKind::Auto => {
                 let choice = autotune(graph);
+                let choice = if per_row_credit {
+                    choice.per_row()
+                } else {
+                    choice
+                };
                 Some((choice.solver, choice.probe))
             }
             kind => Some((kind, probe(graph))),
@@ -353,12 +450,60 @@ impl RowSolver {
                     partition: Some(LightHeavy::build(graph, delta)),
                 }
             }
+            Some((SolverKind::MsBfs, p)) => {
+                if let Err(err) = SolverKind::MsBfs.check(&p, per_row_credit) {
+                    panic!("{err}");
+                }
+                RowSolver {
+                    kind: Resolved::MsBfs,
+                    delta: 1,
+                    ring: 1,
+                    partition: None,
+                }
+            }
             _ => RowSolver {
                 kind: Resolved::Dijkstra,
                 delta: 1,
                 ring: 1,
                 partition: None,
             },
+        }
+    }
+
+    /// How many sources one [`RowSolver::solve_rows`] call of a
+    /// `len`-source sweep on `threads` threads should take: 1 for the
+    /// per-row solvers; for MS-BFS up to [`MSBFS_LANES`], but no more
+    /// than an even share per thread, so a short sweep (a ledger batch)
+    /// still keeps every thread busy.
+    pub(crate) fn batch_width(&self, len: usize, threads: usize) -> usize {
+        match self.kind {
+            Resolved::MsBfs => len.div_ceil(threads.max(1)).clamp(1, MSBFS_LANES),
+            Resolved::Dijkstra | Resolved::Delta => 1,
+        }
+    }
+
+    /// Computes and publishes the rows of `sources` (at most
+    /// [`RowSolver::batch_width`] of them): one MS-BFS over all of them,
+    /// or one [`RowSolver::solve_row`] each for the per-row solvers.
+    ///
+    /// The caller must be the unique task running every source in
+    /// `sources`, as for [`RowSolver::solve_row`].
+    pub(crate) fn solve_rows(
+        &self,
+        graph: &CsrGraph,
+        sources: &[u32],
+        store: &Store,
+        ws: &mut Workspace,
+        options: KernelOptions,
+        counters: &mut Counters,
+    ) {
+        match self.kind {
+            Resolved::MsBfs => msbfs_rows(graph, sources, store, ws, options, counters),
+            Resolved::Dijkstra | Resolved::Delta => {
+                for &s in sources {
+                    self.solve_row(graph, s, store, ws, options, counters, None);
+                }
+            }
         }
     }
 
@@ -404,6 +549,7 @@ impl RowSolver {
                 &mut NoPred,
             ),
             Resolved::Delta => delta_row(self, graph, s, row, store, ws, options, counters, credit),
+            Resolved::MsBfs => unreachable!("MS-BFS rows are solved in batches by solve_rows"),
         }
         // Alg. 1 line 21: flag[s] = 1.
         match staged {
@@ -561,6 +707,157 @@ fn delta_row(
     counters.merge(&tally);
 }
 
+// ---------------------------------------------------------------------------
+// Multi-source BFS
+// ---------------------------------------------------------------------------
+
+/// Per-thread scratch of [`msbfs_rows`], part of the kernel [`Workspace`].
+/// Empty until the first MS-BFS batch, so runs on the other solvers
+/// never allocate it.
+#[derive(Debug, Default)]
+pub(crate) struct MsBfsScratch {
+    /// Lanes that have reached each vertex.
+    seen: Vec<u64>,
+    /// Lanes for which each vertex is on the current level's frontier.
+    visit: Vec<u64>,
+    /// Lanes that reach each vertex first on the next level.
+    next: Vec<u64>,
+    /// One bit per vertex with a nonzero `next` mask.
+    touched: Vec<u64>,
+    /// Vertices with a nonzero `visit` mask, in increasing order.
+    frontier: Vec<u32>,
+    /// Lanes × n staging rows for stores that lend no rows.
+    block: Vec<u32>,
+}
+
+/// Bit-parallel multi-source BFS (Then et al., "The More the Merrier"):
+/// the rows of up to 64 `sources` on a unit-weight graph, one lane of a
+/// `u64` mask per source.
+///
+/// Level by level, every frontier vertex `v` offers its `visit[v]` lanes
+/// to each out-neighbour `u`; the lanes not yet in `seen[u]` reach `u` at
+/// this level, which is their distance to `u`. One scan of `v`'s edges
+/// thus advances every lane that has `v` on its frontier. The reached
+/// vertices are then walked in increasing order through a bitmap, so
+/// each lane's row is written front to back and the next frontier comes
+/// out sorted. The search stops when no lane advances or the next level
+/// would pass the cap.
+///
+/// A lending store (dense) takes each level in place, through one
+/// [`Store::try_row_mut`] per source; otherwise the rows are staged in
+/// the workspace block and handed over with [`Store::publish_from`].
+/// Every row is published once the search ends.
+fn msbfs_rows(
+    graph: &CsrGraph,
+    sources: &[u32],
+    store: &Store,
+    ws: &mut Workspace,
+    options: KernelOptions,
+    counters: &mut Counters,
+) {
+    let n = graph.vertex_count();
+    let lanes = sources.len();
+    assert!(
+        lanes <= MSBFS_LANES,
+        "an MS-BFS batch holds at most 64 sources"
+    );
+    let cap = options.max_distance.unwrap_or(u32::MAX);
+    let MsBfsScratch {
+        seen,
+        visit,
+        next,
+        touched,
+        frontier,
+        block,
+    } = &mut ws.msbfs;
+    // `visit` may hold a capped search's last frontier; `next` and
+    // `touched` are always left clear.
+    seen.clear();
+    seen.resize(n, 0);
+    visit.clear();
+    visit.resize(n, 0);
+    next.resize(n, 0);
+    touched.resize(n.div_ceil(64), 0);
+
+    let mut tally = Counters {
+        sources: lanes as u64,
+        ..Counters::default()
+    };
+    let mut staged = false;
+    {
+        let mut rows: [&mut [u32]; MSBFS_LANES] = std::array::from_fn(|_| <&mut [u32]>::default());
+        for (lane, &s) in sources.iter().enumerate() {
+            // SAFETY: the caller owns every row of `sources` until it is
+            // published below, after this borrow ends.
+            match unsafe { store.try_row_mut(s) } {
+                Some(row) => rows[lane] = row,
+                None => {
+                    staged = true;
+                    break;
+                }
+            }
+        }
+        if staged {
+            block.clear();
+            block.resize(lanes * n, INF);
+            for (lane, row) in block.chunks_exact_mut(n.max(1)).enumerate() {
+                rows[lane] = row;
+            }
+        }
+        frontier.clear();
+        for (lane, &s) in sources.iter().enumerate() {
+            let bit = 1u64 << lane;
+            seen[s as usize] |= bit;
+            visit[s as usize] |= bit;
+            rows[lane][s as usize] = 0;
+            frontier.push(s);
+        }
+        frontier.sort_unstable();
+
+        let mut level = 0u32;
+        while !frontier.is_empty() && level < cap {
+            level += 1;
+            for &v in frontier.iter() {
+                let lanes_at_v = std::mem::take(&mut visit[v as usize]);
+                tally.queue_pops += 1;
+                for &u in graph.neighbors(v) {
+                    let fresh = lanes_at_v & !seen[u as usize];
+                    if fresh != 0 {
+                        next[u as usize] |= fresh;
+                        seen[u as usize] |= fresh;
+                        touched[u as usize / 64] |= 1 << (u % 64);
+                    }
+                }
+            }
+            frontier.clear();
+            for (word, bits) in touched.iter_mut().enumerate() {
+                let mut bits = std::mem::take(bits);
+                while bits != 0 {
+                    let u = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let mut reached = std::mem::take(&mut next[u]);
+                    visit[u] = reached;
+                    frontier.push(u as u32);
+                    tally.relaxations += reached.count_ones() as u64;
+                    while reached != 0 {
+                        rows[reached.trailing_zeros() as usize][u] = level;
+                        reached &= reached - 1;
+                    }
+                }
+            }
+        }
+    }
+
+    for (lane, &s) in sources.iter().enumerate() {
+        if staged {
+            store.publish_from(s, &block[lane * n..(lane + 1) * n]);
+        } else {
+            store.publish(s);
+        }
+    }
+    counters.merge(&tally);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,12 +904,13 @@ mod tests {
         spec: &crate::store::StoreSpec,
     ) -> crate::DistanceMatrix {
         let n = graph.vertex_count();
-        let solver = RowSolver::resolve(graph, options);
+        let solver = RowSolver::resolve(graph, options, false);
         let store = Store::new(n, spec);
         let mut ws = Workspace::new(n);
         let mut counters = Counters::default();
-        for s in 0..n as u32 {
-            solver.solve_row(graph, s, &store, &mut ws, options, &mut counters, None);
+        let sources: Vec<u32> = (0..n as u32).collect();
+        for batch in sources.chunks(solver.batch_width(n, 1)) {
+            solver.solve_rows(graph, batch, &store, &mut ws, options, &mut counters);
         }
         assert_eq!(counters.sources, n as u64);
         store.into_matrix()
@@ -652,12 +950,21 @@ mod tests {
             "delta:12".parse(),
             Ok(SolverKind::Delta { delta: Some(12) })
         );
+        assert_eq!("msbfs".parse(), Ok(SolverKind::MsBfs));
         assert_eq!("auto".parse(), Ok(SolverKind::Auto));
     }
 
     #[test]
     fn parse_rejects_malformed_specs_with_possible_values() {
-        for bad in ["", "djkstra", "delta:0", "delta:wide", "stepping", "auto:1"] {
+        for bad in [
+            "",
+            "djkstra",
+            "delta:0",
+            "delta:wide",
+            "stepping",
+            "auto:1",
+            "msbfs:64",
+        ] {
             let err = bad.parse::<SolverKind>().unwrap_err();
             assert!(err.contains("solver"), "{bad}: {err}");
         }
@@ -670,7 +977,7 @@ mod tests {
 
     #[test]
     fn labels_round_trip_through_parse() {
-        for kind in all_solver_kinds() {
+        for kind in all_solver_kinds().into_iter().chain([SolverKind::MsBfs]) {
             assert_eq!(kind.label().parse(), Ok(kind), "{}", kind.label());
         }
     }
@@ -801,12 +1108,31 @@ mod tests {
                 assert!(delta.is_some(), "{name}: auto must pin a concrete Δ");
             }
         }
-        // Unit weights are the kernel's home turf.
+        // Unit weights — and no edges at all — go to the multi-source BFS,
+        // hub-dominated or not.
         let unit = autotune(&path_graph(16, Direction::Undirected));
-        assert_eq!(unit.solver, SolverKind::Dijkstra);
-        // A hub-and-spoke graph is maximally degree-skewed.
-        let hub = autotune(&star_graph(64));
-        assert_eq!(hub.solver, SolverKind::Dijkstra);
+        assert_eq!(unit.solver, SolverKind::MsBfs);
+        assert_eq!(autotune(&star_graph(64)).solver, SolverKind::MsBfs);
+        let edgeless = CsrGraph::from_edges(5, Direction::Directed, &[]).unwrap();
+        assert_eq!(autotune(&edgeless).solver, SolverKind::MsBfs);
+        // Uniform weights other than 1 keep the paper's kernel.
+        let threes = parapsp_graph::generate::watts_strogatz(
+            300,
+            8,
+            0.2,
+            WeightSpec::Uniform { lo: 3, hi: 3 },
+            3,
+        )
+        .unwrap();
+        assert_eq!(autotune(&threes).solver, SolverKind::Dijkstra);
+        // A weighted hub-and-spoke graph is maximally degree-skewed.
+        let hub = CsrGraph::from_edges(
+            64,
+            Direction::Undirected,
+            &(1..64).map(|v| (0, v, 1 + v % 50)).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        assert_eq!(autotune(&hub).solver, SolverKind::Dijkstra);
         // Dense + regular + wide weight range is the measured Δ-stepping
         // win (Watts–Strogatz-style graphs).
         let dense_wide = autotune(
@@ -858,7 +1184,7 @@ mod tests {
             RunConfig::par_alg2(2),
         ] {
             assert_eq!(config.kernel().solver, SolverKind::Auto);
-            let resolved = RowSolver::resolve(&ws_wide, config.kernel());
+            let resolved = RowSolver::resolve(&ws_wide, config.kernel(), false);
             assert_eq!(resolved.kind, Resolved::Delta, "{:?}", config.label());
         }
         for config in [
@@ -868,9 +1194,142 @@ mod tests {
             RunConfig::seq_adaptive(10),
         ] {
             assert_eq!(config.kernel().solver, SolverKind::Dijkstra);
-            let resolved = RowSolver::resolve(&ws_wide, config.kernel());
+            let resolved = RowSolver::resolve(&ws_wide, config.kernel(), false);
             assert_eq!(resolved.kind, Resolved::Dijkstra, "{:?}", config.label());
         }
+    }
+
+    /// Unit-weight graphs for the MS-BFS tests: directed and undirected,
+    /// disconnected, and one with more sources than a batch has lanes.
+    fn unit_fixtures() -> Vec<(&'static str, CsrGraph)> {
+        vec![
+            (
+                "er-directed",
+                erdos_renyi_gnm(70, 150, Direction::Directed, WeightSpec::Unit, 9).unwrap(),
+            ),
+            ("ba", barabasi_albert(130, 2, WeightSpec::Unit, 4).unwrap()),
+            ("path", path_graph(9, Direction::Directed)),
+            ("star", star_graph(30)),
+            (
+                "disconnected",
+                CsrGraph::from_edges(6, Direction::Undirected, &[(0, 1, 1), (3, 4, 1)]).unwrap(),
+            ),
+            (
+                "edgeless",
+                CsrGraph::from_edges(3, Direction::Directed, &[]).unwrap(),
+            ),
+        ]
+    }
+
+    /// MS-BFS against the kernel at batch widths that leave the last batch
+    /// partial (and one source per batch), on both store tiers, capped
+    /// and uncapped.
+    #[test]
+    fn msbfs_is_bit_identical_at_every_batch_width_and_cap() {
+        use crate::store::StoreSpec;
+        for (name, graph) in unit_fixtures() {
+            let n = graph.vertex_count();
+            for cap in [None, Some(0), Some(2)] {
+                let reference = sweep(
+                    &graph,
+                    KernelOptions {
+                        max_distance: cap,
+                        ..KernelOptions::default()
+                    },
+                );
+                let options = KernelOptions {
+                    solver: SolverKind::MsBfs,
+                    max_distance: cap,
+                    ..KernelOptions::default()
+                };
+                let solver = RowSolver::resolve(&graph, options, false);
+                assert_eq!(solver.kind, Resolved::MsBfs);
+                for spec in [StoreSpec::dense(), StoreSpec::mmap(1 << 20)] {
+                    for width in [1, 7, 64] {
+                        let store = Store::new(n, &spec);
+                        let mut ws = Workspace::new(n);
+                        let mut counters = Counters::default();
+                        let sources: Vec<u32> = (0..n as u32).rev().collect();
+                        for batch in sources.chunks(width) {
+                            solver.solve_rows(
+                                &graph,
+                                batch,
+                                &store,
+                                &mut ws,
+                                options,
+                                &mut counters,
+                            );
+                        }
+                        assert_eq!(counters.sources, n as u64);
+                        assert_eq!(counters.row_reuses, 0);
+                        assert_eq!(
+                            store.into_matrix(),
+                            reference,
+                            "{name}: cap {cap:?} width {width} on {}",
+                            spec.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn msbfs_batch_width_splits_short_sweeps_across_threads() {
+        let graph = path_graph(4, Direction::Directed);
+        let msbfs = KernelOptions {
+            solver: SolverKind::MsBfs,
+            ..KernelOptions::default()
+        };
+        let solver = RowSolver::resolve(&graph, msbfs, false);
+        assert_eq!(solver.batch_width(8000, 2), 64);
+        assert_eq!(solver.batch_width(64, 2), 32);
+        assert_eq!(solver.batch_width(7, 2), 4);
+        assert_eq!(solver.batch_width(1, 4), 1);
+        let dijkstra = KernelOptions {
+            solver: SolverKind::Dijkstra,
+            ..KernelOptions::default()
+        };
+        let kernel = RowSolver::resolve(&graph, dijkstra, false);
+        assert_eq!(kernel.batch_width(8000, 2), 1);
+    }
+
+    #[test]
+    fn auto_resolves_per_row_engines_to_the_kernel_on_unit_weights() {
+        let graph = star_graph(20);
+        let auto = KernelOptions::default();
+        assert_eq!(
+            RowSolver::resolve(&graph, auto, false).kind,
+            Resolved::MsBfs
+        );
+        assert_eq!(
+            RowSolver::resolve(&graph, auto, true).kind,
+            Resolved::Dijkstra
+        );
+        assert_eq!(autotune(&graph).per_row().solver, SolverKind::Dijkstra);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs every edge weight to be 1")]
+    fn msbfs_on_a_weighted_graph_is_refused() {
+        let graph = path_graph(3, Direction::Directed);
+        let weighted = CsrGraph::from_edges(3, Direction::Directed, &[(0, 1, 2)]).unwrap();
+        let options = KernelOptions {
+            solver: SolverKind::MsBfs,
+            ..KernelOptions::default()
+        };
+        let _ = RowSolver::resolve(&graph, options, false);
+        let _ = RowSolver::resolve(&weighted, options, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot credit rows one at a time")]
+    fn msbfs_on_a_per_row_credit_engine_is_refused() {
+        let options = KernelOptions {
+            solver: SolverKind::MsBfs,
+            ..KernelOptions::default()
+        };
+        let _ = RowSolver::resolve(&star_graph(5), options, true);
     }
 
     #[test]
@@ -903,28 +1362,35 @@ mod tests {
             5,
         )
         .unwrap();
+        let unit = erdos_renyi_gnm(40, 160, Direction::Directed, WeightSpec::Unit, 5).unwrap();
         let n = graph.vertex_count();
-        for kind in [SolverKind::Dijkstra, SolverKind::Delta { delta: None }] {
+        for (graph, kind) in [
+            (&graph, SolverKind::Dijkstra),
+            (&graph, SolverKind::Delta { delta: None }),
+            (&unit, SolverKind::MsBfs),
+        ] {
             let options = KernelOptions {
                 solver: kind,
                 ..KernelOptions::default()
             };
-            let solver = RowSolver::resolve(&graph, options);
+            let solver = RowSolver::resolve(graph, options, false);
             let mut ws = Workspace::new(n);
             let mut counters = Counters::default();
+            let sources: Vec<u32> = (0..n as u32).collect();
+            let width = solver.batch_width(n, 2);
             // Warm sweep: scratch vectors and bucket slots grow to their
             // high-water marks here.
             let warm = Store::new(n, &crate::store::StoreSpec::dense());
-            for s in 0..n as u32 {
-                solver.solve_row(&graph, s, &warm, &mut ws, options, &mut counters, None);
+            for batch in sources.chunks(width) {
+                solver.solve_rows(graph, batch, &warm, &mut ws, options, &mut counters);
             }
             // Steady state: a second identical sweep reusing the same
             // Workspace must not touch the heap at all. (Pinned for the
             // dense store only: staged backends encode/write per publish.)
             let store = Store::new(n, &crate::store::StoreSpec::dense());
             let before = crate::alloc_counter::count();
-            for s in 0..n as u32 {
-                solver.solve_row(&graph, s, &store, &mut ws, options, &mut counters, None);
+            for batch in sources.chunks(width) {
+                solver.solve_rows(graph, batch, &store, &mut ws, options, &mut counters);
             }
             let after = crate::alloc_counter::count();
             assert_eq!(

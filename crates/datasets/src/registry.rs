@@ -80,9 +80,7 @@ impl DatasetSpec {
     pub fn generate(&self, scale: Scale) -> Result<CsrGraph, GraphError> {
         let n = scale.resolve(self.paper_vertices);
         let raw = match self.model {
-            GraphModel::BarabasiAlbert { m } => {
-                barabasi_albert(n, m, WeightSpec::Unit, self.seed)?
-            }
+            GraphModel::BarabasiAlbert { m } => barabasi_albert(n, m, WeightSpec::Unit, self.seed)?,
             GraphModel::ScaleFreeDirected { m, reciprocity } => {
                 scale_free_directed(n, m, reciprocity, WeightSpec::Unit, self.seed)?
             }
@@ -230,7 +228,13 @@ mod tests {
         let names: Vec<&str> = specs.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
-            vec!["ego-Twitter", "Livemocha", "Flickr", "WordNet", "sx-superuser"]
+            vec![
+                "ego-Twitter",
+                "Livemocha",
+                "Flickr",
+                "WordNet",
+                "sx-superuser"
+            ]
         );
         let wordnet = &specs[3];
         assert_eq!(wordnet.paper_vertices, 146_005);
@@ -269,7 +273,10 @@ mod tests {
 
     #[test]
     fn replicas_are_scale_free() {
-        let g = find("WordNet").unwrap().generate(Scale::Vertices(5000)).unwrap();
+        let g = find("WordNet")
+            .unwrap()
+            .generate(Scale::Vertices(5000))
+            .unwrap();
         let degs = degree::out_degrees(&g);
         let stats = degree::degree_stats(&degs).unwrap();
         assert!(stats.max as f64 > stats.mean * 8.0, "hub-dominated");

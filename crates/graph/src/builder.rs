@@ -210,8 +210,8 @@ mod tests {
 
     #[test]
     fn duplicate_ignore_keeps_first() {
-        let mut b =
-            GraphBuilder::new(2, Direction::Directed).with_duplicate_policy(DuplicatePolicy::Ignore);
+        let mut b = GraphBuilder::new(2, Direction::Directed)
+            .with_duplicate_policy(DuplicatePolicy::Ignore);
         b.add_edge(0, 1, 1).unwrap();
         b.add_edge(0, 1, 2).unwrap();
         let g = b.build();
@@ -221,8 +221,8 @@ mod tests {
 
     #[test]
     fn duplicate_reject_errors() {
-        let mut b =
-            GraphBuilder::new(2, Direction::Directed).with_duplicate_policy(DuplicatePolicy::Reject);
+        let mut b = GraphBuilder::new(2, Direction::Directed)
+            .with_duplicate_policy(DuplicatePolicy::Reject);
         b.add_edge(0, 1, 1).unwrap();
         assert!(matches!(
             b.add_edge(0, 1, 2),

@@ -318,8 +318,8 @@ mod tests {
 
     #[test]
     fn transpose_of_undirected_graph_has_same_adjacency() {
-        let g = CsrGraph::from_unit_edges(4, Direction::Undirected, &[(0, 1), (1, 2), (2, 3)])
-            .unwrap();
+        let g =
+            CsrGraph::from_unit_edges(4, Direction::Undirected, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let t = g.transpose();
         for v in 0..4u32 {
             let mut a = g.neighbors(v).to_vec();

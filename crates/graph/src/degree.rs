@@ -123,8 +123,8 @@ mod tests {
 
     #[test]
     fn out_and_in_degrees_directed() {
-        let g = CsrGraph::from_unit_edges(4, Direction::Directed, &[(0, 1), (0, 2), (3, 0)])
-            .unwrap();
+        let g =
+            CsrGraph::from_unit_edges(4, Direction::Directed, &[(0, 1), (0, 2), (3, 0)]).unwrap();
         assert_eq!(out_degrees(&g), vec![2, 0, 0, 1]);
         assert_eq!(in_degrees(&g), vec![1, 1, 1, 0]);
     }

@@ -391,8 +391,8 @@ pub fn rmat(
     let n = 1usize << scale;
     let m = edge_factor.saturating_mul(n);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder =
-        GraphBuilder::new(n, Direction::Directed).with_duplicate_policy(crate::DuplicatePolicy::Ignore);
+    let mut builder = GraphBuilder::new(n, Direction::Directed)
+        .with_duplicate_policy(crate::DuplicatePolicy::Ignore);
     builder.reserve(m);
     for _ in 0..m {
         let (mut u, mut v) = (0u32, 0u32);
@@ -430,7 +430,9 @@ pub fn cycle_graph(n: usize, direction: Direction) -> CsrGraph {
     assert!(n >= 3, "a cycle needs at least 3 vertices");
     let mut builder = GraphBuilder::new(n, direction);
     for u in 0..n as u32 {
-        builder.add_edge(u, (u + 1) % n as u32, 1).expect("in range");
+        builder
+            .add_edge(u, (u + 1) % n as u32, 1)
+            .expect("in range");
     }
     builder.build()
 }
@@ -463,10 +465,14 @@ pub fn grid_graph(rows: usize, cols: usize) -> CsrGraph {
     for r in 0..rows {
         for c in 0..cols {
             if c + 1 < cols {
-                builder.add_edge(id(r, c), id(r, c + 1), 1).expect("in range");
+                builder
+                    .add_edge(id(r, c), id(r, c + 1), 1)
+                    .expect("in range");
             }
             if r + 1 < rows {
-                builder.add_edge(id(r, c), id(r + 1, c), 1).expect("in range");
+                builder
+                    .add_edge(id(r, c), id(r + 1, c), 1)
+                    .expect("in range");
             }
         }
     }
@@ -565,7 +571,10 @@ mod tests {
         let max = *degs.iter().max().unwrap();
         let mean = degs.iter().map(|&d| d as f64).sum::<f64>() / degs.len() as f64;
         assert!(max as f64 > mean * 10.0, "max {max}, mean {mean:.1}");
-        assert_eq!(g, rmat(12, 8, (0.57, 0.19, 0.19, 0.05), WeightSpec::Unit, 3).unwrap());
+        assert_eq!(
+            g,
+            rmat(12, 8, (0.57, 0.19, 0.19, 0.05), WeightSpec::Unit, 3).unwrap()
+        );
     }
 
     #[test]

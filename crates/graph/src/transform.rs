@@ -99,7 +99,9 @@ pub fn largest_connected_component(graph: &CsrGraph) -> (CsrGraph, Vec<u32>) {
         .max_by_key(|&(_, &s)| s)
         .map(|(i, _)| i as u32)
         .expect("non-empty");
-    let members: Vec<u32> = (0..n as u32).filter(|&v| ids[v as usize] == biggest).collect();
+    let members: Vec<u32> = (0..n as u32)
+        .filter(|&v| ids[v as usize] == biggest)
+        .collect();
     induced_subgraph(graph, &members)
 }
 
@@ -265,12 +267,9 @@ mod tests {
             .iter()
             .all(|&c| c == 1));
         // Triangle with pendant: triangle is 2-core, pendant is 1.
-        let g = CsrGraph::from_unit_edges(
-            4,
-            Direction::Undirected,
-            &[(0, 1), (1, 2), (2, 0), (0, 3)],
-        )
-        .unwrap();
+        let g =
+            CsrGraph::from_unit_edges(4, Direction::Undirected, &[(0, 1), (1, 2), (2, 0), (0, 3)])
+                .unwrap();
         assert_eq!(core_numbers(&g), vec![2, 2, 2, 1]);
     }
 

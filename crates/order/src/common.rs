@@ -85,7 +85,9 @@ mod tests {
 
     #[test]
     fn parallel_bounds_match_sequential() {
-        let keys: Vec<u32> = (0..10_000u32).map(|i| i.wrapping_mul(2654435761) % 977).collect();
+        let keys: Vec<u32> = (0..10_000u32)
+            .map(|i| i.wrapping_mul(2654435761) % 977)
+            .collect();
         let seq_min = *keys.iter().min().unwrap();
         let seq_max = *keys.iter().max().unwrap();
         for threads in [1, 2, 4] {

@@ -135,7 +135,13 @@ mod tests {
 
     fn scale_free_like(n: u32) -> Vec<u32> {
         (0..n)
-            .map(|i| if i % 101 == 0 { 300 + (i * 7) % 700 } else { i % 5 })
+            .map(|i| {
+                if i % 101 == 0 {
+                    300 + (i * 7) % 700
+                } else {
+                    i % 5
+                }
+            })
             .collect()
     }
 
@@ -156,13 +162,19 @@ mod tests {
         let pool = ThreadPool::new(4);
         let reference = seq_bucket_sort(&degrees);
         for ratio in [0.0, 0.01, 0.5, 1.0] {
-            assert_eq!(multi_lists(&degrees, ratio, &pool), reference, "ratio {ratio}");
+            assert_eq!(
+                multi_lists(&degrees, ratio, &pool),
+                reference,
+                "ratio {ratio}"
+            );
         }
     }
 
     #[test]
     fn descending_and_permutation_on_random_keys() {
-        let degrees: Vec<u32> = (0..10_000u32).map(|i| i.wrapping_mul(2654435761) % 1009).collect();
+        let degrees: Vec<u32> = (0..10_000u32)
+            .map(|i| i.wrapping_mul(2654435761) % 1009)
+            .collect();
         let pool = ThreadPool::new(4);
         let order = multi_lists(&degrees, 0.1, &pool);
         assert_is_permutation(&order, degrees.len());

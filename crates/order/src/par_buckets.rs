@@ -99,7 +99,9 @@ mod tests {
 
     #[test]
     fn produces_bucket_descending_permutation() {
-        let degrees: Vec<u32> = (0..5000u32).map(|i| i.wrapping_mul(2654435761) % 321).collect();
+        let degrees: Vec<u32> = (0..5000u32)
+            .map(|i| i.wrapping_mul(2654435761) % 321)
+            .collect();
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
             let order = par_buckets(&degrees, 100, &pool);

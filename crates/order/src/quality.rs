@@ -126,7 +126,9 @@ mod tests {
 
     #[test]
     fn exact_order_has_zero_inversions() {
-        let degrees: Vec<u32> = (0..500u32).map(|i| i.wrapping_mul(2654435761) % 97).collect();
+        let degrees: Vec<u32> = (0..500u32)
+            .map(|i| i.wrapping_mul(2654435761) % 97)
+            .collect();
         let order = seq_bucket_sort(&degrees);
         assert_eq!(inversions(&degrees, &order), 0);
         assert_eq!(normalized_kendall_distance(&degrees, &order), 0.0);

@@ -35,8 +35,7 @@ pub fn par_radix_sort_indices(
         let digit_of = |index: u32| ((keys[index as usize] >> shift) as usize) & (RADIX - 1);
 
         // Phase 1: private per-thread digit histograms over block ranges.
-        let histograms: PerThread<Vec<u32>> =
-            PerThread::from_fn(threads, |_| vec![0u32; RADIX]);
+        let histograms: PerThread<Vec<u32>> = PerThread::from_fn(threads, |_| vec![0u32; RADIX]);
         {
             let current_ref = &current;
             pool.parallel_for(n, Schedule::Block, |tid, i| {

@@ -85,7 +85,9 @@ mod tests {
 
     #[test]
     fn matches_std_sort_on_random_input() {
-        let degrees: Vec<u32> = (0..500u32).map(|i| i.wrapping_mul(2654435761) % 64).collect();
+        let degrees: Vec<u32> = (0..500u32)
+            .map(|i| i.wrapping_mul(2654435761) % 64)
+            .collect();
         let order = partial_selection_sort(&degrees, 1.0);
         let got: Vec<u32> = order.iter().map(|&v| degrees[v as usize]).collect();
         let mut want = degrees.clone();

@@ -47,7 +47,9 @@ mod tests {
 
     #[test]
     fn agrees_with_stable_std_sort() {
-        let degrees: Vec<u32> = (0..2000u32).map(|i| i.wrapping_mul(2654435761) % 97).collect();
+        let degrees: Vec<u32> = (0..2000u32)
+            .map(|i| i.wrapping_mul(2654435761) % 97)
+            .collect();
         let order = seq_bucket_sort(&degrees);
         let mut want: Vec<u32> = (0..degrees.len() as u32).collect();
         want.sort_by_key(|&v| std::cmp::Reverse(degrees[v as usize]));

@@ -7,8 +7,8 @@
 
 use parapsp_parfor::ThreadPool;
 
-pub use crate::multi_lists::SortDirection;
 use crate::multi_lists::multi_lists_by_key;
+pub use crate::multi_lists::SortDirection;
 
 /// Returns the indices of `keys` in sorted order (stable MultiLists sort).
 ///
@@ -91,7 +91,9 @@ mod tests {
     #[test]
     fn matches_std_stable_sort_on_large_random_input() {
         let pool = ThreadPool::new(4);
-        let keys: Vec<u32> = (0..50_000u32).map(|i| i.wrapping_mul(2654435761) % 4093).collect();
+        let keys: Vec<u32> = (0..50_000u32)
+            .map(|i| i.wrapping_mul(2654435761) % 4093)
+            .collect();
         let ours = sort_indices(&keys, SortDirection::Ascending, &pool);
         let mut std_sorted: Vec<u32> = (0..keys.len() as u32).collect();
         std_sorted.sort_by_key(|&i| keys[i as usize]);

@@ -83,7 +83,10 @@ fn main() {
     let mut i = 0;
     while i < entries.len() {
         let status = entries[i].status;
-        let j = entries[i..].iter().take_while(|e| e.status == status).count();
+        let j = entries[i..]
+            .iter()
+            .take_while(|e| e.status == status)
+            .count();
         println!("  {status}: {j} requests");
         i += j;
     }

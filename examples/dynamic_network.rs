@@ -37,10 +37,7 @@ fn main() {
     let new_edges: Vec<(u32, u32)> = (0..20u64)
         .map(|i| {
             let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            (
-                (h % n as u64) as u32,
-                ((h >> 21) % n as u64) as u32,
-            )
+            ((h % n as u64) as u32, ((h >> 21) % n as u64) as u32)
         })
         .filter(|&(u, v)| u != v)
         .collect();

@@ -49,6 +49,12 @@ fn fixtures() -> Vec<(&'static str, CsrGraph)> {
         ("star", star_graph(50)),
         ("path", path_graph(55, Direction::Directed)),
         ("grid", grid_graph(7, 8)),
+        // Unit weights and more sources than one MS-BFS batch has lanes:
+        // `auto` sends it to msbfs in full 64-source batches.
+        (
+            "barabasi-albert-unit",
+            barabasi_albert(150, 3, WeightSpec::Unit, 66).unwrap(),
+        ),
     ]
 }
 
@@ -239,6 +245,12 @@ fn every_schedule_matches_seq_basic_on_every_fixture() {
 /// sequential engines, uncapped and capped. `auto` resolves against each
 /// graph at engine prepare time, so this also proves that whatever the
 /// tuner picks passes the oracle.
+///
+/// msbfs runs on the unit-weight fixtures only, and only on the
+/// static-order engine, where it solves a batch of sources per loop
+/// iteration: every store tier × schedule, capped and uncapped, plus a
+/// par-apsp run stopped after its first batch and resumed, and a ledger
+/// run whose 7-source batches split into partial MS-BFS batches.
 #[test]
 fn every_solver_matches_seq_basic_on_every_fixture() {
     let solvers = [
@@ -300,6 +312,94 @@ fn every_solver_matches_seq_basic_on_every_fixture() {
                         &out.dist,
                     );
                 }
+            }
+        }
+    }
+
+    let stores = [
+        ("dense", StoreSpec::dense()),
+        ("mmap", StoreSpec::mmap(64 * 1024)),
+        ("mmap-tiny", StoreSpec::mmap(4096)),
+    ];
+    let schedules = [
+        ("dynamic-cyclic", Schedule::dynamic_cyclic()),
+        ("block", Schedule::Block),
+        ("dynamic(4)", Schedule::DynamicChunked(4)),
+        ("dynamic(2^63)", Schedule::DynamicChunked(1 << 63)),
+    ];
+    let ledger_dir = std::env::temp_dir().join("parapsp-engine-matrix");
+    std::fs::create_dir_all(&ledger_dir).unwrap();
+    let unit_weight = fixtures().into_iter().filter(|(_, g)| g.is_unit_weight());
+    for (fixture, graph) in unit_weight {
+        let full = oracle(fixture, &graph);
+        for cap in [None, Some(6u32)] {
+            let msbfs = |config: RunConfig, store: &StoreSpec| {
+                let config = config
+                    .with_solver(SolverKind::MsBfs)
+                    .with_store(store.clone());
+                match cap {
+                    Some(c) => config.with_max_distance(c),
+                    None => config,
+                }
+            };
+            for (store_label, store) in &stores {
+                for (sched_label, schedule) in schedules {
+                    for (label, config) in [
+                        ("par-apsp", RunConfig::par_apsp(4)),
+                        ("par-alg1", RunConfig::par_alg1(2)),
+                        ("seq-basic", RunConfig::seq_basic()),
+                    ] {
+                        let config = msbfs(config, store).with_schedule(schedule);
+                        let out = Runner::new(config).run(ApspEngine::new(), &graph);
+                        assert_matrix(
+                            &format!("{label}[msbfs, {store_label}, {sched_label}]"),
+                            fixture,
+                            cap,
+                            &full,
+                            &out.dist,
+                        );
+                        assert_eq!(out.counters.sources, graph.vertex_count() as u64);
+                    }
+                }
+
+                // Stopped after the first batch's poll, then resumed.
+                let runner = Runner::new(msbfs(RunConfig::par_apsp(2), store));
+                let checkpoint = runner
+                    .run_with_token(ApspEngine::new(), &graph, &CancelToken::with_poll_budget(1))
+                    .into_checkpoint()
+                    .expect("one poll covers one batch of several");
+                assert!(
+                    checkpoint.completed_count() > 0 && !checkpoint.is_complete(),
+                    "par-apsp[msbfs, {store_label}] on {fixture}"
+                );
+                let out = runner.run_resumed(ApspEngine::new(), &graph, checkpoint);
+                assert_matrix(
+                    &format!("par-apsp[msbfs, {store_label}, resumed]"),
+                    fixture,
+                    cap,
+                    &full,
+                    &out.dist,
+                );
+
+                // Ledger batches of 7 sources: 4 + 3 lanes on two threads.
+                let path = ledger_dir.join(format!(
+                    "msbfs-{fixture}-{store_label}-{}.ledger",
+                    std::process::id()
+                ));
+                std::fs::remove_file(&path).ok();
+                let config = msbfs(RunConfig::par_apsp(2), store).with_ledger(&path, 7);
+                let out = Runner::new(config).run(ApspEngine::new(), &graph);
+                assert_matrix(
+                    &format!("par-apsp[msbfs, {store_label}, ledger]"),
+                    fixture,
+                    cap,
+                    &full,
+                    &out.dist,
+                );
+                let replay = parapsp::core::persist::load_checkpoint(&path).unwrap();
+                assert!(replay.is_complete(), "{fixture}: {store_label} ledger");
+                assert_eq!(replay.matrix().first_difference(&out.dist), None);
+                std::fs::remove_file(&path).ok();
             }
         }
     }
