@@ -774,7 +774,9 @@ pub fn dist(config: &Config) -> Vec<Table> {
                 hub_fraction,
                 ..Default::default()
             });
-            let out = Runner::new(RunConfig::new(1)).run(engine, &g);
+            // The paper's kernel, the one node solver that reads hub rows.
+            let out =
+                Runner::new(RunConfig::new(1).with_solver(SolverKind::Dijkstra)).run(engine, &g);
             let remote: u64 = out.node_stats.iter().map(|s| s.remote_reuses).sum();
             table.push_row(vec![
                 nodes.to_string(),

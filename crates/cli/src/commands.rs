@@ -12,11 +12,11 @@ use parapsp_core::engine::{
 };
 use parapsp_core::paths::par_apsp_with_paths;
 use parapsp_core::{
-    autotune, probe, ApspOutput, DistanceMatrix, RelaxImpl, RunOutcome, SolverKind,
+    autotune, probe, ApspOutput, DistanceMatrix, GraphProbe, RelaxImpl, RunOutcome, SolverKind,
 };
 use parapsp_dist::{
-    run_worker, BindSpec, ClusterConfig, DistEngine, FaultPlan, SocketConfig, SourcePartition,
-    TransportSpec, WorkerMode, WorkerOptions, WorkerOutcome,
+    run_worker, BindSpec, ClusterConfig, DistEngine, FaultPlan, NodeSolver, SocketConfig,
+    SourcePartition, TransportSpec, WorkerMode, WorkerOptions, WorkerOutcome,
 };
 use parapsp_graph::io::{read_edge_list_file, LoadedGraph, ParseOptions};
 use parapsp_graph::{degree, transform, CsrGraph, Direction};
@@ -69,6 +69,25 @@ impl From<String> for CliError {
     }
 }
 
+/// `println!` for report lines. A reader that closes stdout early
+/// (`parapsp apsp g.txt --out d.bin | head -2`) ends the report, not the
+/// command: the run goes on and still writes `--out`. Any other stdout
+/// error panics, as `println!` does.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        report_line(format_args!($($arg)*))
+    };
+}
+
+fn report_line(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(error) = writeln!(std::io::stdout(), "{line}") {
+        if error.kind() != std::io::ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {error}");
+        }
+    }
+}
+
 /// Help text shared with `main`.
 pub const USAGE: &str = "\
 parapsp — parallel all-pairs shortest paths for complex graph analysis
@@ -96,7 +115,8 @@ apsp options:
                              seq-basic | seq-optimized | seq-adaptive |
                              blocked-fw | floyd-warshall | dijkstra | dist
   --nodes <P>                simulated cluster size for `dist`
-  --hub-fraction <F>         hub broadcast fraction for `dist`
+  --hub-fraction <F>         hub broadcast fraction for `dist` (dijkstra
+                             nodes only: msbfs nodes read no rows)
   --partition <name>         dist source partition: cyclic-degree |
                              block-degree | cyclic-id
   --credit-weight <W>        intermediate-credit weight for seq-adaptive
@@ -109,18 +129,21 @@ apsp options:
                              scalar (par-* and seq-* kernel algorithms;
                              default auto — all variants are bit-identical)
   --solver <s>               per-source SSSP solver: auto (default for
-                             par-*; one O(n + m) probe sends unit-weight
-                             graphs to msbfs — dijkstra on par-adaptive —
-                             dense, unskewed graphs with a wide weight
-                             range to Δ-stepping, everything else to
-                             dijkstra) | dijkstra (the paper's modified
-                             Dijkstra; default for seq-*) | delta[:<width>]
-                             (Δ-stepping, width from the mean weight when
-                             omitted) | msbfs (bit-parallel BFS, 64 sources
-                             per edge scan; unit weights only, not on
-                             par-adaptive or seq-adaptive); same algorithms
-                             as --relax; distances are bit-identical under
-                             every solver
+                             par-* and dist; one O(n + m) probe sends
+                             unit-weight graphs to msbfs — dijkstra on
+                             par-adaptive — dense, unskewed graphs with a
+                             wide weight range to Δ-stepping, everything
+                             else to dijkstra) | dijkstra (the paper's
+                             modified Dijkstra; default for seq-*) |
+                             delta[:<width>] (Δ-stepping, width from the
+                             mean weight when omitted) | msbfs (bit-parallel
+                             BFS, 64 sources per edge scan; unit weights
+                             only, not on par-adaptive or seq-adaptive);
+                             par-*, seq-* and dist, where every node runs
+                             auto | dijkstra | msbfs (auto never picks
+                             Δ-stepping there, and msbfs nodes deal no hub
+                             rows); distances are bit-identical under every
+                             solver
   --schedule <s>             source-sweep loop schedule for par-apsp |
                              par-alg1 | par-alg2 | par-adaptive (each
                              wave): block | static-cyclic |
@@ -203,7 +226,11 @@ dist fault injection (deterministic, seeded):
   --corrupt-prob <Q>         bit-flip each row payload with probability Q
 
 generate options:
-  --model <ba|er|ws> --n <N> --m <M> [--p <P>] [--seed <S>] --out <file>
+  --model <ba|er|ws> --n <N> [--m <M>] [--p <P>] [--seed <S>] --out <file>
+                             ba reads --m (edges per new vertex), er reads
+                             --p (edge probability), ws reads both (ring
+                             degree, rewiring probability); a flag the
+                             model does not read is a usage error
 ";
 
 fn parse_options(args: &Args) -> Result<ParseOptions, String> {
@@ -242,7 +269,7 @@ fn check_matrix_budget(n: usize) -> Result<(), String> {
 pub fn stats(args: &Args) -> Result<(), String> {
     let loaded = load(args)?;
     let g = &loaded.graph;
-    println!(
+    say!(
         "{}: {} vertices, {} edges ({})",
         args.positional(0).unwrap_or("-"),
         g.vertex_count(),
@@ -255,26 +282,29 @@ pub fn stats(args: &Args) -> Result<(), String> {
     );
     let degrees = degree::out_degrees(g);
     if let Some(s) = degree::degree_stats(&degrees) {
-        println!(
+        say!(
             "degree: min {} / median {} / mean {:.2} / max {}",
-            s.min, s.median, s.mean, s.max
+            s.min,
+            s.median,
+            s.mean,
+            s.max
         );
     }
     let (_, components) = weakly_connected_components(g);
-    println!("weakly connected components: {components}");
+    say!("weakly connected components: {components}");
     let (lcc, _) = transform::largest_connected_component(g);
-    println!(
+    say!(
         "largest component: {} vertices ({:.1}%)",
         lcc.vertex_count(),
         lcc.vertex_count() as f64 / g.vertex_count().max(1) as f64 * 100.0
     );
     if !g.direction().is_directed() {
-        println!("average clustering: {:.4}", average_clustering(g));
+        say!("average clustering: {:.4}", average_clustering(g));
     }
-    println!("degree assortativity: {:+.4}", degree_assortativity(g));
-    println!("\ndegree distribution (log-binned):");
+    say!("degree assortativity: {:+.4}", degree_assortativity(g));
+    say!("\ndegree distribution (log-binned):");
     for (bin, count) in degree::log_binned_histogram(&degrees) {
-        println!("  >= {bin:<6} {count}");
+        say!("  >= {bin:<6} {count}");
     }
     Ok(())
 }
@@ -577,7 +607,7 @@ fn drive<E: Engine>(
                     graph.vertex_count()
                 ));
             }
-            println!(
+            say!(
                 "resuming: {} of {} rows already complete",
                 cp.completed_count(),
                 cp.n()
@@ -662,16 +692,23 @@ fn pick_solver(
     } else {
         choice
     };
-    let line = format!(
+    (
+        choice.solver,
+        Some(auto_tune_line(choice.solver, &choice.probe)),
+    )
+}
+
+/// The report line of an `auto` solver choice and the probe behind it.
+fn auto_tune_line(solver: SolverKind, probe: &GraphProbe) -> String {
+    format!(
         "auto-tune: solver {} (n={} m={} degree-skew={:.1} weights {}..{})",
-        choice.solver.label(),
-        choice.probe.n,
-        choice.probe.m,
-        choice.probe.degree_skew,
-        choice.probe.weight_min,
-        choice.probe.weight_max,
-    );
-    (choice.solver, Some(line))
+        solver.label(),
+        probe.n,
+        probe.m,
+        probe.degree_skew,
+        probe.weight_min,
+        probe.weight_max,
+    )
 }
 
 fn run_algorithm(
@@ -772,17 +809,27 @@ fn run_algorithm(
         None => None,
         Some(_) => Some(args.get_spec("solver", SolverKind::default())?),
     };
-    if solver.is_some() && !kind.uses_kernel() {
+    if solver.is_some() && !kind.honours_solver() {
         return Err(format!(
             "--solver works with {} (got `{}`)",
-            kinds_where(EngineKind::uses_kernel),
+            kinds_where(EngineKind::honours_solver),
             kind.value_name()
         )
         .into());
     }
     // The adaptive engines rank sources by per-row credit.
     let per_row_credit = matches!(kind, EngineKind::SeqAdaptive | EngineKind::ParAdaptive);
-    if solver == Some(SolverKind::MsBfs) {
+    // Dist nodes run a subset of the solvers, resolved once here so that
+    // a solver no node can run is a usage error naming the accepted ones.
+    let node_solver = if kind == EngineKind::Dist {
+        let requested = solver.unwrap_or_default();
+        let (node, probe) = NodeSolver::resolve(requested, graph)
+            .map_err(|e| format!("--solver {} on `dist`: {e}", requested.label()))?;
+        Some((node, (requested == SolverKind::Auto).then_some(probe)))
+    } else {
+        None
+    };
+    if solver == Some(SolverKind::MsBfs) && node_solver.is_none() {
         SolverKind::MsBfs
             .check(&probe(graph), per_row_credit)
             .map_err(|e| format!("--solver msbfs on `{}`: {e}", kind.value_name()))?;
@@ -801,7 +848,7 @@ fn run_algorithm(
         if kind.uses_kernel() {
             let (chosen, report) = pick_solver(solver, &config, graph, per_row_credit);
             if let Some(line) = report {
-                println!("{line}");
+                say!("{line}");
             }
             config = config.with_solver(chosen);
         }
@@ -873,6 +920,7 @@ fn run_algorithm(
             })
         }
         EngineKind::Dist => {
+            let (node_solver, probe) = node_solver.expect("resolved for dist above");
             let nodes = args.get_parsed("nodes", 4usize)?;
             let hub_fraction = args.get_parsed("hub-fraction", 0.05f64)?;
             let partition = args.get_enum("partition", SourcePartition::default())?;
@@ -892,10 +940,23 @@ fn run_algorithm(
             cluster
                 .validate(graph.vertex_count())
                 .map_err(|e| e.to_string())?;
+            if let Some(probe) = probe {
+                say!("{}", auto_tune_line(node_solver.kind(), &probe));
+            }
+            // Only the paper's kernel reads hub rows.
+            let broadcast = match node_solver {
+                NodeSolver::MsBfs => "off (msbfs reads no rows)".to_owned(),
+                NodeSolver::Dijkstra if hub_fraction == 0.0 => "off (hub fraction 0)".to_owned(),
+                NodeSolver::Dijkstra => format!("on (hub fraction {hub_fraction})"),
+            };
+            say!(
+                "dist: node solver {}, hub broadcast {broadcast}",
+                node_solver.kind().label()
+            );
             // A restarted driver resumes from its own ledger (or any
             // checkpoint): prior rows pre-seed the gather and only the
             // missing sources are dealt to the workers.
-            let runner = Runner::new(configure(RunConfig::new(1)));
+            let runner = Runner::new(configure(RunConfig::new(1)).with_solver(node_solver.kind()));
             drive(&runner, DistEngine::new(cluster), graph, args, token)?
                 .map(|out| dist_summary(out, nodes))
         }
@@ -923,9 +984,9 @@ pub fn apsp(args: &Args) -> Result<i32, CliError> {
         RunStatus::Done(dist, summary) => (dist, summary),
         RunStatus::Stopped { code } => return Ok(code),
     };
-    println!("{summary}");
+    say!("{summary}");
     let stats = path_stats(&dist);
-    println!(
+    say!(
         "diameter {} / radius {} / avg path {:.3} / connectivity {:.1}%",
         stats.diameter,
         stats.radius,
@@ -941,7 +1002,7 @@ pub fn apsp(args: &Args) -> Result<i32, CliError> {
         } else {
             persist::save_binary(&dist, out_path).map_err(|e| CliError::failure(e.to_string()))?;
         }
-        println!("distance matrix written to {out_path}");
+        say!("distance matrix written to {out_path}");
     }
     Ok(0)
 }
@@ -955,23 +1016,24 @@ pub fn analyze(args: &Args) -> Result<(), String> {
     let top = args.get_parsed("top", 5usize)?;
 
     let out = Runner::new(RunConfig::par_apsp(threads)).run(ApspEngine::new(), g);
-    println!(
+    say!(
         "ParAPSP: {:?} on {} threads\n",
-        out.timings.total, out.threads
+        out.timings.total,
+        out.threads
     );
 
     let stats = path_stats(&out.dist);
-    println!(
+    say!(
         "diameter {} / radius {} / avg path {:.3} / connectivity {:.1}%",
         stats.diameter,
         stats.radius,
         stats.average_path_length,
         stats.connectivity() * 100.0
     );
-    println!("\ndistance distribution:");
+    say!("\ndistance distribution:");
     for (d, count) in distance_distribution(&out.dist).iter().enumerate().skip(1) {
         if *count > 0 {
-            println!("  {d}: {count}");
+            say!("  {d}: {count}");
         }
     }
 
@@ -979,9 +1041,9 @@ pub fn analyze(args: &Args) -> Result<(), String> {
     let closeness = closeness_centrality(&out.dist, Normalization::WassermanFaust);
     let harmonic = harmonic_centrality(&out.dist);
     let original = |v: u32| loaded.original_ids[v as usize];
-    println!("\ntop {top} by closeness:");
+    say!("\ntop {top} by closeness:");
     for v in top_k(&closeness, top) {
-        println!(
+        say!(
             "  vertex {} (file id {}): {:.4}  degree {}",
             v,
             original(v),
@@ -989,9 +1051,9 @@ pub fn analyze(args: &Args) -> Result<(), String> {
             degrees[v as usize]
         );
     }
-    println!("top {top} by harmonic centrality:");
+    say!("top {top} by harmonic centrality:");
     for v in top_k(&harmonic, top) {
-        println!(
+        say!(
             "  vertex {} (file id {}): {:.4}  degree {}",
             v,
             original(v),
@@ -1002,9 +1064,9 @@ pub fn analyze(args: &Args) -> Result<(), String> {
     if !g.direction().is_directed() && g.is_unit_weight() {
         let pool = ThreadPool::new(threads);
         let betweenness = betweenness_centrality(g, &pool);
-        println!("top {top} by betweenness:");
+        say!("top {top} by betweenness:");
         for v in top_k(&betweenness, top) {
-            println!(
+            say!(
                 "  vertex {} (file id {}): {:.1}  degree {}",
                 v,
                 original(v),
@@ -1038,7 +1100,7 @@ pub fn path(args: &Args) -> Result<(), String> {
     let result = par_apsp_with_paths(&loaded.graph, threads);
     match result.pred.path(src, dst) {
         Some(route) => {
-            println!(
+            say!(
                 "distance {} over {} hops:",
                 result.dist.get(src, dst),
                 route.len() - 1
@@ -1047,9 +1109,9 @@ pub fn path(args: &Args) -> Result<(), String> {
                 .iter()
                 .map(|&v| loaded.original_ids[v as usize].to_string())
                 .collect();
-            println!("  {}", labels.join(" -> "));
+            say!("  {}", labels.join(" -> "));
         }
-        None => println!("no path"),
+        None => say!("no path"),
     }
     Ok(())
 }
@@ -1088,9 +1150,9 @@ pub fn estimate(args: &Args) -> Result<(), String> {
     let lo = index.lower_bound(src, dst);
     let hi = index.upper_bound(src, dst);
     if hi == parapsp_graph::INF {
-        println!("no landmark reaches both endpoints (likely disconnected)");
+        say!("no landmark reaches both endpoints (likely disconnected)");
     } else {
-        println!(
+        say!(
             "d({}, {}) ∈ [{lo}, {hi}]  ({} hub landmarks, O(k·n) memory)",
             args.positional(1).unwrap_or("?"),
             args.positional(2).unwrap_or("?"),
@@ -1100,9 +1162,24 @@ pub fn estimate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `parapsp generate --model ba --n 1000 --m 4 --out g.txt`.
-pub fn generate(args: &Args) -> Result<(), String> {
+/// `parapsp generate --model ba --n 1000 --m 4 --out g.txt`. A model
+/// reads only its own parameters — `ba` grows by `--m` edges per vertex,
+/// `er` draws G(n, p) from `--p`, `ws` rewires a `--m`-regular ring with
+/// probability `--p` — so a flag the model does not read is a usage
+/// error naming the flag it does read, not silently ignored.
+pub fn generate(args: &Args) -> Result<(), CliError> {
     use parapsp_graph::generate as gen;
+    let model = args.get("model").unwrap_or("ba");
+    let unread = match model {
+        "ba" => Some(("p", "--m, the edges each new vertex attaches")),
+        "er" => Some(("m", "--p, the probability of each edge")),
+        _ => None,
+    };
+    if let Some((flag, reads)) = unread.filter(|(flag, _)| args.get(flag).is_some()) {
+        return Err(
+            format!("--{flag} does not apply to --model {model}, which reads {reads}").into(),
+        );
+    }
     let n = args.get_parsed("n", 1_000usize)?;
     let m = args.get_parsed("m", 4usize)?;
     let p = args.get_parsed("p", 0.1f64)?;
@@ -1110,17 +1187,18 @@ pub fn generate(args: &Args) -> Result<(), String> {
     let out_path = args
         .get("out")
         .ok_or_else(|| "generate needs --out <file>".to_string())?;
-    let graph = match args.get("model").unwrap_or("ba") {
+    let graph = match model {
         "ba" => gen::barabasi_albert(n, m, gen::WeightSpec::Unit, seed),
         "er" => gen::erdos_renyi_gnp(n, p, Direction::Undirected, gen::WeightSpec::Unit, seed),
         "ws" => gen::watts_strogatz(n, m.max(2) & !1, p, gen::WeightSpec::Unit, seed),
-        other => return Err(format!("unknown model `{other}` (ba, er, ws)")),
+        other => return Err(format!("unknown model `{other}` (ba, er, ws)").into()),
     }
     .map_err(|e| e.to_string())?;
-    let file = std::fs::File::create(out_path).map_err(|e| format!("creating {out_path}: {e}"))?;
+    let file = std::fs::File::create(out_path)
+        .map_err(|e| CliError::failure(format!("creating {out_path}: {e}")))?;
     parapsp_graph::io::write_edge_list(&graph, std::io::BufWriter::new(file))
-        .map_err(|e| e.to_string())?;
-    println!(
+        .map_err(|e| CliError::failure(e.to_string()))?;
+    say!(
         "wrote {} vertices / {} edges to {out_path}",
         graph.vertex_count(),
         graph.edge_count()
@@ -1479,9 +1557,9 @@ mod tests {
                 "{name}: the default solver's matrix differs from dijkstra's"
             );
         }
-        // Algorithms that never touch the row kernel reject the flag,
+        // Algorithms that pick no per-source solver reject the flag,
         // naming the ones that do.
-        for algorithm in ["dist", "floyd-warshall", "blocked-fw", "dijkstra"] {
+        for algorithm in ["floyd-warshall", "blocked-fw", "dijkstra"] {
             let err = apsp(&args(&[
                 "apsp",
                 &file,
@@ -1493,9 +1571,39 @@ mod tests {
             .unwrap_err()
             .to_string();
             assert!(
-                err.contains("--solver works with"),
+                err.contains("--solver works with") && err.contains("dist"),
                 "{algorithm} must reject --solver: {err}"
             );
+        }
+        // Dist nodes run auto, dijkstra and msbfs, all to the same matrix;
+        // Δ-stepping is a usage error listing them.
+        let dir = std::env::temp_dir().join("parapsp-cli-tests");
+        let out = |solver: &str| dir.join(format!("dist-solver-{solver}.bin"));
+        for solver in ["auto", "dijkstra", "msbfs"] {
+            let path = out(solver).to_string_lossy().into_owned();
+            let tokens = ["apsp", &file, "--algorithm", "dist", "--nodes", "2"];
+            apsp(&args(
+                &[&tokens[..], &["--solver", solver, "--out", &path]].concat(),
+            ))
+            .unwrap_or_else(|e| panic!("dist --solver {solver}: {e}"));
+            assert_eq!(
+                std::fs::read(out(solver)).unwrap(),
+                std::fs::read(out("auto")).unwrap(),
+                "dist --solver {solver}"
+            );
+        }
+        for delta in ["delta", "delta:3"] {
+            let err = apsp(&args(&[
+                "apsp",
+                &file,
+                "--algorithm",
+                "dist",
+                "--solver",
+                delta,
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{err}");
+            assert!(err.to_string().contains("auto, dijkstra, msbfs"), "{err}");
         }
     }
 

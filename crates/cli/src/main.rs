@@ -67,7 +67,7 @@ fn main() {
         "analyze" => simple(commands::analyze(&parsed)),
         "path" => simple(commands::path(&parsed)),
         "estimate" => simple(commands::estimate(&parsed)),
-        "generate" => simple(commands::generate(&parsed)),
+        "generate" => commands::generate(&parsed).map(|()| 0),
         // A socket worker for a `dist` driver: exit 0 clean, 3 when an
         // injected fault-plan crash fired.
         "node" => commands::node(&parsed),

@@ -179,10 +179,16 @@ impl EngineKind {
         )
     }
 
-    /// Whether the algorithm runs the row kernel, i.e. honours `--relax`
-    /// and `--solver`.
+    /// Whether the algorithm runs the row kernel, i.e. honours `--relax`.
     pub fn uses_kernel(self) -> bool {
         self.row_checkpoints()
+    }
+
+    /// Whether the algorithm picks a per-source solver, i.e. honours
+    /// `--solver`: the row engines, and the dist nodes, which run a subset
+    /// of the solvers (`parapsp_dist::NodeSolver`).
+    pub fn honours_solver(self) -> bool {
+        self.uses_kernel() || self == EngineKind::Dist
     }
 
     /// Whether the algorithm sweeps its sources through the configured
@@ -1465,6 +1471,17 @@ mod tests {
         for kind in EngineKind::value_variants() {
             let baseline = matches!(kind, EngineKind::FloydWarshall | EngineKind::Dijkstra);
             assert_eq!(kind.honours_cap(), !baseline, "{}", kind.value_name());
+        }
+        // --solver reaches the row kernel and the dist nodes; --relax only
+        // the kernel.
+        assert!(EngineKind::Dist.honours_solver() && !EngineKind::Dist.uses_kernel());
+        assert!(EngineKind::ParApsp.honours_solver() && EngineKind::SeqAdaptive.honours_solver());
+        for kind in [
+            EngineKind::BlockedFw,
+            EngineKind::FloydWarshall,
+            EngineKind::Dijkstra,
+        ] {
+            assert!(!kind.honours_solver(), "{}", kind.value_name());
         }
     }
 

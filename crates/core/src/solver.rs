@@ -326,7 +326,7 @@ enum Resolved {
 }
 
 /// Most sources one MS-BFS batch runs: one bit of a `u64` lane mask each.
-pub(crate) const MSBFS_LANES: usize = 64;
+pub const MSBFS_LANES: usize = 64;
 
 /// Light/heavy adjacency partition for Δ-stepping, built once per run at
 /// resolve time: each vertex's edges are reordered light-first (`w ≤ Δ`),
@@ -711,7 +711,7 @@ fn delta_row(
 // Multi-source BFS
 // ---------------------------------------------------------------------------
 
-/// Per-thread scratch of [`msbfs_rows`], part of the kernel [`Workspace`].
+/// Per-thread scratch of [`msbfs_into`], part of the kernel [`Workspace`].
 /// Empty until the first MS-BFS batch, so runs on the other solvers
 /// never allocate it.
 #[derive(Debug, Default)]
@@ -731,8 +731,10 @@ pub(crate) struct MsBfsScratch {
 }
 
 /// Bit-parallel multi-source BFS (Then et al., "The More the Merrier"):
-/// the rows of up to 64 `sources` on a unit-weight graph, one lane of a
-/// `u64` mask per source.
+/// writes the rows of up to [`MSBFS_LANES`] `sources` on a unit-weight
+/// graph into `rows` (`rows[i]` is the row of `sources[i]`), one lane of
+/// a `u64` mask per source. Every row must hold [`INF`] on entry; the
+/// search writes only the vertices its lane reaches within the cap.
 ///
 /// Level by level, every frontier vertex `v` offers its `visit[v]` lanes
 /// to each out-neighbour `u`; the lanes not yet in `seen[u]` reach `u` at
@@ -743,14 +745,20 @@ pub(crate) struct MsBfsScratch {
 /// out sorted. The search stops when no lane advances or the next level
 /// would pass the cap.
 ///
-/// A lending store (dense) takes each level in place, through one
-/// [`Store::try_row_mut`] per source; otherwise the rows are staged in
-/// the workspace block and handed over with [`Store::publish_from`].
-/// Every row is published once the search ends.
-fn msbfs_rows(
+/// This is the one MS-BFS loop: the store engines reach it through
+/// `RowSolver::solve_rows`, and a `parapsp-dist` node calls it on rows
+/// it keeps itself. `counters` gains one source per lane, one queue pop
+/// per frontier vertex per level, and one relaxation per (vertex, lane)
+/// reached.
+///
+/// # Panics
+///
+/// Panics when `sources` holds more than [`MSBFS_LANES`] sources or
+/// `rows` does not hold one `n`-cell row per source.
+pub fn msbfs_into(
     graph: &CsrGraph,
     sources: &[u32],
-    store: &Store,
+    rows: &mut [&mut [u32]],
     ws: &mut Workspace,
     options: KernelOptions,
     counters: &mut Counters,
@@ -761,6 +769,10 @@ fn msbfs_rows(
         lanes <= MSBFS_LANES,
         "an MS-BFS batch holds at most 64 sources"
     );
+    assert!(
+        rows.len() == lanes && rows.iter().all(|row| row.len() == n),
+        "an MS-BFS batch needs one {n}-cell row per source"
+    );
     let cap = options.max_distance.unwrap_or(u32::MAX);
     let MsBfsScratch {
         seen,
@@ -768,7 +780,7 @@ fn msbfs_rows(
         next,
         touched,
         frontier,
-        block,
+        ..
     } = &mut ws.msbfs;
     // `visit` may hold a capped search's last frontier; `next` and
     // `touched` are always left clear.
@@ -783,6 +795,73 @@ fn msbfs_rows(
         sources: lanes as u64,
         ..Counters::default()
     };
+    frontier.clear();
+    for (lane, &s) in sources.iter().enumerate() {
+        let bit = 1u64 << lane;
+        seen[s as usize] |= bit;
+        visit[s as usize] |= bit;
+        rows[lane][s as usize] = 0;
+        frontier.push(s);
+    }
+    frontier.sort_unstable();
+
+    let mut level = 0u32;
+    while !frontier.is_empty() && level < cap {
+        level += 1;
+        for &v in frontier.iter() {
+            let lanes_at_v = std::mem::take(&mut visit[v as usize]);
+            tally.queue_pops += 1;
+            for &u in graph.neighbors(v) {
+                let fresh = lanes_at_v & !seen[u as usize];
+                if fresh != 0 {
+                    next[u as usize] |= fresh;
+                    seen[u as usize] |= fresh;
+                    touched[u as usize / 64] |= 1 << (u % 64);
+                }
+            }
+        }
+        frontier.clear();
+        for (word, bits) in touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(bits);
+            while bits != 0 {
+                let u = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let mut reached = std::mem::take(&mut next[u]);
+                visit[u] = reached;
+                frontier.push(u as u32);
+                tally.relaxations += reached.count_ones() as u64;
+                while reached != 0 {
+                    rows[reached.trailing_zeros() as usize][u] = level;
+                    reached &= reached - 1;
+                }
+            }
+        }
+    }
+    counters.merge(&tally);
+}
+
+/// [`msbfs_into`] on the rows of `store`: a lending store (dense) takes
+/// the search in place, through one [`Store::try_row_mut`] per source;
+/// otherwise the rows are staged in the workspace block and handed over
+/// with [`Store::publish_from`]. Every row is published once the search
+/// ends.
+fn msbfs_rows(
+    graph: &CsrGraph,
+    sources: &[u32],
+    store: &Store,
+    ws: &mut Workspace,
+    options: KernelOptions,
+    counters: &mut Counters,
+) {
+    let n = graph.vertex_count();
+    let lanes = sources.len();
+    assert!(
+        lanes <= MSBFS_LANES,
+        "an MS-BFS batch holds at most 64 sources"
+    );
+    // The block leaves the workspace for the search and comes back after,
+    // so a staged batch still reuses its allocation.
+    let mut block = std::mem::take(&mut ws.msbfs.block);
     let mut staged = false;
     {
         let mut rows: [&mut [u32]; MSBFS_LANES] = std::array::from_fn(|_| <&mut [u32]>::default());
@@ -804,48 +883,7 @@ fn msbfs_rows(
                 rows[lane] = row;
             }
         }
-        frontier.clear();
-        for (lane, &s) in sources.iter().enumerate() {
-            let bit = 1u64 << lane;
-            seen[s as usize] |= bit;
-            visit[s as usize] |= bit;
-            rows[lane][s as usize] = 0;
-            frontier.push(s);
-        }
-        frontier.sort_unstable();
-
-        let mut level = 0u32;
-        while !frontier.is_empty() && level < cap {
-            level += 1;
-            for &v in frontier.iter() {
-                let lanes_at_v = std::mem::take(&mut visit[v as usize]);
-                tally.queue_pops += 1;
-                for &u in graph.neighbors(v) {
-                    let fresh = lanes_at_v & !seen[u as usize];
-                    if fresh != 0 {
-                        next[u as usize] |= fresh;
-                        seen[u as usize] |= fresh;
-                        touched[u as usize / 64] |= 1 << (u % 64);
-                    }
-                }
-            }
-            frontier.clear();
-            for (word, bits) in touched.iter_mut().enumerate() {
-                let mut bits = std::mem::take(bits);
-                while bits != 0 {
-                    let u = word * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let mut reached = std::mem::take(&mut next[u]);
-                    visit[u] = reached;
-                    frontier.push(u as u32);
-                    tally.relaxations += reached.count_ones() as u64;
-                    while reached != 0 {
-                        rows[reached.trailing_zeros() as usize][u] = level;
-                        reached &= reached - 1;
-                    }
-                }
-            }
-        }
+        msbfs_into(graph, sources, &mut rows[..lanes], ws, options, counters);
     }
 
     for (lane, &s) in sources.iter().enumerate() {
@@ -855,7 +893,7 @@ fn msbfs_rows(
             store.publish(s);
         }
     }
-    counters.merge(&tally);
+    ws.msbfs.block = block;
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ use parapsp_parfor::{CancelStatus, CancelToken, ThreadPool};
 
 use crate::chaos::{ChaosPlan, ChaosTransport};
 use crate::fault::{FaultPlan, DRIVER};
-use crate::node::{row_checksum, NodeState, RowMessage, RowRef};
+use crate::node::{row_checksum, NodeSolver, NodeState, RowMessage, RowRef};
 use crate::socket::{SocketStartError, SocketTransport};
 use crate::transport::{
     ChannelNodeIo, ChannelTransport, ControlSink, NodeControl, NodeEvent, NodeIo, Polled,
@@ -118,15 +118,17 @@ impl Default for RetryPolicy {
 /// Driver-side stall detection for nodes that go silent without crashing.
 ///
 /// The driver records the gap between consecutive gather rows from each
-/// node. A node that still owes rows but has been silent for more than
-/// `stall_factor ×` its rolling median gap (never less than `floor`) is
-/// declared stalled: its ungathered sources are re-dealt to the other
-/// survivors. The stalled node is *not* killed — if it wakes up its
-/// deliveries are deduplicated by the driver, so a false positive costs
-/// only duplicate work, never correctness.
+/// node (under the multi-source BFS, which yields 64 rows per solve and
+/// sends them back to back, the time its last 64 rows took). A node that
+/// still owes rows but has been silent for more than `stall_factor ×` its
+/// rolling median gap (never less than `floor`) is declared stalled: its
+/// ungathered sources are re-dealt to the other survivors. The stalled
+/// node is *not* killed — if it wakes up its deliveries are deduplicated
+/// by the driver, so a false positive costs only duplicate work, never
+/// correctness.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogConfig {
-    /// Multiple of the rolling median inter-row gap that counts as stalled.
+    /// Multiple of the rolling median gap that counts as stalled.
     pub stall_factor: f64,
     /// Minimum recorded gaps before the median is trusted; below this the
     /// node is never declared stalled.
@@ -411,6 +413,11 @@ impl DistApspOutput {
 /// order (the distributed analogue of ParAPSP), so the [`RunConfig`]'s
 /// ordering procedure and schedule are ignored; `max_distance` is honoured
 /// inside every node's kernel, exactly as in the shared-memory engines.
+/// The config's solver is resolved once, in `prepare`, to a
+/// [`NodeSolver`] that every node runs: `auto` (the default) gives
+/// unit-weight graphs the multi-source BFS, 64 sources per edge scan,
+/// and every other graph the paper's kernel. A multi-source BFS reads no
+/// rows, so under it no hubs are dealt and nothing is broadcast.
 ///
 /// The graph is replicated on every node (standard practice for
 /// source-partitioned APSP: the O(n + m) structure is negligible next to
@@ -422,7 +429,10 @@ impl DistApspOutput {
 /// # Panics
 ///
 /// The run panics if the fault plan crashes every node: with no survivor
-/// there is nobody left to take over the unfinished sources.
+/// there is nobody left to take over the unfinished sources. `prepare`
+/// panics with the [`NodeSolver::resolve`] message when the config asks
+/// for a solver no node can run (Δ-stepping, or msbfs on a weighted
+/// graph).
 ///
 /// ```
 /// use parapsp_core::engine::{RunConfig, Runner};
@@ -439,6 +449,8 @@ impl DistApspOutput {
 pub struct DistEngine {
     cluster: ClusterConfig,
     n: usize,
+    /// The config's solver, resolved against the graph in `prepare`.
+    solver: NodeSolver,
     result: Option<DistApspOutput>,
     stopped: Option<Checkpoint>,
     /// Rows final before the run: the resume checkpoint merged with the
@@ -453,6 +465,7 @@ impl DistEngine {
         DistEngine {
             cluster,
             n: 0,
+            solver: NodeSolver::Dijkstra,
             result: None,
             stopped: None,
             prior: None,
@@ -485,6 +498,10 @@ impl Engine for DistEngine {
         resume: Option<Checkpoint>,
     ) -> Plan {
         self.n = graph.vertex_count();
+        self.solver = match NodeSolver::resolve(config.kernel().solver, graph) {
+            Ok((solver, _)) => solver,
+            Err(err) => panic!("{err}"),
+        };
         // Resumed rows pre-seed the driver's gather: they are marked got,
         // excluded from every node's share, and merged with whatever the
         // run config's ledger replays.
@@ -509,6 +526,7 @@ impl Engine for DistEngine {
             self.prior.take(),
             self.ledger.take(),
             cap,
+            self.solver,
         ) {
             RunOutcome::Complete(output) => {
                 self.result = Some(output);
@@ -581,7 +599,7 @@ fn open_prior(
 }
 
 /// Runs the whole cluster from the `prior` rows, journaling accepted rows
-/// to `ledger`; every node's kernel caps its rows at `cap`.
+/// to `ledger`; every node solves its rows with `solver`, capped at `cap`.
 fn run_cluster(
     graph: &CsrGraph,
     config: ClusterConfig,
@@ -589,6 +607,7 @@ fn run_cluster(
     prior: Option<Checkpoint>,
     ledger: Option<RowLedger>,
     cap: Option<u32>,
+    solver: NodeSolver,
 ) -> RunOutcome<DistApspOutput> {
     if let Err(error) = config.validate_shape() {
         panic!("{error}");
@@ -603,8 +622,13 @@ fn run_cluster(
     let order_pool = ThreadPool::new(1);
     let order = OrderingProcedure::multi_lists().compute(&degrees, &order_pool);
 
-    // Hub set: the first `hub_fraction * n` sources of the order.
-    let hub_count = ((n as f64) * config.hub_fraction).round() as usize;
+    // Hub set: the first `hub_fraction * n` sources of the order. A
+    // multi-source BFS reads no rows, so it gets none: broadcasting them
+    // would be traffic nobody reads.
+    let hub_count = match solver {
+        NodeSolver::Dijkstra => ((n as f64) * config.hub_fraction).round() as usize,
+        NodeSolver::MsBfs => 0,
+    };
     let mut is_hub = vec![false; n];
     for &s in order.iter().take(hub_count) {
         is_hub[s as usize] = true;
@@ -643,6 +667,7 @@ fn run_cluster(
         }
     }
     let mut driver = Driver::new(nodes, owned.clone(), n, config.retry);
+    driver.burst = solver.rows_per_solve();
     driver.ledger = ledger;
     if config.store.kind() != StoreKind::Dense {
         // `Driver::new` built the default dense gather target; swap in the
@@ -661,11 +686,11 @@ fn run_cluster(
     }
 
     match config.transport.clone() {
-        TransportSpec::InProcess => {
-            run_cluster_channels(graph, &config, token, cap, &is_hub, &owned, driver, start)
-        }
+        TransportSpec::InProcess => run_cluster_channels(
+            graph, &config, token, cap, solver, &is_hub, &owned, driver, start,
+        ),
         TransportSpec::Socket(socket) => run_cluster_socket(
-            graph, &config, &socket, token, cap, &is_hub, &owned, driver, identity, start,
+            graph, &config, &socket, token, cap, solver, &is_hub, &owned, driver, identity, start,
         ),
     }
 }
@@ -763,6 +788,7 @@ fn run_cluster_channels(
     config: &ClusterConfig,
     token: Option<&CancelToken>,
     cap: Option<u32>,
+    solver: NodeSolver,
     is_hub: &[bool],
     owned: &[Vec<u32>],
     mut driver: Driver,
@@ -815,6 +841,7 @@ fn run_cluster_channels(
                             retry,
                             token,
                             cap,
+                            solver,
                             Duration::ZERO,
                             &mut io,
                         ),
@@ -861,6 +888,7 @@ fn run_cluster_socket(
     socket: &SocketConfig,
     token: Option<&CancelToken>,
     cap: Option<u32>,
+    solver: NodeSolver,
     is_hub: &[bool],
     owned: &[Vec<u32>],
     mut driver: Driver,
@@ -881,6 +909,7 @@ fn run_cluster_socket(
             row_batch: socket.row_batch as u32,
             retry: config.retry,
             max_distance: cap,
+            solver,
             hubs: hubs.clone(),
             owned: owned[k].clone(),
             faults: config.faults.clone(),
@@ -995,7 +1024,15 @@ struct Driver {
     /// When each node last put anything on its gather wire (its liveness
     /// signal for the watchdog).
     last_seen: Vec<Instant>,
-    /// Recent inter-row gaps per node, newest last, bounded window.
+    /// When each node's last `burst` rows arrived, oldest first; the
+    /// driver's start stands in until the first `burst` have.
+    arrivals: Vec<VecDeque<Instant>>,
+    /// Rows a node yields per solve (`NodeSolver::rows_per_solve`). A
+    /// watchdog gap spans this many rows, so a node that solves 64 rows,
+    /// sends them at once and goes quiet for the next solve is measured
+    /// by its time per batch, not by the near-zero gaps inside one.
+    burst: usize,
+    /// Recent watchdog gaps per node, newest last, bounded window.
     gaps: Vec<Vec<Duration>>,
     /// Rows accepted into the matrix per sending node — the basis for
     /// synthesizing stats of a worker that died without reporting any.
@@ -1012,7 +1049,7 @@ struct Driver {
     replayed: u64,
 }
 
-/// How many inter-row gaps the watchdog's rolling median looks back over.
+/// How many gaps the watchdog's rolling median looks back over.
 const GAP_WINDOW: usize = 32;
 
 /// Most events the driver drains from one node before verifying their
@@ -1023,6 +1060,7 @@ impl Driver {
     /// Fresh bookkeeping for `nodes` nodes owning `outstanding` shares of
     /// an `n`-vertex gather.
     fn new(nodes: usize, outstanding: Vec<Vec<u32>>, n: usize, retry: RetryPolicy) -> Self {
+        let start = Instant::now();
         Driver {
             nodes,
             alive: vec![true; nodes],
@@ -1035,7 +1073,9 @@ impl Driver {
             retry,
             reject_count: vec![0; n],
             watchdog_reassigned: 0,
-            last_seen: vec![Instant::now(); nodes],
+            last_seen: vec![start; nodes],
+            arrivals: vec![VecDeque::from([start]); nodes],
+            burst: 1,
             gaps: vec![Vec::new(); nodes],
             delivered: vec![0; nodes],
             wire_stats: vec![None; nodes],
@@ -1141,8 +1181,13 @@ impl Driver {
         sink: &mut S,
     ) {
         let now = Instant::now();
-        let gap = now.duration_since(self.last_seen[k]);
         self.last_seen[k] = now;
+        let arrivals = &mut self.arrivals[k];
+        let gap = now.duration_since(arrivals[0]);
+        if arrivals.len() == self.burst {
+            arrivals.pop_front();
+        }
+        arrivals.push_back(now);
         if self.gaps[k].len() == GAP_WINDOW {
             self.gaps[k].remove(0);
         }
@@ -1208,7 +1253,7 @@ impl Driver {
     }
 
     /// Declares nodes stalled when they owe rows but have been silent
-    /// longer than `stall_factor ×` their rolling median inter-row gap
+    /// longer than `stall_factor ×` their rolling median gap
     /// (never less than `floor`), and re-deals their ungathered sources to
     /// the other survivors. A stalled node is left alive: late deliveries
     /// are deduplicated, so waking up costs nothing but duplicate work.
@@ -1290,6 +1335,15 @@ impl Driver {
 /// transport) both run exactly this loop, so protocol behaviour —
 /// including every deterministic fault decision and its coordinates — is
 /// identical across transports.
+///
+/// Each iteration emits one row. Under [`NodeSolver::Dijkstra`] it solves
+/// the next pending source first. Under [`NodeSolver::MsBfs`] it solves
+/// up to 64 pending sources in one multi-source BFS whenever no solved
+/// row is left to emit, and emits them one per iteration. Either way
+/// every emitted row passes the same mailbox drain, crash and stall
+/// checks, `source_delay` and gather batching, so fault coordinates count
+/// emitted rows: a crash mid-batch loses only rows never sent, and a
+/// parked node still emits the rows it already solved.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_node_loop<IO: NodeIo>(
     k: usize,
@@ -1301,6 +1355,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
     retry: &RetryPolicy,
     token: Option<&CancelToken>,
     cap: Option<u32>,
+    solver: NodeSolver,
     source_delay: Duration,
     io: &mut IO,
 ) -> NodeStats {
@@ -1310,6 +1365,8 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
     let mut stalled = false;
     let mut state = NodeState::new(n, cap);
     let mut pending: VecDeque<u32> = initial.iter().copied().collect();
+    // Rows a multi-source BFS solved ahead, in source order, not emitted yet.
+    let mut solved: VecDeque<u32> = VecDeque::new();
     let mut stats = NodeStats::default();
     let mut gather = Gather::new(k, n);
     let mut completed = 0u64;
@@ -1360,7 +1417,27 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
         // driver's Shutdown instead of exiting — a unilateral exit would
         // look like a crash and trigger pointless reassignment.
         let parked = token.is_some_and(|t| t.status().is_stop());
-        let Some(s) = (if parked { None } else { pending.pop_front() }) else {
+        if solver == NodeSolver::MsBfs && solved.is_empty() && !parked {
+            let lanes = solver.rows_per_solve();
+            let mut batch = Vec::with_capacity(lanes);
+            while batch.len() < lanes {
+                let Some(s) = pending.pop_front() else { break };
+                // Defensive, as below: assignments are unique.
+                if state.row_for(s).is_none() {
+                    batch.push(s);
+                }
+            }
+            if !batch.is_empty() {
+                state.run_batch(graph, &batch);
+                solved.extend(batch);
+            }
+        }
+        let next = match solver {
+            NodeSolver::MsBfs => solved.pop_front(),
+            NodeSolver::Dijkstra if parked => None,
+            NodeSolver::Dijkstra => pending.pop_front(),
+        };
+        let Some(s) = next else {
             // Idle: send the rows held back, then wait for more work, a
             // hub row, or shutdown.
             gather.send(plan, &state, io);
@@ -1384,7 +1461,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
                 Err(_) => break false,
             }
         };
-        if state.row_for(s).is_some() {
+        if solver == NodeSolver::Dijkstra && state.row_for(s).is_some() {
             continue; // already computed (defensive; assignments are unique)
         }
         if !source_delay.is_zero() {
@@ -1392,7 +1469,10 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
             // integration tests can kill it deterministically mid-run.
             std::thread::sleep(source_delay);
         }
-        let row = state.run_source(graph, s);
+        let row = match solver {
+            NodeSolver::Dijkstra => state.run_source(graph, s),
+            NodeSolver::MsBfs => state.row_for(s).expect("solved rows are held"),
+        };
         completed += 1;
         stats.sources += 1;
         if is_hub[s as usize] {
@@ -1594,9 +1674,19 @@ mod tests {
     use super::*;
     use parapsp_core::baselines::apsp_dijkstra;
     use parapsp_core::engine::Runner;
+    use parapsp_core::SolverKind;
     use parapsp_core::INF;
     use parapsp_graph::generate::{barabasi_albert, erdos_renyi_gnm, WeightSpec};
     use parapsp_graph::Direction;
+
+    /// [`dist_apsp`] with the paper's kernel pinned on every node, for
+    /// the tests that measure row reuse or hub traffic: on their
+    /// unit-weight fixtures the default `auto` runs the multi-source BFS,
+    /// which reuses no row and deals no hubs.
+    fn dist_apsp_dijkstra(graph: &CsrGraph, config: ClusterConfig) -> DistApspOutput {
+        Runner::new(RunConfig::new(1).with_solver(SolverKind::Dijkstra))
+            .run(DistEngine::new(config), graph)
+    }
 
     #[test]
     fn exact_for_every_cluster_shape() {
@@ -1659,7 +1749,7 @@ mod tests {
     #[test]
     fn hub_broadcast_costs_scale_with_fraction() {
         let g = barabasi_albert(200, 3, WeightSpec::Unit, 80).unwrap();
-        let small = dist_apsp(
+        let small = dist_apsp_dijkstra(
             &g,
             ClusterConfig {
                 nodes: 4,
@@ -1667,7 +1757,7 @@ mod tests {
                 ..ClusterConfig::default()
             },
         );
-        let large = dist_apsp(
+        let large = dist_apsp_dijkstra(
             &g,
             ClusterConfig {
                 nodes: 4,
@@ -1682,7 +1772,7 @@ mod tests {
     #[test]
     fn single_node_cluster_equals_sequential() {
         let g = barabasi_albert(90, 2, WeightSpec::Unit, 81).unwrap();
-        let out = dist_apsp(
+        let out = dist_apsp_dijkstra(
             &g,
             ClusterConfig {
                 nodes: 1,
@@ -1729,7 +1819,7 @@ mod tests {
         // does not order local sweeps at all, so it should do no better.
         let g = barabasi_albert(300, 4, WeightSpec::Unit, 83).unwrap();
         let run = |partition| {
-            let out = dist_apsp(
+            let out = dist_apsp_dijkstra(
                 &g,
                 ClusterConfig {
                     nodes: 4,
@@ -1803,7 +1893,7 @@ mod tests {
     fn dropped_broadcasts_cost_reuse_not_correctness() {
         let g = barabasi_albert(140, 3, WeightSpec::Unit, 92).unwrap();
         let reference = apsp_dijkstra(&g);
-        let out = dist_apsp(
+        let out = dist_apsp_dijkstra(
             &g,
             ClusterConfig {
                 nodes: 4,
@@ -1974,6 +2064,55 @@ mod tests {
         );
         assert_eq!(out.watchdog_reassigned, 0, "no stalls, no re-deals");
         assert_eq!(out.node_stats.iter().map(|s| s.sources).sum::<u64>(), 140);
+    }
+
+    #[test]
+    fn watchdog_stays_quiet_on_a_healthy_msbfs_cluster_of_many_batches() {
+        // 320 sources per node: five multi-source BFS batches each, so
+        // every node goes quiet between bursts of rows four times.
+        let g = barabasi_albert(640, 3, WeightSpec::Unit, 98).unwrap();
+        let reference = apsp_dijkstra(&g);
+        let out = dist_apsp(
+            &g,
+            ClusterConfig {
+                nodes: 2,
+                watchdog: Some(WatchdogConfig::default()),
+                ..ClusterConfig::default()
+            },
+        );
+        assert_eq!(reference.first_difference(&out.dist), None);
+        assert_eq!(out.watchdog_reassigned, 0, "no stalls, no re-deals");
+        assert_eq!(out.node_stats.iter().map(|s| s.sources).sum::<u64>(), 640);
+    }
+
+    #[test]
+    fn watchdog_gaps_span_a_whole_batch_under_msbfs() {
+        // A node sends two batches of 64 rows back to back, 40 ms apart,
+        // then goes quiet for 60 ms while it solves the third. Gaps taken
+        // row by row sit near zero inside a burst, so their median puts
+        // the threshold at the 25 ms floor and the quiet node is called
+        // stalled; gaps over 64 rows measure ~40 ms per batch and put it
+        // at 8 × that.
+        let n = 200;
+        let owned: Vec<u32> = (0..n as u32).collect();
+        let lanes = NodeSolver::MsBfs.rows_per_solve() as u32;
+        for (burst, stalled) in [(lanes as usize, false), (1, true)] {
+            let retry = RetryPolicy::default();
+            let mut driver = Driver::new(2, vec![owned.clone(), Vec::new()], n, retry);
+            driver.burst = burst;
+            let mut sink = RecordingSink(Vec::new());
+            for batch in 0..2 {
+                if batch > 0 {
+                    std::thread::sleep(Duration::from_millis(40));
+                }
+                for s in batch * lanes..(batch + 1) * lanes {
+                    deliver(&mut driver, 0, RowMessage::new(s, vec![1; n]), &mut sink);
+                }
+            }
+            std::thread::sleep(Duration::from_millis(60));
+            driver.check_watchdog(&WatchdogConfig::default(), &mut sink);
+            assert_eq!(driver.watchdog_reassigned > 0, stalled, "burst {burst}");
+        }
     }
 
     #[test]
@@ -2596,5 +2735,183 @@ mod tests {
         assert!(!resent.is_empty(), "seed 11 corrupts some of {n} rows");
         assert_eq!(driver.gather_rejected, resent.len() as u64);
         assert_gathered(&driver, n as u32, &resent, n);
+    }
+
+    // ---- The node solver: batches of 64, rows emitted one at a time ----
+
+    /// A node's side of the wire with no driver behind it: the inbox is
+    /// empty (a blocking read reports the driver gone), every gather frame
+    /// is recorded, and the first frame trips `trip`, if given.
+    struct ScriptedIo<'a> {
+        frames: Vec<Vec<RowMessage>>,
+        trip: Option<&'a CancelToken>,
+    }
+
+    impl NodeIo for ScriptedIo<'_> {
+        fn try_recv(&mut self) -> Result<Option<NodeControl>, crate::transport::Disconnected> {
+            Ok(None)
+        }
+
+        fn recv(&mut self) -> Result<NodeControl, crate::transport::Disconnected> {
+            Err(crate::transport::Disconnected)
+        }
+
+        fn send_hub(&mut self, _peer: usize, _row: RowRef<'_>) {
+            panic!("no hub is dealt in these runs");
+        }
+
+        fn row_batch(&self) -> usize {
+            4
+        }
+
+        fn send_rows(&mut self, rows: &[RowRef<'_>]) {
+            self.frames
+                .push(rows.iter().map(|row| row.to_message()).collect());
+            if let Some(token) = self.trip.take() {
+                token.cancel();
+            }
+        }
+    }
+
+    /// Runs one node over `owned` with no hubs and returns its stats and
+    /// the rows it sent, in order.
+    fn scripted_node(
+        g: &CsrGraph,
+        owned: &[u32],
+        plan: &FaultPlan,
+        solver: NodeSolver,
+        token: Option<&CancelToken>,
+    ) -> (NodeStats, Vec<RowMessage>) {
+        let mut io = ScriptedIo {
+            frames: Vec::new(),
+            trip: token,
+        };
+        let is_hub = vec![false; g.vertex_count()];
+        let stats = run_node_loop(
+            0,
+            g,
+            owned,
+            &is_hub,
+            1,
+            plan,
+            &RetryPolicy::default(),
+            token,
+            None,
+            solver,
+            Duration::ZERO,
+            &mut io,
+        );
+        (stats, io.frames.into_iter().flatten().collect())
+    }
+
+    #[test]
+    fn a_crash_mid_batch_loses_only_rows_never_sent() {
+        let g = barabasi_albert(100, 3, WeightSpec::Unit, 95).unwrap();
+        let reference = apsp_dijkstra(&g);
+        let owned: Vec<u32> = (0..100).rev().collect();
+        // The first multi-source BFS solves 64 rows; the crash fires after
+        // the 10th is emitted, when two full frames (8 rows) are out and
+        // two rows are held back.
+        let plan = FaultPlan::seeded(1).crash_node_after(0, 10);
+        for solver in [NodeSolver::MsBfs, NodeSolver::Dijkstra] {
+            let (stats, sent) = scripted_node(&g, &owned, &plan, solver, None);
+            assert!(stats.crashed, "{solver:?}");
+            assert_eq!(stats.sources, 10, "{solver:?}: sources count emitted rows");
+            let sources: Vec<u32> = sent.iter().map(|row| row.source).collect();
+            assert_eq!(sources, owned[..8], "{solver:?}");
+            for row in &sent {
+                assert!(row.verify());
+                assert_eq!(row.row, reference.row(row.source), "{solver:?}");
+            }
+        }
+
+        // In a cluster the survivor takes over every unsent row, solved
+        // or not, and the matrix is the fault-free one.
+        let out = dist_apsp(
+            &g,
+            ClusterConfig {
+                nodes: 2,
+                faults: plan,
+                ..ClusterConfig::default()
+            },
+        );
+        assert_eq!(reference.first_difference(&out.dist), None);
+        assert_eq!(out.node_stats[0].sources, 10);
+        assert_eq!(out.node_stats[1].reassigned_sources, 50 - 10);
+        assert_eq!(out.node_stats.iter().map(|s| s.sources).sum::<u64>(), 100);
+    }
+
+    #[test]
+    fn a_parked_node_still_emits_the_rows_it_already_solved() {
+        let g = barabasi_albert(100, 3, WeightSpec::Unit, 96).unwrap();
+        let owned: Vec<u32> = (0..100).collect();
+        let plan = FaultPlan::default();
+        // The token trips at the first frame. The multi-source BFS has
+        // solved a whole batch by then and emits all of it; the kernel
+        // stops after the frame's four rows.
+        for (solver, emitted) in [(NodeSolver::MsBfs, 64), (NodeSolver::Dijkstra, 4)] {
+            let token = CancelToken::new();
+            let (stats, sent) = scripted_node(&g, &owned, &plan, solver, Some(&token));
+            assert!(!stats.crashed);
+            assert_eq!(stats.sources, emitted, "{solver:?}");
+            assert_eq!(sent.len(), emitted as usize, "{solver:?}");
+        }
+    }
+
+    #[test]
+    fn msbfs_nodes_deal_no_hubs_and_broadcast_nothing() {
+        let g = barabasi_albert(200, 3, WeightSpec::Unit, 97).unwrap();
+        let reference = apsp_dijkstra(&g);
+        let config = ClusterConfig {
+            nodes: 3,
+            hub_fraction: 0.5,
+            ..ClusterConfig::default()
+        };
+        let auto = dist_apsp(&g, config.clone());
+        assert_eq!(reference.first_difference(&auto.dist), None);
+        assert_eq!(auto.total_broadcast_bytes(), 0);
+        assert!(auto
+            .node_stats
+            .iter()
+            .all(|s| s.bytes_received == 0 && s.local_reuses + s.remote_reuses == 0));
+        // The kernel pinned on the same cluster still broadcasts its hubs.
+        let kernel = dist_apsp_dijkstra(&g, config);
+        assert_eq!(reference.first_difference(&kernel.dist), None);
+        assert!(kernel.total_broadcast_bytes() > 0);
+    }
+
+    #[test]
+    fn cancelled_msbfs_run_resumes_on_the_cluster_bit_identically() {
+        let g = barabasi_albert(400, 3, WeightSpec::Unit, 98).unwrap();
+        let reference = apsp_dijkstra(&g);
+        let runner = Runner::new(RunConfig::new(1).with_solver(SolverKind::MsBfs));
+        let config = ClusterConfig {
+            nodes: 3,
+            ..ClusterConfig::default()
+        };
+        let token = CancelToken::with_poll_budget(0);
+        let checkpoint = match runner.run_with_token(DistEngine::new(config.clone()), &g, &token) {
+            RunOutcome::Cancelled { checkpoint } => checkpoint,
+            other => panic!("a zero poll budget stops the first round, got {other:?}"),
+        };
+        // Nodes park when they see the trip and emit what they already
+        // solved, so any number of rows may be in the checkpoint.
+        let done = checkpoint.completed_count() as u64;
+        let out = runner.run_resumed(DistEngine::new(config), &g, checkpoint);
+        assert_eq!(reference.first_difference(&out.dist), None);
+        assert_eq!(out.replayed_rows, done);
+        assert_eq!(
+            out.node_stats.iter().map(|s| s.sources).sum::<u64>(),
+            400 - done,
+            "only the missing rows are recomputed"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a dist node runs auto, dijkstra, msbfs")]
+    fn dist_engine_refuses_delta_stepping() {
+        let g = barabasi_albert(40, 2, WeightSpec::Unit, 99).unwrap();
+        let config = RunConfig::new(1).with_solver(SolverKind::Delta { delta: None });
+        let _ = Runner::new(config).run(DistEngine::new(ClusterConfig::default()), &g);
     }
 }

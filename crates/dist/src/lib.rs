@@ -30,6 +30,11 @@
 //! correctness requirement, and only *final* rows are ever shared (same
 //! argument as the shared-memory publication protocol).
 //!
+//! That is the paper's kernel ([`NodeSolver::Dijkstra`]). On unit-weight
+//! graphs a run's default `auto` solver gives every node the multi-source
+//! BFS instead ([`NodeSolver::MsBfs`]): one edge scan serves up to 64 of
+//! the node's sources, no row is reused, and so no hub row is broadcast.
+//!
 //! # Fault tolerance
 //!
 //! Runs can be subjected to a deterministic [`FaultPlan`]: node crashes,
@@ -84,5 +89,6 @@ pub use cluster::{
     SourcePartition, WatchdogConfig,
 };
 pub use fault::FaultPlan;
+pub use node::NodeSolver;
 pub use transport::{BindSpec, ConnectRetry, SocketConfig, TransportSpec, WorkerMode};
 pub use worker::{run_worker, WorkerOptions, WorkerOutcome};

@@ -1,5 +1,7 @@
 //! The per-node worker state: private rows and the hub-row mailbox, run
-//! through the shared Alg. 1 kernel of `parapsp-core`.
+//! through the row solvers of `parapsp-core` — the shared Alg. 1 kernel
+//! one source at a time, or the multi-source BFS 64 sources per edge scan
+//! ([`NodeSolver`]).
 //!
 //! A node is single-threaded over its own memory, so the distributed
 //! setting trades the shared-memory publication protocol for explicit
@@ -9,13 +11,87 @@
 //! matrix.
 
 use parapsp_core::kernel::{modified_dijkstra, HeldRows, KernelOptions, NoPred, Workspace};
-use parapsp_core::Counters;
+use parapsp_core::solver::{msbfs_into, MSBFS_LANES};
+use parapsp_core::{autotune, probe, Counters, GraphProbe, SolverKind};
 use parapsp_graph::{CsrGraph, INF};
 
 /// FNV-1a over the source id and the row payload. This is the very same
 /// function the run ledger stamps on its records, so a row journaled by
 /// the driver carries the checksum it was verified against on the wire.
 pub(crate) use parapsp_core::persist::row_checksum;
+
+/// The row solver every node of a dist run uses, resolved once by the
+/// driver from the run's [`SolverKind`] and shipped to each node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeSolver {
+    /// The paper's modified Dijkstra, one source at a time, reusing the
+    /// node's own rows and the hub rows it receives.
+    Dijkstra,
+    /// The bit-parallel multi-source BFS, up to 64 sources per edge scan
+    /// (unit weights only). It reuses no rows, so a run on it deals no
+    /// hubs and broadcasts nothing.
+    MsBfs,
+}
+
+impl NodeSolver {
+    /// The `--solver` spellings a dist run accepts.
+    pub const POSSIBLE: &'static [&'static str] = &["auto", "dijkstra", "msbfs"];
+
+    /// Resolves `requested` against `graph`, returning the node solver
+    /// and the probe it was decided or checked from. `auto` follows
+    /// [`autotune`]: msbfs where it picks msbfs (unit weights), the
+    /// paper's kernel everywhere else. Δ-stepping is refused: it reads
+    /// reused rows through the shared-memory store, which a node does
+    /// not have. So is msbfs on a graph that is not unit-weight. Both
+    /// refusals name the accepted spellings.
+    pub fn resolve(
+        requested: SolverKind,
+        graph: &CsrGraph,
+    ) -> Result<(NodeSolver, GraphProbe), String> {
+        let accepted = || format!("a dist node runs {}", Self::POSSIBLE.join(", "));
+        match requested {
+            SolverKind::Auto => {
+                let choice = autotune(graph);
+                let solver = match choice.solver {
+                    SolverKind::MsBfs => NodeSolver::MsBfs,
+                    _ => NodeSolver::Dijkstra,
+                };
+                Ok((solver, choice.probe))
+            }
+            SolverKind::Dijkstra => Ok((NodeSolver::Dijkstra, probe(graph))),
+            SolverKind::MsBfs => {
+                let probe = probe(graph);
+                SolverKind::MsBfs
+                    .check(&probe, false)
+                    .map_err(|err| format!("{err}; {}", accepted()))?;
+                Ok((NodeSolver::MsBfs, probe))
+            }
+            SolverKind::Delta { .. } => Err(format!(
+                "solver {} reads reused rows through the shared-memory store, which \
+                 a dist node does not have; {}",
+                requested.label(),
+                accepted()
+            )),
+        }
+    }
+
+    /// The solver as a [`SolverKind`] (for labels and run configs).
+    pub fn kind(self) -> SolverKind {
+        match self {
+            NodeSolver::Dijkstra => SolverKind::Dijkstra,
+            NodeSolver::MsBfs => SolverKind::MsBfs,
+        }
+    }
+
+    /// Most rows one solve yields: a node emits them back to back, then
+    /// goes quiet for the next solve.
+    pub(crate) fn rows_per_solve(self) -> usize {
+        match self {
+            NodeSolver::Dijkstra => 1,
+            NodeSolver::MsBfs => MSBFS_LANES,
+        }
+    }
+}
 
 /// A completed row in transit between nodes (or to the driver).
 #[derive(Debug, Clone)]
@@ -143,6 +219,25 @@ impl NodeState {
         self.rows.own(s)
     }
 
+    /// Runs one multi-source BFS over `sources` (at most
+    /// [`MSBFS_LANES`](parapsp_core::solver::MSBFS_LANES), none computed
+    /// yet) and keeps their rows locally. It reads no held rows.
+    pub(crate) fn run_batch(&mut self, graph: &CsrGraph, sources: &[u32]) {
+        let mut rows: Vec<Vec<u32>> = sources.iter().map(|_| vec![INF; self.n]).collect();
+        let mut lanes: Vec<&mut [u32]> = rows.iter_mut().map(Vec::as_mut_slice).collect();
+        msbfs_into(
+            graph,
+            sources,
+            &mut lanes,
+            &mut self.ws,
+            self.options,
+            &mut Counters::default(),
+        );
+        for (&s, row) in sources.iter().zip(rows) {
+            self.rows.keep_own(s, row);
+        }
+    }
+
     /// Runs the kernel for source `s`, reusing every row this node holds,
     /// and keeps the row locally.
     pub(crate) fn run_source(&mut self, graph: &CsrGraph, s: u32) -> &[u32] {
@@ -260,6 +355,65 @@ mod tests {
         assert_eq!(node.rows_rejected, 2);
         assert_eq!(node.run_source(&g, 3), &[1, 1, 1, 0, 1, 1][..]);
         assert_eq!(node.remote_reuses, 0, "rejected rows must not be reused");
+    }
+
+    #[test]
+    fn batched_rows_equal_one_source_rows_and_reuse_nothing() {
+        let g = parapsp_graph::generate::barabasi_albert(
+            90,
+            2,
+            parapsp_graph::generate::WeightSpec::Unit,
+            3,
+        )
+        .unwrap();
+        for cap in [None, Some(2)] {
+            let mut single = NodeState::new(90, cap);
+            let mut batched = NodeState::new(90, cap);
+            let sources: Vec<u32> = (0..90u32).rev().collect();
+            for chunk in sources.chunks(parapsp_core::solver::MSBFS_LANES) {
+                batched.run_batch(&g, chunk);
+            }
+            for &s in &sources {
+                single.run_source(&g, s);
+            }
+            assert_eq!(batched.into_rows(), single.into_rows(), "cap {cap:?}");
+        }
+        let mut node = NodeState::new(90, None);
+        node.accept(RowMessage::new(0, vec![1; 90]));
+        node.run_batch(&g, &[5, 6]);
+        assert_eq!((node.local_reuses, node.remote_reuses), (0, 0));
+    }
+
+    #[test]
+    fn node_solver_resolves_auto_and_refuses_what_a_node_cannot_run() {
+        use parapsp_graph::generate::{watts_strogatz, WeightSpec};
+        let unit = path_graph(6, Direction::Undirected);
+        let wide = watts_strogatz(64, 8, 0.2, WeightSpec::Uniform { lo: 1, hi: 1000 }, 44).unwrap();
+        let resolve = |kind, g| NodeSolver::resolve(kind, g).map(|(solver, _)| solver);
+        assert_eq!(resolve(SolverKind::Auto, &unit), Ok(NodeSolver::MsBfs));
+        // The shared-memory tuner picks Δ-stepping here; a node runs the kernel.
+        assert!(matches!(autotune(&wide).solver, SolverKind::Delta { .. }));
+        assert_eq!(resolve(SolverKind::Auto, &wide), Ok(NodeSolver::Dijkstra));
+        assert_eq!(
+            resolve(SolverKind::Dijkstra, &unit),
+            Ok(NodeSolver::Dijkstra)
+        );
+        assert_eq!(resolve(SolverKind::MsBfs, &unit), Ok(NodeSolver::MsBfs));
+        for (kind, g) in [
+            (SolverKind::MsBfs, &wide),
+            (SolverKind::Delta { delta: None }, &unit),
+            (SolverKind::Delta { delta: Some(3) }, &wide),
+        ] {
+            let err = resolve(kind, g).unwrap_err();
+            assert!(
+                err.contains("auto, dijkstra, msbfs"),
+                "{}: {err}",
+                kind.label()
+            );
+        }
+        // The probe comes back for the CLI's auto-tune line.
+        let (_, probe) = NodeSolver::resolve(SolverKind::Auto, &wide).unwrap();
+        assert!(probe.weight_max > 1 && probe.weight_max <= 1000);
     }
 
     #[test]

@@ -835,4 +835,81 @@ mod tests {
         );
         assert!(matches!(outcome, RunOutcome::DeadlineExceeded { .. }));
     }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_worker_of_wire_v3_is_refused_at_hello() {
+        use crate::cluster::RetryPolicy;
+        use crate::node::NodeSolver;
+        let (driver_end, worker_end) = UnixStream::pair().unwrap();
+        let mut worker = WireStream::Unix(worker_end);
+        // A v3 worker would read no solver byte from the Setup; the
+        // driver never sends it one.
+        write_frame(
+            &mut worker,
+            &Frame::Hello {
+                version: 3,
+                reconnects: 0,
+                run_id: 0,
+                epoch: 0,
+            },
+        )
+        .unwrap();
+        let setup = WorkerSetup {
+            node_id: 0,
+            nodes: 1,
+            run_id: 1,
+            epoch: 0,
+            heartbeat_ms: 10,
+            row_batch: 4,
+            retry: RetryPolicy::default(),
+            max_distance: None,
+            solver: NodeSolver::MsBfs,
+            hubs: Vec::new(),
+            owned: vec![0],
+            faults: FaultPlan::default(),
+            graph: barabasi_albert(8, 2, WeightSpec::Unit, 1).unwrap(),
+        };
+        let err = handshake(
+            WireStream::Unix(driver_end),
+            &setup,
+            &fast_socket(WorkerMode::External),
+        )
+        .err()
+        .expect("a v3 Hello must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("protocol v3, driver v4"), "{err}");
+        // The refused worker reads EOF, not a Setup.
+        worker
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(read_frame(&mut worker).is_err());
+    }
+
+    #[test]
+    fn socket_msbfs_fault_storm_matches_the_kernel() {
+        // Unit weights: the default solver sends every worker the
+        // multi-source BFS over the wire; a crash after 7 emitted rows and
+        // a stall after 5 both land inside a first 64-source batch.
+        let g = barabasi_albert(150, 3, WeightSpec::Unit, 48).unwrap();
+        let reference = apsp_dijkstra(&g);
+        let out = dist_apsp(
+            &g,
+            ClusterConfig {
+                nodes: 2,
+                hub_fraction: 0.2,
+                faults: FaultPlan::seeded(5)
+                    .crash_node_after(0, 7)
+                    .stall_node_after(1, 5, 50)
+                    .with_corrupt_probability(0.2),
+                transport: TransportSpec::Socket(fast_socket(WorkerMode::Threads)),
+                ..ClusterConfig::default()
+            },
+        );
+        assert_eq!(reference.first_difference(&out.dist), None);
+        assert!(out.node_stats[0].crashed && !out.node_stats[1].crashed);
+        assert_eq!(out.total_broadcast_bytes(), 0, "msbfs deals no hubs");
+        assert!(out.gather_rejected > 0);
+        assert!(out.node_stats.iter().map(|s| s.sources).sum::<u64>() >= 150);
+    }
 }

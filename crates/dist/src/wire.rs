@@ -25,7 +25,7 @@ use parapsp_graph::{CsrGraph, Direction};
 
 use crate::cluster::{NodeStats, RetryPolicy};
 use crate::fault::FaultPlan;
-use crate::node::{RowMessage, RowRef};
+use crate::node::{NodeSolver, RowMessage, RowRef};
 
 /// First byte of every frame; anything else means a desynchronized or
 /// foreign stream.
@@ -35,8 +35,8 @@ pub(crate) const MAGIC: u8 = 0xA5;
 /// rejects workers announcing a different version during the handshake.
 /// Version 2 added the run-id/epoch fields to `Hello` and `Setup` for
 /// driver-restart re-handshakes; version 3 added the distance cap to
-/// `Setup`.
-pub(crate) const PROTOCOL_VERSION: u16 = 3;
+/// `Setup`; version 4 added the node solver to `Setup`.
+pub(crate) const PROTOCOL_VERSION: u16 = 4;
 
 /// Upper bound on a single frame payload (defense against a corrupt or
 /// hostile length prefix allocating unbounded memory).
@@ -81,6 +81,8 @@ pub(crate) struct WorkerSetup {
     pub retry: RetryPolicy,
     /// The run's distance cap, applied inside the worker's kernel.
     pub max_distance: Option<u32>,
+    /// The row solver the driver resolved for every node.
+    pub solver: NodeSolver,
     /// Sources whose completed rows are broadcast cluster-wide.
     pub hubs: Vec<u32>,
     /// Sources this worker owns initially, in assignment order.
@@ -244,6 +246,22 @@ fn take_graph(buf: &mut &[u8]) -> Option<CsrGraph> {
     CsrGraph::from_edges(n, direction, &edges).ok()
 }
 
+/// One byte per [`NodeSolver`]; any other byte is a malformed `Setup`.
+fn solver_tag(solver: NodeSolver) -> u8 {
+    match solver {
+        NodeSolver::Dijkstra => 0,
+        NodeSolver::MsBfs => 1,
+    }
+}
+
+fn take_solver(buf: &mut &[u8]) -> Option<NodeSolver> {
+    match take_u8(buf)? {
+        0 => Some(NodeSolver::Dijkstra),
+        1 => Some(NodeSolver::MsBfs),
+        _ => None,
+    }
+}
+
 fn put_stats(out: &mut Vec<u8>, stats: &NodeStats) {
     for v in [
         stats.sources,
@@ -353,6 +371,7 @@ impl Frame {
                 // u32::MAX stands for "uncapped": the kernel treats a cap
                 // of u32::MAX and no cap alike.
                 out.extend_from_slice(&setup.max_distance.unwrap_or(u32::MAX).to_le_bytes());
+                out.push(solver_tag(setup.solver));
                 put_u32_vec(out, &setup.hubs);
                 put_u32_vec(out, &setup.owned);
                 setup.faults.encode(out);
@@ -412,6 +431,7 @@ impl Frame {
                     cap_ms: take_u64(buf)?,
                 },
                 max_distance: Some(take_u32(buf)?).filter(|&cap| cap != u32::MAX),
+                solver: take_solver(buf)?,
                 hubs: take_u32_vec(buf)?,
                 owned: take_u32_vec(buf)?,
                 faults: FaultPlan::decode(buf)?,
@@ -599,6 +619,7 @@ mod tests {
             row_batch: 8,
             retry: RetryPolicy::default(),
             max_distance: Some(17),
+            solver: NodeSolver::MsBfs,
             hubs: vec![3, 1, 4],
             owned: vec![2, 6, 10],
             faults: FaultPlan::seeded(9)
@@ -619,6 +640,7 @@ mod tests {
         assert_eq!(decoded.row_batch, 8);
         assert_eq!(decoded.retry, setup.retry);
         assert_eq!(decoded.max_distance, Some(17));
+        assert_eq!(decoded.solver, NodeSolver::MsBfs);
         assert_eq!(decoded.hubs, setup.hubs);
         assert_eq!(decoded.owned, setup.owned);
         assert_eq!(decoded.faults, setup.faults);
@@ -632,15 +654,30 @@ mod tests {
         b.sort_unstable();
         assert_eq!(a, b);
 
-        // An uncapped run stays uncapped across the wire.
+        // An uncapped run stays uncapped across the wire, and each node
+        // solver keeps its own byte.
         let uncapped = WorkerSetup {
             max_distance: None,
-            ..setup
+            solver: NodeSolver::Dijkstra,
+            ..setup.clone()
         };
         let Frame::Setup(decoded) = roundtrip(&Frame::Setup(Box::new(uncapped))) else {
             panic!("setup decoded as a different kind");
         };
         assert_eq!(decoded.max_distance, None);
+        assert_eq!(decoded.solver, NodeSolver::Dijkstra);
+
+        // A solver byte naming no node solver is a malformed Setup: the
+        // byte sits right after node id, cluster size, run id, epoch,
+        // heartbeat, row batch, retry policy and cap.
+        let mut bytes = Frame::Setup(Box::new(setup)).encode();
+        let at = HEADER_LEN + 4 + 4 + 8 + 4 + 8 + 4 + 3 * 8 + 4;
+        assert_eq!(bytes[at], 1);
+        bytes[at] = 2;
+        assert_eq!(
+            read_frame(&mut &bytes[..]).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
     }
 
     #[test]

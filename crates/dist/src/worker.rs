@@ -297,6 +297,7 @@ pub fn run_worker(addr: &str, options: WorkerOptions) -> Result<WorkerOutcome, S
         &setup.retry,
         None,
         setup.max_distance,
+        setup.solver,
         options.source_delay,
         &mut io,
     );

@@ -12,7 +12,7 @@
 //! cargo run --release --example distributed_cluster
 //! ```
 
-use parapsp::core::{RunConfig, Runner};
+use parapsp::core::{RunConfig, Runner, SolverKind};
 use parapsp::datasets::{find, Scale};
 use parapsp::dist::{ClusterConfig, DistEngine};
 
@@ -45,7 +45,9 @@ fn main() {
                 hub_fraction,
                 ..Default::default()
             });
-            let out = Runner::new(RunConfig::new(1)).run(engine, &graph);
+            // The paper's kernel, the one node solver that reads hub rows.
+            let config = RunConfig::new(1).with_solver(SolverKind::Dijkstra);
+            let out = Runner::new(config).run(engine, &graph);
             let remote: u64 = out.node_stats.iter().map(|s| s.remote_reuses).sum();
             let exact = match &reference {
                 None => {

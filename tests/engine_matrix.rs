@@ -148,33 +148,44 @@ fn every_engine_matches_seq_basic_on_every_fixture() {
             let fw = Runner::new(with_cap(RunConfig::new(3))).run(BlockedFwEngine::new(16), &graph);
             assert_matrix("blocked-fw", fixture, cap, &full, &fw);
 
-            // Distributed cluster simulation, 2 nodes.
-            let cluster = DistEngine::new(ClusterConfig {
-                nodes: 2,
-                ..Default::default()
-            });
-            let out = Runner::new(with_cap(RunConfig::new(1))).run(cluster, &graph);
-            assert_matrix("dist", fixture, cap, &full, &out.dist);
-
-            // The same cluster over Unix sockets: the cap crosses the wire
-            // in the worker setup and is applied inside every node's kernel.
-            #[cfg(unix)]
-            if cap.is_some() {
-                let socket = SocketConfig {
-                    bind: BindSpec::Unix(std::env::temp_dir().join(format!(
-                        "parapsp-matrix-{fixture}-{}.sock",
-                        std::process::id()
-                    ))),
-                    workers: WorkerMode::Threads,
-                    ..SocketConfig::default()
-                };
+            // Distributed cluster simulation, 2 nodes, on each node
+            // solver: the paper's kernel everywhere, the multi-source BFS
+            // on unit weights (`auto` resolves to one of the two).
+            let mut node_solvers = vec![SolverKind::Dijkstra];
+            if graph.is_unit_weight() {
+                node_solvers.push(SolverKind::MsBfs);
+            }
+            for solver in node_solvers {
+                let config = || with_cap(RunConfig::new(1)).with_solver(solver);
                 let cluster = DistEngine::new(ClusterConfig {
                     nodes: 2,
-                    transport: TransportSpec::Socket(socket),
                     ..Default::default()
                 });
-                let out = Runner::new(with_cap(RunConfig::new(1))).run(cluster, &graph);
-                assert_matrix("dist[unix]", fixture, cap, &full, &out.dist);
+                let out = Runner::new(config()).run(cluster, &graph);
+                let label = format!("dist[{}]", solver.label());
+                assert_matrix(&label, fixture, cap, &full, &out.dist);
+
+                // The same cluster over Unix sockets: the cap and the node
+                // solver cross the wire in the worker setup.
+                #[cfg(unix)]
+                if cap.is_some() {
+                    let socket = SocketConfig {
+                        bind: BindSpec::Unix(std::env::temp_dir().join(format!(
+                            "parapsp-matrix-{fixture}-{}.sock",
+                            std::process::id()
+                        ))),
+                        workers: WorkerMode::Threads,
+                        ..SocketConfig::default()
+                    };
+                    let cluster = DistEngine::new(ClusterConfig {
+                        nodes: 2,
+                        transport: TransportSpec::Socket(socket),
+                        ..Default::default()
+                    });
+                    let out = Runner::new(config()).run(cluster, &graph);
+                    let label = format!("dist[unix, {}]", solver.label());
+                    assert_matrix(&label, fixture, cap, &full, &out.dist);
+                }
             }
 
             // Subset engine over every source: each row must equal the

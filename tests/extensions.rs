@@ -6,6 +6,7 @@ use parapsp::analysis::betweenness_centrality;
 use parapsp::core::baselines::apsp_dijkstra;
 use parapsp::core::engine::{AdaptiveEngine, ApspEngine, RunConfig, Runner};
 use parapsp::core::paths::par_apsp_with_paths;
+use parapsp::core::SolverKind;
 use parapsp::datasets::{find, Scale};
 use parapsp::dist::{ClusterConfig, DistApspOutput, DistEngine};
 use parapsp::graph::degree;
@@ -87,22 +88,23 @@ fn distributed_hub_sharing_increases_reuse() {
         .unwrap()
         .generate(Scale::Vertices(400))
         .unwrap();
-    let isolated = dist_apsp(
-        &graph,
-        ClusterConfig {
-            nodes: 4,
-            hub_fraction: 0.0,
-            ..Default::default()
-        },
-    );
-    let sharing = dist_apsp(
-        &graph,
-        ClusterConfig {
-            nodes: 4,
-            hub_fraction: 0.1,
-            ..Default::default()
-        },
-    );
+    // Hub rows are read by the paper's kernel only: on this unit-weight
+    // replica the default `auto` runs the multi-source BFS, which reuses
+    // nothing and deals no hubs, so the kernel is pinned.
+    let kernel = |config| {
+        Runner::new(RunConfig::new(1).with_solver(SolverKind::Dijkstra))
+            .run(DistEngine::new(config), &graph)
+    };
+    let isolated = kernel(ClusterConfig {
+        nodes: 4,
+        hub_fraction: 0.0,
+        ..Default::default()
+    });
+    let sharing = kernel(ClusterConfig {
+        nodes: 4,
+        hub_fraction: 0.1,
+        ..Default::default()
+    });
     let remote_isolated: u64 = isolated.node_stats.iter().map(|s| s.remote_reuses).sum();
     let remote_sharing: u64 = sharing.node_stats.iter().map(|s| s.remote_reuses).sum();
     assert_eq!(remote_isolated, 0);

@@ -354,23 +354,30 @@ fn expired_deadline_stops_immediately_with_a_resumable_checkpoint() {
 
 /// The acceptance gate, deterministically: fifty distinct seeded chaos
 /// plans — sweeping delay, duplication, corruption, control duplication,
-/// and a rotating one-way partition — each run over both transports, and
-/// every single matrix bit-identical to the chaos-free reference.
+/// and a rotating one-way partition — each run over both transports and
+/// under both node solvers (the weighted graph runs the paper's kernel,
+/// its unit-weight twin the multi-source BFS), and every single matrix
+/// bit-identical to the chaos-free reference.
 #[test]
 fn fifty_seeded_chaos_plans_recover_exactly_on_both_transports() {
-    let mut b = GraphBuilder::new(36, Direction::Undirected);
-    for v in 1..36u32 {
-        b.add_edge(v - 1, v, 1 + v % 6).unwrap();
-        b.add_edge(v / 2, v, 2 + v % 4).unwrap();
-    }
-    let graph = b.build();
-    let reference = dist_apsp(
-        &graph,
-        ClusterConfig {
-            nodes: 3,
-            ..ClusterConfig::default()
-        },
-    );
+    let twin = |unit: bool| {
+        let mut b = GraphBuilder::new(36, Direction::Undirected);
+        for v in 1..36u32 {
+            let (w1, w2) = if unit { (1, 1) } else { (1 + v % 6, 2 + v % 4) };
+            b.add_edge(v - 1, v, w1).unwrap();
+            b.add_edge(v / 2, v, w2).unwrap();
+        }
+        let graph = b.build();
+        let reference = dist_apsp(
+            &graph,
+            ClusterConfig {
+                nodes: 3,
+                ..ClusterConfig::default()
+            },
+        );
+        (graph, reference)
+    };
+    let twins = [twin(false), twin(true)];
 
     for seed in 0..50u64 {
         let chaos = ChaosPlan::seeded(seed)
@@ -390,20 +397,23 @@ fn fifty_seeded_chaos_plans_recover_exactly_on_both_transports() {
                 TransportSpec::InProcess => "channel",
                 TransportSpec::Socket(_) => "socket",
             };
-            let stormy = dist_apsp(
-                &graph,
-                ClusterConfig {
-                    nodes: 3,
-                    chaos: Some(chaos.clone()),
-                    transport,
-                    ..ClusterConfig::default()
-                },
-            );
-            assert_eq!(
-                reference.dist.first_difference(&stormy.dist),
-                None,
-                "seed {seed} transport {label}"
-            );
+            for (graph, reference) in &twins {
+                let stormy = dist_apsp(
+                    graph,
+                    ClusterConfig {
+                        nodes: 3,
+                        chaos: Some(chaos.clone()),
+                        transport: transport.clone(),
+                        ..ClusterConfig::default()
+                    },
+                );
+                assert_eq!(
+                    reference.dist.first_difference(&stormy.dist),
+                    None,
+                    "seed {seed} transport {label} unit weights {}",
+                    graph.is_unit_weight()
+                );
+            }
         }
     }
 }
