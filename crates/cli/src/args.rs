@@ -14,77 +14,165 @@ pub struct Args {
     flags: Vec<String>,
 }
 
-/// Options that take a value.
-const VALUED: &[&str] = &[
-    "--threads",
-    "--algorithm",
-    "--format",
-    "--top",
-    "--model",
-    "--n",
-    "--m",
-    "--p",
-    "--seed",
-    "--out",
-    "--nodes",
-    "--hub-fraction",
-    "--weights",
-    "--cap",
-    "--relax",
-    "--solver",
-    "--store",
-    "--schedule",
-    "--partition",
-    "--checkpoint-every",
-    "--resume",
-    "--fault-seed",
-    "--crash",
-    "--drop-prob",
-    "--corrupt-prob",
-    "--deadline",
-    "--on-interrupt",
-    "--credit-weight",
-    "--block",
-    "--transport",
-    "--listen",
-    "--connect",
-    "--connect-attempts",
-    "--heartbeat",
-    "--heartbeat-misses",
-    "--row-batch",
-    "--accept-timeout",
-    "--read-timeout",
-    "--write-timeout",
-    "--delay-ms",
-    "--ledger",
-    "--ledger-fsync",
+/// The options each command reads. A command given an option it does not
+/// read is a usage error naming the commands that do read it, so a
+/// misplaced flag fails loudly instead of being ignored; `run` is read as
+/// `apsp`, and `--help` goes with any command.
+const COMMANDS: &[(&str, &[&str])] = &[
+    ("stats", &["--format", "--directed", "--undirected"]),
+    (
+        "apsp",
+        &[
+            "--format",
+            "--directed",
+            "--undirected",
+            "--threads",
+            "--algorithm",
+            "--out",
+            "--nodes",
+            "--hub-fraction",
+            "--partition",
+            "--credit-weight",
+            "--cap",
+            "--relax",
+            "--solver",
+            "--schedule",
+            "--store",
+            "--ledger",
+            "--checkpoint-every",
+            "--ledger-fsync",
+            "--resume",
+            "--deadline",
+            "--on-interrupt",
+            "--transport",
+            "--listen",
+            "--external",
+            "--heartbeat",
+            "--heartbeat-misses",
+            "--row-batch",
+            "--accept-timeout",
+            "--read-timeout",
+            "--write-timeout",
+            "--delay-ms",
+            "--fault-seed",
+            "--crash",
+            "--drop-prob",
+            "--corrupt-prob",
+        ],
+    ),
+    (
+        "analyze",
+        &[
+            "--format",
+            "--directed",
+            "--undirected",
+            "--threads",
+            "--top",
+        ],
+    ),
+    (
+        "path",
+        &["--format", "--directed", "--undirected", "--threads"],
+    ),
+    (
+        "estimate",
+        &[
+            "--format",
+            "--directed",
+            "--undirected",
+            "--threads",
+            "--top",
+        ],
+    ),
+    (
+        "generate",
+        &["--model", "--n", "--m", "--p", "--seed", "--out"],
+    ),
+    (
+        "node",
+        &[
+            "--connect",
+            "--connect-attempts",
+            "--write-timeout",
+            "--delay-ms",
+        ],
+    ),
 ];
 
-/// Options that take no value. A `--name` in neither list is rejected,
-/// so a typo or a removed option fails loudly instead of being ignored.
+/// Options that take no value; every other option takes one. A `--name`
+/// no command reads is rejected, so a typo or a removed option fails
+/// loudly instead of being ignored.
 const FLAGS: &[&str] = &["--directed", "--undirected", "--external", "--help"];
+
+/// The options `command` reads, or `None` for a command that takes none
+/// (`help`, or an unknown one, which `main` reports).
+fn reads(command: &str) -> Option<&'static [&'static str]> {
+    let command = if command == "run" { "apsp" } else { command };
+    COMMANDS
+        .iter()
+        .find(|(name, _)| *name == command)
+        .map(|(_, options)| *options)
+}
+
+/// Every `--algorithm` value, comma-separated.
+fn algorithms() -> String {
+    use parapsp_core::{EngineKind, ValueEnum};
+    let names: Vec<&str> = EngineKind::value_variants()
+        .iter()
+        .map(|kind| kind.value_name())
+        .collect();
+    names.join(", ")
+}
+
+/// The commands that read `option`.
+fn readers(option: &str) -> Vec<&'static str> {
+    COMMANDS
+        .iter()
+        .filter(|(_, options)| options.contains(&option))
+        .map(|(name, _)| *name)
+        .collect()
+}
 
 impl Args {
     /// Parses raw arguments (excluding the program name).
     pub fn parse(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut args = Args::default();
+        let mut given = Vec::new();
         let mut iter = raw.into_iter().peekable();
         while let Some(token) = iter.next() {
             if let Some(name) = token.strip_prefix("--") {
-                if VALUED.contains(&token.as_str()) {
+                if FLAGS.contains(&token.as_str()) {
+                    args.flags.push(name.to_string());
+                } else if !readers(&token).is_empty() {
                     let value = iter
                         .next()
                         .ok_or_else(|| format!("option {token} needs a value"))?;
                     args.options.insert(name.to_string(), value);
-                } else if FLAGS.contains(&token.as_str()) {
-                    args.flags.push(name.to_string());
+                } else if token == "--block" {
+                    return Err(format!(
+                        "option --block went with the blocked Floyd–Warshall engine; \
+                         --algorithm takes {}",
+                        algorithms()
+                    ));
                 } else {
                     return Err(format!("unknown option {token} (try `parapsp help`)"));
+                }
+                if token != "--help" {
+                    given.push(token);
                 }
             } else if args.command.is_empty() {
                 args.command = token;
             } else {
                 args.positional.push(token);
+            }
+        }
+        if let Some(read) = reads(&args.command) {
+            if let Some(option) = given.iter().find(|option| !read.contains(&option.as_str())) {
+                return Err(format!(
+                    "`{}` does not read {option}; it is an option of {}",
+                    args.command,
+                    readers(option).join(", ")
+                ));
             }
         }
         Ok(args)
@@ -174,7 +262,7 @@ mod tests {
 
     #[test]
     fn parsed_values_and_defaults() {
-        let args = parse(&["stats", "--threads", "4"]);
+        let args = parse(&["analyze", "--threads", "4"]);
         assert_eq!(args.get_parsed("threads", 1usize).unwrap(), 4);
         assert_eq!(args.get_parsed("top", 10usize).unwrap(), 10);
         assert!(args.get_parsed::<usize>("threads", 1).is_ok());
@@ -182,7 +270,7 @@ mod tests {
 
     #[test]
     fn invalid_value_reports_option_name() {
-        let args = parse(&["stats", "--threads", "lots"]);
+        let args = parse(&["analyze", "--threads", "lots"]);
         let err = args.get_parsed::<usize>("threads", 1).unwrap_err();
         assert!(err.contains("threads"));
         assert!(err.contains("lots"));
@@ -234,9 +322,15 @@ mod tests {
             err.contains("par-warp") && err.contains("possible values"),
             "{err}"
         );
-        assert!(
-            err.contains("par-apsp") && err.contains("blocked-fw"),
-            "{err}"
-        );
+        assert!(err.contains("par-apsp") && err.contains("dist"), "{err}");
+    }
+
+    #[test]
+    fn every_flag_is_read_by_some_command() {
+        for flag in FLAGS.iter().filter(|&&flag| flag != "--help") {
+            assert!(!readers(flag).is_empty(), "{flag}");
+        }
+        // `--help` goes with any command.
+        assert!(parse(&["path", "g.txt", "--help"]).flag("help"));
     }
 }

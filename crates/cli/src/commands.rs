@@ -6,9 +6,8 @@ use parapsp_analysis::{
     average_clustering, betweenness_centrality, closeness_centrality, degree_assortativity,
     harmonic_centrality, top_k, Normalization,
 };
-use parapsp_core::baselines;
 use parapsp_core::engine::{
-    AdaptiveEngine, ApspEngine, BlockedFwEngine, Engine, EngineKind, RunConfig, Runner, ValueEnum,
+    AdaptiveEngine, ApspEngine, Engine, EngineKind, RunConfig, Runner, ValueEnum,
 };
 use parapsp_core::paths::par_apsp_with_paths;
 use parapsp_core::{
@@ -105,15 +104,17 @@ commands:
   node                       socket worker for a `dist` driver (see below)
   help                       this text
 
-common options:
+an option the command does not read is a usage error (exit 2)
+
+graph-file options (stats, apsp, analyze, path, estimate):
   --directed | --undirected  edge interpretation (default: undirected)
   --format <snap|konect>     comment style (default: snap)
-  --threads <N>              worker threads (default: 4)
+  --threads <N>              worker threads, at least 1 (default: 4; not
+                             read by stats)
 
-apsp options:
+apsp options (every algorithm takes all of them unless noted):
   --algorithm <name>         par-apsp | par-alg1 | par-alg2 | par-adaptive |
-                             seq-basic | seq-optimized | seq-adaptive |
-                             blocked-fw | floyd-warshall | dijkstra | dist
+                             seq-basic | seq-optimized | seq-adaptive | dist
   --nodes <P>                simulated cluster size for `dist`
   --hub-fraction <F>         hub broadcast fraction for `dist` (dijkstra
                              nodes only: msbfs nodes read no rows)
@@ -121,13 +122,11 @@ apsp options:
                              block-degree | cyclic-id
   --credit-weight <W>        intermediate-credit weight for seq-adaptive
                              only (default: 10; par-adaptive ranks with 16)
-  --block <B>                tile side for blocked-fw (default: 64)
   --cap <D>                  bounded horizon: leave pairs beyond distance D
-                             at infinity (every algorithm except
-                             floyd-warshall and dijkstra)
+                             at infinity
   --relax <impl>             row-relaxation kernel: auto | avx2 | portable |
-                             scalar (par-* and seq-* kernel algorithms;
-                             default auto — all variants are bit-identical)
+                             scalar (par-* and seq-*; default auto — all
+                             variants are bit-identical)
   --solver <s>               per-source SSSP solver: auto (default for
                              par-* and dist; one O(n + m) probe sends
                              unit-weight graphs to msbfs — dijkstra on
@@ -139,11 +138,10 @@ apsp options:
                              mean weight when omitted) | msbfs (bit-parallel
                              BFS, 64 sources per edge scan; unit weights
                              only, not on par-adaptive or seq-adaptive);
-                             par-*, seq-* and dist, where every node runs
-                             auto | dijkstra | msbfs (auto never picks
-                             Δ-stepping there, and msbfs nodes deal no hub
-                             rows); distances are bit-identical under every
-                             solver
+                             dist nodes run auto | dijkstra | msbfs (auto
+                             never picks Δ-stepping there, and msbfs nodes
+                             deal no hub rows); distances are bit-identical
+                             under every solver
   --schedule <s>             source-sweep loop schedule for par-apsp |
                              par-alg1 | par-alg2 | par-adaptive (each
                              wave): block | static-cyclic |
@@ -154,32 +152,27 @@ apsp options:
                              (default; one flat n² allocation) |
                              mmap[:<budget>] (out-of-core file shards, in-
                              memory cache capped at <budget> bytes; accepts
-                             k/m/g suffixes, default 64m); row engines and
-                             dist; the final matrix is bit-identical under
-                             every backend
+                             k/m/g suffixes, default 64m); the final
+                             matrix is bit-identical under every backend
   --out <file>               save the distance matrix (.tsv/.txt = text,
                              anything else = compact binary)
   --ledger <file>            journal every completed row to a crash-safe
                              append-only ledger (O(row) bytes per row);
-                             restartable with --resume <file> (par-apsp |
-                             par-alg1 | par-alg2 | par-adaptive |
-                             seq-basic | seq-optimized | seq-adaptive |
-                             dist)
+                             restartable with --resume <file>
   --checkpoint-every <K>     rows between ledger commits (default: 64;
                              needs --ledger)
   --ledger-fsync <policy>    when ledger appends reach the disk: always |
                              commit (default) | never
   --resume <file>            load a run ledger OR a checkpoint and compute
-                             only the missing rows (row engines and dist)
+                             only the missing rows
   --deadline <secs>          stop once the wall-clock budget expires,
                              write a checkpoint, exit 124
   --on-interrupt <mode>      checkpoint (default): SIGINT/SIGTERM stop at
                              a row boundary, write a checkpoint, exit 130;
-                             abort: die immediately (OS default)
-                             (cancellable: everything except
-                             floyd-warshall and dijkstra; a --ledger run's
-                             rows are already in its ledger, any other
-                             stop writes <file>.interrupt.ckpt)
+                             abort: die immediately (OS default); a
+                             --ledger run's rows are already in its
+                             ledger, any other stop writes
+                             <file>.interrupt.ckpt
 
 dist transport (default: in-process channels):
   --transport <t>            channel | tcp | unix — tcp/unix run the
@@ -253,16 +246,26 @@ fn load(args: &Args) -> Result<LoadedGraph, String> {
     read_edge_list_file(path, parse_options(args)?).map_err(|e| format!("loading {path}: {e}"))
 }
 
-fn check_matrix_budget(n: usize) -> Result<(), String> {
-    let bytes = (n as u64) * (n as u64) * 4;
+/// Refuses a run whose `matrices` n×n 4-byte matrices (the distances,
+/// plus the predecessors for `path`) would pass 8 GiB.
+fn check_matrix_budget(n: usize, matrices: u64) -> Result<(), String> {
+    let bytes = (n as u64) * (n as u64) * 4 * matrices;
     if bytes > 8 << 30 {
         return Err(format!(
-            "a {n}-vertex APSP needs a {:.1} GiB distance matrix; \
+            "a {n}-vertex run needs {:.1} GiB for {matrices} n² matrices; \
              extract a component first (this is the paper's own memory wall)",
             bytes as f64 / (1u64 << 30) as f64
         ));
     }
     Ok(())
+}
+
+/// `--threads` (default 4): a worker pool needs at least one thread.
+fn threads(args: &Args) -> Result<usize, String> {
+    match args.get_parsed("threads", 4usize)? {
+        0 => Err("--threads must be at least 1".to_string()),
+        threads => Ok(threads),
+    }
 }
 
 /// `parapsp stats <file>` — structural summary, no O(n²) allocation.
@@ -508,15 +511,12 @@ fn kinds_where(select: fn(EngineKind) -> bool) -> String {
     names.join(", ")
 }
 
-/// Builds the run's cancel token from `--deadline`/`--on-interrupt`.
-/// Returns the token plus whether the SIGINT/SIGTERM bridge should be
-/// installed; `None` when the run should take the plain, token-free path.
-fn cancellation_setup(
-    args: &Args,
-    kind: EngineKind,
-) -> Result<Option<(CancelToken, bool)>, String> {
-    let deadline: Option<f64> = match args.get("deadline") {
-        None => None,
+/// Builds the run's cancel token from `--deadline`/`--on-interrupt`,
+/// plus whether the SIGINT/SIGTERM bridge should be installed (not under
+/// `--on-interrupt abort`, which leaves the OS default in place).
+fn cancellation_setup(args: &Args) -> Result<(CancelToken, bool), String> {
+    let token = match args.get("deadline") {
+        None => CancelToken::new(),
         Some(raw) => {
             let secs: f64 = raw
                 .parse()
@@ -526,31 +526,12 @@ fn cancellation_setup(
                     "--deadline must be a non-negative number of seconds (got {raw})"
                 ));
             }
-            Some(secs)
+            CancelToken::with_deadline(Duration::from_secs_f64(secs))
         }
     };
     let checkpoint_on_interrupt =
         args.get_enum("on-interrupt", OnInterrupt::Checkpoint)? == OnInterrupt::Checkpoint;
-    if !kind.cancellable() {
-        // Only explicit flags are an error — the default interrupt mode
-        // must not break non-cancellable algorithms.
-        if args.get("deadline").is_some() || args.get("on-interrupt").is_some() {
-            return Err(format!(
-                "--deadline/--on-interrupt work with {} (got `{}`)",
-                kinds_where(EngineKind::cancellable),
-                kind.value_name()
-            ));
-        }
-        return Ok(None);
-    }
-    if deadline.is_none() && !checkpoint_on_interrupt {
-        return Ok(None); // no deadline, abort-on-signal: the legacy path
-    }
-    let token = match deadline {
-        Some(secs) => CancelToken::with_deadline(std::time::Duration::from_secs_f64(secs)),
-        None => CancelToken::new(),
-    };
-    Ok(Some((token, checkpoint_on_interrupt)))
+    Ok((token, checkpoint_on_interrupt))
 }
 
 /// Settles a run: a completed one yields its matrix and summary line; a
@@ -586,14 +567,14 @@ fn settle(
 }
 
 /// Loads `--resume`'s checkpoint or ledger (validated against the graph)
-/// and drives `engine` through the [`Runner`], with or without a cancel
-/// token. Every Runner-driven algorithm funnels through here.
+/// and drives `engine` through the [`Runner`] under `token`. Every
+/// algorithm funnels through here.
 fn drive<E: Engine>(
     runner: &Runner,
     engine: E,
     graph: &CsrGraph,
     args: &Args,
-    token: Option<&CancelToken>,
+    token: &CancelToken,
 ) -> Result<RunOutcome<E::Output>, String> {
     let resume = match args.get("resume") {
         None => None,
@@ -615,11 +596,9 @@ fn drive<E: Engine>(
             Some(cp)
         }
     };
-    Ok(match (token, resume) {
-        (Some(token), Some(cp)) => runner.run_resumed_with_token(engine, graph, cp, token),
-        (Some(token), None) => runner.run_with_token(engine, graph, token),
-        (None, Some(cp)) => RunOutcome::Complete(runner.run_resumed(engine, graph, cp)),
-        (None, None) => RunOutcome::Complete(runner.run(engine, graph)),
+    Ok(match resume {
+        Some(cp) => runner.run_resumed_with_token(engine, graph, cp, token),
+        None => runner.run_with_token(engine, graph, token),
     })
 }
 
@@ -716,7 +695,7 @@ fn run_algorithm(
     graph: &CsrGraph,
     threads: usize,
     args: &Args,
-    token: Option<&CancelToken>,
+    token: &CancelToken,
 ) -> Result<RunStatus, CliError> {
     // Optional bounded horizon (exact within the cap, INF beyond it).
     let cap: Option<u32> = match args.get("cap") {
@@ -726,14 +705,6 @@ fn run_algorithm(
                 .map_err(|_| format!("--cap value `{raw}` is invalid"))?,
         ),
     };
-    if cap.is_some() && !kind.honours_cap() {
-        return Err(format!(
-            "--cap works with {} (got `{}`)",
-            kinds_where(EngineKind::honours_cap),
-            kind.value_name()
-        )
-        .into());
-    }
     if args.get("credit-weight").is_some() && kind != EngineKind::SeqAdaptive {
         return Err(format!(
             "--credit-weight works with seq-adaptive (got `{}`)",
@@ -743,24 +714,13 @@ fn run_algorithm(
     }
     // Row-relaxation implementation (the vectorized kernel ablation switch).
     let relax = args.get_enum("relax", RelaxImpl::Auto)?;
-    // The run ledger and --resume need rows that are final mid-run; the
-    // dist driver gathers exactly such rows, so it joins the row engines.
-    // --relax needs the modified-Dijkstra kernel.
-    let row_durable = kind.row_checkpoints() || kind == EngineKind::Dist;
-    if (args.get("ledger").is_some() || args.get("resume").is_some()) && !row_durable {
-        return Err(format!(
-            "--ledger/--resume work with {}, dist (got `{}`)",
-            kinds_where(EngineKind::row_checkpoints),
-            kind.value_name()
-        )
-        .into());
-    }
     let ledger_fsync = args.get_enum("ledger-fsync", parapsp_core::FsyncPolicy::default())?;
     for option in ["ledger-fsync", "checkpoint-every"] {
         if args.get(option).is_some() && args.get("ledger").is_none() {
             return Err(format!("--{option} needs --ledger").into());
         }
     }
+    // --relax needs the modified-Dijkstra kernel in this process.
     if args.get("relax").is_some() && !kind.uses_kernel() {
         return Err(format!(
             "--relax works with {} (got `{}`)",
@@ -769,8 +729,8 @@ fn run_algorithm(
         )
         .into());
     }
-    // Source-sweep loop schedule (only the Runner-driven parallel engines
-    // hand their source loop to the parfor pool).
+    // Source-sweep loop schedule (only the parallel row engines hand
+    // their source loop to the parfor pool).
     let schedule: Option<Schedule> = match args.get("schedule") {
         None => None,
         Some(raw) => Some(
@@ -786,37 +746,20 @@ fn run_algorithm(
         )
         .into());
     }
-    // Distance-matrix storage backend. Only engines that route published
-    // rows through a `Store` (the row engines and the dist gather) can
-    // honour it; the in-place baselines would silently ignore the flag.
+    // Distance-matrix storage backend (the row engines' published rows
+    // and the dist gather both land in a `Store`).
     let store = args.get_spec("store", parapsp_core::StoreSpec::default())?;
-    if args.get("store").is_some() && !kind.supports_store() {
-        return Err(format!(
-            "--store works with {}, dist (got `{}`)",
-            kinds_where(EngineKind::row_checkpoints),
-            kind.value_name()
-        )
-        .into());
-    }
     // Reject a hot-row cache budget that cannot hold the lease working
     // set here, where it is a clean `--store` error with the minimum
     // named, instead of a panic when the engine builds the store.
     store
         .validate_for(graph.vertex_count())
         .map_err(|e| format!("--store value `{}` is invalid: {e}", store.label()))?;
-    // Per-source SSSP solver. Like --relax it needs the row kernel.
+    // Per-source SSSP solver.
     let solver: Option<SolverKind> = match args.get("solver") {
         None => None,
         Some(_) => Some(args.get_spec("solver", SolverKind::default())?),
     };
-    if solver.is_some() && !kind.honours_solver() {
-        return Err(format!(
-            "--solver works with {} (got `{}`)",
-            kinds_where(EngineKind::honours_solver),
-            kind.value_name()
-        )
-        .into());
-    }
     // The adaptive engines rank sources by per-row credit.
     let per_row_credit = matches!(kind, EngineKind::SeqAdaptive | EngineKind::ParAdaptive);
     // Dist nodes run a subset of the solvers, resolved once here so that
@@ -838,8 +781,8 @@ fn run_algorithm(
     if checkpoint_every == 0 {
         return Err("--checkpoint-every must be at least 1".to_string().into());
     }
-    // Every Runner-driven algorithm shares the same config plumbing: cap,
-    // relax implementation, store and ledger policy land in one RunConfig.
+    // Every algorithm shares the same config plumbing: cap, relax
+    // implementation, store and ledger policy land in one RunConfig.
     let configure = |mut config: RunConfig| -> RunConfig {
         if let Some(cap) = cap {
             config = config.with_max_distance(cap);
@@ -894,31 +837,6 @@ fn run_algorithm(
         EngineKind::ParAdaptive => {
             adaptive(RunConfig::par_adaptive(threads), AdaptiveEngine::new(16, 8))?.map(row_summary)
         }
-        EngineKind::FloydWarshall => {
-            let start = std::time::Instant::now();
-            let dist = baselines::floyd_warshall(graph);
-            let summary = format!("floyd-warshall: {:?}", start.elapsed());
-            RunOutcome::Complete((dist, summary))
-        }
-        EngineKind::Dijkstra => {
-            let pool = ThreadPool::new(threads);
-            let start = std::time::Instant::now();
-            let dist = baselines::par_apsp_dijkstra(graph, &pool);
-            let summary = format!("parallel heap-dijkstra: {:?}", start.elapsed());
-            RunOutcome::Complete((dist, summary))
-        }
-        EngineKind::BlockedFw => {
-            let block = args.get_parsed("block", 64usize)?;
-            let runner = Runner::new(configure(RunConfig::new(threads)));
-            let start = std::time::Instant::now();
-            drive(&runner, BlockedFwEngine::new(block), graph, args, token)?.map(|dist| {
-                let summary = format!(
-                    "blocked floyd-warshall ({threads} threads, {block}-tile): {:?}",
-                    start.elapsed()
-                );
-                (dist, summary)
-            })
-        }
         EngineKind::Dist => {
             let (node_solver, probe) = node_solver.expect("resolved for dist above");
             let nodes = args.get_parsed("nodes", 4usize)?;
@@ -968,19 +886,16 @@ fn run_algorithm(
 /// Returns the process exit code: 0 on success, 130 when interrupted with
 /// a checkpoint, 124 when a `--deadline` expired with a checkpoint.
 pub fn apsp(args: &Args) -> Result<i32, CliError> {
-    let loaded = load(args).map_err(CliError::failure)?;
-    check_matrix_budget(loaded.graph.vertex_count()).map_err(CliError::failure)?;
-    let threads = args.get_parsed("threads", 4usize)?;
+    let threads = threads(args)?;
     let algorithm = args.get_enum("algorithm", EngineKind::ParApsp)?;
-    let setup = cancellation_setup(args, algorithm)?;
+    let loaded = load(args).map_err(CliError::failure)?;
+    check_matrix_budget(loaded.graph.vertex_count(), 1).map_err(CliError::failure)?;
+    // A `--deadline` counts from here, after the graph is loaded.
+    let (token, checkpoint_on_interrupt) = cancellation_setup(args)?;
     // The guard keeps a watcher thread that trips the token on
     // SIGINT/SIGTERM; dropping it (any exit path) stops the watcher.
-    let _guard = match &setup {
-        Some((token, true)) => Some(interrupt::guard(token)),
-        _ => None,
-    };
-    let token = setup.as_ref().map(|(token, _)| token);
-    let (dist, summary) = match run_algorithm(algorithm, &loaded.graph, threads, args, token)? {
+    let _guard = checkpoint_on_interrupt.then(|| interrupt::guard(&token));
+    let (dist, summary) = match run_algorithm(algorithm, &loaded.graph, threads, args, &token)? {
         RunStatus::Done(dist, summary) => (dist, summary),
         RunStatus::Stopped { code } => return Ok(code),
     };
@@ -1008,12 +923,12 @@ pub fn apsp(args: &Args) -> Result<i32, CliError> {
 }
 
 /// `parapsp analyze <file>` — APSP plus the full analysis report.
-pub fn analyze(args: &Args) -> Result<(), String> {
-    let loaded = load(args)?;
-    let g = &loaded.graph;
-    check_matrix_budget(g.vertex_count())?;
-    let threads = args.get_parsed("threads", 4usize)?;
+pub fn analyze(args: &Args) -> Result<(), CliError> {
+    let threads = threads(args)?;
     let top = args.get_parsed("top", 5usize)?;
+    let loaded = load(args).map_err(CliError::failure)?;
+    let g = &loaded.graph;
+    check_matrix_budget(g.vertex_count(), 1).map_err(CliError::failure)?;
 
     let out = Runner::new(RunConfig::par_apsp(threads)).run(ApspEngine::new(), g);
     say!(
@@ -1078,11 +993,12 @@ pub fn analyze(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `parapsp path <file> <src> <dst>` — one reconstructed route.
-pub fn path(args: &Args) -> Result<(), String> {
-    let loaded = load(args)?;
-    check_matrix_budget(loaded.graph.vertex_count())?;
-    let threads = args.get_parsed("threads", 4usize)?;
+/// `parapsp path <file> <src> <dst>` — one reconstructed route. It holds
+/// the predecessor matrix beside the distances: two n² matrices.
+pub fn path(args: &Args) -> Result<(), CliError> {
+    let threads = threads(args)?;
+    let loaded = load(args).map_err(CliError::failure)?;
+    check_matrix_budget(loaded.graph.vertex_count(), 2).map_err(CliError::failure)?;
     let parse_vertex = |index: usize, what: &str| -> Result<u32, String> {
         let raw = args
             .positional(index)
@@ -1094,8 +1010,8 @@ pub fn path(args: &Args) -> Result<(), String> {
             .dense_id(original)
             .ok_or_else(|| format!("{what} id {original} not present in the file"))
     };
-    let src = parse_vertex(1, "source")?;
-    let dst = parse_vertex(2, "destination")?;
+    let src = parse_vertex(1, "source").map_err(CliError::failure)?;
+    let dst = parse_vertex(2, "destination").map_err(CliError::failure)?;
 
     let result = par_apsp_with_paths(&loaded.graph, threads);
     match result.pred.path(src, dst) {
@@ -1118,16 +1034,17 @@ pub fn path(args: &Args) -> Result<(), String> {
 
 /// `parapsp estimate <file> <src> <dst> [--k 16]` — landmark-based distance
 /// bounds without the O(n²) matrix (for graphs where `apsp` won't fit).
-pub fn estimate(args: &Args) -> Result<(), String> {
+pub fn estimate(args: &Args) -> Result<(), CliError> {
     use parapsp_analysis::landmarks::{LandmarkIndex, LandmarkStrategy};
-    let loaded = load(args)?;
+    let threads = threads(args)?;
+    let k = args.get_parsed("top", 16usize)?; // reuse --top as the landmark count
+    let loaded = load(args).map_err(CliError::failure)?;
     if loaded.graph.direction().is_directed() {
-        return Err("estimate requires an undirected graph (triangulation)".into());
+        return Err(CliError::failure(
+            "estimate requires an undirected graph (triangulation)",
+        ));
     }
-    let threads = args.get_parsed("threads", 4usize)?;
-    let k = args
-        .get_parsed("top", 16usize)? // reuse --top as the landmark count
-        .min(loaded.graph.vertex_count());
+    let k = k.min(loaded.graph.vertex_count());
     let parse_vertex = |index: usize, what: &str| -> Result<u32, String> {
         let raw = args
             .positional(index)
@@ -1139,8 +1056,8 @@ pub fn estimate(args: &Args) -> Result<(), String> {
             .dense_id(original)
             .ok_or_else(|| format!("{what} id {original} not present in the file"))
     };
-    let src = parse_vertex(1, "source")?;
-    let dst = parse_vertex(2, "destination")?;
+    let src = parse_vertex(1, "source").map_err(CliError::failure)?;
+    let dst = parse_vertex(2, "destination").map_err(CliError::failure)?;
     let index = LandmarkIndex::build(
         &loaded.graph,
         k.max(1),
@@ -1233,8 +1150,7 @@ mod tests {
         stats(&args(&["stats", &file])).unwrap();
         let dir = std::env::temp_dir().join("parapsp-cli-tests");
         let mut reference: Option<DistanceMatrix> = None;
-        // Every algorithm, Runner-driven or a direct-call baseline, writes
-        // the same matrix.
+        // Every algorithm writes the same matrix.
         for algorithm in EngineKind::value_variants().iter().map(|k| k.value_name()) {
             let out = dir.join(format!("sample-{algorithm}.bin"));
             let out = out.to_string_lossy().into_owned();
@@ -1258,11 +1174,10 @@ mod tests {
         }
     }
 
-    /// `--cap` is honoured by every Runner-driven algorithm and a usage
-    /// error (exit 2) on the two baselines, which compute the full matrix:
-    /// on a 6-vertex path a cap of 2 leaves a diameter of 2.
+    /// `--cap` is honoured by every algorithm: on a 6-vertex path a cap
+    /// of 2 leaves a diameter of 2.
     #[test]
-    fn cap_is_honoured_or_rejected_on_every_algorithm() {
+    fn cap_is_honoured_on_every_algorithm() {
         let dir = std::env::temp_dir().join("parapsp-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("path6.txt");
@@ -1284,25 +1199,13 @@ mod tests {
                 "--out",
                 &out,
             ]));
-            if kind.honours_cap() {
-                run.unwrap_or_else(|e| panic!("{algorithm}: {e}"));
-                let dist = parapsp_core::persist::load_binary(&out).unwrap();
-                std::fs::remove_file(&out).ok();
-                assert_eq!(path_stats(&dist).diameter, 2, "{algorithm}");
-                assert_eq!(dist.get(0, 2), 2, "{algorithm}");
-                assert_eq!(dist.get(0, 3), parapsp_core::INF, "{algorithm}");
-            } else {
-                let err = run.unwrap_err();
-                assert_eq!(err.exit_code(), 2, "{algorithm}: {err}");
-                let message = err.to_string();
-                assert!(
-                    message.contains("--cap works with") && message.contains("par-adaptive"),
-                    "{algorithm}: {message}"
-                );
-            }
+            run.unwrap_or_else(|e| panic!("{algorithm}: {e}"));
+            let dist = parapsp_core::persist::load_binary(&out).unwrap();
+            std::fs::remove_file(&out).ok();
+            assert_eq!(path_stats(&dist).diameter, 2, "{algorithm}");
+            assert_eq!(dist.get(0, 2), 2, "{algorithm}");
+            assert_eq!(dist.get(0, 3), parapsp_core::INF, "{algorithm}");
         }
-        assert!(!EngineKind::Dijkstra.honours_cap());
-        assert!(!EngineKind::FloydWarshall.honours_cap());
     }
 
     #[test]
@@ -1340,21 +1243,17 @@ mod tests {
             "scalar",
         ]))
         .unwrap();
-        // ...but not to algorithms that never touch the modified Dijkstra.
-        for algorithm in ["dist", "floyd-warshall", "blocked-fw"] {
-            assert!(
-                apsp(&args(&[
-                    "apsp",
-                    &file,
-                    "--algorithm",
-                    algorithm,
-                    "--relax",
-                    "scalar"
-                ]))
-                .is_err(),
-                "{algorithm} must reject --relax"
-            );
-        }
+        // ...but not to the dist driver, whose nodes run the default.
+        let err = apsp(&args(&[
+            "apsp",
+            &file,
+            "--algorithm",
+            "dist",
+            "--relax",
+            "scalar",
+        ]))
+        .unwrap_err();
+        assert!(err.to_string().contains("--relax works with"), "{err}");
     }
 
     #[test]
@@ -1393,15 +1292,9 @@ mod tests {
             assert!(err.contains("--schedule"), "{bad}: {err}");
             assert_eq!(err.contains("possible values"), unknown, "{bad}: {err}");
         }
-        // Engines that run their own loops (or no parfor loop at all)
-        // reject the flag rather than silently ignoring it.
-        for algorithm in [
-            "seq-basic",
-            "seq-adaptive",
-            "blocked-fw",
-            "floyd-warshall",
-            "dist",
-        ] {
+        // Engines that run their own loops reject the flag rather than
+        // silently ignoring it.
+        for algorithm in ["seq-basic", "seq-adaptive", "dist"] {
             let err = apsp(&args(&[
                 "apsp",
                 &file,
@@ -1557,23 +1450,17 @@ mod tests {
                 "{name}: the default solver's matrix differs from dijkstra's"
             );
         }
-        // Algorithms that pick no per-source solver reject the flag,
-        // naming the ones that do.
-        for algorithm in ["floyd-warshall", "blocked-fw", "dijkstra"] {
-            let err = apsp(&args(&[
+        // Every algorithm takes a per-source solver.
+        for algorithm in EngineKind::value_variants().iter().map(|k| k.value_name()) {
+            apsp(&args(&[
                 "apsp",
                 &file,
                 "--algorithm",
                 algorithm,
                 "--solver",
-                "delta",
+                "dijkstra",
             ]))
-            .unwrap_err()
-            .to_string();
-            assert!(
-                err.contains("--solver works with") && err.contains("dist"),
-                "{algorithm} must reject --solver: {err}"
-            );
+            .unwrap_or_else(|e| panic!("{algorithm} --solver dijkstra: {e}"));
         }
         // Dist nodes run auto, dijkstra and msbfs, all to the same matrix;
         // Δ-stepping is a usage error listing them.
@@ -1610,10 +1497,9 @@ mod tests {
     #[test]
     fn store_selection_via_cli() {
         let file = sample_file();
-        // Every spelling the parser accepts, on a parallel row engine, a
-        // sequential one, the adaptive one, and the dist gather.
+        // Every spelling the parser accepts, on every algorithm.
         for store in ["dense", "mmap", "mmap:64k"] {
-            for algorithm in ["par-apsp", "seq-basic", "par-adaptive", "dist"] {
+            for algorithm in EngineKind::value_variants().iter().map(|k| k.value_name()) {
                 apsp(&args(&[
                     "apsp",
                     &file,
@@ -1645,24 +1531,6 @@ mod tests {
                     "--store: unknown store `{unknown}` (possible values: dense, mmap[:<budget>])"
                 )),
                 "{unknown}: {err}"
-            );
-        }
-        // Engines that mutate a dense matrix in place reject the flag,
-        // naming the ones that route rows through a store.
-        for algorithm in ["blocked-fw", "floyd-warshall", "dijkstra"] {
-            let err = apsp(&args(&[
-                "apsp",
-                &file,
-                "--algorithm",
-                algorithm,
-                "--store",
-                "mmap",
-            ]))
-            .unwrap_err()
-            .to_string();
-            assert!(
-                err.contains("--store works with"),
-                "{algorithm} must reject --store: {err}"
             );
         }
     }
@@ -1745,53 +1613,23 @@ mod tests {
         let dir = std::env::temp_dir().join("parapsp-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let file = sample_file();
-        let ledger = dir.join("cli.ledger").to_string_lossy().into_owned();
-        std::fs::remove_file(&ledger).ok();
-        // A row engine journals every completed row...
-        apsp(&args(&[
-            "apsp",
-            &file,
-            "--algorithm",
-            "seq-basic",
-            "--ledger",
-            &ledger,
-            "--ledger-fsync",
-            "never",
-        ]))
-        .unwrap();
-        // ...and the ledger loads back as a complete checkpoint that any
-        // row engine (or the same one) resumes from.
-        let cp = parapsp_core::persist::load_checkpoint(&ledger).unwrap();
-        assert!(cp.is_complete());
-        apsp(&args(&["apsp", &file, "--resume", &ledger])).unwrap();
-        std::fs::remove_file(&ledger).ok();
-        // The dist driver journals its gather the same way, and a resumed
-        // dist run replays the rows instead of recomputing them.
-        apsp(&args(&[
-            "apsp",
-            &file,
-            "--algorithm",
-            "dist",
-            "--nodes",
-            "2",
-            "--ledger",
-            &ledger,
-        ]))
-        .unwrap();
-        apsp(&args(&[
-            "apsp",
-            &file,
-            "--algorithm",
-            "dist",
-            "--nodes",
-            "2",
-            "--ledger",
-            &ledger,
-            "--resume",
-            &ledger,
-        ]))
-        .unwrap();
-        std::fs::remove_file(&ledger).ok();
+        // Every algorithm journals its completed rows (the dist driver its
+        // gather), and the ledger loads back as a complete checkpoint that
+        // the same algorithm resumes from, replaying instead of
+        // recomputing.
+        for algorithm in EngineKind::value_variants().iter().map(|k| k.value_name()) {
+            let ledger = dir.join(format!("cli-{algorithm}.ledger"));
+            let ledger = ledger.to_string_lossy().into_owned();
+            std::fs::remove_file(&ledger).ok();
+            let run = ["apsp", &file, "--algorithm", algorithm, "--ledger", &ledger];
+            apsp(&args(&[&run[..], &["--ledger-fsync", "never"]].concat()))
+                .unwrap_or_else(|e| panic!("{algorithm} --ledger: {e}"));
+            let cp = parapsp_core::persist::load_checkpoint(&ledger).unwrap();
+            assert!(cp.is_complete(), "{algorithm}");
+            apsp(&args(&[&run[..], &["--resume", &ledger]].concat()))
+                .unwrap_or_else(|e| panic!("{algorithm} --resume: {e}"));
+            std::fs::remove_file(&ledger).ok();
+        }
     }
 
     #[test]
@@ -1808,22 +1646,6 @@ mod tests {
             tokens.extend_from_slice(&bad);
             let err = apsp(&args(&tokens)).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad:?}: {err}");
-        }
-        // Engines without final mid-run rows reject the ledger.
-        for algorithm in ["blocked-fw", "floyd-warshall"] {
-            let err = apsp(&args(&[
-                "apsp",
-                &file,
-                "--algorithm",
-                algorithm,
-                "--ledger",
-                "/tmp/x.ledger",
-            ]))
-            .unwrap_err();
-            assert!(
-                err.to_string().contains("--ledger/--resume work with"),
-                "{algorithm}: {err}"
-            );
         }
         // Runtime failures stay exit 1.
         assert_eq!(
@@ -1920,17 +1742,6 @@ mod tests {
             "100",
         ]))
         .unwrap();
-        apsp(&args(&[
-            "apsp",
-            &file,
-            "--algorithm",
-            "blocked-fw",
-            "--block",
-            "16",
-            "--cap",
-            "1",
-        ]))
-        .unwrap();
         assert!(apsp(&args(&[
             "apsp",
             &file,
@@ -1942,7 +1753,7 @@ mod tests {
         .is_err());
         // The credit weight is seq-adaptive's alone: anywhere else it is a
         // usage error, not a silently ignored flag.
-        for algorithm in ["par-adaptive", "par-apsp", "seq-basic", "dijkstra"] {
+        for algorithm in ["par-adaptive", "par-apsp", "seq-basic", "dist"] {
             let err = apsp(&args(&[
                 "apsp",
                 &file,
@@ -1959,15 +1770,18 @@ mod tests {
                 "{algorithm}: {err}"
             );
         }
-        assert!(apsp(&args(&[
-            "apsp",
-            &file,
-            "--algorithm",
-            "blocked-fw",
-            "--block",
-            "-3"
-        ]))
-        .is_err());
+        // Blocked Floyd–Warshall and the two direct-call baselines are
+        // gone: each name, and blocked-fw's --block, is a usage error
+        // listing the algorithms that remain.
+        let remaining = "par-apsp, par-alg1, par-alg2, par-adaptive, seq-basic, \
+                         seq-optimized, seq-adaptive, dist";
+        for algorithm in ["blocked-fw", "floyd-warshall", "dijkstra"] {
+            let err = apsp(&args(&["apsp", &file, "--algorithm", algorithm])).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{algorithm}: {err}");
+            assert!(err.to_string().contains(remaining), "{algorithm}: {err}");
+        }
+        let err = Args::parse(["apsp", &file, "--block", "64"].map(String::from)).unwrap_err();
+        assert!(err.contains("--block") && err.contains(remaining), "{err}");
     }
 
     #[test]
@@ -2026,19 +1840,10 @@ mod tests {
     }
 
     #[test]
-    fn deadline_works_for_every_cancellable_algorithm() {
+    fn deadline_works_for_every_algorithm() {
         let file = sample_file();
         let snapshot = format!("{file}.interrupt.ckpt");
-        for algorithm in [
-            "par-alg1",
-            "par-alg2",
-            "par-adaptive",
-            "seq-basic",
-            "seq-optimized",
-            "seq-adaptive",
-            "blocked-fw",
-            "dist",
-        ] {
+        for algorithm in EngineKind::value_variants().iter().map(|k| k.value_name()) {
             // Without --ledger every stop writes the derived
             // <file>.interrupt.ckpt snapshot.
             std::fs::remove_file(&snapshot).ok();
@@ -2067,38 +1872,23 @@ mod tests {
     #[test]
     fn cancellation_flags_are_validated() {
         let file = sample_file();
-        // Non-cancellable algorithms reject explicit flags...
-        assert!(apsp(&args(&[
-            "apsp",
-            &file,
-            "--algorithm",
-            "floyd-warshall",
-            "--deadline",
-            "5"
-        ]))
-        .is_err());
-        assert!(apsp(&args(&[
-            "apsp",
-            &file,
-            "--algorithm",
-            "dijkstra",
-            "--on-interrupt",
-            "checkpoint"
-        ]))
-        .is_err());
-        // ...but still run fine with the default interrupt mode.
-        assert_eq!(
-            apsp(&args(&["apsp", &file, "--algorithm", "floyd-warshall"])).unwrap(),
-            0
-        );
+        // Every algorithm takes both interrupt modes.
+        for algorithm in EngineKind::value_variants().iter().map(|k| k.value_name()) {
+            for mode in ["checkpoint", "abort"] {
+                let run = [
+                    "apsp",
+                    &file,
+                    "--algorithm",
+                    algorithm,
+                    "--on-interrupt",
+                    mode,
+                ];
+                assert_eq!(apsp(&args(&run)).unwrap(), 0, "{algorithm} {mode}");
+            }
+        }
         assert!(apsp(&args(&["apsp", &file, "--deadline", "-1"])).is_err());
         assert!(apsp(&args(&["apsp", &file, "--deadline", "soon"])).is_err());
         assert!(apsp(&args(&["apsp", &file, "--on-interrupt", "panic"])).is_err());
-        // Abort mode takes the plain path and completes.
-        assert_eq!(
-            apsp(&args(&["apsp", &file, "--on-interrupt", "abort"])).unwrap(),
-            0
-        );
     }
 
     #[test]
@@ -2113,7 +1903,21 @@ mod tests {
 
     #[test]
     fn budget_guard_trips_on_huge_inputs() {
-        assert!(check_matrix_budget(100_000).is_err());
-        assert!(check_matrix_budget(10_000).is_ok());
+        assert!(check_matrix_budget(100_000, 1).is_err());
+        assert!(check_matrix_budget(10_000, 1).is_ok());
+        // At n = 40,000 one matrix is 6.0 GiB, which `apsp` may hold, but
+        // `path` holds the predecessors beside the distances: 11.9 GiB.
+        assert!(check_matrix_budget(40_000, 1).is_ok());
+        let dir = std::env::temp_dir().join("parapsp-cli-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("path40k.txt");
+        let edges: String = (0..39_999).map(|v| format!("{v} {}\n", v + 1)).collect();
+        std::fs::write(&file, edges).unwrap();
+        let file = file.to_string_lossy().into_owned();
+        let err = path(&args(&["path", &file, "0", "1"])).unwrap_err();
+        assert!(
+            err.to_string().contains("11.9 GiB for 2 n² matrices"),
+            "{err}"
+        );
     }
 }

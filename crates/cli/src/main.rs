@@ -9,11 +9,10 @@
 //!   apsp <file> (alias: run)      run an APSP algorithm, report timings
 //!       --algorithm <name>        par-apsp (default) | par-alg1 | par-alg2 |
 //!                                 par-adaptive | seq-basic | seq-optimized |
-//!                                 seq-adaptive | blocked-fw |
-//!                                 floyd-warshall | dijkstra | dist
-//!       --threads <N>             threads (default 4)
+//!                                 seq-adaptive | dist
+//!       --threads <N>             threads, at least 1 (default 4)
 //!       --ledger <file>           journal completed rows to a crash-safe
-//!                                 run ledger (row engines and dist)
+//!                                 run ledger
 //!       --checkpoint-every <K>    rows per ledger commit (default 64)
 //!       --resume <file>           compute only the rows a ledger or
 //!                                 checkpoint is missing
@@ -34,13 +33,15 @@
 //!       --n <N> --m <M> [--p <P>] parameters
 //!       --seed <S> --out <file>   determinism and destination
 //!
-//! Common options:
+//! Graph-file options (every command but generate and node):
 //!   --directed | --undirected     edge interpretation (default undirected)
 //!   --format <snap|konect>        comment style (default snap)
 //! ```
 //!
-//! An option outside the ones `parapsp help` lists is a usage error
-//! (exit 2).
+//! Every algorithm runs through the `Runner`, so every one takes the cap,
+//! deadline, ledger, store and solver options alike. An option the
+//! command does not read is a usage error (exit 2) naming the commands
+//! that do read it; `--help` prints the help text with any command.
 
 mod args;
 mod commands;
@@ -61,17 +62,23 @@ fn main() {
     // and usage errors (2 — same code as the argument parser above).
     use commands::CliError;
     let simple = |result: Result<(), String>| result.map(|()| 0).map_err(CliError::failure);
-    let result = match parsed.command.as_str() {
+    // `--help` goes with any command and prints the help text.
+    let command = if parsed.flag("help") {
+        "help"
+    } else {
+        parsed.command.as_str()
+    };
+    let result = match command {
         "stats" => simple(commands::stats(&parsed)),
         "apsp" | "run" => commands::apsp(&parsed),
-        "analyze" => simple(commands::analyze(&parsed)),
-        "path" => simple(commands::path(&parsed)),
-        "estimate" => simple(commands::estimate(&parsed)),
+        "analyze" => commands::analyze(&parsed).map(|()| 0),
+        "path" => commands::path(&parsed).map(|()| 0),
+        "estimate" => commands::estimate(&parsed).map(|()| 0),
         "generate" => commands::generate(&parsed).map(|()| 0),
         // A socket worker for a `dist` driver: exit 0 clean, 3 when an
         // injected fault-plan crash fired.
         "node" => commands::node(&parsed),
-        "" | "help" | "--help" | "-h" => {
+        "" | "help" | "-h" => {
             print!("{}", commands::USAGE);
             Ok(0)
         }

@@ -1,6 +1,7 @@
 //! The command line's report and flag contract, end to end: a reader that
-//! closes stdout early does not cost the run its `--out` file, and a
-//! `generate` flag the chosen model does not read is a usage error.
+//! closes stdout early does not cost the run its `--out` file, and an
+//! option the command (or `generate`'s model) does not read, or a zero
+//! `--threads`, is a usage error.
 
 use std::process::{Command, Stdio};
 
@@ -95,4 +96,117 @@ fn generate_refuses_a_flag_its_model_does_not_read() {
     ]);
     assert!(ws.status.success());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--threads 0` used to panic in a pool thread (exit 101 and a
+/// backtrace). Every command that reads the option refuses it instead.
+#[test]
+fn zero_threads_is_a_usage_error_in_every_command_that_reads_it() {
+    let dir = workdir("threads");
+    let graph = dir.join("ba.txt");
+    let graph = graph.to_str().unwrap();
+    let generated = run(&[
+        "generate", "--model", "ba", "--n", "50", "--m", "3", "--out", graph,
+    ]);
+    assert!(generated.status.success());
+    for command in [
+        &["apsp", graph][..],
+        &["analyze", graph],
+        &["path", graph, "0", "1"],
+        &["estimate", graph, "0", "1"],
+    ] {
+        let output = run(&[command, &["--threads", "0"]].concat());
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{command:?}: {stderr}");
+        assert!(
+            stderr.contains("--threads must be at least 1"),
+            "{command:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `args` and asserts a usage error (exit 2) whose message holds
+/// `needle`. The refusal comes from the parser, before any file is read.
+fn refused(args: &[&str], needle: &str) {
+    let output = run(args);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+}
+
+#[test]
+fn stats_refuses_an_option_it_does_not_read() {
+    refused(
+        &["stats", "g.txt", "--threads", "2"],
+        "`stats` does not read --threads; it is an option of apsp, analyze, path, estimate",
+    );
+}
+
+#[test]
+fn apsp_refuses_an_option_it_does_not_read() {
+    refused(
+        &["apsp", "g.txt", "--top", "3"],
+        "`apsp` does not read --top; it is an option of analyze, estimate",
+    );
+    refused(
+        &["run", "g.txt", "--model", "ba"],
+        "`run` does not read --model; it is an option of generate",
+    );
+}
+
+/// `analyze` runs ParAPSP; an `--algorithm` used to be ignored.
+#[test]
+fn analyze_refuses_an_option_it_does_not_read() {
+    refused(
+        &["analyze", "g.txt", "--algorithm", "dist"],
+        "`analyze` does not read --algorithm; it is an option of apsp",
+    );
+}
+
+/// `path` used to print an uncapped distance under `--cap`.
+#[test]
+fn path_refuses_an_option_it_does_not_read() {
+    refused(
+        &["path", "g.txt", "0", "5", "--cap", "1"],
+        "`path` does not read --cap; it is an option of apsp",
+    );
+}
+
+#[test]
+fn estimate_refuses_an_option_it_does_not_read() {
+    refused(
+        &["estimate", "g.txt", "0", "5", "--store", "mmap"],
+        "`estimate` does not read --store; it is an option of apsp",
+    );
+}
+
+/// Every model writes unit weights: `--weights` used to be accepted and
+/// ignored, and no command reads it now.
+#[test]
+fn generate_refuses_an_option_it_does_not_read() {
+    refused(
+        &[
+            "generate",
+            "--n",
+            "50",
+            "--out",
+            "g.txt",
+            "--weights",
+            "1:1000",
+        ],
+        "unknown option --weights",
+    );
+    refused(
+        &["generate", "--n", "50", "--out", "g.txt", "--directed"],
+        "`generate` does not read --directed; it is an option of stats, apsp",
+    );
+}
+
+#[test]
+fn node_refuses_an_option_it_does_not_read() {
+    refused(
+        &["node", "--connect", "d.sock", "--threads", "2"],
+        "`node` does not read --threads; it is an option of apsp",
+    );
 }

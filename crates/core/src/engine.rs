@@ -17,15 +17,17 @@
 //!   cancellation plumbing, per-row trace collection, phase timing, and
 //!   [`RunOutcome`] assembly.
 //!
-//! The five engine families all implement the trait. Two row engines, one
-//! per order policy, cover Peng's algorithm and its parallel drivers:
+//! Four engine families implement the trait. Two row engines, one per
+//! order policy, cover Peng's algorithm and its parallel drivers:
 //! [`ApspEngine`] sweeps a static source order (ParAPSP, ParAlg1/2, and
 //! Peng's basic and optimized algorithms on one thread) and
 //! [`AdaptiveEngine`] picks the order at run time (Peng's adaptive variant
-//! and its wave-parallel extension). The other three are
-//! [`SubsetEngine`] (memory-bounded subset rows), [`BlockedFwEngine`] (the
-//! blocked Floyd–Warshall comparator), and `DistEngine` in the
-//! `parapsp-dist` crate (the simulated cluster driver).
+//! and its wave-parallel extension). The other two are [`SubsetEngine`]
+//! (memory-bounded subset rows) and `DistEngine` in the `parapsp-dist`
+//! crate (the simulated cluster driver). Every algorithm the CLI offers
+//! ([`EngineKind`]) is one of them; the O(n³) Floyd–Warshall and
+//! heap-Dijkstra comparators live in [`crate::baselines`] as plain
+//! functions.
 //!
 //! Every run is constructed the same way — pick a [`RunConfig`], pick an
 //! engine, and drive it through a [`Runner`]:
@@ -57,7 +59,6 @@ use crate::solver::{RowSolver, SolverKind};
 use crate::stats::{ApspOutput, Counters, PhaseTimings};
 use crate::store::{Store, StoreSpec};
 
-pub use crate::blocked_fw::BlockedFwEngine;
 pub use crate::subset::SubsetEngine;
 
 // ---------------------------------------------------------------------------
@@ -118,11 +119,9 @@ impl ValueEnum for FsyncPolicy {
     }
 }
 
-/// Every APSP algorithm selectable from the CLI, by its stable name.
-///
-/// All but the last two run through the [`Runner`] pipeline; the two
-/// baselines (`floyd-warshall` and `dijkstra`) are direct calls kept for
-/// comparison, and are neither cancellable nor capped.
+/// Every APSP algorithm selectable from the CLI, by its stable name. Each
+/// one runs through the [`Runner`], so each takes a cap, a deadline, a
+/// ledger or resume checkpoint, a store and a solver alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// **ParAPSP** (paper Alg. 8): MultiLists ordering + dynamic-cyclic.
@@ -131,71 +130,31 @@ pub enum EngineKind {
     ParAlg1,
     /// **ParAlg2** (Alg. 4): selection-sort ordering + dynamic-cyclic.
     ParAlg2,
+    /// The wave-parallel extension of Peng's adaptive variant.
+    ParAdaptive,
     /// Peng's sequential basic algorithm (Alg. 2).
     SeqBasic,
     /// Peng's sequential optimized algorithm (Alg. 3).
     SeqOptimized,
     /// Peng's adaptive sequential variant (intermediate-credit ordering).
     SeqAdaptive,
-    /// Cache-blocked parallel Floyd–Warshall (related-work comparator).
-    BlockedFw,
     /// The simulated distributed-memory cluster driver.
     Dist,
-    /// The wave-parallel extension of Peng's adaptive variant.
-    ParAdaptive,
-    /// Plain Floyd–Warshall baseline.
-    FloydWarshall,
-    /// Parallel binary-heap Dijkstra baseline.
-    Dijkstra,
 }
 
 impl EngineKind {
-    /// Whether the algorithm supports cooperative cancellation
-    /// (`--deadline` / checkpoint-on-interrupt): every Runner-driven one.
-    pub fn cancellable(self) -> bool {
-        !matches!(self, EngineKind::FloydWarshall | EngineKind::Dijkstra)
-    }
-
-    /// Whether the algorithm honours a distance cap (`--cap`): every
-    /// Runner-driven one. The row kernel and every dist node apply it,
-    /// blocked Floyd–Warshall filters its finished matrix; the two
-    /// baselines always compute the full matrix.
-    pub fn honours_cap(self) -> bool {
-        self.cancellable()
-    }
-
-    /// Whether completed rows are final mid-run, i.e. the engine supports
-    /// a run ledger and `--resume`.
-    pub fn row_checkpoints(self) -> bool {
-        matches!(
-            self,
-            EngineKind::ParApsp
-                | EngineKind::ParAlg1
-                | EngineKind::ParAlg2
-                | EngineKind::ParAdaptive
-                | EngineKind::SeqBasic
-                | EngineKind::SeqOptimized
-                | EngineKind::SeqAdaptive
-        )
-    }
-
-    /// Whether the algorithm runs the row kernel, i.e. honours `--relax`.
+    /// Whether the algorithm runs the row kernel in this process, i.e.
+    /// honours `--relax`: every one but the dist driver, whose nodes always
+    /// run the default (`auto`) relax implementation.
     pub fn uses_kernel(self) -> bool {
-        self.row_checkpoints()
-    }
-
-    /// Whether the algorithm picks a per-source solver, i.e. honours
-    /// `--solver`: the row engines, and the dist nodes, which run a subset
-    /// of the solvers (`parapsp_dist::NodeSolver`).
-    pub fn honours_solver(self) -> bool {
-        self.uses_kernel() || self == EngineKind::Dist
+        self != EngineKind::Dist
     }
 
     /// Whether the algorithm sweeps its sources through the configured
     /// loop [`Schedule`], i.e. honours `--schedule`. The sequential
     /// family runs one thread (every schedule degenerates to index
-    /// order) and the remaining algorithms pick their internal schedules
-    /// themselves, so overriding theirs would be silently ignored.
+    /// order) and the dist driver deals its sources itself, so overriding
+    /// theirs would be silently ignored.
     pub fn honours_schedule(self) -> bool {
         matches!(
             self,
@@ -205,16 +164,6 @@ impl EngineKind {
                 | EngineKind::ParAdaptive
         )
     }
-
-    /// Whether the algorithm keeps its distance matrix in a
-    /// [`Store`] and therefore honours `--store`.
-    /// True for the row engines (published rows go straight into the
-    /// selected backend) and the dist driver (the gather target is a
-    /// store); the baselines and the blocked Floyd–Warshall mutate dense
-    /// matrices in place and ignore the flag.
-    pub fn supports_store(self) -> bool {
-        self.row_checkpoints() || self == EngineKind::Dist
-    }
 }
 
 impl ValueEnum for EngineKind {
@@ -223,14 +172,11 @@ impl ValueEnum for EngineKind {
             EngineKind::ParApsp,
             EngineKind::ParAlg1,
             EngineKind::ParAlg2,
+            EngineKind::ParAdaptive,
             EngineKind::SeqBasic,
             EngineKind::SeqOptimized,
             EngineKind::SeqAdaptive,
-            EngineKind::BlockedFw,
             EngineKind::Dist,
-            EngineKind::ParAdaptive,
-            EngineKind::FloydWarshall,
-            EngineKind::Dijkstra,
         ]
     }
 
@@ -239,14 +185,11 @@ impl ValueEnum for EngineKind {
             EngineKind::ParApsp => "par-apsp",
             EngineKind::ParAlg1 => "par-alg1",
             EngineKind::ParAlg2 => "par-alg2",
+            EngineKind::ParAdaptive => "par-adaptive",
             EngineKind::SeqBasic => "seq-basic",
             EngineKind::SeqOptimized => "seq-optimized",
             EngineKind::SeqAdaptive => "seq-adaptive",
-            EngineKind::BlockedFw => "blocked-fw",
             EngineKind::Dist => "dist",
-            EngineKind::ParAdaptive => "par-adaptive",
-            EngineKind::FloydWarshall => "floyd-warshall",
-            EngineKind::Dijkstra => "dijkstra",
         }
     }
 }
@@ -275,8 +218,8 @@ pub struct CheckpointPolicy {
 /// Named constructors pin the paper's algorithm configurations; `with_*`
 /// methods override any piece. The config is engine-agnostic — the same
 /// value drives any [`Engine`] through a [`Runner`] (engines ignore knobs
-/// that don't apply to them, e.g. the blocked Floyd–Warshall ignores the
-/// ordering procedure).
+/// that don't apply to them, e.g. the dist driver ignores the ordering
+/// procedure and schedule).
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     threads: usize,
@@ -537,8 +480,9 @@ impl RunConfig {
 pub struct Plan {
     /// Work units in execution order. For the row engines these are source
     /// vertices (resume-filtered); for [`SubsetEngine`] they are slot
-    /// indices into its source list; for [`BlockedFwEngine`] pivot-tile
-    /// indices; adaptive engines may treat them as opaque step counters.
+    /// indices into its source list; the dist driver plans one unit, the
+    /// whole cluster run; adaptive engines may treat them as opaque step
+    /// counters.
     pub units: Vec<u32>,
     /// Wall time spent computing the source ordering.
     pub ordering: Duration,
@@ -587,10 +531,11 @@ pub trait Engine {
     /// [`RunConfig`] does not override it.
     fn name(&self) -> &str;
 
-    /// Whether rows completed mid-run are final, making periodic
-    /// ledger appends and resume meaningful. Engines like Floyd–Warshall —
-    /// where every cell may still shrink until the last pivot — return
-    /// `false`, and the [`Runner`] opens no ledger for them.
+    /// Whether the [`Runner`] journals this engine's completed rows,
+    /// batch by batch, to the configured ledger. An engine that runs as
+    /// one indivisible unit — the dist driver, which journals its gather
+    /// itself — returns `false`, and the [`Runner`] opens no ledger for
+    /// it.
     fn row_checkpoints(&self) -> bool {
         true
     }
@@ -1416,10 +1361,7 @@ mod tests {
             EngineKind::parse_value("par-apsp").unwrap(),
             EngineKind::ParApsp
         );
-        assert_eq!(
-            EngineKind::parse_value("blocked-fw").unwrap(),
-            EngineKind::BlockedFw
-        );
+        assert_eq!(EngineKind::parse_value("dist").unwrap(), EngineKind::Dist);
         let err = EngineKind::parse_value("par-warp").unwrap_err();
         assert!(err.contains("par-warp"));
         assert!(err.contains("par-apsp"));
@@ -1436,52 +1378,6 @@ mod tests {
         // Round trip for every engine kind.
         for kind in EngineKind::value_variants() {
             assert_eq!(EngineKind::parse_value(kind.value_name()).unwrap(), *kind);
-        }
-    }
-
-    #[test]
-    fn engine_kind_capability_tables_are_consistent() {
-        for kind in EngineKind::value_variants() {
-            // Anything resumable must also be cancellable (resume exists to
-            // continue interrupted runs).
-            if kind.row_checkpoints() {
-                assert!(kind.cancellable(), "{}", kind.value_name());
-            }
-        }
-        assert!(!EngineKind::FloydWarshall.cancellable());
-        assert!(EngineKind::BlockedFw.cancellable());
-        assert!(!EngineKind::BlockedFw.row_checkpoints());
-        assert!(EngineKind::SeqBasic.row_checkpoints());
-        // Schedule-honouring engines are exactly the Runner-driven
-        // parallel sweeps, which must also run the kernel.
-        for kind in EngineKind::value_variants() {
-            if kind.honours_schedule() {
-                assert!(kind.uses_kernel(), "{}", kind.value_name());
-            }
-        }
-        assert!(EngineKind::ParApsp.honours_schedule());
-        assert!(EngineKind::ParAlg1.honours_schedule());
-        assert!(!EngineKind::SeqBasic.honours_schedule());
-        assert!(!EngineKind::BlockedFw.honours_schedule());
-        // par-adaptive is a Runner-driven row engine like the par-* rows.
-        let par = EngineKind::ParAdaptive;
-        assert!(par.cancellable() && par.row_checkpoints() && par.uses_kernel());
-        assert!(par.honours_schedule() && par.supports_store() && par.honours_cap());
-        // Only the two direct-call baselines ignore a cap.
-        for kind in EngineKind::value_variants() {
-            let baseline = matches!(kind, EngineKind::FloydWarshall | EngineKind::Dijkstra);
-            assert_eq!(kind.honours_cap(), !baseline, "{}", kind.value_name());
-        }
-        // --solver reaches the row kernel and the dist nodes; --relax only
-        // the kernel.
-        assert!(EngineKind::Dist.honours_solver() && !EngineKind::Dist.uses_kernel());
-        assert!(EngineKind::ParApsp.honours_solver() && EngineKind::SeqAdaptive.honours_solver());
-        for kind in [
-            EngineKind::BlockedFw,
-            EngineKind::FloydWarshall,
-            EngineKind::Dijkstra,
-        ] {
-            assert!(!kind.honours_solver(), "{}", kind.value_name());
         }
     }
 
@@ -1729,19 +1625,6 @@ mod tests {
         assert!(first.completed()[..BUDGET as usize]
             .iter()
             .all(|&done| done));
-
-        // Blocked FW is not a row-checkpointing engine: a run with a
-        // ledger policy must not write a ledger, and its stop snapshot has
-        // zero completed rows by design.
-        let fw_path = dir.join("fw.ledger");
-        std::fs::remove_file(&fw_path).ok();
-        let config = RunConfig::new(2).with_ledger(&fw_path, EVERY);
-        let out = Runner::new(config.clone()).run(BlockedFwEngine::new(32), &g);
-        assert_eq!(out.n(), 90);
-        let token = CancelToken::with_poll_budget(1);
-        let stopped = Runner::new(config).run_with_token(BlockedFwEngine::new(32), &g, &token);
-        assert_eq!(stopped.checkpoint().unwrap().completed_count(), 0);
-        assert!(!fw_path.exists(), "non-row engine must not write a ledger");
     }
 
     /// A cancelled ledger run resumes from its own ledger (no separate

@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
-pub mod blocked_fw;
 pub mod dist;
 pub mod dynamic;
 pub mod engine;
@@ -71,8 +70,8 @@ pub mod subset;
 
 pub use dist::DistanceMatrix;
 pub use engine::{
-    AdaptiveEngine, ApspEngine, BlockedFwEngine, Engine, EngineKind, FromStore, RunConfig, Runner,
-    StoreRunOutput, SubsetEngine, ValueEnum,
+    AdaptiveEngine, ApspEngine, Engine, EngineKind, FromStore, RunConfig, Runner, StoreRunOutput,
+    SubsetEngine, ValueEnum,
 };
 pub use outcome::RunOutcome;
 pub use persist::{FsyncPolicy, RowLedger};

@@ -7,13 +7,13 @@
 //! Capped runs are compared against the *post-filtered* exact matrix:
 //! because every capped entry is either the exact distance (≤ cap) or
 //! unreachable, applying the cap inside the kernel (the row engines and
-//! every Dist node), as a finish-time post-filter (BlockedFW), or to the
-//! finished exact matrix all produce identical bits.
+//! every Dist node) or to the finished exact matrix produces identical
+//! bits.
 
 use parapsp::core::baselines::apsp_dijkstra;
 use parapsp::core::{
-    AdaptiveEngine, ApspEngine, BlockedFwEngine, DistanceMatrix, RunConfig, Runner, SolverKind,
-    StoreSpec, SubsetEngine, INF,
+    AdaptiveEngine, ApspEngine, DistanceMatrix, RunConfig, Runner, SolverKind, StoreSpec,
+    SubsetEngine, INF,
 };
 use parapsp::dist::{BindSpec, ClusterConfig, DistEngine, SocketConfig, TransportSpec, WorkerMode};
 use parapsp::graph::generate::{
@@ -143,10 +143,6 @@ fn every_engine_matches_seq_basic_on_every_fixture() {
             assert_matrix("seq-adaptive", fixture, cap, &full, &out.dist);
             let out = Runner::new(with_cap(RunConfig::par_adaptive(4))).run(par_adaptive(), &graph);
             assert_matrix("par-adaptive", fixture, cap, &full, &out.dist);
-
-            // Blocked Floyd–Warshall (returns the matrix directly).
-            let fw = Runner::new(with_cap(RunConfig::new(3))).run(BlockedFwEngine::new(16), &graph);
-            assert_matrix("blocked-fw", fixture, cap, &full, &fw);
 
             // Distributed cluster simulation, 2 nodes, on each node
             // solver: the paper's kernel everywhere, the multi-source BFS
