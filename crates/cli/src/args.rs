@@ -81,7 +81,7 @@ const COMMANDS: &[(&str, &[&str])] = &[
             "--directed",
             "--undirected",
             "--threads",
-            "--top",
+            "--landmarks",
         ],
     ),
     (

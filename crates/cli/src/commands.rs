@@ -14,8 +14,8 @@ use parapsp_core::{
     autotune, probe, ApspOutput, DistanceMatrix, GraphProbe, RelaxImpl, RunOutcome, SolverKind,
 };
 use parapsp_dist::{
-    run_worker, BindSpec, ClusterConfig, DistEngine, FaultPlan, NodeSolver, SocketConfig,
-    SourcePartition, TransportSpec, WorkerMode, WorkerOptions, WorkerOutcome,
+    run_worker, BindSpec, ChaosPlan, ClusterConfig, DistEngine, FaultPlan, NodeSolver,
+    SocketConfig, SourcePartition, TransportSpec, WorkerMode, WorkerOptions, WorkerOutcome,
 };
 use parapsp_graph::io::{read_edge_list_file, LoadedGraph, ParseOptions};
 use parapsp_graph::{degree, transform, CsrGraph, Direction};
@@ -213,10 +213,22 @@ node options (socket worker; driver supplies everything else):
                              exit codes: 0 clean, 3 injected crash
 
 dist fault injection (deterministic, seeded):
-  --fault-seed <S>           seed for the fault plan (default: 0)
+  --fault-seed <S>           seed for the node faults and the wire chaos
+                             (default: 0)
   --crash <node:k[,..]>      crash node(s) after their k-th source
-  --drop-prob <P>            drop each hub broadcast with probability P
-  --corrupt-prob <Q>         bit-flip each row payload with probability Q
+  --drop-prob <P>            the driver drops each hub relay with
+                             probability P (needs hubs: --solver dijkstra
+                             and a --hub-fraction above 0)
+  --corrupt-prob <Q>         the wire bit-flips each row payload (gather
+                             rows and hub relays) with probability Q < 1
+
+analyze options:
+  --top <K>                  vertices listed per centrality ranking
+                             (default: 5)
+
+estimate options:
+  --landmarks <K>            highest-degree landmarks to index (default:
+                             16; O(K·n) memory)
 
 generate options:
   --model <ba|er|ws> --n <N> [--m <M>] [--p <P>] [--seed <S>] --out <file>
@@ -312,10 +324,14 @@ pub fn stats(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the `dist` fault plan from `--fault-seed`, `--crash`,
-/// `--drop-prob`, and `--corrupt-prob`.
-fn parse_fault_plan(args: &Args) -> Result<FaultPlan, String> {
-    let mut plan = FaultPlan::seeded(args.get_parsed("fault-seed", 0u64)?);
+/// Builds the `dist` node fault plan from `--fault-seed` and `--crash`,
+/// and the wire chaos plan, seeded the same, from `--drop-prob` (hub
+/// relays) and `--corrupt-prob` (row payloads). `no_hubs` says why the
+/// run deals no hubs, if it deals none: then there is nothing for
+/// `--drop-prob` to drop, and asking for it is a usage error.
+fn parse_fault_plans(args: &Args, no_hubs: Option<&str>) -> Result<(FaultPlan, ChaosPlan), String> {
+    let seed = args.get_parsed("fault-seed", 0u64)?;
+    let mut plan = FaultPlan::seeded(seed);
     if let Some(spec) = args.get("crash") {
         for entry in spec.split(',') {
             let (node, after) = entry
@@ -334,13 +350,20 @@ fn parse_fault_plan(args: &Args) -> Result<FaultPlan, String> {
     if !(0.0..=1.0).contains(&drop_prob) {
         return Err(format!("--drop-prob {drop_prob} outside [0, 1]"));
     }
+    if let Some(why) = no_hubs.filter(|_| drop_prob > 0.0) {
+        return Err(format!(
+            "--drop-prob {drop_prob} drops hub relays, but this run deals no hubs ({why}); \
+             deal some with --solver dijkstra and a --hub-fraction above 0"
+        ));
+    }
     let corrupt_prob = args.get_parsed("corrupt-prob", 0.0f64)?;
     if !(0.0..1.0).contains(&corrupt_prob) {
         return Err(format!("--corrupt-prob {corrupt_prob} outside [0, 1)"));
     }
-    Ok(plan
-        .with_drop_probability(drop_prob)
-        .with_corrupt_probability(corrupt_prob))
+    let chaos = ChaosPlan::seeded(seed)
+        .with_hub_drop_probability(drop_prob)
+        .with_corrupt_probability(corrupt_prob);
+    Ok((plan, chaos))
 }
 
 /// Builds the `dist` transport from `--transport`, `--listen`,
@@ -842,7 +865,13 @@ fn run_algorithm(
             let nodes = args.get_parsed("nodes", 4usize)?;
             let hub_fraction = args.get_parsed("hub-fraction", 0.05f64)?;
             let partition = args.get_enum("partition", SourcePartition::default())?;
-            let faults = parse_fault_plan(args)?;
+            // Only the paper's kernel reads hub rows.
+            let no_hubs = match node_solver {
+                NodeSolver::MsBfs => Some("msbfs reads no rows"),
+                NodeSolver::Dijkstra if hub_fraction == 0.0 => Some("hub fraction 0"),
+                NodeSolver::Dijkstra => None,
+            };
+            let (faults, chaos) = parse_fault_plans(args, no_hubs)?;
             let transport = parse_transport(args)?;
             let cluster = ClusterConfig {
                 nodes,
@@ -850,6 +879,7 @@ fn run_algorithm(
                 partition,
                 faults,
                 transport,
+                chaos: Some(chaos),
                 ..ClusterConfig::default()
             };
             // Degenerate configurations (zero nodes, more nodes than
@@ -861,11 +891,9 @@ fn run_algorithm(
             if let Some(probe) = probe {
                 say!("{}", auto_tune_line(node_solver.kind(), &probe));
             }
-            // Only the paper's kernel reads hub rows.
-            let broadcast = match node_solver {
-                NodeSolver::MsBfs => "off (msbfs reads no rows)".to_owned(),
-                NodeSolver::Dijkstra if hub_fraction == 0.0 => "off (hub fraction 0)".to_owned(),
-                NodeSolver::Dijkstra => format!("on (hub fraction {hub_fraction})"),
+            let broadcast = match no_hubs {
+                Some(why) => format!("off ({why})"),
+                None => format!("on (hub fraction {hub_fraction})"),
             };
             say!(
                 "dist: node solver {}, hub broadcast {broadcast}",
@@ -1032,12 +1060,12 @@ pub fn path(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `parapsp estimate <file> <src> <dst> [--k 16]` — landmark-based distance
+/// `parapsp estimate <file> <src> <dst> [--landmarks 16]` — landmark-based distance
 /// bounds without the O(n²) matrix (for graphs where `apsp` won't fit).
 pub fn estimate(args: &Args) -> Result<(), CliError> {
     use parapsp_analysis::landmarks::{LandmarkIndex, LandmarkStrategy};
     let threads = threads(args)?;
-    let k = args.get_parsed("top", 16usize)?; // reuse --top as the landmark count
+    let k = args.get_parsed("landmarks", 16usize)?;
     let loaded = load(args).map_err(CliError::failure)?;
     if loaded.graph.direction().is_directed() {
         return Err(CliError::failure(
@@ -1787,7 +1815,7 @@ mod tests {
     #[test]
     fn estimate_runs_on_sample_and_rejects_directed() {
         let file = sample_file();
-        estimate(&args(&["estimate", &file, "1", "5", "--top", "2"])).unwrap();
+        estimate(&args(&["estimate", &file, "1", "5", "--landmarks", "2"])).unwrap();
         assert!(estimate(&args(&["estimate", &file, "1", "5", "--directed"])).is_err());
         assert!(estimate(&args(&["estimate", &file, "1"])).is_err());
     }

@@ -147,7 +147,7 @@ fn stats_refuses_an_option_it_does_not_read() {
 fn apsp_refuses_an_option_it_does_not_read() {
     refused(
         &["apsp", "g.txt", "--top", "3"],
-        "`apsp` does not read --top; it is an option of analyze, estimate",
+        "`apsp` does not read --top; it is an option of analyze",
     );
     refused(
         &["run", "g.txt", "--model", "ba"],
@@ -179,6 +179,68 @@ fn estimate_refuses_an_option_it_does_not_read() {
         &["estimate", "g.txt", "0", "5", "--store", "mmap"],
         "`estimate` does not read --store; it is an option of apsp",
     );
+    // The landmark count used to be read from `--top`.
+    refused(
+        &["estimate", "g.txt", "0", "5", "--top", "4"],
+        "`estimate` does not read --top; it is an option of analyze",
+    );
+}
+
+/// `estimate --landmarks K` indexes K landmarks and says so.
+#[test]
+fn estimate_reads_its_landmark_count_from_landmarks() {
+    let dir = workdir("landmarks");
+    let graph = dir.join("ba.txt");
+    let graph = graph.to_str().unwrap();
+    let generated = run(&[
+        "generate", "--model", "ba", "--n", "200", "--m", "3", "--seed", "4", "--out", graph,
+    ]);
+    assert!(generated.status.success());
+    for (extra, landmarks) in [(&[][..], 16), (&["--landmarks", "5"][..], 5)] {
+        let output = run(&[&["estimate", graph, "0", "150"][..], extra].concat());
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(output.status.success(), "{extra:?}: {stdout}");
+        assert!(
+            stdout.contains(&format!("({landmarks} hub landmarks")),
+            "{extra:?}: {stdout}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--drop-prob` drops hub relays; a dist run that deals no hubs used to
+/// ignore it silently. Either way of dealing none is a usage error naming
+/// the flags that deal some, and a run that deals hubs takes the flag.
+#[test]
+fn drop_prob_on_a_dist_run_that_deals_no_hubs_is_a_usage_error() {
+    let dir = workdir("drop-prob");
+    let graph = dir.join("ba.txt");
+    let graph = graph.to_str().unwrap();
+    let generated = run(&[
+        "generate", "--model", "ba", "--n", "200", "--m", "3", "--seed", "6", "--out", graph,
+    ]);
+    assert!(generated.status.success());
+    let dist = ["apsp", graph, "--algorithm", "dist", "--nodes", "2"];
+    let drop = ["--fault-seed", "3", "--drop-prob", "0.2"];
+    for (extra, why) in [
+        (&[][..], "msbfs reads no rows"),
+        (
+            &["--solver", "dijkstra", "--hub-fraction", "0"][..],
+            "hub fraction 0",
+        ),
+    ] {
+        let output = run(&[&dist[..], &drop, extra].concat());
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{extra:?}: {stderr}");
+        for needle in [why, "--solver dijkstra", "--hub-fraction"] {
+            assert!(stderr.contains(needle), "{extra:?}: {stderr}");
+        }
+    }
+    let output = run(&[&dist[..], &drop, &["--solver", "dijkstra"]].concat());
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "{stdout}");
+    assert!(stdout.contains("hub broadcast on"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Every model writes unit weights: `--weights` used to be accepted and

@@ -1,22 +1,24 @@
 //! Deterministic transport chaos: adversarial networks for the driver.
 //!
-//! [`FaultPlan`](crate::FaultPlan) injects *application-level* faults —
-//! crashes, stalls, payload corruption decided by the sender. This module
-//! attacks the layer below: a [`ChaosPlan`] describes per-frame delay,
-//! duplication, reordering, byte corruption, and one-way partitions on
-//! the node→driver event path, and [`ChaosTransport`] applies it as a
-//! wrapper around any [`Transport`] — the channel and socket backends run
-//! under identical adversaries.
+//! [`FaultPlan`](crate::FaultPlan) says what a *node* does wrong: it
+//! crashes or stalls. A [`ChaosPlan`] says what the *wire* does wrong —
+//! per-frame delay, duplication, reordering, byte corruption and one-way
+//! partitions on the node→driver event path, and dropped hub relays on
+//! the driver→node path — and [`ChaosTransport`] applies it as a wrapper
+//! around any [`Transport`]. Every frame between nodes crosses the
+//! driver on both backends (hub rows go by relay), so the channel and
+//! socket backends run under identical adversaries.
 //!
 //! # Determinism and liveness
 //!
 //! Every decision (is event `seq` from node `k` delayed, and for how
-//! long? duplicated? corrupted?) is a pure function of the plan's seed
-//! and the event's coordinates, exactly like `FaultPlan`'s discipline —
-//! so a given plan makes the same decisions on every run. The wall-clock
-//! *interleaving* of releases still depends on thread timing, as it does
-//! on any real network; the recovery invariant under test is precisely
-//! that the final matrix is bit-identical regardless.
+//! long? duplicated? corrupted? is control message `seq` toward node `k`
+//! a hub relay to drop?) is a pure function of the plan's seed and the
+//! message's coordinates, so a given plan makes the same decisions on
+//! every run. The wall-clock *interleaving* of releases still depends on
+//! thread timing, as it does on any real network; the recovery invariant
+//! under test is precisely that the final matrix is bit-identical
+//! regardless.
 //!
 //! Chaos must never break liveness, because the gather protocol has no
 //! retransmit timer (the driver only re-requests rows that arrive
@@ -25,14 +27,18 @@
 //! * events are **held, never dropped** — a delay or partition defers
 //!   delivery by a bounded number of driver polls, after which the event
 //!   goes through verbatim;
-//! * driver→node control messages are never delayed or dropped (the
-//!   driver writes them synchronously); chaos may only *duplicate* them,
-//!   which the node side already tolerates — duplicate `Assign`s dedup
-//!   against the pending queue, a duplicate `Resend` costs one extra
-//!   delivery, duplicate `Shutdown`s are not generated at all;
+//! * driver→node control messages are never delayed, and the only one
+//!   chaos may drop is a `Hub` relay: a hub row is an optimization, so
+//!   losing one costs row reuse, never a row. `Assign`, `Resend` and
+//!   `Shutdown` are never dropped — there is no retransmit to recover
+//!   them. Chaos may *duplicate* control, which the node side already
+//!   tolerates — duplicate `Assign`s dedup against the pending queue, a
+//!   duplicate `Resend` costs one extra delivery, a duplicate `Hub` is
+//!   stored twice; duplicate `Shutdown`s are not generated at all;
 //! * corruption flips one payload bit and leaves the sender's checksum
-//!   alone, so the receiver *rejects* the row and the ordinary
-//!   re-send/re-deal machinery — not silence — restores progress.
+//!   alone, so the receiver *rejects* the row — the driver for a gather
+//!   row, the peer for a relayed hub row — and the ordinary
+//!   re-send/re-deal machinery, not silence, restores progress.
 //!
 //! `Stats` events pass through untouched: they are a teardown courtesy
 //! outside the gather protocol, and holding one past `finish()` would
@@ -55,6 +61,7 @@ use crate::transport::{ControlSink, NodeControl, NodeEvent, Polled, Transport};
 ///     .with_delay(0.3, 8)              // 30% of events held up to 8 polls
 ///     .with_duplicate_probability(0.2) // 20% of events delivered twice
 ///     .with_corrupt_probability(0.1)   // 10% get a payload bit flip
+///     .with_hub_drop_probability(0.2)  // 20% of hub relays vanish
 ///     .partition_node(1, 20, 40);      // node 1 blackholed for polls 20..60
 /// assert!(!plan.is_inert());
 /// assert_eq!(ChaosPlan::default(), ChaosPlan::seeded(0));
@@ -67,6 +74,7 @@ pub struct ChaosPlan {
     duplicate_probability: f64,
     corrupt_probability: f64,
     control_duplicate_probability: f64,
+    hub_drop_probability: f64,
     /// One-way (node→driver) partitions: `(node, from_poll, polls)`.
     partitions: Vec<(usize, u64, u64)>,
 }
@@ -135,8 +143,10 @@ impl ChaosPlan {
     }
 
     /// Duplicates each driver→node control message (except `Shutdown`)
-    /// independently with probability `p`. Control is never delayed or
-    /// dropped — there is no retransmit path to recover a lost `Assign`.
+    /// independently with probability `p`. Control is never delayed, and
+    /// only a hub relay is ever dropped
+    /// ([`with_hub_drop_probability`](Self::with_hub_drop_probability)) —
+    /// there is no retransmit path to recover a lost `Assign`.
     ///
     /// # Panics
     /// If `p` is outside `[0, 1]`.
@@ -146,6 +156,21 @@ impl ChaosPlan {
             "control duplicate probability {p} outside [0, 1]"
         );
         self.control_duplicate_probability = p;
+        self
+    }
+
+    /// Drops each hub relay (a `Hub` control message from the driver to
+    /// a peer) independently with probability `p`. A dropped hub row
+    /// costs its receiver reuse, never a row, so `p` may be 1.
+    ///
+    /// # Panics
+    /// If `p` is outside `[0, 1]`.
+    pub fn with_hub_drop_probability(mut self, p: f64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "hub drop probability {p} outside [0, 1]"
+        );
+        self.hub_drop_probability = p;
         self
     }
 
@@ -163,6 +188,7 @@ impl ChaosPlan {
             && self.duplicate_probability == 0.0
             && self.corrupt_probability == 0.0
             && self.control_duplicate_probability == 0.0
+            && self.hub_drop_probability == 0.0
             && self.partitions.is_empty()
     }
 
@@ -219,6 +245,14 @@ impl ChaosPlan {
             && self
                 .decision_rng(0x4344_5550, node as u64, seq)
                 .random_bool(self.control_duplicate_probability)
+    }
+
+    /// Whether control message `seq` toward `node`, a hub relay, is lost.
+    fn drops_hub(&self, node: usize, seq: u64) -> bool {
+        self.hub_drop_probability > 0.0
+            && self
+                .decision_rng(0x4844_524F, node as u64, seq)
+                .random_bool(self.hub_drop_probability)
     }
 
     /// A fresh generator keyed on the plan seed plus the decision
@@ -375,6 +409,9 @@ impl<T: Transport> ControlSink for ChaosTransport<'_, T> {
     fn control(&mut self, node: usize, message: NodeControl) {
         let seq = self.control_seq[node];
         self.control_seq[node] += 1;
+        if matches!(message, NodeControl::Hub(_)) && self.plan.drops_hub(node, seq) {
+            return;
+        }
         // Shutdown is exempt: a duplicate is harmless but pointless, and
         // exempting it keeps "one Shutdown per node" an invariant tests
         // can rely on.
@@ -572,5 +609,132 @@ mod tests {
         let mut chaos = ChaosTransport::new(&mut inner, plan, 1);
         let delivered = pump(&mut chaos);
         assert_eq!(sources(&delivered), vec![0, 1, 2]);
+    }
+
+    fn hub_control(source: u32) -> NodeControl {
+        NodeControl::Hub(RowMessage::new(source, vec![source; 4]))
+    }
+
+    /// Sends `controls` to node `node` through `plan` and returns what
+    /// reached the inner transport.
+    fn relay(plan: &ChaosPlan, node: usize, controls: Vec<NodeControl>) -> Vec<NodeControl> {
+        let mut inner = Scripted {
+            events: VecDeque::new(),
+            controls: Vec::new(),
+        };
+        let mut chaos = ChaosTransport::new(&mut inner, plan.clone(), node + 1);
+        for message in controls {
+            chaos.control(node, message);
+        }
+        inner.controls
+    }
+
+    /// The sources of the `Hub` relays among `controls`.
+    fn hub_sources(controls: &[NodeControl]) -> Vec<u32> {
+        controls
+            .iter()
+            .filter_map(|c| match c {
+                NodeControl::Hub(msg) => Some(msg.source),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hub_drops_are_a_pure_function_of_peer_and_control_seq() {
+        let plan = ChaosPlan::seeded(42).with_hub_drop_probability(0.5);
+        let hubs = || (0..64).map(hub_control).collect::<Vec<_>>();
+        let first = hub_sources(&relay(&plan, 1, hubs()));
+        assert_eq!(first, hub_sources(&relay(&plan, 1, hubs())));
+        assert!(!first.is_empty() && first.len() < 64, "p=0.5 drops some");
+        assert_ne!(
+            first,
+            hub_sources(&relay(&plan, 2, hubs())),
+            "the peer must enter the decision"
+        );
+        assert_ne!(
+            first,
+            hub_sources(&relay(
+                &ChaosPlan::seeded(43).with_hub_drop_probability(0.5),
+                1,
+                hubs()
+            )),
+            "the seed must enter the decision"
+        );
+    }
+
+    #[test]
+    fn hub_drop_rate_tracks_probability() {
+        let plan = ChaosPlan::seeded(7).with_hub_drop_probability(0.3);
+        let kept = relay(&plan, 3, (0..2000).map(hub_control).collect()).len();
+        let dropped = 2000 - kept;
+        assert!(
+            (450..750).contains(&dropped),
+            "got {dropped} drops of 2000 at p=0.3"
+        );
+    }
+
+    #[test]
+    fn hub_drops_never_touch_assign_resend_or_shutdown() {
+        let plan = ChaosPlan::seeded(5).with_hub_drop_probability(1.0);
+        let mut controls = Vec::new();
+        for s in 0..20 {
+            controls.push(hub_control(s));
+            controls.push(NodeControl::Assign(s));
+            controls.push(NodeControl::Resend(s));
+        }
+        controls.push(NodeControl::Shutdown);
+        let delivered = relay(&plan, 0, controls);
+        assert!(hub_sources(&delivered).is_empty(), "p=1 drops every hub");
+        assert_eq!(delivered.len(), 41, "every other control goes through");
+        assert!(matches!(delivered.last(), Some(NodeControl::Shutdown)));
+        // Events in the other direction are held, never dropped.
+        let mut inner = Scripted {
+            events: (0..10).map(row_event).collect(),
+            controls: Vec::new(),
+        };
+        let mut chaos = ChaosTransport::new(&mut inner, plan, 1);
+        assert_eq!(sources(&pump(&mut chaos)), (0..10).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "hub drop probability")]
+    fn out_of_range_hub_drop_probability_is_rejected() {
+        let _ = ChaosPlan::seeded(0).with_hub_drop_probability(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt probability")]
+    fn certain_corruption_is_rejected() {
+        let _ = ChaosPlan::seeded(0).with_corrupt_probability(1.0);
+    }
+
+    #[test]
+    fn corruption_flips_exactly_one_bit_deterministically() {
+        let plan = ChaosPlan::seeded(3).with_corrupt_probability(0.5);
+        let run = || {
+            let mut inner = Scripted {
+                events: (0..40).map(row_event).collect(),
+                controls: Vec::new(),
+            };
+            let mut chaos = ChaosTransport::new(&mut inner, plan.clone(), 1);
+            pump(&mut chaos)
+        };
+        let delivered = run();
+        let mut flipped_rows = 0;
+        for (event, again) in delivered.iter().zip(run()) {
+            let (NodeEvent::Row(msg), NodeEvent::Row(again)) = (event, again) else {
+                panic!("only rows were sent");
+            };
+            assert_eq!(msg.row, again.row, "same coordinates flip the same bit");
+            let flipped: u32 = msg
+                .row
+                .iter()
+                .map(|&cell| (cell ^ msg.source).count_ones())
+                .sum();
+            assert!(flipped <= 1, "row {}: {flipped} bits flipped", msg.source);
+            flipped_rows += flipped;
+        }
+        assert!(flipped_rows > 0, "p=0.5 over 40 rows flips some");
     }
 }

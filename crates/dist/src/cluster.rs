@@ -7,8 +7,10 @@
 //! (instead of a single bulk gather at the end), so work finished before a
 //! crash is never lost. Every row on the wire carries an FNV-1a checksum:
 //!
-//! * a corrupted **hub broadcast** is discarded by the receiving node
-//!   (row reuse is an optimization, so nothing else is needed);
+//! * a corrupted **hub row** is discarded by the receiving node (row
+//!   reuse is an optimization, so nothing else is needed; the driver
+//!   relays hub rows between nodes on both transports, so a
+//!   [`ChaosPlan`] may drop them outright for the same reason);
 //! * a corrupted **gather row** makes the driver request a re-send from
 //!   the node that still holds the clean row.
 //!
@@ -21,7 +23,6 @@
 //! which rows happen to be available for reuse, the recovered matrix is
 //! bit-identical to the fault-free one as long as one node survives.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -37,7 +38,7 @@ use parapsp_order::OrderingProcedure;
 use parapsp_parfor::{CancelStatus, CancelToken, ThreadPool};
 
 use crate::chaos::{ChaosPlan, ChaosTransport};
-use crate::fault::{FaultPlan, DRIVER};
+use crate::fault::FaultPlan;
 use crate::node::{row_checksum, NodeSolver, NodeState, RowMessage, RowRef};
 use crate::socket::{SocketStartError, SocketTransport};
 use crate::transport::{
@@ -160,7 +161,7 @@ pub struct ClusterConfig {
     pub hub_fraction: f64,
     /// Source-to-node assignment strategy.
     pub partition: SourcePartition,
-    /// Faults to inject; the default plan injects none.
+    /// Node crashes and stalls to inject; the default plan injects none.
     pub faults: FaultPlan,
     /// Upper bound on how long the driver blocks on any one node's mailbox
     /// before re-polling the cluster — the detection latency for crashes.
@@ -173,8 +174,9 @@ pub struct ClusterConfig {
     /// How driver and nodes exchange rows: in-process channels (the
     /// default) or length-prefix-framed sockets to worker processes.
     pub transport: TransportSpec,
-    /// Adversarial network conditions injected between the nodes' event
-    /// streams and the driver; `None` (the default) injects nothing.
+    /// Adversarial network conditions injected between the nodes and the
+    /// driver — every wire fault, hub drops and bit flips included;
+    /// `None` (the default) injects nothing.
     pub chaos: Option<ChaosPlan>,
     /// Storage backend for the driver's gather target (see
     /// [`parapsp_core::store`]): gathered rows are published into this
@@ -781,7 +783,7 @@ fn drive_with_chaos<T: Transport>(
 }
 
 /// The in-process backend: one scoped thread per node, crossbeam
-/// channels for the wire, hub rows delivered peer-to-peer.
+/// channels for the wire, hub rows relayed by the driver.
 #[allow(clippy::too_many_arguments)]
 fn run_cluster_channels(
     graph: &CsrGraph,
@@ -809,7 +811,7 @@ fn run_cluster_channels(
         gather_receivers.push(grx);
     }
     let mut transport = ChannelTransport {
-        control_tx: control_senders.clone(),
+        control_tx: control_senders,
         gather_rx: gather_receivers,
     };
 
@@ -822,9 +824,7 @@ fn run_cluster_channels(
         let handles: Vec<_> = (0..nodes)
             .map(|k| {
                 let mut io = ChannelNodeIo {
-                    k,
                     inbox: control_receivers[k].take().expect("receiver taken once"),
-                    peers: control_senders.clone(),
                     gather: gather_senders[k].take().expect("sender taken once"),
                 };
                 let owned_k = &owned[k];
@@ -1156,9 +1156,9 @@ impl Driver {
                     self.on_row(k, message, intact, sink);
                 }
                 NodeEvent::HubFwd { to, msg } => {
-                    // Star-topology hub relay: the origin already applied
-                    // its per-peer fault decisions, the driver just
-                    // forwards.
+                    // Star-topology hub relay on both transports. The
+                    // receiving peer verifies the row, so a corrupted one
+                    // is relayed as is and rejected there.
                     if to < self.nodes && to != k && self.alive[to] {
                         sink.control(to, NodeControl::Hub(msg));
                     }
@@ -1333,8 +1333,8 @@ impl Driver {
 /// The body of one node, written once against [`NodeIo`]: an in-process
 /// node thread (channel transport) and a remote worker process (socket
 /// transport) both run exactly this loop, so protocol behaviour —
-/// including every deterministic fault decision and its coordinates — is
-/// identical across transports.
+/// including where a [`FaultPlan`] crash or stall lands — is identical
+/// across transports.
 ///
 /// Each iteration emits one row. Under [`NodeSolver::Dijkstra`] it solves
 /// the next pending source first. Under [`NodeSolver::MsBfs`] it solves
@@ -1368,7 +1368,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
     // Rows a multi-source BFS solved ahead, in source order, not emitted yet.
     let mut solved: VecDeque<u32> = VecDeque::new();
     let mut stats = NodeStats::default();
-    let mut gather = Gather::new(k, n);
+    let mut gather = Gather::new(n);
     let mut completed = 0u64;
 
     let shut_down = 'life: loop {
@@ -1408,7 +1408,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
         if let Some((after, millis)) = stall {
             if !stalled && completed >= after {
                 stalled = true;
-                gather.send(plan, &state, io);
+                gather.send(&state, io);
                 std::thread::sleep(Duration::from_millis(millis));
             }
         }
@@ -1440,7 +1440,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
         let Some(s) = next else {
             // Idle: send the rows held back, then wait for more work, a
             // hub row, or shutdown.
-            gather.send(plan, &state, io);
+            gather.send(&state, io);
             match io.recv() {
                 Ok(message) => {
                     if handle_control(
@@ -1476,42 +1476,27 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
         completed += 1;
         stats.sources += 1;
         if is_hub[s as usize] {
-            // Sealed once; each peer still draws its own drop and corrupt
-            // decisions.
+            // Sealed once, sent once per peer. The sender pays for the
+            // bytes whether or not the wire eats the message.
             let sealed = RowRef {
                 source: s,
                 checksum: row_checksum(s, row),
                 row,
             };
-            for peer in 0..nodes {
-                if peer == k {
-                    continue;
-                }
-                // The sender pays for the bytes whether or not the wire
-                // eats the message.
+            for peer in (0..nodes).filter(|&peer| peer != k) {
                 stats.bytes_sent += sealed.wire_bytes();
-                if plan.drops_broadcast(k as u64, peer as u64, s) {
-                    continue;
-                }
-                let payload = faulty_payload(plan, k, peer as u64, s, 0, row);
-                io.send_hub(
-                    peer,
-                    RowRef {
-                        row: &payload,
-                        ..sealed
-                    },
-                );
+                io.send_hub(peer, sealed);
             }
         }
         gather.queue(s, false);
         if gather.held() >= io.row_batch() {
-            gather.send(plan, &state, io);
+            gather.send(&state, io);
         }
     };
     // An orderly shutdown sends what is held back; a crash dies with it,
     // and a lost driver cannot take it.
     if shut_down {
-        gather.send(plan, &state, io);
+        gather.send(&state, io);
     }
 
     stats.local_reuses = state.local_reuses;
@@ -1547,7 +1532,7 @@ fn handle_control<IO: NodeIo>(
             // row nobody intends to send.
             if state.row_for(s).is_some() {
                 gather.queue(s, true);
-                gather.send(plan, state, io);
+                gather.send(state, io);
                 return false;
             }
             if pending.contains(&s) {
@@ -1577,46 +1562,25 @@ fn handle_control<IO: NodeIo>(
             }
             // Send at once: the driver is actively waiting on this row,
             // holding it back would add a round of latency for nothing.
-            gather.send(plan, state, io);
+            gather.send(state, io);
             false
         }
         NodeControl::Shutdown => true,
     }
 }
 
-/// `row` as delivery `attempt` of `s` from node `k` to `to` carries it:
-/// the row itself, or a copy with the bit flip the fault plan draws for
-/// those coordinates. Applied after sealing, so the receiver rejects it.
-fn faulty_payload<'a>(
-    plan: &FaultPlan,
-    k: usize,
-    to: u64,
-    s: u32,
-    attempt: u64,
-    row: &'a [u32],
-) -> Cow<'a, [u32]> {
-    if !plan.corrupts_payload(k as u64, to, s, attempt) {
-        return Cow::Borrowed(row);
-    }
-    let mut corrupted = row.to_vec();
-    plan.corrupt_row(k as u64, to, s, attempt, &mut corrupted);
-    Cow::Owned(corrupted)
-}
-
 /// A node's outbound gather: completed rows held back until a frame's
-/// worth is ready, and the delivery attempt per source (so re-sends draw
-/// fresh fault decisions).
+/// worth is ready, and the delivery attempt per source (which paces the
+/// backoff before a re-send).
 struct Gather {
-    k: usize,
     attempts: Vec<u64>,
-    /// `(source, attempt)` of each row held back, in completion order.
-    held: Vec<(u32, u64)>,
+    /// Sources of the rows held back, in completion order.
+    held: Vec<u32>,
 }
 
 impl Gather {
-    fn new(k: usize, n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Gather {
-            k,
             attempts: vec![0; n],
             held: Vec::new(),
         }
@@ -1627,7 +1591,7 @@ impl Gather {
     fn queue(&mut self, s: u32, retry: bool) -> u64 {
         let attempt = &mut self.attempts[s as usize];
         *attempt += u64::from(retry);
-        self.held.push((s, *attempt));
+        self.held.push(s);
         *attempt
     }
 
@@ -1636,29 +1600,21 @@ impl Gather {
         self.held.len()
     }
 
-    /// Seals the held rows in one four-lane [`row_checksums`] pass, applies
-    /// payload faults at gather coordinates (`k → DRIVER`, per attempt)
-    /// after sealing, and sends them as one batch.
-    fn send<IO: NodeIo>(&mut self, plan: &FaultPlan, state: &NodeState, io: &mut IO) {
+    /// Seals the held rows in one four-lane [`row_checksums`] pass and
+    /// sends them as one batch.
+    fn send<IO: NodeIo>(&mut self, state: &NodeState, io: &mut IO) {
         if self.held.is_empty() {
             return;
         }
         let rows: Vec<(u32, &[u32])> = self
             .held
             .iter()
-            .map(|&(s, _)| (s, state.row_for(s).expect("only computed rows are held")))
-            .collect();
-        let checksums = row_checksums(&rows);
-        let payloads: Vec<Cow<'_, [u32]>> = rows
-            .iter()
-            .zip(&self.held)
-            .map(|(&(s, row), &(_, attempt))| faulty_payload(plan, self.k, DRIVER, s, attempt, row))
+            .map(|&s| (s, state.row_for(s).expect("only computed rows are held")))
             .collect();
         let sealed: Vec<RowRef<'_>> = rows
             .iter()
-            .zip(checksums)
-            .zip(&payloads)
-            .map(|((&(source, _), checksum), row)| RowRef {
+            .zip(row_checksums(&rows))
+            .map(|(&(source, row), checksum)| RowRef {
                 source,
                 checksum,
                 row,
@@ -1898,7 +1854,7 @@ mod tests {
             ClusterConfig {
                 nodes: 4,
                 hub_fraction: 0.3,
-                faults: FaultPlan::seeded(3).with_drop_probability(0.5),
+                chaos: Some(ChaosPlan::seeded(3).with_hub_drop_probability(0.5)),
                 ..ClusterConfig::default()
             },
         );
@@ -1913,6 +1869,43 @@ mod tests {
     }
 
     #[test]
+    fn certain_hub_drops_leave_no_remote_reuse_on_either_transport() {
+        let g = barabasi_albert(160, 3, WeightSpec::Uniform { lo: 1, hi: 50 }, 92).unwrap();
+        let reference = apsp_dijkstra(&g);
+        for transport in [
+            TransportSpec::InProcess,
+            TransportSpec::Socket(SocketConfig::default()),
+        ] {
+            let config = ClusterConfig {
+                nodes: 3,
+                hub_fraction: 0.3,
+                transport,
+                ..ClusterConfig::default()
+            };
+            let clean = dist_apsp_dijkstra(&g, config.clone());
+            assert!(clean.node_stats.iter().all(|s| s.bytes_received > 0));
+            let dropped = dist_apsp_dijkstra(
+                &g,
+                ClusterConfig {
+                    chaos: Some(ChaosPlan::seeded(4).with_hub_drop_probability(1.0)),
+                    ..config
+                },
+            );
+            assert_eq!(reference.first_difference(&dropped.dist), None);
+            // Every hub row goes by the driver's relay, where chaos eats
+            // all of them; the senders still paid for each one.
+            assert_eq!(
+                dropped.total_broadcast_bytes(),
+                clean.total_broadcast_bytes()
+            );
+            assert!(dropped
+                .node_stats
+                .iter()
+                .all(|s| s.remote_reuses == 0 && s.bytes_received == 0));
+        }
+    }
+
+    #[test]
     fn corrupted_rows_are_rejected_and_retried_until_exact() {
         let g = barabasi_albert(140, 3, WeightSpec::Unit, 93).unwrap();
         let reference = apsp_dijkstra(&g);
@@ -1921,7 +1914,7 @@ mod tests {
             ClusterConfig {
                 nodes: 4,
                 hub_fraction: 0.3,
-                faults: FaultPlan::seeded(8).with_corrupt_probability(0.3),
+                chaos: Some(ChaosPlan::seeded(8).with_corrupt_probability(0.3)),
                 ..ClusterConfig::default()
             },
         );
@@ -1952,9 +1945,12 @@ mod tests {
                 hub_fraction: 0.2,
                 faults: FaultPlan::seeded(21)
                     .crash_node_after(1, 3)
-                    .crash_node_after(3, 12)
-                    .with_drop_probability(0.25)
-                    .with_corrupt_probability(0.2),
+                    .crash_node_after(3, 12),
+                chaos: Some(
+                    ChaosPlan::seeded(21)
+                        .with_hub_drop_probability(0.25)
+                        .with_corrupt_probability(0.2),
+                ),
                 ..ClusterConfig::default()
             },
         );
@@ -1970,7 +1966,7 @@ mod tests {
             ClusterConfig {
                 nodes: 4,
                 hub_fraction: 0.3,
-                faults: FaultPlan::seeded(8).with_corrupt_probability(0.3),
+                chaos: Some(ChaosPlan::seeded(8).with_corrupt_probability(0.3)),
                 ..ClusterConfig::default()
             },
         );
@@ -1995,7 +1991,7 @@ mod tests {
             ClusterConfig {
                 nodes: 4,
                 hub_fraction: 0.0,
-                faults: FaultPlan::seeded(8).with_corrupt_probability(0.3),
+                chaos: Some(ChaosPlan::seeded(8).with_corrupt_probability(0.3)),
                 retry: RetryPolicy {
                     max_resends: 0,
                     base_ms: 0,

@@ -1,23 +1,21 @@
-//! Deterministic fault injection for the simulated cluster.
+//! Deterministic node faults for the simulated cluster.
 //!
-//! A [`FaultPlan`] describes which faults a run should suffer: node
-//! crashes (a node stops dead after completing its k-th source), dropped
-//! hub broadcasts, and bit-flipped row payloads. Every decision is a pure
-//! function of the plan's seed and the message coordinates (sender,
-//! receiver, source, delivery attempt) — never of wall-clock time or
-//! thread interleaving — so a given plan injects exactly the same faults
-//! on every run. That is what makes the recovery invariant testable: the
-//! driver must produce a bit-identical [`DistanceMatrix`] under any plan
-//! that leaves at least one node alive.
+//! A [`FaultPlan`] says what a node does wrong: it crashes (stops dead
+//! after emitting its k-th row) or stalls (goes silent for a while, then
+//! resumes). What the wire does wrong — dropped hub relays, bit flips,
+//! delay, duplication, partitions — is a [`ChaosPlan`]'s business. Every
+//! decision is a pure function of the plan's seed and the node's
+//! coordinates, never of wall-clock time or thread interleaving, so a
+//! given plan injects exactly the same faults on every run. That is what
+//! makes the recovery invariant testable: the driver must produce a
+//! bit-identical [`DistanceMatrix`] under any plan that leaves at least
+//! one node alive.
 //!
+//! [`ChaosPlan`]: crate::ChaosPlan
 //! [`DistanceMatrix`]: parapsp_core::DistanceMatrix
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Address used for the driver in decision coordinates (the driver is not
-/// a node, so no node index can collide with it).
-pub(crate) const DRIVER: u64 = u64::MAX;
 
 /// A reproducible schedule of faults for one [`DistEngine`] run.
 ///
@@ -28,9 +26,8 @@ pub(crate) const DRIVER: u64 = u64::MAX;
 /// use parapsp_dist::FaultPlan;
 ///
 /// let plan = FaultPlan::seeded(7)
-///     .crash_node_after(1, 3)        // node 1 dies after its 3rd source
-///     .with_drop_probability(0.2)    // 20% of hub broadcasts vanish
-///     .with_corrupt_probability(0.1); // 10% of row payloads get a bit flip
+///     .crash_node_after(1, 3)         // node 1 dies after its 3rd source
+///     .stall_node_after(2, 5, 100);   // node 2 goes quiet for 100 ms
 /// assert!(!plan.is_inert());
 /// assert_eq!(FaultPlan::default(), FaultPlan::seeded(0));
 /// ```
@@ -41,13 +38,10 @@ pub struct FaultPlan {
     seed: u64,
     crashes: Vec<(usize, u64)>,
     stalls: Vec<(usize, u64, u64)>,
-    drop_probability: f64,
-    corrupt_probability: f64,
 }
 
 impl FaultPlan {
-    /// A plan with no faults; the seed only matters once probabilities or
-    /// crashes are added.
+    /// A plan with no faults; the seed only keys the retry backoff jitter.
     pub fn seeded(seed: u64) -> Self {
         FaultPlan {
             seed,
@@ -73,43 +67,9 @@ impl FaultPlan {
         self
     }
 
-    /// Drops each hub broadcast independently with probability `p`.
-    /// Dropped rows only cost reuse opportunity — exactness is unaffected.
-    ///
-    /// # Panics
-    /// If `p` is outside `[0, 1]`.
-    pub fn with_drop_probability(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "drop probability {p} outside [0, 1]"
-        );
-        self.drop_probability = p;
-        self
-    }
-
-    /// Flips one bit of each row payload independently with probability
-    /// `q`, on hub broadcasts and gather rows alike. Corrupted rows fail
-    /// their checksum at the receiver and are rejected; gather rows are
-    /// then re-requested. `q` must stay below 1 or re-delivery could never
-    /// succeed.
-    ///
-    /// # Panics
-    /// If `q` is outside `[0, 1)`.
-    pub fn with_corrupt_probability(mut self, q: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&q),
-            "corrupt probability {q} outside [0, 1)"
-        );
-        self.corrupt_probability = q;
-        self
-    }
-
     /// Whether this plan injects no faults at all.
     pub fn is_inert(&self) -> bool {
-        self.crashes.is_empty()
-            && self.stalls.is_empty()
-            && self.drop_probability == 0.0
-            && self.corrupt_probability == 0.0
+        self.crashes.is_empty() && self.stalls.is_empty()
     }
 
     /// The source count after which `node` crashes, if it is scheduled to.
@@ -142,44 +102,9 @@ impl FaultPlan {
             .random_range(0..=span)
     }
 
-    /// Whether the broadcast of `source`'s row from `from` to `to` is lost.
-    pub(crate) fn drops_broadcast(&self, from: u64, to: u64, source: u32) -> bool {
-        self.drop_probability > 0.0
-            && self
-                .decision_rng(0x44524F50, from, to, u64::from(source))
-                .random_bool(self.drop_probability)
-    }
-
-    /// Whether delivery `attempt` of `source`'s row from `from` to `to`
-    /// arrives with a flipped bit.
-    pub(crate) fn corrupts_payload(&self, from: u64, to: u64, source: u32, attempt: u64) -> bool {
-        self.corrupt_probability > 0.0
-            && self
-                .decision_rng(0x464C4950, from, to, u64::from(source) ^ (attempt << 32))
-                .random_bool(self.corrupt_probability)
-    }
-
-    /// Flips one deterministically chosen bit of `row` (the simulated
-    /// transmission error behind [`corrupts_payload`](Self::corrupts_payload)).
-    pub(crate) fn corrupt_row(
-        &self,
-        from: u64,
-        to: u64,
-        source: u32,
-        attempt: u64,
-        row: &mut [u32],
-    ) {
-        if row.is_empty() {
-            return;
-        }
-        let mut rng = self.decision_rng(0x42495421, from, to, u64::from(source) ^ (attempt << 32));
-        let word = rng.random_range(0..row.len());
-        let bit = rng.random_range(0..32u32);
-        row[word] ^= 1 << bit;
-    }
-
     /// Serializes the plan for the socket transport's `SETUP` frame, so a
-    /// worker process draws exactly the decisions an in-process node would.
+    /// worker process crashes, stalls and backs off exactly where an
+    /// in-process node would.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.seed.to_le_bytes());
         out.extend_from_slice(&(self.crashes.len() as u32).to_le_bytes());
@@ -193,8 +118,6 @@ impl FaultPlan {
             out.extend_from_slice(&k.to_le_bytes());
             out.extend_from_slice(&ms.to_le_bytes());
         }
-        out.extend_from_slice(&self.drop_probability.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.corrupt_probability.to_bits().to_le_bytes());
     }
 
     /// Inverse of [`encode`](Self::encode); `None` on a malformed buffer.
@@ -217,17 +140,10 @@ impl FaultPlan {
                 ))
             })
             .collect::<Option<Vec<_>>>()?;
-        let drop_probability = f64::from_bits(crate::wire::take_u64(buf)?);
-        let corrupt_probability = f64::from_bits(crate::wire::take_u64(buf)?);
-        if !(0.0..=1.0).contains(&drop_probability) || !(0.0..1.0).contains(&corrupt_probability) {
-            return None;
-        }
         Some(FaultPlan {
             seed,
             crashes,
             stalls,
-            drop_probability,
-            corrupt_probability,
         })
     }
 
@@ -254,38 +170,7 @@ mod tests {
         let plan = FaultPlan::default();
         assert!(plan.is_inert());
         assert_eq!(plan.crash_after(0), None);
-        assert!(!plan.drops_broadcast(0, 1, 5));
-        assert!(!plan.corrupts_payload(0, DRIVER, 5, 0));
-    }
-
-    #[test]
-    fn decisions_are_reproducible_and_coordinate_sensitive() {
-        let plan = FaultPlan::seeded(42).with_drop_probability(0.5);
-        let again = FaultPlan::seeded(42).with_drop_probability(0.5);
-        let mut differs = false;
-        for source in 0..64u32 {
-            assert_eq!(
-                plan.drops_broadcast(0, 1, source),
-                again.drops_broadcast(0, 1, source),
-                "decision must be a pure function of plan + coordinates"
-            );
-            if plan.drops_broadcast(0, 1, source) != plan.drops_broadcast(1, 0, source) {
-                differs = true;
-            }
-        }
-        assert!(differs, "direction must enter the decision");
-    }
-
-    #[test]
-    fn drop_rate_tracks_probability() {
-        let plan = FaultPlan::seeded(7).with_drop_probability(0.3);
-        let dropped = (0..2000u32)
-            .filter(|&s| plan.drops_broadcast(2, 3, s))
-            .count();
-        assert!(
-            (450..750).contains(&dropped),
-            "got {dropped} drops of 2000 at p=0.3"
-        );
+        assert_eq!(plan.stall_after(0), None);
     }
 
     #[test]
@@ -312,40 +197,5 @@ mod tests {
             .crash_node_after(2, 4);
         assert_eq!(plan.crash_after(2), Some(4));
         assert_eq!(plan.crash_after(0), None);
-    }
-
-    #[test]
-    fn corruption_flips_exactly_one_bit_deterministically() {
-        let plan = FaultPlan::seeded(3).with_corrupt_probability(0.5);
-        let clean = vec![5u32, 6, 7, 8];
-        let mut a = clean.clone();
-        let mut b = clean.clone();
-        plan.corrupt_row(1, DRIVER, 9, 0, &mut a);
-        plan.corrupt_row(1, DRIVER, 9, 0, &mut b);
-        assert_eq!(a, b, "same coordinates must flip the same bit");
-        let flipped: u32 = clean
-            .iter()
-            .zip(&a)
-            .map(|(x, y)| (x ^ y).count_ones())
-            .sum();
-        assert_eq!(flipped, 1);
-        let mut c = clean.clone();
-        plan.corrupt_row(1, DRIVER, 9, 1, &mut c);
-        assert_ne!(
-            a, c,
-            "different attempts should usually flip different bits"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "corrupt probability")]
-    fn certain_corruption_is_rejected() {
-        let _ = FaultPlan::seeded(0).with_corrupt_probability(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "drop probability")]
-    fn out_of_range_drop_probability_is_rejected() {
-        let _ = FaultPlan::seeded(0).with_drop_probability(1.5);
     }
 }

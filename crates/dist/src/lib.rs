@@ -37,14 +37,16 @@
 //!
 //! # Fault tolerance
 //!
-//! Runs can be subjected to a deterministic [`FaultPlan`]: node crashes,
-//! dropped hub broadcasts, and bit-flipped row payloads. Rows are streamed
-//! to the driver with checksums as they complete, crashed nodes are
-//! detected through bounded-timeout heartbeats on their disconnected
-//! channels, and their unfinished sources are re-dealt to survivors — so
-//! any plan that leaves at least one node alive yields a distance matrix
-//! bit-identical to the fault-free run (see the `cluster` module docs for
-//! the protocol).
+//! Runs can be subjected to a deterministic [`FaultPlan`], which says
+//! what a node does wrong (crashes and stalls), and a [`ChaosPlan`],
+//! which says what the wire does wrong (dropped hub relays, bit-flipped
+//! row payloads, delay, duplication, partitions). Rows are streamed to
+//! the driver with checksums as they complete, crashed nodes are detected
+//! through bounded-timeout heartbeats on their disconnected channels, and
+//! their unfinished sources are re-dealt to survivors — so any plan that
+//! leaves at least one node alive yields a distance matrix bit-identical
+//! to the fault-free run (see the `cluster` module docs for the
+//! protocol).
 
 #![warn(missing_docs)]
 
@@ -69,10 +71,11 @@
 //! ledger and becomes restartable: a new driver incarnation pointed at
 //! the same file replays the valid prefix, re-handshakes returning
 //! workers under the run's id and a bumped epoch, and re-deals only the
-//! missing sources. A [`ChaosPlan`]
-//! additionally subjects the node→driver event path to seeded,
-//! deterministic delay, duplication, reordering, payload corruption, and
-//! one-way partitions — on either transport backend.
+//! missing sources. A [`ChaosPlan`] subjects the node→driver event path
+//! to seeded, deterministic delay, duplication, reordering, payload
+//! corruption and one-way partitions, and drops hub relays on the way
+//! back — on either transport backend, since both route hub rows through
+//! the driver.
 
 mod chaos;
 mod cluster;

@@ -139,16 +139,16 @@ impl RowMessage {
     }
 }
 
-/// A sealed row borrowed from wherever it lives — a node's own rows, or a
-/// corrupted copy of one — on its way out. Senders encode it straight
-/// into a frame, so a row crosses the socket wire with one copy.
+/// A sealed row borrowed from the node's own rows on its way out. Senders
+/// encode it straight into a frame, so a row crosses the socket wire with
+/// one copy.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RowRef<'a> {
     /// Global source vertex of the row.
     pub source: u32,
     /// FNV-1a checksum the sender sealed the row with.
     pub checksum: u32,
-    /// The payload (possibly corrupted after sealing by an injected fault).
+    /// The payload.
     pub row: &'a [u32],
 }
 

@@ -590,6 +590,7 @@ impl Transport for SocketTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosPlan;
     use crate::cluster::{dist_apsp, dist_apsp_cancellable, ClusterConfig};
     use crate::fault::FaultPlan;
     use crate::transport::{BindSpec, ConnectRetry, SocketConfig, TransportSpec, WorkerMode};
@@ -665,10 +666,12 @@ mod tests {
             &g,
             ClusterConfig {
                 nodes: 3,
-                faults: FaultPlan::seeded(21)
-                    .crash_node_after(1, 2)
-                    .with_drop_probability(0.25)
-                    .with_corrupt_probability(0.2),
+                faults: FaultPlan::seeded(21).crash_node_after(1, 2),
+                chaos: Some(
+                    ChaosPlan::seeded(21)
+                        .with_hub_drop_probability(0.25)
+                        .with_corrupt_probability(0.2),
+                ),
                 transport: TransportSpec::Socket(fast_socket(WorkerMode::Threads)),
                 ..ClusterConfig::default()
             },
@@ -838,17 +841,17 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
-    fn a_worker_of_wire_v3_is_refused_at_hello() {
+    fn a_worker_of_wire_v4_is_refused_at_hello() {
         use crate::cluster::RetryPolicy;
         use crate::node::NodeSolver;
         let (driver_end, worker_end) = UnixStream::pair().unwrap();
         let mut worker = WireStream::Unix(worker_end);
-        // A v3 worker would read no solver byte from the Setup; the
-        // driver never sends it one.
+        // A v4 worker would read two probabilities the v5 Setup no longer
+        // carries; the driver never sends it one.
         write_frame(
             &mut worker,
             &Frame::Hello {
-                version: 3,
+                version: 4,
                 reconnects: 0,
                 run_id: 0,
                 epoch: 0,
@@ -876,9 +879,9 @@ mod tests {
             &fast_socket(WorkerMode::External),
         )
         .err()
-        .expect("a v3 Hello must be refused");
+        .expect("a v4 Hello must be refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("protocol v3, driver v4"), "{err}");
+        assert!(err.to_string().contains("protocol v4, driver v5"), "{err}");
         // The refused worker reads EOF, not a Setup.
         worker
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -900,8 +903,8 @@ mod tests {
                 hub_fraction: 0.2,
                 faults: FaultPlan::seeded(5)
                     .crash_node_after(0, 7)
-                    .stall_node_after(1, 5, 50)
-                    .with_corrupt_probability(0.2),
+                    .stall_node_after(1, 5, 50),
+                chaos: Some(ChaosPlan::seeded(5).with_corrupt_probability(0.2)),
                 transport: TransportSpec::Socket(fast_socket(WorkerMode::Threads)),
                 ..ClusterConfig::default()
             },

@@ -15,7 +15,9 @@
 //! sockets to real worker processes). The node side is likewise written
 //! once against [`NodeIo`], so an in-process node thread and a remote
 //! worker process run byte-for-byte the same protocol logic — including
-//! every deterministic fault decision.
+//! every deterministic fault decision. On both backends every message
+//! goes between a node and the driver: a hub row for a peer goes up as a
+//! `HubFwd` event and comes down as a `Hub` relay.
 
 use std::time::Duration;
 
@@ -162,8 +164,7 @@ impl Default for SocketConfig {
 /// A control message from the driver to one node.
 #[derive(Debug, Clone)]
 pub(crate) enum NodeControl {
-    /// A hub row broadcast by a peer (relayed by the driver on the socket
-    /// transport, sent directly on channels).
+    /// A hub row broadcast by a peer, relayed by the driver.
     Hub(RowMessage),
     /// Take ownership of this source.
     Assign(u32),
@@ -178,7 +179,7 @@ pub(crate) enum NodeControl {
 pub(crate) enum NodeEvent {
     /// A completed (possibly corrupted-in-flight) gather row.
     Row(RowMessage),
-    /// Socket transport only: relay this hub row to peer `to`.
+    /// Relay this hub row to peer `to`.
     HubFwd {
         /// Destination node id.
         to: usize,
@@ -220,8 +221,8 @@ pub(crate) trait Transport: ControlSink {
 pub(crate) struct ChannelTransport {
     /// Driver → node control mailboxes.
     pub control_tx: Vec<Sender<NodeControl>>,
-    /// Node → driver gather streams (disconnect = crash).
-    pub gather_rx: Vec<Receiver<RowMessage>>,
+    /// Node → driver event streams (disconnect = crash).
+    pub gather_rx: Vec<Receiver<NodeEvent>>,
 }
 
 impl ControlSink for ChannelTransport {
@@ -233,7 +234,7 @@ impl ControlSink for ChannelTransport {
 impl Transport for ChannelTransport {
     fn try_event(&mut self, node: usize) -> Polled {
         match self.gather_rx[node].try_recv() {
-            Ok(msg) => Polled::Event(NodeEvent::Row(msg)),
+            Ok(event) => Polled::Event(event),
             Err(TryRecvError::Empty) => Polled::Empty,
             Err(TryRecvError::Disconnected) => Polled::Down,
         }
@@ -241,7 +242,7 @@ impl Transport for ChannelTransport {
 
     fn event_timeout(&mut self, node: usize, timeout: Duration) -> Polled {
         match self.gather_rx[node].recv_timeout(timeout) {
-            Ok(msg) => Polled::Event(NodeEvent::Row(msg)),
+            Ok(event) => Polled::Event(event),
             Err(RecvTimeoutError::Timeout) => Polled::Empty,
             Err(RecvTimeoutError::Disconnected) => Polled::Down,
         }
@@ -258,8 +259,8 @@ pub(crate) trait NodeIo {
     /// Blocking inbox read. The node loop sends every row it holds back
     /// first, so the driver is never starved while the node waits for it.
     fn recv(&mut self) -> Result<NodeControl, Disconnected>;
-    /// Broadcasts a sealed hub row toward peer `peer` (directly on
-    /// channels; via driver relay on sockets).
+    /// Sends a sealed hub row for peer `peer` to the driver, which
+    /// relays it.
     fn send_hub(&mut self, peer: usize, row: RowRef<'_>);
     /// Completed rows the node loop collects before sealing them together
     /// and calling [`NodeIo::send_rows`] (idle nodes send fewer).
@@ -274,15 +275,10 @@ pub(crate) struct Disconnected;
 
 /// [`NodeIo`] over crossbeam channels (the in-process backend).
 pub(crate) struct ChannelNodeIo {
-    /// This node's id, to skip itself when broadcasting.
-    pub k: usize,
     /// Control inbox.
     pub inbox: Receiver<NodeControl>,
-    /// Every node's control mailbox (peer `k` delivers hub rows
-    /// directly).
-    pub peers: Vec<Sender<NodeControl>>,
-    /// Gather stream to the driver.
-    pub gather: Sender<RowMessage>,
+    /// Event stream to the driver: gather rows and hub rows to relay.
+    pub gather: Sender<NodeEvent>,
 }
 
 impl NodeIo for ChannelNodeIo {
@@ -299,10 +295,10 @@ impl NodeIo for ChannelNodeIo {
     }
 
     fn send_hub(&mut self, peer: usize, row: RowRef<'_>) {
-        debug_assert_ne!(peer, self.k, "a node never broadcasts to itself");
-        // A disconnected peer (crashed) is not an error: hub rows are an
-        // optimization.
-        let _ = self.peers[peer].send(NodeControl::Hub(row.to_message()));
+        let _ = self.gather.send(NodeEvent::HubFwd {
+            to: peer,
+            msg: row.to_message(),
+        });
     }
 
     fn row_batch(&self) -> usize {
@@ -312,7 +308,7 @@ impl NodeIo for ChannelNodeIo {
 
     fn send_rows(&mut self, rows: &[RowRef<'_>]) {
         for &row in rows {
-            let _ = self.gather.send(row.to_message());
+            let _ = self.gather.send(NodeEvent::Row(row.to_message()));
         }
     }
 }

@@ -35,8 +35,10 @@ pub(crate) const MAGIC: u8 = 0xA5;
 /// rejects workers announcing a different version during the handshake.
 /// Version 2 added the run-id/epoch fields to `Hello` and `Setup` for
 /// driver-restart re-handshakes; version 3 added the distance cap to
-/// `Setup`; version 4 added the node solver to `Setup`.
-pub(crate) const PROTOCOL_VERSION: u16 = 4;
+/// `Setup`; version 4 added the node solver to `Setup`; version 5 took
+/// the hub-drop and corrupt probabilities out of `Setup`'s fault plan
+/// (wire faults belong to the driver's `ChaosPlan` now).
+pub(crate) const PROTOCOL_VERSION: u16 = 5;
 
 /// Upper bound on a single frame payload (defense against a corrupt or
 /// hostile length prefix allocating unbounded memory).
@@ -87,8 +89,9 @@ pub(crate) struct WorkerSetup {
     pub hubs: Vec<u32>,
     /// Sources this worker owns initially, in assignment order.
     pub owned: Vec<u32>,
-    /// The deterministic fault plan (so injected faults draw the same
-    /// decisions a simulated in-process node would).
+    /// The node fault plan: its crashes, stalls and backoff-jitter seed,
+    /// so a worker crashes, stalls and backs off exactly where a simulated
+    /// in-process node would.
     pub faults: FaultPlan,
     /// The replicated graph.
     pub graph: CsrGraph,
@@ -119,12 +122,12 @@ pub(crate) enum Frame {
     Ready,
     /// Worker → driver: a batch of completed gather rows.
     Rows(Vec<RowMessage>),
-    /// Worker → driver: relay this hub row to peer `to` (the socket
-    /// topology is a star, so peer traffic bounces off the driver).
+    /// Worker → driver: relay this hub row to peer `to` (the topology is
+    /// a star, so peer traffic bounces off the driver).
     HubFwd {
         /// Destination node id.
         to: u32,
-        /// The sealed row (faults already applied at the origin).
+        /// The sealed row.
         msg: RowMessage,
     },
     /// Driver → worker: a hub row relayed from a peer.
@@ -624,9 +627,7 @@ mod tests {
             owned: vec![2, 6, 10],
             faults: FaultPlan::seeded(9)
                 .crash_node_after(1, 4)
-                .stall_node_after(0, 2, 30)
-                .with_drop_probability(0.25)
-                .with_corrupt_probability(0.125),
+                .stall_node_after(0, 2, 30),
             graph: graph.clone(),
         };
         let Frame::Setup(decoded) = roundtrip(&Frame::Setup(Box::new(setup.clone()))) else {
@@ -683,7 +684,7 @@ mod tests {
     #[test]
     fn corrupted_row_checksum_survives_the_wire_verbatim() {
         let mut msg = RowMessage::new(3, vec![1, 2, 3]);
-        msg.row[1] ^= 1 << 5; // sender-side injected bit flip
+        msg.row[1] ^= 1 << 5; // in-flight bit flip
         assert!(!msg.verify());
         let Frame::Hub(decoded) = roundtrip(&Frame::Hub(msg)) else {
             panic!("hub decoded as a different kind");

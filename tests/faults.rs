@@ -2,10 +2,11 @@
 //!
 //! The two robustness invariants:
 //!
-//! * Under any seeded fault plan that leaves at least one cluster node
-//!   alive — crashes, dropped hub broadcasts, corrupted row payloads,
-//!   in any combination — the distributed run recovers and produces a
-//!   matrix *bit-identical* to the fault-free run. Recovery can only
+//! * Under any seeded node fault plan that leaves at least one cluster
+//!   node alive (crashes) and any seeded wire chaos (dropped hub relays,
+//!   corrupted row payloads, delay, duplication, partitions), in any
+//!   combination, the distributed run recovers and produces a matrix
+//!   *bit-identical* to the fault-free run. Recovery can only
 //!   reassign work and retry messages; it can never change a distance,
 //!   because every row is exact regardless of which node computes it.
 //! * A run killed midway leaves a version-2 checkpoint from which a
@@ -19,7 +20,7 @@ use proptest::prelude::*;
 
 use parapsp::core::engine::{ApspEngine, RunConfig, Runner};
 use parapsp::core::persist::{self, Checkpoint};
-use parapsp::core::{ApspOutput, RunOutcome};
+use parapsp::core::{ApspOutput, RunOutcome, SolverKind};
 use parapsp::dist::{
     ChaosPlan, ClusterConfig, DistApspOutput, DistEngine, FaultPlan, SocketConfig, TransportSpec,
     WorkerMode,
@@ -35,8 +36,12 @@ fn run_par_resumed(threads: usize, graph: &CsrGraph, checkpoint: Checkpoint) -> 
     Runner::new(RunConfig::par_apsp(threads)).run_resumed(ApspEngine::new(), graph, checkpoint)
 }
 
-fn dist_apsp(graph: &CsrGraph, config: ClusterConfig) -> DistApspOutput {
-    Runner::new(RunConfig::new(1)).run(DistEngine::new(config), graph)
+/// A dist run with the paper's kernel on every node, so hubs are dealt
+/// and relayed (and hub drops have something to drop) even on a graph
+/// whose weights all came out 1.
+fn dist_apsp_dijkstra(graph: &CsrGraph, config: ClusterConfig) -> DistApspOutput {
+    Runner::new(RunConfig::new(1).with_solver(SolverKind::Dijkstra))
+        .run(DistEngine::new(config), graph)
 }
 
 /// An arbitrary graph with up to `max_n` vertices and `max_m` edges,
@@ -59,21 +64,23 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {
     })
 }
 
-/// A cluster size together with a fault plan that never crashes *all*
-/// nodes: random seed, crash schedule, drop and corruption rates.
-fn arb_cluster_faults() -> impl Strategy<Value = (usize, FaultPlan)> {
+/// A cluster size together with a node fault plan that never crashes
+/// *all* nodes and a wire chaos plan that drops hub relays and corrupts
+/// payloads: random seed, crash schedule, drop and corruption rates.
+fn arb_cluster_faults() -> impl Strategy<Value = (usize, FaultPlan, ChaosPlan)> {
     (2usize..5).prop_flat_map(|nodes| {
         (
             Just(nodes),
             any::<u64>(),
             proptest::collection::vec((0..nodes, 0u64..6), 0..nodes * 2),
-            0.0f64..0.5,
+            0.05f64..0.5,
             0.0f64..0.4,
         )
             .prop_map(|(nodes, seed, crashes, drop_p, corrupt_p)| {
-                let mut plan = FaultPlan::seeded(seed)
-                    .with_drop_probability(drop_p)
+                let chaos = ChaosPlan::seeded(seed)
+                    .with_hub_drop_probability(drop_p)
                     .with_corrupt_probability(corrupt_p);
+                let mut plan = FaultPlan::seeded(seed);
                 // Admit crashes only while at least one node stays alive.
                 let mut crashed = vec![false; nodes];
                 for (node, after) in crashes {
@@ -84,7 +91,7 @@ fn arb_cluster_faults() -> impl Strategy<Value = (usize, FaultPlan)> {
                         plan = plan.crash_node_after(node, after);
                     }
                 }
-                (nodes, plan)
+                (nodes, plan, chaos)
             })
     })
 }
@@ -92,18 +99,19 @@ fn arb_cluster_faults() -> impl Strategy<Value = (usize, FaultPlan)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The invariant holds over BOTH transports with the same fault plan:
-    // the node loop is shared code, so every deterministic fault decision
-    // fires at identical coordinates whether rows cross a crossbeam
-    // channel or a length-prefix-framed TCP socket to worker threads.
+    // The invariant holds over BOTH transports with the same plans: the
+    // node loop is shared code, so every crash fires at the same emitted
+    // row, and the chaos layer sits at the driver of either backend, so
+    // every hub relay and gather row crosses it whether it travels a
+    // crossbeam channel or a length-prefix-framed TCP socket.
     #[test]
     fn recovered_matrix_is_bit_identical_to_fault_free_run(
         graph in arb_graph(40, 180),
         cluster in arb_cluster_faults(),
-        hub_fraction in 0.0f64..=0.3,
+        hub_fraction in 0.05f64..=0.3,
     ) {
-        let (nodes, faults) = cluster;
-        let clean = dist_apsp(&graph, ClusterConfig {
+        let (nodes, faults, chaos) = cluster;
+        let clean = dist_apsp_dijkstra(&graph, ClusterConfig {
             nodes,
             hub_fraction,
             ..ClusterConfig::default()
@@ -119,10 +127,11 @@ proptest! {
                 TransportSpec::InProcess => "channel",
                 TransportSpec::Socket(_) => "socket",
             };
-            let faulty = dist_apsp(&graph, ClusterConfig {
+            let faulty = dist_apsp_dijkstra(&graph, ClusterConfig {
                 nodes,
                 hub_fraction,
                 faults: faults.clone(),
+                chaos: Some(chaos.clone()),
                 transport,
                 ..ClusterConfig::default()
             });
@@ -143,33 +152,32 @@ proptest! {
         }
     }
 
-    // The same invariant under an adversarial *network*: seeded delay,
-    // duplication, reordering, payload corruption, and one-way partitions
-    // on the node→driver path — combined with the crash/drop/corrupt
-    // fault plan — still yield the exact matrix on both transports.
+    // The same invariant under a fully adversarial *network*: seeded
+    // delay, duplication, reordering and one-way partitions on top of the
+    // hub drops and payload corruption — combined with the crash plan —
+    // still yield the exact matrix on both transports.
     #[test]
     fn chaotic_network_still_recovers_bit_identically(
         graph in arb_graph(32, 140),
         cluster in arb_cluster_faults(),
-        chaos_seed in any::<u64>(),
         delay_p in 0.0f64..0.6,
         max_delay in 1u64..8,
         dup_p in 0.0f64..0.4,
-        corrupt_p in 0.0f64..0.3,
         partition in (0usize..4, 0u64..30, 1u64..40),
     ) {
-        let (nodes, faults) = cluster;
+        let (nodes, faults, chaos) = cluster;
         let (victim, from_poll, polls) = partition;
-        let chaos = ChaosPlan::seeded(chaos_seed)
+        let chaos = chaos
             .with_delay(delay_p, max_delay)
             .with_duplicate_probability(dup_p)
-            .with_corrupt_probability(corrupt_p)
             .with_control_duplicate_probability(dup_p)
             .partition_node(victim % nodes, from_poll, polls);
-        let clean = dist_apsp(&graph, ClusterConfig {
+        let hubs = ClusterConfig {
             nodes,
+            hub_fraction: 0.2,
             ..ClusterConfig::default()
-        });
+        };
+        let clean = dist_apsp_dijkstra(&graph, hubs.clone());
         for transport in [
             TransportSpec::InProcess,
             TransportSpec::Socket(SocketConfig {
@@ -181,12 +189,11 @@ proptest! {
                 TransportSpec::InProcess => "channel",
                 TransportSpec::Socket(_) => "socket",
             };
-            let stormy = dist_apsp(&graph, ClusterConfig {
-                nodes,
+            let stormy = dist_apsp_dijkstra(&graph, ClusterConfig {
                 faults: faults.clone(),
                 chaos: Some(chaos.clone()),
                 transport,
-                ..ClusterConfig::default()
+                ..hubs.clone()
             });
             prop_assert_eq!(
                 clean.dist.first_difference(&stormy.dist), None,
@@ -354,12 +361,18 @@ fn expired_deadline_stops_immediately_with_a_resumable_checkpoint() {
 
 /// The acceptance gate, deterministically: fifty distinct seeded chaos
 /// plans — sweeping delay, duplication, corruption, control duplication,
-/// and a rotating one-way partition — each run over both transports and
-/// under both node solvers (the weighted graph runs the paper's kernel,
-/// its unit-weight twin the multi-source BFS), and every single matrix
-/// bit-identical to the chaos-free reference.
+/// hub drops and a rotating one-way partition — each run over both
+/// transports and under both node solvers (the weighted graph pinned to
+/// the paper's kernel, so hubs are dealt and relayed; its unit-weight twin
+/// on the multi-source BFS), and every single matrix bit-identical to the
+/// chaos-free reference.
 #[test]
 fn fifty_seeded_chaos_plans_recover_exactly_on_both_transports() {
+    let cluster = ClusterConfig {
+        nodes: 3,
+        hub_fraction: 0.2,
+        ..ClusterConfig::default()
+    };
     let twin = |unit: bool| {
         let mut b = GraphBuilder::new(36, Direction::Undirected);
         for v in 1..36u32 {
@@ -368,14 +381,14 @@ fn fifty_seeded_chaos_plans_recover_exactly_on_both_transports() {
             b.add_edge(v / 2, v, w2).unwrap();
         }
         let graph = b.build();
-        let reference = dist_apsp(
-            &graph,
-            ClusterConfig {
-                nodes: 3,
-                ..ClusterConfig::default()
-            },
-        );
-        (graph, reference)
+        let solver = if unit {
+            SolverKind::Auto
+        } else {
+            SolverKind::Dijkstra
+        };
+        let runner = Runner::new(RunConfig::new(1).with_solver(solver));
+        let reference = runner.run(DistEngine::new(cluster.clone()), &graph);
+        (graph, runner, reference)
     };
     let twins = [twin(false), twin(true)];
 
@@ -385,6 +398,7 @@ fn fifty_seeded_chaos_plans_recover_exactly_on_both_transports() {
             .with_duplicate_probability((seed % 4) as f64 * 0.1)
             .with_corrupt_probability((seed % 3) as f64 * 0.1)
             .with_control_duplicate_probability((seed % 5) as f64 * 0.05)
+            .with_hub_drop_probability(0.1 + (seed % 4) as f64 * 0.2)
             .partition_node((seed % 3) as usize, seed % 13, 3 + seed % 25);
         for transport in [
             TransportSpec::InProcess,
@@ -397,15 +411,14 @@ fn fifty_seeded_chaos_plans_recover_exactly_on_both_transports() {
                 TransportSpec::InProcess => "channel",
                 TransportSpec::Socket(_) => "socket",
             };
-            for (graph, reference) in &twins {
-                let stormy = dist_apsp(
-                    graph,
-                    ClusterConfig {
-                        nodes: 3,
+            for (graph, runner, reference) in &twins {
+                let stormy = runner.run(
+                    DistEngine::new(ClusterConfig {
                         chaos: Some(chaos.clone()),
                         transport: transport.clone(),
-                        ..ClusterConfig::default()
-                    },
+                        ..cluster.clone()
+                    }),
+                    graph,
                 );
                 assert_eq!(
                     reference.dist.first_difference(&stormy.dist),
