@@ -6,7 +6,10 @@
 //! BA / ER / WS trio, ER and WS with weights 1..=1000 (wide weights on
 //! the dense regular WS class are where Δ-stepping wins), a sparse wide
 //! ER control, and the same BA / ER / WS trio with unit weights, where
-//! msbfs runs (it runs nowhere else: it needs unit weights). Each cell
+//! msbfs runs (it runs nowhere else: it needs unit weights), plus a
+//! square grid with unit weights: the high-diameter guard, where the
+//! MS-BFS runs ~2√n levels of thin frontiers instead of the small
+//! worlds' handful of wide ones. Each cell
 //! records wall time and the kernel's relaxations, queue pops and row
 //! reuses.
 //!
@@ -20,7 +23,9 @@
 use parapsp_bench::harness::{self, Arg, Bench, Sample};
 use parapsp_bench::time;
 use parapsp_core::{ApspEngine, RunConfig, Runner, SolverKind};
-use parapsp_graph::generate::{barabasi_albert, erdos_renyi_gnm, watts_strogatz, WeightSpec};
+use parapsp_graph::generate::{
+    barabasi_albert, erdos_renyi_gnm, grid_graph, watts_strogatz, WeightSpec,
+};
 use parapsp_graph::{CsrGraph, Direction};
 
 const BENCH: Bench = Bench {
@@ -52,6 +57,7 @@ fn solvers() -> [(&'static str, SolverKind); 4] {
 
 fn graphs(n: usize) -> Vec<(String, CsrGraph)> {
     let m = n * 4;
+    let side = (n as f64).sqrt().round() as usize;
     vec![
         (
             format!("ba_n{n}_w1-9"),
@@ -93,6 +99,7 @@ fn graphs(n: usize) -> Vec<(String, CsrGraph)> {
             format!("ws_n{n}_w1-1000"),
             watts_strogatz(n, 8, 0.2, WIDE, 44).expect("WS generation"),
         ),
+        (format!("grid_{side}x{side}_unit"), grid_graph(side, side)),
     ]
 }
 

@@ -112,7 +112,8 @@ graph-file options (stats, apsp, analyze, path, estimate):
   --threads <N>              worker threads, at least 1 (default: 4; not
                              read by stats)
 
-apsp options (every algorithm takes all of them unless noted):
+apsp options (every algorithm takes all of them unless noted; an
+option noted for `dist` is a usage error on any other algorithm):
   --algorithm <name>         par-apsp | par-alg1 | par-alg2 | par-adaptive |
                              seq-basic | seq-optimized | seq-adaptive | dist
   --nodes <P>                simulated cluster size for `dist`
@@ -174,7 +175,7 @@ apsp options (every algorithm takes all of them unless noted):
                              ledger, any other stop writes
                              <file>.interrupt.ckpt
 
-dist transport (default: in-process channels):
+dist transport (dist only; default: in-process channels):
   --transport <t>            channel | tcp | unix — tcp/unix run the
                              cluster over length-prefix-framed sockets to
                              real worker processes (spawned from this
@@ -212,7 +213,7 @@ node options (socket worker; driver supplies everything else):
                              run id/epoch until the dial budget runs out
                              exit codes: 0 clean, 3 injected crash
 
-dist fault injection (deterministic, seeded):
+dist fault injection (dist only; deterministic, seeded):
   --fault-seed <S>           seed for the node faults and the wire chaos
                              (default: 0)
   --crash <node:k[,..]>      crash node(s) after their k-th source
@@ -910,12 +911,54 @@ fn run_algorithm(
     settle(args, outcome)
 }
 
+/// The `apsp` options that only `dist` reads: the cluster shape, the
+/// socket transport and the fault plans.
+const DIST_OPTIONS: &[&str] = &[
+    "--nodes",
+    "--hub-fraction",
+    "--partition",
+    "--transport",
+    "--listen",
+    "--external",
+    "--heartbeat",
+    "--heartbeat-misses",
+    "--row-batch",
+    "--accept-timeout",
+    "--read-timeout",
+    "--write-timeout",
+    "--delay-ms",
+    "--fault-seed",
+    "--crash",
+    "--drop-prob",
+    "--corrupt-prob",
+];
+
+/// A dist-only option on any other algorithm is a usage error naming
+/// `dist`, before the graph is read (like `--credit-weight` off
+/// seq-adaptive).
+fn refuse_dist_options(args: &Args, kind: EngineKind) -> Result<(), CliError> {
+    if kind == EngineKind::Dist {
+        return Ok(());
+    }
+    let given = DIST_OPTIONS.iter().find(|option| {
+        let name = &option[2..];
+        args.get(name).is_some() || args.flag(name)
+    });
+    match given {
+        Some(option) => {
+            Err(format!("{option} works with dist (got `{}`)", kind.value_name()).into())
+        }
+        None => Ok(()),
+    }
+}
+
 /// `parapsp apsp <file>` (alias `run`) — run one algorithm and report.
 /// Returns the process exit code: 0 on success, 130 when interrupted with
 /// a checkpoint, 124 when a `--deadline` expired with a checkpoint.
 pub fn apsp(args: &Args) -> Result<i32, CliError> {
     let threads = threads(args)?;
     let algorithm = args.get_enum("algorithm", EngineKind::ParApsp)?;
+    refuse_dist_options(args, algorithm)?;
     let loaded = load(args).map_err(CliError::failure)?;
     check_matrix_budget(loaded.graph.vertex_count(), 1).map_err(CliError::failure)?;
     // A `--deadline` counts from here, after the graph is loaded.

@@ -243,6 +243,76 @@ fn drop_prob_on_a_dist_run_that_deals_no_hubs_is_a_usage_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The dist-only options used to be read only in the `dist` arm and
+/// ignored on every other algorithm (`--drop-prob 0.5 --crash 0:1
+/// --nodes 7` ran ParAPSP and exited 0). Each group is refused by name.
+#[test]
+fn cluster_shape_options_off_dist_are_usage_errors() {
+    for (option, value) in [
+        ("--nodes", "7"),
+        ("--hub-fraction", "0.2"),
+        ("--partition", "cyclic-id"),
+    ] {
+        refused(
+            &["apsp", "g.txt", option, value],
+            &format!("{option} works with dist (got `par-apsp`)"),
+        );
+    }
+}
+
+#[test]
+fn transport_options_off_dist_are_usage_errors() {
+    for args in [
+        &["--transport", "unix"][..],
+        &["--listen", "d.sock"],
+        &["--external"],
+        &["--heartbeat", "20"],
+        &["--heartbeat-misses", "5"],
+        &["--row-batch", "2"],
+        &["--accept-timeout", "3"],
+        &["--read-timeout", "10"],
+        &["--write-timeout", "100"],
+        &["--delay-ms", "1"],
+    ] {
+        let command = [&["apsp", "g.txt", "--algorithm", "seq-basic"][..], args].concat();
+        refused(
+            &command,
+            &format!("{} works with dist (got `seq-basic`)", args[0]),
+        );
+    }
+}
+
+#[test]
+fn fault_options_off_dist_are_usage_errors() {
+    for (option, value) in [
+        ("--fault-seed", "3"),
+        ("--crash", "0:1"),
+        ("--drop-prob", "0.5"),
+        ("--corrupt-prob", "0.1"),
+    ] {
+        refused(
+            &["run", "g.txt", "--algorithm", "par-adaptive", option, value],
+            &format!("{option} works with dist (got `par-adaptive`)"),
+        );
+    }
+    // The reported case: several at once, the first one is named.
+    refused(
+        &[
+            "apsp",
+            "s.txt",
+            "--drop-prob",
+            "0.5",
+            "--crash",
+            "0:1",
+            "--nodes",
+            "7",
+            "--transport",
+            "unix",
+        ],
+        "works with dist (got `par-apsp`)",
+    );
+}
+
 /// Every model writes unit weights: `--weights` used to be accepted and
 /// ignored, and no command reads it now.
 #[test]

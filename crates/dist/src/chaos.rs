@@ -279,7 +279,7 @@ struct Held {
 
 /// Applies a [`ChaosPlan`] to any [`Transport`], borrowing the real
 /// backend for the duration of the driver loop. The driver's polls are
-/// the chaos clock: every `try_event`/`event_timeout` call advances it by
+/// the chaos clock: every `try_event`/`wait` call advances it by
 /// one, which is what bounds every hold — as long as rows are missing the
 /// driver keeps polling, so every held event is eventually released.
 pub(crate) struct ChaosTransport<'a, T: Transport> {
@@ -427,8 +427,14 @@ impl<T: Transport> Transport for ChaosTransport<'_, T> {
         self.poll(node, |inner| inner.try_event(node))
     }
 
-    fn event_timeout(&mut self, node: usize, timeout: std::time::Duration) -> Polled {
-        self.poll(node, |inner| inner.event_timeout(node, timeout))
+    fn wait(&mut self, timeout: std::time::Duration) {
+        // A wait is a poll of the clock too. Held events are news that
+        // no node will ring for: with any held, the driver polls again
+        // at once, and the clock runs down their holds.
+        self.clock += 1;
+        if self.pending.iter().all(VecDeque::is_empty) {
+            self.inner.wait(timeout);
+        }
     }
 }
 
@@ -458,9 +464,7 @@ mod tests {
             }
         }
 
-        fn event_timeout(&mut self, node: usize, _timeout: Duration) -> Polled {
-            self.try_event(node)
-        }
+        fn wait(&mut self, _timeout: Duration) {}
     }
 
     fn row_event(source: u32) -> NodeEvent {

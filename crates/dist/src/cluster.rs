@@ -42,8 +42,8 @@ use crate::fault::FaultPlan;
 use crate::node::{row_checksum, NodeSolver, NodeState, RowMessage, RowRef};
 use crate::socket::{SocketStartError, SocketTransport};
 use crate::transport::{
-    ChannelNodeIo, ChannelTransport, ControlSink, NodeControl, NodeEvent, NodeIo, Polled,
-    SocketConfig, Transport, TransportSpec,
+    ChannelNodeIo, ChannelTransport, ControlSink, EventSender, NodeControl, NodeEvent, NodeIo,
+    Polled, SocketConfig, Transport, TransportSpec,
 };
 use crate::wire::WorkerSetup;
 
@@ -735,22 +735,19 @@ fn drive<T: Transport>(
         if driver.gathered >= n || progressed {
             continue;
         }
-        // Nothing queued anywhere: block — but never unboundedly — on a
-        // node that still owes rows, then re-poll the whole cluster. A
+        // Nothing queued anywhere: block — but never unboundedly — until
+        // any node sends or dies, then re-poll the whole cluster. A
         // deadline token bounds the blocking wait too, so a sleeping
         // driver wakes in time to stop (the bridge between cooperative
         // cancellation and blocking socket reads).
-        let watch = driver
-            .watch_target()
-            .expect("ungathered sources must have an alive owner");
+        assert!(
+            driver.watch_target().is_some(),
+            "ungathered sources must have an alive owner"
+        );
         let wait = token
             .and_then(|t| t.time_left())
             .map_or(config.heartbeat, |left| left.min(config.heartbeat));
-        match transport.event_timeout(watch, wait) {
-            Polled::Event(event) => driver.on_events(watch, vec![event], transport),
-            Polled::Empty => {}
-            Polled::Down => driver.on_crash(watch, transport),
-        }
+        transport.wait(wait);
     }
     None
 }
@@ -802,17 +799,20 @@ fn run_cluster_channels(
     let mut control_receivers = Vec::with_capacity(nodes);
     let mut gather_senders = Vec::with_capacity(nodes);
     let mut gather_receivers = Vec::with_capacity(nodes);
+    let (ring, bell) = unbounded();
     for _ in 0..nodes {
         let (ctx, crx) = unbounded();
         control_senders.push(ctx);
         control_receivers.push(Some(crx));
         let (gtx, grx) = unbounded();
-        gather_senders.push(Some(gtx));
+        gather_senders.push(Some(EventSender::new(gtx, ring.clone())));
         gather_receivers.push(grx);
     }
+    drop(ring);
     let mut transport = ChannelTransport {
         control_tx: control_senders,
         gather_rx: gather_receivers,
+        bell,
     };
 
     let plan = &config.faults;
@@ -1323,7 +1323,8 @@ impl Driver {
         }
     }
 
-    /// An alive node that still owes rows (the one to block on).
+    /// An alive node that still owes rows: the idle driver checks that
+    /// one exists, or its wait would be for nothing.
     fn watch_target(&self) -> Option<usize> {
         (0..self.nodes)
             .find(|&k| self.alive[k] && self.outstanding[k].iter().any(|&s| !self.got[s as usize]))
@@ -2623,9 +2624,7 @@ mod tests {
             self.events.pop_front().map_or(Polled::Empty, Polled::Event)
         }
 
-        fn event_timeout(&mut self, node: usize, _timeout: Duration) -> Polled {
-            self.try_event(node)
-        }
+        fn wait(&mut self, _timeout: Duration) {}
     }
 
     /// Checks that exactly the sources in `rejected` are missing from

@@ -223,7 +223,8 @@ impl NodeState {
     /// [`MSBFS_LANES`](parapsp_core::solver::MSBFS_LANES), none computed
     /// yet) and keeps their rows locally. It reads no held rows.
     pub(crate) fn run_batch(&mut self, graph: &CsrGraph, sources: &[u32]) {
-        let mut rows: Vec<Vec<u32>> = sources.iter().map(|_| vec![INF; self.n]).collect();
+        // The search writes every cell, so the rows need no INF fill.
+        let mut rows: Vec<Vec<u32>> = sources.iter().map(|_| vec![0; self.n]).collect();
         let mut lanes: Vec<&mut [u32]> = rows.iter_mut().map(Vec::as_mut_slice).collect();
         msbfs_into(
             graph,

@@ -39,7 +39,8 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvE
 use parapsp_parfor::{CancelStatus, CancelToken};
 
 use crate::transport::{
-    BindSpec, ControlSink, NodeControl, NodeEvent, Polled, SocketConfig, Transport, WorkerMode,
+    wait_for_bell, BindSpec, ControlSink, EventSender, NodeControl, NodeEvent, Polled,
+    SocketConfig, Transport, WorkerMode,
 };
 use crate::wire::{read_frame, write_frame, Frame, WorkerSetup, PROTOCOL_VERSION};
 
@@ -212,7 +213,7 @@ impl Read for PatientReader {
 /// Decodes frames from one worker into the driver's event stream. Exits
 /// (dropping `events`, which the driver reads as the node's death) on
 /// EOF, connection errors, framing corruption, or heartbeat silence.
-fn reader_loop(mut patient: PatientReader, events: Sender<NodeEvent>) {
+fn reader_loop(mut patient: PatientReader, events: EventSender) {
     loop {
         let frame = match read_frame(&mut patient) {
             Ok(frame) => frame,
@@ -264,6 +265,8 @@ impl Link {
 /// The socket backend of the [`Transport`] seam.
 pub(crate) struct SocketTransport {
     links: Vec<Link>,
+    /// Rung by every reader thread's [`EventSender`].
+    bell: Receiver<()>,
     worker_threads: Vec<std::thread::JoinHandle<()>>,
     children: Vec<Child>,
     /// Unix socket path to unlink at teardown.
@@ -361,6 +364,7 @@ impl SocketTransport {
         // so early workers stream rows while later ones still dial in.
         let deadline = Instant::now() + config.accept_timeout;
         let mut links: Vec<Link> = Vec::with_capacity(nodes);
+        let (ring, bell) = unbounded();
         while links.len() < nodes {
             if let Some(token) = token {
                 let status = token.poll();
@@ -379,7 +383,7 @@ impl SocketTransport {
                     let slot = links.len();
                     // A botched handshake does not consume the slot: the
                     // worker that matters may still be dialing.
-                    if let Ok(link) = handshake(stream, &setups[slot], config) {
+                    if let Ok(link) = handshake(stream, &setups[slot], config, &ring) {
                         links.push(link);
                     }
                 }
@@ -402,6 +406,7 @@ impl SocketTransport {
         Ok((
             SocketTransport {
                 links,
+                bell,
                 worker_threads,
                 children,
                 cleanup_path,
@@ -464,7 +469,12 @@ impl Drop for SocketTransport {
 
 /// Driver side of the per-connection handshake: expect Hello, ship the
 /// Setup, wait for Ready, then hand the read half to a reader thread.
-fn handshake(stream: WireStream, setup: &WorkerSetup, config: &SocketConfig) -> io::Result<Link> {
+fn handshake(
+    stream: WireStream,
+    setup: &WorkerSetup,
+    config: &SocketConfig,
+    ring: &Sender<()>,
+) -> io::Result<Link> {
     // Handshake reads get a generous fixed timeout; a worker that stalls
     // here is dropped without consuming the slot.
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
@@ -537,7 +547,8 @@ fn handshake(stream: WireStream, setup: &WorkerSetup, config: &SocketConfig) -> 
     let (tx, rx) = unbounded();
     // Reader threads are detached: they self-terminate on EOF, silence,
     // or when the event receiver is dropped.
-    std::thread::spawn(move || reader_loop(patient, tx));
+    let events = EventSender::new(tx, ring.clone());
+    std::thread::spawn(move || reader_loop(patient, events));
     Ok(Link {
         writer: Some(stream),
         events: Some(rx),
@@ -575,15 +586,8 @@ impl Transport for SocketTransport {
         }
     }
 
-    fn event_timeout(&mut self, node: usize, timeout: Duration) -> Polled {
-        match self.links[node].events.as_ref() {
-            None => Polled::Down,
-            Some(events) => match events.recv_timeout(timeout) {
-                Ok(event) => Polled::Event(event),
-                Err(RecvTimeoutError::Timeout) => Polled::Empty,
-                Err(RecvTimeoutError::Disconnected) => Polled::Down,
-            },
-        }
+    fn wait(&mut self, timeout: Duration) {
+        wait_for_bell(&self.bell, timeout);
     }
 }
 
@@ -877,6 +881,7 @@ mod tests {
             WireStream::Unix(driver_end),
             &setup,
             &fast_socket(WorkerMode::External),
+            &unbounded().0,
         )
         .err()
         .expect("a v4 Hello must be refused");

@@ -21,7 +21,7 @@
 
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, SendError, Sender, TryRecvError};
 
 use crate::cluster::NodeStats;
 use crate::node::{RowMessage, RowRef};
@@ -213,8 +213,57 @@ pub(crate) trait ControlSink {
 pub(crate) trait Transport: ControlSink {
     /// Non-blocking poll of node `node`'s events.
     fn try_event(&mut self, node: usize) -> Polled;
-    /// Blocking poll with an upper bound, for the idle driver.
-    fn event_timeout(&mut self, node: usize, timeout: Duration) -> Polled;
+    /// The idle driver's wait: blocks until some node's stream may have
+    /// news (an event, or its close) or `timeout` passes. It consumes
+    /// nothing, and it may return early; the driver polls every node
+    /// after it.
+    fn wait(&mut self, timeout: Duration);
+}
+
+/// The sending half of one node's event stream. Each event it sends, and
+/// its drop (the stream's close), also rings the driver's bell, so an
+/// idle driver waits on every node at once ([`Transport::wait`]).
+pub(crate) struct EventSender {
+    /// `None` only while dropping.
+    events: Option<Sender<NodeEvent>>,
+    bell: Sender<()>,
+}
+
+impl EventSender {
+    pub(crate) fn new(events: Sender<NodeEvent>, bell: Sender<()>) -> Self {
+        EventSender {
+            events: Some(events),
+            bell,
+        }
+    }
+
+    /// Sends `event` and rings; fails once the driver dropped the stream.
+    pub(crate) fn send(&self, event: NodeEvent) -> Result<(), SendError<NodeEvent>> {
+        let sent = self
+            .events
+            .as_ref()
+            .expect("the stream closes only on drop")
+            .send(event);
+        let _ = self.bell.send(());
+        sent
+    }
+}
+
+impl Drop for EventSender {
+    fn drop(&mut self) {
+        // Close first, so the driver the ring wakes reads the close.
+        drop(self.events.take());
+        let _ = self.bell.send(());
+    }
+}
+
+/// Blocks on `bell` until a node rings or `timeout` passes, then clears
+/// the rings already queued: the driver's next poll of every node reads
+/// what they announced.
+pub(crate) fn wait_for_bell(bell: &Receiver<()>, timeout: Duration) {
+    if bell.recv_timeout(timeout).is_ok() {
+        while bell.try_recv().is_ok() {}
+    }
 }
 
 /// The in-process backend: one crossbeam channel pair per node.
@@ -223,6 +272,8 @@ pub(crate) struct ChannelTransport {
     pub control_tx: Vec<Sender<NodeControl>>,
     /// Node → driver event streams (disconnect = crash).
     pub gather_rx: Vec<Receiver<NodeEvent>>,
+    /// Rung by every node's [`EventSender`].
+    pub bell: Receiver<()>,
 }
 
 impl ControlSink for ChannelTransport {
@@ -240,12 +291,8 @@ impl Transport for ChannelTransport {
         }
     }
 
-    fn event_timeout(&mut self, node: usize, timeout: Duration) -> Polled {
-        match self.gather_rx[node].recv_timeout(timeout) {
-            Ok(event) => Polled::Event(event),
-            Err(RecvTimeoutError::Timeout) => Polled::Empty,
-            Err(RecvTimeoutError::Disconnected) => Polled::Down,
-        }
+    fn wait(&mut self, timeout: Duration) {
+        wait_for_bell(&self.bell, timeout);
     }
 }
 
@@ -278,7 +325,7 @@ pub(crate) struct ChannelNodeIo {
     /// Control inbox.
     pub inbox: Receiver<NodeControl>,
     /// Event stream to the driver: gather rows and hub rows to relay.
-    pub gather: Sender<NodeEvent>,
+    pub gather: EventSender,
 }
 
 impl NodeIo for ChannelNodeIo {
