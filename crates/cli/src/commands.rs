@@ -744,6 +744,13 @@ fn run_algorithm(
             return Err(format!("--{option} needs --ledger").into());
         }
     }
+    // An existing ledger of another version or graph size is a wrong
+    // `--ledger`, reported before the run starts rather than as a panic
+    // inside it.
+    if let Some(path) = args.get("ledger") {
+        parapsp_core::persist::check_ledger(path, graph.vertex_count())
+            .map_err(|e| format!("--ledger {path}: {e}"))?;
+    }
     // --relax needs the modified-Dijkstra kernel in this process.
     if args.get("relax").is_some() && !kind.uses_kernel() {
         return Err(format!(

@@ -12,9 +12,9 @@
 //!   rows in ascending source order. A finished run's checkpoint is a
 //!   complete matrix; a killed run's checkpoint resumes via
 //!   [`crate::engine::Runner::run_resumed`].
-//! * **run ledger, version 3** — same magic, version 3, `n`, a run id and
+//! * **run ledger, version 4** — same magic, version 4, `n`, a run id and
 //!   driver epoch, then one *appended* framed record per completed row
-//!   (source id, row length, payload, FNV-1a checksum). Unlike the
+//!   (source id, row length, payload, CRC-32C checksum). Unlike the
 //!   checkpoint — a whole snapshot, written once when a run stops — the
 //!   ledger grows by O(row) per completed row while the run goes, and
 //!   recovery ([`RowLedger::open`]) truncates a torn tail and replays the
@@ -25,9 +25,12 @@
 //!
 //! Version skew is one-directional by design: [`read_checkpoint`] accepts
 //! a version-1 full matrix (treated as "every row complete") and replays a
-//! version-3 ledger (so `--resume` takes either artifact), while
-//! [`read_binary`] rejects version-2/3 files so pre-checkpoint readers
-//! fail loudly instead of misinterpreting a bitmap as distances.
+//! version-4 ledger (so `--resume` takes either artifact), while
+//! [`read_binary`] rejects version-2/4 files so pre-checkpoint readers
+//! fail loudly instead of misinterpreting a bitmap as distances. A
+//! version-3 ledger sealed its rows with FNV-1a; it is refused with an
+//! error naming both ledger versions, never replayed, so one checksum
+//! guards every row this build reads.
 //!
 //! All readers treat the header as untrusted: payloads are read in
 //! bounded chunks, so a tiny file whose header claims a multi-gigabyte
@@ -47,7 +50,7 @@ use crate::store::{cell_bytes, cell_bytes_mut};
 const MAGIC: &[u8; 4] = b"PAPD";
 const VERSION: u8 = 1;
 const CHECKPOINT_VERSION: u8 = 2;
-const LEDGER_VERSION: u8 = 3;
+const LEDGER_VERSION: u8 = 4;
 
 /// Bytes before the first ledger record: magic, version, `n`, run id,
 /// epoch.
@@ -55,71 +58,160 @@ const LEDGER_HEADER_LEN: u64 = 4 + 1 + 8 + 8 + 4;
 /// Byte offset of the epoch field inside the ledger header.
 const LEDGER_EPOCH_OFFSET: u64 = 4 + 1 + 8 + 8;
 
-const FNV_OFFSET: u32 = 0x811C_9DC5;
-const FNV_PRIME: u32 = 0x0100_0193;
-
-/// One FNV-1a step over the four little-endian bytes of `word`.
-#[inline(always)]
-fn fnv_word(mut hash: u32, word: u32) -> u32 {
-    for byte in word.to_le_bytes() {
-        hash ^= u32::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// FNV-1a over a source id and its row payload (little-endian words).
+/// CRC-32C (Castagnoli) over a source id and its row payload: the
+/// little-endian bytes of `source`, then of every cell.
 ///
 /// The same checksum seals rows on the distributed wire and in the run
 /// ledger, so a row gathered over the network and a row replayed from
-/// disk are guarded by one algorithm.
+/// disk are guarded by one algorithm. CRC-32C detects every error of one
+/// to three bits and every burst of up to 32 bits at row length. On
+/// x86-64 CPUs with SSE4.2 it runs on the `crc32` instruction, elsewhere
+/// on slicing-by-8 tables; both give the same value bit for bit.
 pub fn row_checksum(source: u32, row: &[u32]) -> u32 {
-    row.iter()
-        .fold(fnv_word(FNV_OFFSET, source), |hash, &word| {
-            fnv_word(hash, word)
-        })
+    let [sum] = crc_rows([(source, row)]);
+    sum
 }
 
 /// [`row_checksum`] of every `(source, row)` pair, in order — bit-identical
 /// to calling it row by row.
 ///
-/// FNV-1a is one serial multiply chain, so a single row runs at the
-/// multiplier's latency. Here four rows advance in lockstep over their
-/// common length: four independent chains the CPU overlaps, about three
-/// times the throughput of the row-by-row loop. Longer rows finish their
-/// tails alone, and a batch's last `len % 4` rows go row by row.
+/// One row's CRC is one serial chain of updates, so it runs at the
+/// update's latency. Here four rows advance in lockstep over their common
+/// length: four independent chains the CPU overlaps. Longer rows finish
+/// their tails alone, and a batch's last `len % 4` rows go row by row.
 pub fn row_checksums(rows: &[(u32, &[u32])]) -> Vec<u32> {
     let mut sums = Vec::with_capacity(rows.len());
     let mut quads = rows.chunks_exact(4);
     for quad in &mut quads {
-        let common = quad.iter().map(|(_, row)| row.len()).min().unwrap_or(0);
-        let mut hash = [0u32; 4];
-        for (hash, &(source, _)) in hash.iter_mut().zip(quad) {
-            *hash = fnv_word(FNV_OFFSET, source);
-        }
-        let [a, b, c, d] = [0, 1, 2, 3].map(|i| &quad[i].1[..common]);
-        for (((&wa, &wb), &wc), &wd) in a.iter().zip(b).zip(c).zip(d) {
-            hash = [
-                fnv_word(hash[0], wa),
-                fnv_word(hash[1], wb),
-                fnv_word(hash[2], wc),
-                fnv_word(hash[3], wd),
-            ];
-        }
-        for (hash, &(_, row)) in hash.iter_mut().zip(quad) {
-            *hash = row[common..]
-                .iter()
-                .fold(*hash, |hash, &word| fnv_word(hash, word));
-        }
-        sums.extend_from_slice(&hash);
+        sums.extend(crc_rows([quad[0], quad[1], quad[2], quad[3]]));
     }
-    sums.extend(
-        quads
-            .remainder()
-            .iter()
-            .map(|&(source, row)| row_checksum(source, row)),
-    );
+    sums.extend(quads.remainder().iter().map(|&row| crc_rows([row])[0]));
     sums
+}
+
+/// CRC-32C of `L` rows at once, on the `crc32` instruction when the
+/// running CPU has it.
+fn crc_rows<const L: usize>(rows: [(u32, &[u32]); L]) -> [u32; L] {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("sse4.2") {
+        // SAFETY: the running CPU supports SSE4.2.
+        return unsafe { crc_rows_sse42(rows) };
+    }
+    crc_rows_table(rows)
+}
+
+/// [`crc_rows`] on the SSE4.2 `crc32` instruction, eight bytes a step.
+///
+/// # Safety
+///
+/// The running CPU must support SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn crc_rows_sse42<const L: usize>(rows: [(u32, &[u32]); L]) -> [u32; L] {
+    use std::arch::x86_64::{_mm_crc32_u32, _mm_crc32_u64};
+    crc_lanes(
+        rows,
+        |crc, pair| _mm_crc32_u64(u64::from(crc), pair) as u32,
+        |crc, cell| _mm_crc32_u32(crc, cell),
+    )
+}
+
+/// [`crc_rows`] on slicing-by-8 tables, for CPUs without the instruction.
+fn crc_rows_table<const L: usize>(rows: [(u32, &[u32]); L]) -> [u32; L] {
+    crc_lanes(rows, crc_table_pair, crc_table_cell)
+}
+
+/// The CRC-32C of each row, seeded with all ones and inverted at the end
+/// (the standard CRC-32C). `pair` folds two cells — eight little-endian
+/// bytes — into a running CRC and `cell` folds one. The `L` rows share one
+/// loop over the pairs they all have, so their update chains overlap in
+/// the CPU; each then folds its own tail.
+#[inline(always)]
+fn crc_lanes<const L: usize>(
+    rows: [(u32, &[u32]); L],
+    pair: impl Fn(u32, u64) -> u32,
+    cell: impl Fn(u32, u32) -> u32,
+) -> [u32; L] {
+    let common = rows.iter().map(|(_, row)| row.len() / 2).min().unwrap_or(0);
+    let mut crcs = rows.map(|(source, _)| cell(!0, source));
+    // Cut to the shared pairs up front, so the lockstep loop's indexing
+    // needs no bounds checks.
+    let heads = rows.map(|(_, row)| &row[..2 * common]);
+    for i in 0..common {
+        for (crc, head) in crcs.iter_mut().zip(&heads) {
+            *crc = pair(*crc, pair_word(head[2 * i], head[2 * i + 1]));
+        }
+    }
+    for (crc, &(_, row)) in crcs.iter_mut().zip(&rows) {
+        let mut tail = row[2 * common..].chunks_exact(2);
+        for cells in &mut tail {
+            *crc = pair(*crc, pair_word(cells[0], cells[1]));
+        }
+        if let [last] = tail.remainder() {
+            *crc = cell(*crc, *last);
+        }
+    }
+    crcs.map(|crc| !crc)
+}
+
+/// Two cells as the one word their eight little-endian bytes make.
+#[inline(always)]
+fn pair_word(first: u32, second: u32) -> u64 {
+    u64::from(first) | u64::from(second) << 32
+}
+
+/// Slicing-by-8 tables for the reflected CRC-32C polynomial `0x82F63B78`:
+/// `CRC_TABLES[0]` is the one-byte update, and `CRC_TABLES[k][b]` is the
+/// contribution of byte `b` with `k` more bytes after it.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0x82F6_3B78 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][byte] = crc;
+        byte += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// The CRC-32C update over one cell's four little-endian bytes.
+#[inline(always)]
+fn crc_table_cell(crc: u32, cell: u32) -> u32 {
+    let [b0, b1, b2, b3] = (crc ^ cell).to_le_bytes();
+    let t = &CRC_TABLES;
+    t[3][usize::from(b0)] ^ t[2][usize::from(b1)] ^ t[1][usize::from(b2)] ^ t[0][usize::from(b3)]
+}
+
+/// The CRC-32C update over two cells' eight little-endian bytes.
+#[inline(always)]
+fn crc_table_pair(crc: u32, pair: u64) -> u32 {
+    let [b0, b1, b2, b3, b4, b5, b6, b7] = (pair ^ u64::from(crc)).to_le_bytes();
+    let t = &CRC_TABLES;
+    t[7][usize::from(b0)]
+        ^ t[6][usize::from(b1)]
+        ^ t[5][usize::from(b2)]
+        ^ t[4][usize::from(b3)]
+        ^ t[3][usize::from(b4)]
+        ^ t[2][usize::from(b5)]
+        ^ t[1][usize::from(b6)]
+        ^ t[0][usize::from(b7)]
 }
 
 /// The little-endian bytes of a row of cells: a view of the row itself on
@@ -436,10 +528,27 @@ pub fn read_checkpoint<R: Read>(reader: R) -> Result<Checkpoint, PersistError> {
             let (replay, _, _, _) = replay_ledger_body(&mut reader, n)?;
             Ok(replay.unwrap_or_else(|| Checkpoint::empty(n)))
         }
-        other => Err(PersistError::Format(format!(
-            "unsupported format version {other}"
-        ))),
+        other => Err(unsupported_version(other)),
     }
+}
+
+/// The error for a `PAPD` file of a version this build does not read.
+/// Version 3 was the run ledger whose rows were sealed with FNV-1a: the
+/// error says so and names the version this build writes instead.
+fn unsupported_version(version: u8) -> PersistError {
+    let message = if (CHECKPOINT_VERSION + 1..LEDGER_VERSION).contains(&version) {
+        format!(
+            "ledger version {version} was written by an older build; this build writes \
+             version {LEDGER_VERSION} and cannot replay it (its rows are sealed with another \
+             checksum)"
+        )
+    } else {
+        format!(
+            "unsupported format version {version} (matrices are version {VERSION}, \
+             checkpoints version {CHECKPOINT_VERSION}, run ledgers version {LEDGER_VERSION})"
+        )
+    };
+    PersistError::Format(message)
 }
 
 /// Atomically writes a checkpoint to `path`: the bytes land in a `.tmp`
@@ -484,13 +593,13 @@ fn sync_parent_dir(_path: &Path) -> std::io::Result<()> {
 }
 
 /// Loads a checkpoint from a file (any format version, including a
-/// version-3 run ledger, whose longest valid record prefix is replayed).
+/// version-4 run ledger, whose longest valid record prefix is replayed).
 pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint, PersistError> {
     read_checkpoint(std::fs::File::open(path)?)
 }
 
 // ---------------------------------------------------------------------------
-// Run ledger (version 3): crash-safe O(row) incremental durability
+// Run ledger (version 4): crash-safe O(row) incremental durability
 // ---------------------------------------------------------------------------
 
 /// When ledger appends reach the platter.
@@ -752,18 +861,7 @@ impl RowLedger {
         }
         let (replay, run_id, epoch, valid) = {
             let mut reader = BufReader::new(&mut file);
-            let (version, file_n) = read_header(&mut reader)?;
-            if version != LEDGER_VERSION {
-                return Err(PersistError::Format(format!(
-                    "not a run ledger: format version {version} \
-                     (ledgers are version {LEDGER_VERSION})"
-                )));
-            }
-            if file_n != n {
-                return Err(PersistError::Format(format!(
-                    "ledger is for {file_n} vertices but this run has {n}"
-                )));
-            }
+            check_ledger_header(&mut reader, n)?;
             replay_ledger_body(&mut reader, n)?
         };
         use std::io::Seek as _;
@@ -962,6 +1060,45 @@ impl RowLedger {
     pub fn records(&self) -> u64 {
         self.records
     }
+}
+
+/// Reads a ledger header's magic, version and `n`, and checks that they
+/// are those of an `n`-vertex ledger this build writes.
+fn check_ledger_header<R: Read>(reader: &mut R, n: usize) -> Result<(), PersistError> {
+    let (version, file_n) = read_header(reader)?;
+    match version {
+        LEDGER_VERSION => {}
+        VERSION | CHECKPOINT_VERSION => {
+            return Err(PersistError::Format(format!(
+                "not a run ledger: format version {version} \
+                 (ledgers are version {LEDGER_VERSION})"
+            )))
+        }
+        other => return Err(unsupported_version(other)),
+    }
+    if file_n != n {
+        return Err(PersistError::Format(format!(
+            "ledger is for {file_n} vertices but this run has {n}"
+        )));
+    }
+    Ok(())
+}
+
+/// Fails where [`RowLedger::open`] would refuse `path` for an `n`-vertex
+/// run — a file that exists and is not empty, but whose header is not
+/// that of an `n`-vertex ledger of this build's version — without
+/// changing the file. Lets a caller report a wrong `--ledger` before the
+/// run starts.
+pub fn check_ledger(path: impl AsRef<Path>, n: usize) -> Result<(), PersistError> {
+    let file = match File::open(path) {
+        Ok(file) => file,
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(err) => return Err(PersistError::Io(err)),
+    };
+    if file.metadata()?.len() == 0 {
+        return Ok(());
+    }
+    check_ledger_header(&mut BufReader::new(file), n)
 }
 
 /// Raises a run-ledger failure: panics with `run ledger <path>: <err>`.
@@ -1513,8 +1650,46 @@ mod tests {
         save_checkpoint(&partial_checkpoint(), &ckpt).unwrap();
         let err = RowLedger::open(&ckpt, 60, FsyncPolicy::Never).unwrap_err();
         assert!(err.to_string().contains("not a run ledger"), "got {err}");
+        // A version-3 ledger (FNV-1a seals) is refused by every reader, with
+        // both ledger versions named; the header check says so up front.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4] = 3;
+        std::fs::write(&path, &bytes).unwrap();
+        let errors = [
+            RowLedger::open(&path, 4, FsyncPolicy::Never).unwrap_err(),
+            load_checkpoint(&path).unwrap_err(),
+            check_ledger(&path, 4).unwrap_err(),
+        ];
+        for err in errors {
+            let err = err.to_string();
+            assert!(err.contains("ledger version 3"), "got {err}");
+            assert!(err.contains("this build writes version 4"), "got {err}");
+        }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "checks leave the file as it was"
+        );
         std::fs::remove_file(path).ok();
         std::fs::remove_file(ckpt).ok();
+    }
+
+    #[test]
+    fn ledger_header_check_passes_what_open_accepts() {
+        let dir = ledger_dir("check");
+        let path = dir.join("run.ledger");
+        std::fs::remove_file(&path).ok();
+        check_ledger(&path, 4).unwrap();
+        std::fs::write(&path, b"").unwrap();
+        check_ledger(&path, 4).unwrap();
+        RowLedger::create(&path, 4, FsyncPolicy::Never)
+            .unwrap()
+            .finish()
+            .unwrap();
+        check_ledger(&path, 4).unwrap();
+        let err = check_ledger(&path, 5).unwrap_err();
+        assert!(err.to_string().contains("4 vertices"), "got {err}");
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -1534,6 +1709,89 @@ mod tests {
         let cp = load_checkpoint(&path).unwrap();
         assert_eq!(cp.completed_count(), 1);
         std::fs::remove_file(path).ok();
+    }
+
+    // --- the row seal: CRC-32C, pinned ---
+
+    #[test]
+    fn seal_crc32c_check_value() {
+        // The standard CRC-32C check value, one byte at a time through the
+        // table every slicing step is built from...
+        let crc = b"123456789".iter().fold(!0u32, |crc, &byte| {
+            (crc >> 8) ^ CRC_TABLES[0][usize::from(crc as u8 ^ byte)]
+        });
+        assert_eq!(!crc, 0xE306_9283);
+        // ...and on the instruction, where the CPU has it.
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sse4.2") {
+            let crc = b"123456789".iter().fold(!0u32, |crc, &byte| {
+                // SAFETY: the running CPU supports SSE4.2.
+                unsafe { std::arch::x86_64::_mm_crc32_u8(crc, byte) }
+            });
+            assert_eq!(!crc, 0xE306_9283);
+        }
+    }
+
+    #[test]
+    fn seal_of_a_pinned_row() {
+        // Source 5, then nine cells (an odd count: the last cell is folded
+        // on its own). The value comes from a bitwise CRC-32C over the same
+        // 40 little-endian bytes, written apart from this module.
+        let row = [0, 1, 2, 3, 4, 5, 6, INF, 8];
+        assert_eq!(row_checksum(5, &row), 0x8146_45AA);
+        assert_eq!(crc_rows_table([(5, &row[..])]), [0x8146_45AA]);
+        assert_eq!(row_checksums(&[(5, &row[..]); 6]), [0x8146_45AA; 6]);
+    }
+
+    /// A batch's seals the way [`row_checksums`] groups them, through the
+    /// four-lane and one-lane forms of one path.
+    fn seals_by(
+        rows: &[(u32, &[u32])],
+        four: impl Fn([(u32, &[u32]); 4]) -> [u32; 4],
+        one: impl Fn([(u32, &[u32]); 1]) -> [u32; 1],
+    ) -> Vec<u32> {
+        let mut quads = rows.chunks_exact(4);
+        let mut sums: Vec<u32> = (&mut quads)
+            .flat_map(|q| four([q[0], q[1], q[2], q[3]]))
+            .collect();
+        sums.extend(quads.remainder().iter().map(|&row| one([row])[0]));
+        sums
+    }
+
+    proptest::proptest! {
+        // Every path gives every row the seal the table gives it alone:
+        // table and instruction, one lane and four, the public pair.
+        #[test]
+        fn seal_hardware_and_table_paths_agree(
+            batch in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<u32>(),
+                    proptest::collection::vec(proptest::prelude::any::<u32>(), 0..=70),
+                ),
+                0..=9,
+            )
+        ) {
+            let rows: Vec<(u32, &[u32])> = batch.iter().map(|(s, row)| (*s, &row[..])).collect();
+            let alone: Vec<u32> = rows.iter().map(|&row| crc_rows_table([row])[0]).collect();
+            proptest::prop_assert_eq!(&seals_by(&rows, crc_rows_table, crc_rows_table), &alone);
+            proptest::prop_assert_eq!(&row_checksums(&rows), &alone);
+            for (&(source, row), &sum) in rows.iter().zip(&alone) {
+                proptest::prop_assert_eq!(row_checksum(source, row), sum);
+            }
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("sse4.2") {
+                // SAFETY: the running CPU supports SSE4.2.
+                let hardware = seals_by(
+                    &rows,
+                    |quad| unsafe { crc_rows_sse42(quad) },
+                    |row| unsafe { crc_rows_sse42(row) },
+                );
+                proptest::prop_assert_eq!(&hardware, &alone);
+                let hardware_alone: Vec<u32> =
+                    rows.iter().map(|&row| unsafe { crc_rows_sse42([row])[0] }).collect();
+                proptest::prop_assert_eq!(&hardware_alone, &alone);
+            }
+        }
     }
 
     #[test]

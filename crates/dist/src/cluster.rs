@@ -5,7 +5,8 @@
 //!
 //! Nodes stream each completed row to the driver as soon as it is done
 //! (instead of a single bulk gather at the end), so work finished before a
-//! crash is never lost. Every row on the wire carries an FNV-1a checksum:
+//! crash is never lost. Every row on the wire carries a CRC-32C checksum
+//! (`persist::row_checksum`, the run ledger's record seal):
 //!
 //! * a corrupted **hub row** is discarded by the receiving node (row
 //!   reuse is an optimization, so nothing else is needed; the driver

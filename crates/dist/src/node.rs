@@ -5,7 +5,7 @@
 //!
 //! A node is single-threaded over its own memory, so the distributed
 //! setting trades the shared-memory publication protocol for explicit
-//! messages. Every row that crosses the simulated wire carries an FNV-1a
+//! messages. Every row that crosses the simulated wire carries a CRC-32C
 //! checksum; receivers verify it and discard rows that fail, so a
 //! corrupted payload can never poison the reuse pools or the gathered
 //! matrix.
@@ -15,7 +15,7 @@ use parapsp_core::solver::{msbfs_into, MSBFS_LANES};
 use parapsp_core::{autotune, probe, Counters, GraphProbe, SolverKind};
 use parapsp_graph::{CsrGraph, INF};
 
-/// FNV-1a over the source id and the row payload. This is the very same
+/// CRC-32C over the source id and the row payload. This is the very same
 /// function the run ledger stamps on its records, so a row journaled by
 /// the driver carries the checksum it was verified against on the wire.
 pub(crate) use parapsp_core::persist::row_checksum;
@@ -100,7 +100,7 @@ pub(crate) struct RowMessage {
     pub source: u32,
     /// The full, final distance row of that source.
     pub row: Vec<u32>,
-    /// FNV-1a checksum of `source` and `row`, computed by the sender
+    /// CRC-32C checksum of `source` and `row`, computed by the sender
     /// before the payload touches the wire.
     pub checksum: u32,
 }
@@ -146,7 +146,7 @@ impl RowMessage {
 pub(crate) struct RowRef<'a> {
     /// Global source vertex of the row.
     pub source: u32,
-    /// FNV-1a checksum the sender sealed the row with.
+    /// CRC-32C checksum the sender sealed the row with.
     pub checksum: u32,
     /// The payload.
     pub row: &'a [u32],

@@ -845,17 +845,18 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
-    fn a_worker_of_wire_v4_is_refused_at_hello() {
+    fn a_worker_of_wire_v5_is_refused_at_hello() {
         use crate::cluster::RetryPolicy;
         use crate::node::NodeSolver;
         let (driver_end, worker_end) = UnixStream::pair().unwrap();
         let mut worker = WireStream::Unix(worker_end);
-        // A v4 worker would read two probabilities the v5 Setup no longer
-        // carries; the driver never sends it one.
+        // A v5 worker seals its rows with FNV-1a, so a v6 driver would
+        // reject every row it sends as corrupt; the driver never sends it
+        // a Setup.
         write_frame(
             &mut worker,
             &Frame::Hello {
-                version: 4,
+                version: 5,
                 reconnects: 0,
                 run_id: 0,
                 epoch: 0,
@@ -884,9 +885,9 @@ mod tests {
             &unbounded().0,
         )
         .err()
-        .expect("a v4 Hello must be refused");
+        .expect("a v5 Hello must be refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("protocol v4, driver v5"), "{err}");
+        assert!(err.to_string().contains("protocol v5, driver v6"), "{err}");
         // The refused worker reads EOF, not a Setup.
         worker
             .set_read_timeout(Some(Duration::from_secs(5)))

@@ -6,7 +6,7 @@
 //! A row is its source, its checksum, its cell count and then its cells
 //! as one little-endian byte run — the bytes the run ledger writes — so
 //! encoding it is one copy of the row and decoding it one bulk copy back.
-//! Row payloads keep the FNV-1a checksum computed by the *sender* — the
+//! Row payloads keep the CRC-32C checksum computed by the *sender* — the
 //! frame carries it verbatim so the receiver's verification sees exactly
 //! what the sender sealed, and any in-flight corruption (injected or real)
 //! is caught at the application layer on top of TCP's own checking.
@@ -20,7 +20,6 @@
 use std::io::{self, Read, Write};
 
 use parapsp_core::persist::le_bytes;
-use parapsp_core::store::cell_bytes_mut;
 use parapsp_graph::{CsrGraph, Direction};
 
 use crate::cluster::{NodeStats, RetryPolicy};
@@ -37,8 +36,10 @@ pub(crate) const MAGIC: u8 = 0xA5;
 /// driver-restart re-handshakes; version 3 added the distance cap to
 /// `Setup`; version 4 added the node solver to `Setup`; version 5 took
 /// the hub-drop and corrupt probabilities out of `Setup`'s fault plan
-/// (wire faults belong to the driver's `ChaosPlan` now).
-pub(crate) const PROTOCOL_VERSION: u16 = 5;
+/// (wire faults belong to the driver's `ChaosPlan` now); version 6 seals
+/// rows with CRC-32C instead of FNV-1a (the frame layout is unchanged, but
+/// a row sealed by one build would fail the other's check).
+pub(crate) const PROTOCOL_VERSION: u16 = 6;
 
 /// Upper bound on a single frame payload (defense against a corrupt or
 /// hostile length prefix allocating unbounded memory).
@@ -173,16 +174,25 @@ pub(crate) fn take_u64(buf: &mut &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(*head))
 }
 
-/// A count, then that many little-endian words, copied out in one pass.
+/// A count, then that many little-endian words, built straight from the
+/// payload bytes: one copy into fresh memory, with no zero-fill first.
 fn take_u32_vec(buf: &mut &[u8]) -> Option<Vec<u32>> {
     let count = take_u32(buf)? as usize;
     // checked_mul: on 32-bit targets a hostile count can overflow `count * 4`
     // to a small number and slip past the length guard.
     let (bytes, rest) = buf.split_at_checked(count.checked_mul(4)?)?;
-    let mut values = vec![0u32; count];
-    cell_bytes_mut(&mut values).copy_from_slice(bytes);
-    for value in &mut values {
-        *value = u32::from_le(*value);
+    let mut values = Vec::<u32>::with_capacity(count);
+    // SAFETY: `values` has room for `count` cells, which are `bytes.len()`
+    // bytes; the copy initializes all of them before the length covers
+    // them, and every byte pattern is a valid `u32`.
+    unsafe {
+        std::ptr::copy_nonoverlapping(bytes.as_ptr(), values.as_mut_ptr().cast(), bytes.len());
+        values.set_len(count);
+    }
+    if cfg!(target_endian = "big") {
+        for value in &mut values {
+            *value = u32::from_le(*value);
+        }
     }
     *buf = rest;
     Some(values)

@@ -14,7 +14,7 @@ use parapsp::core::persist::{self, FsyncPolicy, RowLedger};
 const HEADER_LEN: usize = 25;
 
 /// Every record of an `n`-vertex ledger has the same framing: source id
-/// (4) + payload length (4) + payload (4·n) + FNV-1a checksum (4).
+/// (4) + payload length (4) + payload (4·n) + CRC-32C checksum (4).
 fn record_len(n: usize) -> usize {
     4 + 4 + 4 * n + 4
 }
@@ -152,7 +152,7 @@ proptest! {
         let (_, recovered) = RowLedger::open(&path, n, FsyncPolicy::Never)
             .expect("recovery handles corruption by stopping, not failing");
         // Replay stops at the first record whose checksum (or framing)
-        // disagrees — FNV-1a over (source, payload) changes under any
+        // disagrees — CRC-32C over (source, payload) detects every
         // single-bit flip, so exactly the records before the damage
         // survive, bit-exact, and nothing after the damage is trusted.
         prop_assert_eq!(recovered.is_some(), damaged_record > 0);
@@ -177,7 +177,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // The ledger writer's batched checksum is FNV-1a row by row: batches
+    // The ledger writer's batched checksum is CRC-32C row by row: batches
     // of 0..=9 rows (every remainder of 4) with mixed lengths 0..=40 and
     // INF cells checksum exactly as `row_checksum` does per row.
     #[test]
