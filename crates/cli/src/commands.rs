@@ -14,7 +14,7 @@ use parapsp_core::{
     autotune, probe, ApspOutput, DistanceMatrix, GraphProbe, RelaxImpl, RunOutcome, SolverKind,
 };
 use parapsp_dist::{
-    run_worker, BindSpec, ChaosPlan, ClusterConfig, DistEngine, FaultPlan, NodeSolver,
+    run_worker, BindSpec, ChaosPlan, ClusterConfig, DistEngine, DistFailure, FaultPlan, NodeSolver,
     SocketConfig, SourcePartition, TransportSpec, WorkerMode, WorkerOptions, WorkerOutcome,
 };
 use parapsp_graph::io::{read_edge_list_file, LoadedGraph, ParseOptions};
@@ -911,8 +911,18 @@ fn run_algorithm(
             // checkpoint): prior rows pre-seed the gather and only the
             // missing sources are dealt to the workers.
             let runner = Runner::new(configure(RunConfig::new(1)).with_solver(node_solver.kind()));
-            drive(&runner, DistEngine::new(cluster), graph, args, token)?
-                .map(|out| dist_summary(out, nodes))
+            // A run no worker joined unwinds with its reason: a runtime
+            // failure (exit 1), not a panic.
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drive(&runner, DistEngine::new(cluster), graph, args, token)
+            }));
+            match run {
+                Ok(outcome) => outcome?.map(|out| dist_summary(out, nodes)),
+                Err(payload) => match payload.downcast::<DistFailure>() {
+                    Ok(failure) => return Err(CliError::failure(failure.to_string())),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                },
+            }
         }
     };
     settle(args, outcome)

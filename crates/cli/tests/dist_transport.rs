@@ -405,3 +405,77 @@ fn sigkill_on_the_driver_restarts_from_the_ledger_bit_identically() {
     std::fs::remove_file(&ledger).ok();
     std::fs::remove_file(&out).ok();
 }
+
+/// A driver whose only worker speaks another wire version exits 1 and
+/// names both versions, without a panic: the worker here is a
+/// hand-written protocol v5 `Hello`, and the driver answers it with its
+/// own v6 `Hello` before closing.
+#[test]
+fn a_worker_of_another_wire_version_fails_the_run_with_exit_one() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let graph = graph_file(300);
+    let sock = workdir().join(format!("skew-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let driver = Command::new(bin())
+        .args([
+            "apsp",
+            &graph,
+            "--algorithm",
+            "dist",
+            "--nodes",
+            "1",
+            "--transport",
+            "unix",
+            "--listen",
+            sock.to_str().unwrap(),
+            "--external",
+            "--accept-timeout",
+            "1",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn parapsp dist driver");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut stream = loop {
+        if let Ok(stream) = UnixStream::connect(&sock) {
+            break stream;
+        }
+        assert!(Instant::now() < deadline, "the driver never listened");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    // Frame header (magic 0xA5, kind Hello, payload length), then
+    // version 5, no reconnects, run id 0, epoch 0.
+    let mut hello = vec![0xA5, 0x01, 18, 0, 0, 0];
+    hello.extend_from_slice(&5u16.to_le_bytes());
+    hello.extend_from_slice(&[0; 16]);
+    stream.write_all(&hello).unwrap();
+    let mut reply = Vec::new();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    stream.read_to_end(&mut reply).unwrap();
+    assert_eq!(
+        &reply[..2],
+        &[0xA5, 0x01],
+        "the driver answers with a Hello"
+    );
+    assert_eq!(
+        u16::from_le_bytes([reply[6], reply[7]]),
+        6,
+        "of its version"
+    );
+
+    let output = driver.wait_with_output().expect("wait on the driver");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("protocol v5, driver v6"),
+        "both versions named: {stderr}"
+    );
+    assert!(stderr.contains("no worker joined the run"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_file(&sock);
+}

@@ -104,6 +104,9 @@ pub struct Workspace {
     /// Lane masks, frontiers and staging block of the multi-source BFS
     /// solver; empty unless that solver runs.
     pub(crate) msbfs: crate::solver::MsBfsScratch,
+    /// Sources whose Δ-stepping solve stopped reusing rows.
+    #[cfg(test)]
+    pub(crate) reuse_stops: u64,
 }
 
 impl Workspace {
@@ -118,6 +121,8 @@ impl Workspace {
             scratch: Vec::new(),
             row_buf: vec![INF; n],
             msbfs: Default::default(),
+            #[cfg(test)]
+            reuse_stops: 0,
         }
     }
 }
@@ -311,8 +316,9 @@ impl PredSink for NoPred {
 
 /// Alg. 1 lines 6–11 for dequeued vertex `t` at distance `dt`: lease `t`'s
 /// completed row, count the lease into `tally`, and relax `row` through
-/// it. Returns `false` when `t` has no completed row yet. Every solver
-/// reuses rows through here; it is the one caller of [`relax_row`].
+/// it. Returns how many cells the pass lowered, or `None` when `t` has no
+/// completed row yet. Every solver reuses rows through here; it is the
+/// one caller of [`relax_row`].
 ///
 /// `tally` is the solver's per-row local copy of the counters, flushed
 /// once per row: a per-element write to the caller's `&mut Counters`
@@ -329,20 +335,19 @@ pub(crate) fn reuse_row<R: CompletedRows, P: PredSink>(
     cap: u32,
     pred: &mut P,
     tally: &mut Counters,
-) -> bool {
-    let Some((t_row, origin)) = rows.lease(t) else {
-        return false;
-    };
+) -> Option<u64> {
+    let (t_row, origin) = rows.lease(t)?;
     tally.row_reuses += 1;
     match origin {
         LeaseOrigin::CacheMiss => tally.lease_misses += 1,
         LeaseOrigin::Lent | LeaseOrigin::CacheHit => tally.lease_hits += 1,
     }
-    tally.relaxations += match pred.reuse(row, t, &t_row, dt, cap) {
+    let improved = match pred.reuse(row, t, &t_row, dt, cap) {
         Some(improved) => improved,
         None => relax_row(relax, row, &t_row, dt, cap),
     };
-    true
+    tally.relaxations += improved;
+    Some(improved)
 }
 
 /// Runs the modified Dijkstra from source `s` into `row`, reusing the
@@ -399,7 +404,7 @@ pub fn modified_dijkstra<R: CompletedRows, P: PredSink>(
             if let Some(&next) = ws.queue.front() {
                 rows.prefetch(next);
             }
-            if reuse_row(rows, t, dt, row, relax, cap, pred, &mut tally) {
+            if reuse_row(rows, t, dt, row, relax, cap, pred, &mut tally).is_some() {
                 continue;
             }
         }

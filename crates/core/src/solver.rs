@@ -60,6 +60,21 @@
 //! [`Store::prefetch_row`] hint for the next candidate), mmap pins a
 //! hot-cache entry for the relaxation pass.
 //!
+//! *Skipping* a reuse is sound in both solvers as well: the vertex is then
+//! expanded by its edges like one without a published row, and every
+//! edge improvement still re-enqueues / re-buckets its target. Δ-stepping
+//! uses that on graphs without hubs (degree skew below [`HUB_SKEW`]): a
+//! source stops reusing rows after its first reuse that lowers no cell.
+//! Its pops come in distance order, so once a row at the settled
+//! frontier adds nothing, later rows of that source rarely do, and each
+//! reuse streams a whole n-cell row; on a high-diameter wide-weight ring
+//! most reuses lower nothing. Where hubs publish early their rows keep
+//! paying after a leaf's row paid nothing, so skewed graphs keep every
+//! reuse. The FIFO kernel keeps every reuse too: its pops are not in
+//! distance order, so an idle reuse says nothing about the next one
+//! (EXPERIMENTS.md, "Δ-stepping stops reusing rows once a reuse lowers
+//! nothing", measures both losses).
+//!
 //! MS-BFS reuses no rows: on a unit-weight graph one scan already serves
 //! 64 sources, and a level-synchronous search has no settled-distance
 //! point at which a published row could be folded in wholesale.
@@ -264,6 +279,12 @@ impl AutoChoice {
     }
 }
 
+/// The degree skew (max out-degree over mean, [`GraphProbe::degree_skew`])
+/// from which a graph counts as having hubs: [`autotune`] keeps such
+/// graphs on the paper's kernel, and Δ-stepping on them never stops
+/// reusing rows (see `delta_row`).
+pub const HUB_SKEW: f64 = 8.0;
+
 /// Δ from the probe: the mean edge weight (≥ 1). The classic guidance is
 /// Δ = Θ(mean weight): buckets then hold one expected "hop" of the
 /// frontier, so light-edge fixpoints stay short while buckets stay fat
@@ -283,8 +304,8 @@ pub fn auto_delta(weight_mean: f64) -> u32 {
 ///   most of all, where the FIFO kernel leans hardest on reuse);
 /// * other uniform weights → `dijkstra` (the FIFO kernel is BFS-like and
 ///   the row-reuse trick dominates — the paper's home turf);
-/// * strong degree skew (max/mean ≥ 8) → `dijkstra` (hub rows publish
-///   early and get reused constantly);
+/// * strong degree skew (max/mean ≥ [`HUB_SKEW`]) → `dijkstra` (hub rows
+///   publish early and get reused constantly);
 /// * dense (mean out-degree ≥ 6) *and* wide weight range (max/min ≥ 50)
 ///   → `delta` with Δ = mean weight / 4: the measured Δ-stepping win —
 ///   on Watts–Strogatz-style regular dense graphs with wide weights the
@@ -297,7 +318,7 @@ pub fn auto_delta(weight_mean: f64) -> u32 {
 pub fn autotune(graph: &CsrGraph) -> AutoChoice {
     let p = probe(graph);
     let uniform = p.weight_min == p.weight_max;
-    let skewed = p.degree_skew >= 8.0;
+    let skewed = p.degree_skew >= HUB_SKEW;
     let dense = p.density >= 6.0;
     let wide = p.weight_max as f64 / p.weight_min.max(1) as f64 >= 50.0;
     let solver = if p.unit_weights() {
@@ -409,14 +430,19 @@ pub(crate) struct RowSolver {
     delta: u32,
     ring: usize,
     partition: Option<LightHeavy>,
+    /// Δ-stepping on a graph without hubs (skew below [`HUB_SKEW`]): a
+    /// source stops reusing rows after a reuse that lowers no cell.
+    stop_idle_reuse: bool,
 }
 
 impl RowSolver {
     /// Resolves `options.solver` for `graph`. `auto`, `delta` and
     /// `msbfs` read one [`probe`] pass: the tuner decides from it,
     /// Δ-stepping sizes its ring from the same pass's weight range, and
-    /// MS-BFS is checked against it. `per_row_credit` is set by the
-    /// adaptive engines, for which `auto` never picks MS-BFS.
+    /// MS-BFS is checked against it. The same probe's degree skew decides
+    /// whether Δ-stepping stops reusing rows once a reuse lowers nothing.
+    /// `per_row_credit` is set by the adaptive engines, for which `auto`
+    /// never picks MS-BFS.
     ///
     /// # Panics
     ///
@@ -448,6 +474,7 @@ impl RowSolver {
                     delta,
                     ring: (p.weight_max as u64).div_ceil(delta as u64) as usize + 2,
                     partition: Some(LightHeavy::build(graph, delta)),
+                    stop_idle_reuse: p.degree_skew < HUB_SKEW,
                 }
             }
             Some((SolverKind::MsBfs, p)) => {
@@ -459,6 +486,7 @@ impl RowSolver {
                     delta: 1,
                     ring: 1,
                     partition: None,
+                    stop_idle_reuse: false,
                 }
             }
             _ => RowSolver {
@@ -466,6 +494,7 @@ impl RowSolver {
                 delta: 1,
                 ring: 1,
                 partition: None,
+                stop_idle_reuse: false,
             },
         }
     }
@@ -587,6 +616,17 @@ impl RowSolver {
 /// reused vertex re-buckets it, firing the row again at the settled
 /// distance, and purely-reuse-set distances are dominated by the row
 /// that set them.
+///
+/// On a graph without hubs (`RowSolver::resolve` saw a degree skew below
+/// [`HUB_SKEW`]) the source stops reusing after its first reuse that
+/// lowers no cell: from then on every drained vertex expands its light
+/// and heavy edges, and the per-entry row prefetch stops too. That is
+/// sound at any point — the edge expansion is the plain Δ-stepping step,
+/// a cell a reuse already set exactly is dominated by that reuse's row,
+/// and one it over-set is lowered by an edge improvement that re-buckets
+/// it. The gate keeps skewed graphs reusing, where hub rows still pay
+/// after a leaf's row did not; the FIFO kernel has no such stop (see the
+/// module docs, "Row reuse per solver").
 #[allow(clippy::too_many_arguments)]
 fn delta_row(
     solver: &RowSolver,
@@ -617,6 +657,9 @@ fn delta_row(
     ws.buckets.reset(solver.ring);
     ws.buckets.push(0, s);
     let mut cur: u64 = 0;
+    // Cleared for good by the first reuse that lowers no cell, on graphs
+    // without hubs.
+    let mut reusing = options.row_reuse;
 
     while ws.buckets.live() > 0 {
         // All live entries sit within `ring` absolute buckets of `cur`,
@@ -644,14 +687,23 @@ fn delta_row(
                     continue; // stale entry: a fresher one exists or it settled
                 }
                 tally.queue_pops += 1;
-                if options.row_reuse {
+                if reusing {
                     // Prefetch the next drained entry's row, mirroring
                     // the FIFO kernel's queue-front prefetch.
                     if let Some(&next) = ws.scratch.get(i + 1) {
                         store.prefetch_row(next);
                     }
                     // The row covers light *and* heavy continuations.
-                    if reuse_row(store, v, dv, row, relax, cap, &mut NoPred, &mut tally) {
+                    if let Some(improved) =
+                        reuse_row(store, v, dv, row, relax, cap, &mut NoPred, &mut tally)
+                    {
+                        if improved == 0 && solver.stop_idle_reuse {
+                            reusing = false;
+                            #[cfg(test)]
+                            {
+                                ws.reuse_stops += 1;
+                            }
+                        }
                         continue;
                     }
                 }
@@ -1882,6 +1934,202 @@ mod tests {
             proptest::prop_assert_eq!(counters.queue_pops, pops);
             proptest::prop_assert_eq!(counters.relaxations, relaxations);
         }
+    }
+
+    /// Random weighted graphs for the Δ-stepping reuse tests: directed or
+    /// undirected, weights 1..1000, sparse enough to leave parts
+    /// disconnected; with `star`, vertex 0 is joined to most others, which
+    /// puts the degree skew above [`HUB_SKEW`] on all but the smallest.
+    fn arb_weighted_graph() -> impl proptest::strategy::Strategy<Value = CsrGraph> {
+        use proptest::prelude::*;
+        (2usize..90, any::<bool>(), 0usize..7, any::<bool>()).prop_flat_map(
+            |(n, directed, per_vertex, star)| {
+                let edge = (0..n as u32, 0..n as u32, 1u32..=1000);
+                proptest::collection::vec(edge, 0..n * per_vertex + 1).prop_map(move |edges| {
+                    let direction = if directed {
+                        Direction::Directed
+                    } else {
+                        Direction::Undirected
+                    };
+                    let spokes = (1..n as u32)
+                        .filter(|v| star && v % 5 != 0)
+                        .map(|v| (0, v, 1 + v * 37 % 1000));
+                    let edges: Vec<(u32, u32, u32)> = edges.into_iter().chain(spokes).collect();
+                    CsrGraph::from_edges(n, direction, &edges).unwrap()
+                })
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        // Δ-stepping with row reuse on, rows published in a random source
+        // order so that reuse fires from the first rows on, equals heap
+        // Dijkstra cell for cell on graphs with and without hubs (the
+        // reuse stop gated on and off), for any Δ, uncapped and capped at,
+        // just below and just above a distance the graph has.
+        #[test]
+        fn delta_with_row_reuse_matches_heap_dijkstra(
+            graph in arb_weighted_graph(),
+            shuffle in proptest::prelude::any::<u64>(),
+            delta in 0u32..1200,
+            pick in 0usize..10_000,
+            offset in 0usize..4,
+        ) {
+            let n = graph.vertex_count();
+            // A Fisher–Yates shuffle of the sources, xorshift-driven.
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            let mut state = shuffle | 1;
+            for i in (1..n).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                order.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            // Δ 0 stands for the probe's pick.
+            let delta = (delta > 0).then_some(delta);
+            let exact = crate::baselines::apsp_dijkstra(&graph);
+            let finite: Vec<u32> = (0..n as u32)
+                .flat_map(|u| (0..n as u32).map(move |v| (u, v)))
+                .map(|(u, v)| exact.get(u, v))
+                .filter(|&d| d != INF)
+                .collect();
+            let level = finite[pick % finite.len()];
+            let cap = [Some(level), level.checked_sub(1), Some(level + 1), None][offset];
+            let options = KernelOptions {
+                solver: SolverKind::Delta { delta },
+                max_distance: cap,
+                ..KernelOptions::default()
+            };
+            let solver = RowSolver::resolve(&graph, options, false);
+            proptest::prop_assert_eq!(solver.kind, Resolved::Delta);
+            proptest::prop_assert_eq!(solver.stop_idle_reuse, probe(&graph).degree_skew < HUB_SKEW);
+            let store = Store::new(n, &crate::store::StoreSpec::dense());
+            let mut ws = Workspace::new(n);
+            let mut counters = Counters::default();
+            for &s in &order {
+                solver.solve_rows(&graph, &[s], &store, &mut ws, options, &mut counters);
+            }
+            let got = store.into_matrix();
+            for u in 0..n as u32 {
+                for v in 0..n as u32 {
+                    let want = match exact.get(u, v) {
+                        d if d <= cap.unwrap_or(u32::MAX) => d,
+                        _ => INF,
+                    };
+                    proptest::prop_assert_eq!(got.get(u, v), want, "({}, {}) cap {:?}", u, v, cap);
+                }
+            }
+        }
+    }
+
+    /// Weighted fixtures for the reuse stop: a Watts–Strogatz ring with
+    /// weights 1..1000 (no hubs), a weighted star and a Barabási–Albert
+    /// graph (both skewed past [`HUB_SKEW`]).
+    fn reuse_stop_fixtures() -> Vec<(&'static str, CsrGraph, bool)> {
+        let wide = WeightSpec::Uniform { lo: 1, hi: 1000 };
+        let spokes: Vec<(u32, u32, u32)> = (1..120).map(|v| (0, v, 1 + v * 37 % 1000)).collect();
+        vec![
+            (
+                "ws",
+                parapsp_graph::generate::watts_strogatz(400, 8, 0.2, wide, 7).unwrap(),
+                true,
+            ),
+            (
+                "star",
+                CsrGraph::from_edges(120, Direction::Undirected, &spokes).unwrap(),
+                false,
+            ),
+            ("ba", barabasi_albert(600, 2, wide, 5).unwrap(), false),
+        ]
+    }
+
+    /// Every source's sweep in id order on `solver`, checked against heap
+    /// Dijkstra; returns the counters and how many sources stopped reusing.
+    fn delta_sweep(
+        graph: &CsrGraph,
+        solver: &RowSolver,
+        options: KernelOptions,
+    ) -> (Counters, u64) {
+        let n = graph.vertex_count();
+        let store = Store::new(n, &crate::store::StoreSpec::dense());
+        let mut ws = Workspace::new(n);
+        let mut counters = Counters::default();
+        for s in 0..n as u32 {
+            solver.solve_rows(graph, &[s], &store, &mut ws, options, &mut counters);
+        }
+        assert_eq!(store.into_matrix(), crate::baselines::apsp_dijkstra(graph));
+        (counters, ws.reuse_stops)
+    }
+
+    /// The stop fires on the graph without hubs and never on the skewed
+    /// ones, where reuses that lower nothing happen too: forcing the rule
+    /// on there makes the BA sweep stop, so it is the gate that holds it
+    /// off.
+    #[test]
+    fn idle_reuse_stops_only_on_graphs_without_hubs() {
+        let options = KernelOptions {
+            solver: SolverKind::Delta { delta: None },
+            ..KernelOptions::default()
+        };
+        for (name, graph, no_hubs) in reuse_stop_fixtures() {
+            let skew = probe(&graph).degree_skew;
+            assert_eq!(skew < HUB_SKEW, no_hubs, "{name}: degree skew {skew}");
+            let mut solver = RowSolver::resolve(&graph, options, false);
+            assert_eq!(solver.stop_idle_reuse, no_hubs, "{name}");
+            let (counters, stops) = delta_sweep(&graph, &solver, options);
+            assert!(counters.row_reuses > 0, "{name}: no reuse at all");
+            if no_hubs {
+                assert!(stops > 0, "{name}: the stop never fired");
+            } else {
+                assert_eq!(stops, 0, "{name}: the stop fired on a skewed graph");
+                solver.stop_idle_reuse = true;
+                let (_, forced) = delta_sweep(&graph, &solver, options);
+                if name == "ba" {
+                    assert!(forced > 0, "{name}: no reuse ever lowered nothing");
+                }
+            }
+        }
+        // The FIFO kernel never resolves with the rule.
+        let (_, ws, _) = &reuse_stop_fixtures()[0];
+        let kernel = KernelOptions {
+            solver: SolverKind::Dijkstra,
+            ..KernelOptions::default()
+        };
+        assert!(!RowSolver::resolve(ws, kernel, false).stop_idle_reuse);
+    }
+
+    /// One-thread counters of the paths the reuse stop leaves alone, as
+    /// the build before the rule measured them: the FIFO kernel
+    /// (`seq-basic`) on the Watts–Strogatz fixture, and pinned Δ-stepping
+    /// on the skewed BA fixture, where the gate keeps every reuse.
+    #[test]
+    fn fifo_kernel_and_skewed_delta_counters_are_unchanged() {
+        use crate::engine::{ApspEngine, RunConfig, Runner};
+        let fixtures = reuse_stop_fixtures();
+        let (ws, ba) = (&fixtures[0].1, &fixtures[2].1);
+        let counters = |relaxations, queue_pops, row_reuses, sources| Counters {
+            relaxations,
+            queue_pops,
+            row_reuses,
+            lease_hits: row_reuses,
+            sources,
+            ..Counters::default()
+        };
+        let basic = Runner::new(RunConfig::seq_basic()).run(ApspEngine::new(), ws);
+        assert_eq!(
+            basic.counters,
+            counters(449_183, 45_974, 5_353, 400),
+            "seq-basic on ws"
+        );
+        let delta = RunConfig::seq_basic().with_solver(SolverKind::Delta { delta: None });
+        let pinned = Runner::new(delta).run(ApspEngine::new(), ba);
+        assert_eq!(
+            pinned.counters,
+            counters(517_157, 12_415, 1_639, 600),
+            "delta on ba"
+        );
     }
 
     /// A star searched from every vertex has its centre reached by every

@@ -363,6 +363,22 @@ pub struct NodeStats {
     pub crashed: bool,
 }
 
+/// Why a socket run could not start: no worker completed the handshake
+/// while sources were left to compute. [`DistEngine`] unwinds with this
+/// payload through [`std::panic::resume_unwind`], which runs no panic
+/// hook, so a caller that catches it (as the CLI does) reports the reason
+/// as an ordinary error.
+#[derive(Debug)]
+pub struct DistFailure(pub String);
+
+impl std::fmt::Display for DistFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for DistFailure {}
+
 /// Result of a distributed run: the exact distance matrix plus per-node
 /// communication statistics and the gather-phase volume.
 #[derive(Debug)]
@@ -435,7 +451,9 @@ impl DistApspOutput {
 /// there is nobody left to take over the unfinished sources. `prepare`
 /// panics with the [`NodeSolver::resolve`] message when the config asks
 /// for a solver no node can run (Δ-stepping, or msbfs on a weighted
-/// graph).
+/// graph). A socket run that no worker joins (every one refused at the
+/// handshake, or none connected in time) unwinds with a [`DistFailure`]
+/// payload instead, which runs no panic hook.
 ///
 /// ```
 /// use parapsp_core::engine::{RunConfig, Runner};
@@ -930,9 +948,29 @@ fn run_cluster_socket(
         Err(SocketStartError::Io(message)) => panic!("socket transport setup failed: {message}"),
     };
 
+    // With no worker at all the run cannot start: say why, rather than
+    // treat it as every node crashing.
+    let owes_rows = driver
+        .outstanding
+        .iter()
+        .flatten()
+        .any(|&s| !driver.got[s as usize]);
+    if dead_at_start.nodes.len() == nodes && owes_rows {
+        let why = match dead_at_start.refused {
+            Some(reason) => format!("the last one was refused at the handshake: {reason}"),
+            None => format!(
+                "none connected within the {:?} accept timeout",
+                socket.accept_timeout
+            ),
+        };
+        transport.finish();
+        std::panic::resume_unwind(Box::new(DistFailure(format!(
+            "dist: no worker joined the run ({nodes} expected); {why}"
+        ))));
+    }
     // Workers that never completed the handshake are crashes that
     // happened before the run: re-deal their shares immediately.
-    for k in dead_at_start {
+    for k in dead_at_start.nodes {
         driver.on_crash(k, &mut transport);
     }
     let stop = drive_with_chaos(&mut driver, &mut transport, config, token, n);

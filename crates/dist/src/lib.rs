@@ -88,8 +88,8 @@ mod worker;
 
 pub use chaos::ChaosPlan;
 pub use cluster::{
-    ClusterConfig, ClusterConfigError, DistApspOutput, DistEngine, NodeStats, RetryPolicy,
-    SourcePartition, WatchdogConfig,
+    ClusterConfig, ClusterConfigError, DistApspOutput, DistEngine, DistFailure, NodeStats,
+    RetryPolicy, SourcePartition, WatchdogConfig,
 };
 pub use fault::FaultPlan;
 pub use node::NodeSolver;

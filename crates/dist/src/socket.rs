@@ -262,6 +262,14 @@ impl Link {
     }
 }
 
+/// The slots no worker filled during [`SocketTransport::start`].
+pub(crate) struct DeadAtStart {
+    /// Node ids whose workers never completed the handshake.
+    pub(crate) nodes: Vec<usize>,
+    /// Why the last refused handshake failed, if one was refused.
+    pub(crate) refused: Option<String>,
+}
+
 /// The socket backend of the [`Transport`] seam.
 pub(crate) struct SocketTransport {
     links: Vec<Link>,
@@ -278,12 +286,13 @@ pub(crate) struct SocketTransport {
 impl SocketTransport {
     /// Binds, launches workers per [`SocketConfig::workers`], and
     /// completes the handshake with each. Returns the transport plus the
-    /// node ids whose workers never showed up (dead at start).
+    /// slots whose workers never completed the handshake (dead at start).
+    /// Every refused handshake is reported on stderr.
     pub(crate) fn start(
         config: &SocketConfig,
         setups: Vec<WorkerSetup>,
         token: Option<&CancelToken>,
-    ) -> Result<(SocketTransport, Vec<usize>), SocketStartError> {
+    ) -> Result<(SocketTransport, DeadAtStart), SocketStartError> {
         let nodes = setups.len();
         let io_err = |context: &str, e: io::Error| SocketStartError::Io(format!("{context}: {e}"));
 
@@ -364,6 +373,7 @@ impl SocketTransport {
         // so early workers stream rows while later ones still dial in.
         let deadline = Instant::now() + config.accept_timeout;
         let mut links: Vec<Link> = Vec::with_capacity(nodes);
+        let mut refused = None;
         let (ring, bell) = unbounded();
         while links.len() < nodes {
             if let Some(token) = token {
@@ -383,8 +393,12 @@ impl SocketTransport {
                     let slot = links.len();
                     // A botched handshake does not consume the slot: the
                     // worker that matters may still be dialing.
-                    if let Ok(link) = handshake(stream, &setups[slot], config, &ring) {
-                        links.push(link);
+                    match handshake(stream, &setups[slot], config, &ring) {
+                        Ok(link) => links.push(link),
+                        Err(e) => {
+                            eprintln!("dist: refused a worker: {e}");
+                            refused = Some(e.to_string());
+                        }
                     }
                 }
                 Ok(None) => std::thread::sleep(Duration::from_millis(2)),
@@ -396,7 +410,10 @@ impl SocketTransport {
                 }
             }
         }
-        let dead_at_start: Vec<usize> = (links.len()..nodes).collect();
+        let dead_at_start = DeadAtStart {
+            nodes: (links.len()..nodes).collect(),
+            refused,
+        };
         while links.len() < nodes {
             links.push(Link::dead());
         }
@@ -494,6 +511,17 @@ fn handshake(
         ));
     };
     if version != PROTOCOL_VERSION {
+        // Answer with the driver's own Hello, whose layout every version
+        // shares, so the worker can name the skew too.
+        let _ = write_frame(
+            &mut handshake_half,
+            &Frame::Hello {
+                version: PROTOCOL_VERSION,
+                reconnects: 0,
+                run_id: 0,
+                epoch: 0,
+            },
+        );
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("worker speaks protocol v{version}, driver v{PROTOCOL_VERSION}"),
@@ -888,11 +916,59 @@ mod tests {
         .expect("a v5 Hello must be refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("protocol v5, driver v6"), "{err}");
-        // The refused worker reads EOF, not a Setup.
+        // The refused worker reads the driver's own Hello, then EOF,
+        // never a Setup.
         worker
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
+        assert!(matches!(
+            read_frame(&mut worker),
+            Ok(Frame::Hello {
+                version: PROTOCOL_VERSION,
+                ..
+            })
+        ));
         assert!(read_frame(&mut worker).is_err());
+    }
+
+    /// A worker refused at Hello names the skew when the driver answers
+    /// with its own Hello, and says it was refused when the driver just
+    /// closes the connection (a driver from before that answer, or a
+    /// refusal of another run's worker).
+    #[cfg(unix)]
+    #[test]
+    fn a_refused_worker_says_why() {
+        for answer in [Some(7u16), None] {
+            let path = temp_sock(&format!("refused-{answer:?}"));
+            let _ = std::fs::remove_file(&path);
+            let listener = UnixListener::bind(&path).unwrap();
+            let driver = std::thread::spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                let mut stream = WireStream::Unix(stream);
+                assert!(matches!(read_frame(&mut stream), Ok(Frame::Hello { .. })));
+                if let Some(version) = answer {
+                    let hello = Frame::Hello {
+                        version,
+                        reconnects: 0,
+                        run_id: 0,
+                        epoch: 0,
+                    };
+                    write_frame(&mut stream, &hello).unwrap();
+                }
+            });
+            let err = run_worker(&path.display().to_string(), WorkerOptions::default())
+                .expect_err("a refused worker must fail");
+            driver.join().unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert!(err.contains("refused"), "{err}");
+            assert!(
+                err.contains(&format!("worker v{PROTOCOL_VERSION}")),
+                "{err}"
+            );
+            if answer.is_some() {
+                assert!(err.contains("driver speaks protocol v7"), "{err}");
+            }
+        }
     }
 
     #[test]

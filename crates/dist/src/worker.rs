@@ -230,7 +230,21 @@ pub fn run_worker(addr: &str, options: WorkerOptions) -> Result<WorkerOutcome, S
     .map_err(|e| format!("sending Hello: {e}"))?;
     let setup: WorkerSetup = match read_frame(&mut handshake_half) {
         Ok(Frame::Setup(setup)) => *setup,
+        // A driver of another wire version answers with its own Hello.
+        Ok(Frame::Hello { version, .. }) => {
+            return Err(format!(
+                "the driver refused this worker: driver speaks protocol v{version}, \
+                 worker v{PROTOCOL_VERSION}"
+            ))
+        }
         Ok(other) => return Err(format!("expected Setup from the driver, got {other:?}")),
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+            return Err(format!(
+                "the driver closed the connection instead of sending Setup: it refused this \
+                 worker's Hello (worker v{PROTOCOL_VERSION}; a driver of another protocol \
+                 version, or of another run, refuses it)"
+            ))
+        }
         Err(e) => return Err(format!("reading Setup: {e}")),
     };
     let session = (setup.run_id, setup.epoch);

@@ -40,7 +40,9 @@ pub struct GraphBuilder {
     duplicate_policy: DuplicatePolicy,
     allow_self_loops: bool,
     edges: Vec<(u32, u32, u32)>,
-    seen: HashSet<(u32, u32)>,
+    /// Edges accepted so far under a deduplicating policy, one `u64`
+    /// key each (`from << 32 | to`, endpoints ordered when undirected).
+    seen: HashSet<u64>,
 }
 
 impl GraphBuilder {
@@ -103,10 +105,11 @@ impl GraphBuilder {
             return Ok(());
         }
         if self.duplicate_policy != DuplicatePolicy::Keep {
-            let key = match self.direction {
+            let (a, b) = match self.direction {
                 Direction::Directed => (u, v),
                 Direction::Undirected => (u.min(v), u.max(v)),
             };
+            let key = u64::from(a) << 32 | u64::from(b);
             if !self.seen.insert(key) {
                 return match self.duplicate_policy {
                     DuplicatePolicy::Ignore => Ok(()),

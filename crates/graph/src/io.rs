@@ -75,17 +75,22 @@ impl ParseOptions {
 }
 
 /// Parses an edge list from any reader.
+///
+/// Lines are read into one reused buffer, and a weight column of ASCII
+/// digits only is parsed as an integer; any other spelling (`2.5`, `+5`,
+/// `1e3`) goes through `f64`, is clamped to ≥ 1 and truncated. Both paths
+/// give the same weight for the same digits.
 pub fn read_edge_list<R: Read>(
     reader: R,
     options: ParseOptions,
 ) -> Result<LoadedGraph, GraphError> {
-    let reader = BufReader::new(reader);
+    let mut reader = BufReader::new(reader);
     let mut ids: HashMap<u64, u32> = HashMap::new();
     let mut original_ids: Vec<u64> = Vec::new();
     let mut edges: Vec<(u32, u32, u32)> = Vec::new();
 
     let intern = |raw: u64,
-                  line_no: usize,
+                  line: usize,
                   ids: &mut HashMap<u64, u32>,
                   originals: &mut Vec<u64>|
      -> Result<u32, GraphError> {
@@ -95,7 +100,7 @@ pub fn read_edge_list<R: Read>(
         // Dense ids are u32; a file introducing a 2^32-th distinct vertex
         // must fail instead of silently wrapping the id space.
         let dense = u32::try_from(originals.len()).map_err(|_| GraphError::Parse {
-            line: line_no + 1,
+            line,
             message: format!(
                 "vertex id `{raw}` is the {}th distinct id; only 2^32 vertices are supported",
                 originals.len() + 1
@@ -106,60 +111,26 @@ pub fn read_edge_list<R: Read>(
         Ok(dense)
     };
 
-    for (line_no, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
+    let mut buf = Vec::new();
+    let mut line = 0usize;
+    loop {
+        buf.clear();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
+            break;
         }
-        if options
-            .comment_prefixes
-            .iter()
-            .any(|&c| trimmed.starts_with(c))
-        {
+        line += 1;
+        // The error `BufRead::lines` gives for the same bytes.
+        let text = std::str::from_utf8(&buf).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
+        let Some((from, to, weight)) = parse_line(text, line, options)? else {
             continue;
-        }
-        let mut fields = trimmed.split_whitespace();
-        let parse_field = |s: Option<&str>, what: &str| -> Result<u64, GraphError> {
-            let s = s.ok_or_else(|| GraphError::Parse {
-                line: line_no + 1,
-                message: format!("missing {what} column"),
-            })?;
-            s.parse::<u64>().map_err(|_| GraphError::Parse {
-                line: line_no + 1,
-                message: format!("{what} column `{s}` is not a non-negative integer"),
-            })
         };
-        let from = parse_field(fields.next(), "source")?;
-        let to = parse_field(fields.next(), "target")?;
-        let weight = match fields.next() {
-            // Third column may be a weight or (in KONECT temporal files) a
-            // timestamp; treat any number as a weight, clamped to >= 1.
-            // Values a u32 cannot hold (or non-finite ones) are errors —
-            // silently saturating would corrupt shortest-path results.
-            Some(s) => {
-                let w = s.parse::<f64>().map_err(|_| GraphError::Parse {
-                    line: line_no + 1,
-                    message: format!("weight column `{s}` is not numeric"),
-                })?;
-                if !w.is_finite() {
-                    return Err(GraphError::Parse {
-                        line: line_no + 1,
-                        message: format!("weight column `{s}` is not a finite number"),
-                    });
-                }
-                if w > u32::MAX as f64 {
-                    return Err(GraphError::Parse {
-                        line: line_no + 1,
-                        message: format!("weight column `{s}` overflows u32 (max {})", u32::MAX),
-                    });
-                }
-                w.max(1.0) as u32
-            }
-            None => options.default_weight,
-        };
-        let u = intern(from, line_no, &mut ids, &mut original_ids)?;
-        let v = intern(to, line_no, &mut ids, &mut original_ids)?;
+        let u = intern(from, line, &mut ids, &mut original_ids)?;
+        let v = intern(to, line, &mut ids, &mut original_ids)?;
         edges.push((u, v, weight));
     }
 
@@ -173,6 +144,70 @@ pub fn read_edge_list<R: Read>(
         graph: builder.build(),
         original_ids,
     })
+}
+
+/// Line number `line` (1-based) of an edge list: `None` for a blank or
+/// comment line, else the two raw ids and the weight.
+fn parse_line(
+    text: &str,
+    line: usize,
+    options: ParseOptions,
+) -> Result<Option<(u64, u64, u32)>, GraphError> {
+    let trimmed = text.trim();
+    if trimmed.is_empty()
+        || options
+            .comment_prefixes
+            .iter()
+            .any(|&c| trimmed.starts_with(c))
+    {
+        return Ok(None);
+    }
+    let error = |message: String| GraphError::Parse { line, message };
+    let mut fields = trimmed.split_whitespace();
+    let parse_field = |s: Option<&str>, what: &str| -> Result<u64, GraphError> {
+        let s = s.ok_or_else(|| error(format!("missing {what} column")))?;
+        s.parse::<u64>()
+            .map_err(|_| error(format!("{what} column `{s}` is not a non-negative integer")))
+    };
+    let from = parse_field(fields.next(), "source")?;
+    let to = parse_field(fields.next(), "target")?;
+    let weight = match fields.next() {
+        // Third column may be a weight or (in KONECT temporal files) a
+        // timestamp; treat any number as a weight, clamped to >= 1.
+        // Values a u32 cannot hold (or non-finite ones) are errors —
+        // silently saturating would corrupt shortest-path results.
+        Some(s) => {
+            let overflow = || {
+                error(format!(
+                    "weight column `{s}` overflows u32 (max {})",
+                    u32::MAX
+                ))
+            };
+            if s.bytes().all(|b| b.is_ascii_digit()) {
+                let mut w = 0u32;
+                for b in s.bytes() {
+                    w = w
+                        .checked_mul(10)
+                        .and_then(|w| w.checked_add(u32::from(b - b'0')))
+                        .ok_or_else(overflow)?;
+                }
+                w.max(1)
+            } else {
+                let w = s
+                    .parse::<f64>()
+                    .map_err(|_| error(format!("weight column `{s}` is not numeric")))?;
+                if !w.is_finite() {
+                    return Err(error(format!("weight column `{s}` is not a finite number")));
+                }
+                if w > u32::MAX as f64 {
+                    return Err(overflow());
+                }
+                w.max(1.0) as u32
+            }
+        }
+        None => options.default_weight,
+    };
+    Ok(Some((from, to, weight)))
 }
 
 /// Parses an edge-list file from disk.
@@ -398,6 +433,132 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
+    }
+
+    /// Every weight spelling the loader accepts or refuses, on line 3
+    /// behind a comment and a blank line: digits-only and `f64` spellings
+    /// agree, `0` and negatives clamp to 1, fractions truncate, and what
+    /// a `u32` cannot hold is an error naming the line.
+    #[test]
+    fn weight_spellings_parse_to_the_same_weights_and_errors() {
+        let ok: &[(&str, u32)] = &[
+            ("1", 1),
+            ("7", 7),
+            ("007", 7),
+            ("0", 1),
+            ("2.5", 2),
+            ("0.5", 1),
+            ("+5", 5),
+            ("1e3", 1000),
+            ("-3", 1),
+            ("999", 999),
+            ("4294967295", u32::MAX),
+            ("4294967295.0", u32::MAX),
+        ];
+        for &(spelling, want) in ok {
+            let text = format!("# c\n\n0 1 {spelling}\n");
+            let loaded = read_edge_list(text.as_bytes(), ParseOptions::snap(Direction::Directed))
+                .unwrap_or_else(|err| panic!("{spelling}: {err}"));
+            assert_eq!(loaded.graph.weights(0), &[want], "{spelling}");
+        }
+        let bad: &[(&str, &str)] = &[
+            ("4294967296", "overflows"),
+            ("10000000000", "overflows"),
+            ("99999999999999999999999", "overflows"),
+            ("4294967296.0", "overflows"),
+            ("nan", "not a finite number"),
+            ("inf", "not a finite number"),
+            ("-inf", "not a finite number"),
+            ("abc", "not numeric"),
+            ("5x", "not numeric"),
+        ];
+        for &(spelling, why) in bad {
+            let text = format!("# c\n\n0 1 {spelling}\n");
+            match read_edge_list(text.as_bytes(), ParseOptions::snap(Direction::Directed)) {
+                Err(GraphError::Parse { line, message }) => {
+                    assert_eq!(line, 3, "{spelling}");
+                    assert!(message.contains(why), "{spelling}: {message}");
+                    assert!(message.contains(spelling), "{spelling}: {message}");
+                }
+                other => panic!("{spelling}: expected a parse error, got {other:?}"),
+            }
+        }
+        // Bytes that are not UTF-8 are an I/O error, as `BufRead::lines`
+        // reports them.
+        let err = read_edge_list(
+            &b"0 1 5\n1 \xff 2\n"[..],
+            ParseOptions::snap(Direction::Directed),
+        )
+        .unwrap_err();
+        match err {
+            GraphError::Io(io) => {
+                assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
+                assert_eq!(io.to_string(), "stream did not contain valid UTF-8");
+            }
+            other => panic!("expected an I/O error, got {other}"),
+        }
+        // CRLF line ends and a last line without one parse like the rest.
+        let loaded = read_edge_list(
+            &b"0 1 4\r\n1 2 6"[..],
+            ParseOptions::snap(Direction::Directed),
+        )
+        .unwrap();
+        assert_eq!(loaded.graph.weights(0), &[4]);
+        assert_eq!(loaded.graph.weights(1), &[6]);
+    }
+
+    /// Random multigraphs with weights 1..1000 and repeated edges
+    /// (either orientation when undirected).
+    fn arb_multigraph() -> impl proptest::strategy::Strategy<Value = CsrGraph> {
+        use proptest::prelude::*;
+        (1usize..40, any::<bool>()).prop_flat_map(|(n, directed)| {
+            let edge = (0..n as u32, 0..n as u32, 1u32..1000);
+            proptest::collection::vec(edge, 0..n * 4).prop_map(move |mut edges| {
+                // Repeat a prefix, reversed and with other weights.
+                let again: Vec<_> = edges
+                    .iter()
+                    .take(edges.len() / 3)
+                    .map(|&(u, v, w)| (v, u, w % 7 + 1))
+                    .collect();
+                edges.extend(again);
+                let direction = if directed {
+                    Direction::Directed
+                } else {
+                    Direction::Undirected
+                };
+                CsrGraph::from_edges(n, direction, &edges).unwrap()
+            })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        // Writing a multigraph and reading it back gives what the builder
+        // makes of the written edges under the loader's policy: the first
+        // weight of a repeated edge wins and every neighbour list keeps
+        // insertion order, in the file's id space.
+        #[test]
+        fn written_edge_lists_read_back_deduplicated_in_order(graph in arb_multigraph()) {
+            let direction = graph.direction();
+            let mut buf = Vec::new();
+            write_edge_list(&graph, &mut buf).unwrap();
+            let loaded = read_edge_list(buf.as_slice(), ParseOptions::snap(direction)).unwrap();
+
+            let mut builder = GraphBuilder::new(graph.vertex_count(), direction)
+                .with_duplicate_policy(DuplicatePolicy::Ignore);
+            for (u, v, w) in graph.logical_edges() {
+                builder.add_edge(u, v, w).unwrap();
+            }
+            let want = builder.build();
+            proptest::prop_assert_eq!(loaded.graph.edge_count(), want.edge_count());
+            let original = |d: u32| loaded.original_ids[d as usize] as u32;
+            for d in 0..loaded.graph.vertex_count() as u32 {
+                let got: Vec<u32> = loaded.graph.neighbors(d).iter().map(|&t| original(t)).collect();
+                proptest::prop_assert_eq!(&got[..], want.neighbors(original(d)));
+                proptest::prop_assert_eq!(loaded.graph.weights(d), want.weights(original(d)));
+            }
+        }
     }
 
     #[test]
